@@ -2,9 +2,7 @@
 tables, channel fixture generation, CSV emission and plot-script generation.
 
 Scenario configs are JSON files carrying exactly the Scenario fields plus an
-optional "solver" block; unknown keys are rejected to catch typos.  The
-ISAC_PARETO_THREADS environment variable sets the sweep worker count
-(0 = one worker per CPU; unset = serial).
+optional "solver" block; unknown keys are rejected to catch typos.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -42,7 +39,7 @@ CSV_HEADER = ["scheme", "gamma_target", "crb", "rate_bps_hz", "mu", "v",
 _SCENARIO_KEYS = {"M", "Nc", "Ns", "L", "P", "sigma_c2", "sigma_s2", "Kc",
                   "theta", "seed"}
 _OPTIONAL_KEYS = {"fixture_path", "solver"}
-_SOLVER_KEYS = {"kkt_tol", "max_ellipsoid_iters", "dual_box_initial", "rank_tol"}
+_SOLVER_KEYS = {"kkt_tol", "max_dual_iters"}
 
 
 class ConfigError(ValueError):
@@ -101,16 +98,6 @@ def load_config(path) -> tuple[Scenario, SolverSettings]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return scenario, settings
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ISAC_PARETO_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
 
 
 def _sort_key(row):
@@ -214,7 +201,7 @@ def cmd_sweep(args) -> int:
         return 1
     cap = "auto" if args.crb_cap is None else args.crb_cap
     result = sweep(H, scenario, args.points, crb_cap=cap, schemes=schemes,
-                   settings=settings, workers=_worker_count())
+                   settings=settings)
     rows = [
         [row.scheme, _fmt(row.gamma_target), _fmt(row.crb), _fmt(row.rate),
          _fmt(row.mu), _fmt(row.v), str(row.iterations),

@@ -2,7 +2,7 @@
 
 Deliberately shares no numerical method with the main solver: the dual is
 minimized by exhaustive logarithmic grid search with local refinement (no
-ellipsoid), inner stationary points come from bisection (no cubic formula),
+Newton search), inner stationary points come from bisection (no cubic formula),
 and tiny instances are additionally brute-forced on a primal grid.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .closed_form import PowerAllocation
 from .metrics import LN2
-from .solver import default_dual_bound, feasibility_check
+from .solver import feasibility_check
 
 __all__ = [
     "oracle_dual_grid",
@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 INV_LN2 = 1.0 / LN2
+
+
+def _dual_box(gs: np.ndarray, P: float, gamma_tilde: float) -> float:
+    """Initial upper edge of the (mu, v) grid; the search expands it whenever
+    the incumbent lands on the outer boundary."""
+    return 10.0 * (INV_LN2 * float(np.max(gs)) + P * gamma_tilde)
 
 
 def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: int = 100) -> np.ndarray:
@@ -124,7 +130,7 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
         raise ValueError("grid density too small to refine")
 
     lo_mu = lo_v = 1e-12
-    hi_mu = hi_v = default_dual_bound(lam2, sigma_c2, P, gamma_tilde)
+    hi_mu = hi_v = _dual_box(gs, P, gamma_tilde)
     evals = 0
 
     def eval_grid(mu_ax, v_ax):

@@ -2,14 +2,19 @@
 
 The problem is diagonalized by the channel SVD, reduced to a power
 allocation over communication and dedicated sensing subchannels, and solved
-through its Lagrange dual: a 2-D ellipsoid (cutting-plane) search over the
-multipliers (mu, v), with per-subchannel stationary points from the real
-roots of a cubic, and a final Newton polish of the two tight constraints.
+through its Lagrange dual.  For multipliers (mu, v) each communication
+subchannel takes the unique positive root of a cubic stationarity equation
+and each sensing subchannel takes sqrt(mu/v); these powers form a family of
+water-filling solutions, monotone in both multipliers.  The dual pair is
+found by one nested search on a log scale: for fixed mu the power budget
+fixes v*(mu), and mu is then set by the CRB budget along v*(mu).  Both are
+safeguarded Newton iterations on the tight constraints.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +43,23 @@ __all__ = [
     "sensing_power",
     "inner_allocation",
     "dual_subgradient",
-    "default_dual_bound",
     "assemble_covariance",
     "solve_p1",
 ]
 
 INV_LN2 = 1.0 / LN2
+_EPS = sys.float_info.epsilon
+
+# A cubic root is accepted only if its stationarity residual, relative to the
+# largest term of the equation, is at most this; otherwise the bracketed
+# solve takes over.
+_ROOT_RTOL = 1e-12
+# The dual search stops once |log(sum 1/p / gamma_tilde)| is at most this;
+# each inner solve for v*(mu) once |log(sum p / P)| is at most this.
+_DUAL_TOL = 1e-13
+_INNER_TOL = 1e-14
+# Largest Newton step in log mu or log v.
+_MAX_LOG_STEP = 7.0
 
 
 class InactiveChannelError(ValueError):
@@ -53,18 +69,17 @@ class InactiveChannelError(ValueError):
 
 @dataclass
 class SolverSettings:
+    """``max_dual_iters`` bounds the evaluations of the inner power map over
+    the whole dual search."""
+
     kkt_tol: float = 1e-9
-    max_ellipsoid_iters: int = 2000
-    dual_box_initial: float | None = None
-    rank_tol: float = 1e-9
+    max_dual_iters: int = 2000
 
     def __post_init__(self) -> None:
-        if self.kkt_tol <= 0 or self.rank_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_ellipsoid_iters < 1:
+        if self.kkt_tol <= 0:
+            raise ValueError("KKT tolerance must be positive")
+        if self.max_dual_iters < 1:
             raise ValueError("iteration budget must be positive")
-        if self.dual_box_initial is not None and self.dual_box_initial <= 0:
-            raise ValueError("dual search bound must be positive")
 
 
 @dataclass
@@ -72,8 +87,12 @@ class SolveReport:
     """Outcome of one CRB-constrained solve.
 
     ``status`` is one of ``optimal``, ``infeasible`` or ``iteration_limit``.
-    On non-optimal statuses the remaining fields carry the best effort
-    iterate (or ``None`` when infeasible).
+    ``optimal`` always carries a passing KKT certificate;
+    ``iteration_limit`` means the dual search ran out of its budget or
+    stopped short of the certificate.  On non-optimal statuses the
+    remaining fields carry the best-effort iterate (or ``None`` when
+    infeasible).  ``allocation.iterations`` counts the evaluations of the
+    inner power map.
     """
 
     allocation: PowerAllocation | None
@@ -147,21 +166,31 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> tuple[float, ...
     )
 
 
-def _bisect_stationary(g: float, mu: float, v: float) -> float:
-    # f(p) is strictly decreasing on p > 0 with f(0+) = +inf for mu > 0.
+def _bracketed_stationary(g: float, mu: float, v: float) -> float:
+    # f(p) is convex and strictly decreasing on p > 0 (mu > 0).  The root lies
+    # above sqrt(mu/v) and the water-filling power, where one term alone
+    # equals v, and below the zero of 1/(p ln2) + mu/p^2 - v >= f(p).
+    lo = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
     hi = (INV_LN2 + math.sqrt(INV_LN2 * INV_LN2 + 4.0 * mu * v)) / (2.0 * v)
-    for _ in range(60):
-        if stationarity_residual(hi, g, mu, v) < 0.0:
-            break
-        hi *= 2.0
-    lo = 0.0
+    p = lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if stationarity_residual(mid, g, mu, v) > 0.0:
-            lo = mid
+        gp1 = 1.0 + g * p
+        comm = INV_LN2 * g / gp1
+        sens = mu / (p * p)
+        f = comm + sens - v
+        if f > 0.0:
+            lo = p
+        elif f < 0.0:
+            hi = p
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            break
+        if hi - lo <= 4.0 * _EPS * hi:
+            break
+        q = p + f / (comm * g / gp1 + 2.0 * sens / p)
+        # a Newton step from the left never overshoots; one from the right
+        # may, and is replaced by the geometric midpoint of the bracket
+        p = q if lo < q < hi else math.sqrt(lo * hi)
+    return p
 
 
 def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> float:
@@ -172,7 +201,11 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     when that is non-positive.  For mu > 0 the equation is cleared to the
     cubic  v p^3 + (v/g - 1/ln2) p^2 - mu p - mu/g = 0  with g the
     noise-normalized channel gain; the unique positive real root is selected
-    and polished by a couple of Newton steps.
+    and polished by a couple of Newton steps.  The root is kept only if its
+    stationarity residual, relative to the largest term of the equation, is
+    below 1e-12; otherwise (cancellation in the radical branch, typically a
+    weak channel at a tiny mu) a bracketed, safeguarded Newton solve of the
+    stationarity equation replaces it.
     """
     g = lambda2_over_sigma2
     if g <= 0.0:
@@ -196,8 +229,7 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
             if r < best_res:
                 best, best_res = x, r
     if best is None:
-        best = _bisect_stationary(g, mu, v)
-        best_res = abs(stationarity_residual(best, g, mu, v))
+        return _bracketed_stationary(g, mu, v)
     x, fx = best, best_res
     for _ in range(8):
         if fx <= 1e-15 * max(1.0, v):
@@ -212,7 +244,11 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
         if fy >= fx:
             break
         x, fx = y, fy
-    return x
+    comm = INV_LN2 * g / (1.0 + g * x)
+    sens = mu / (x * x)
+    if abs(comm + sens - v) <= _ROOT_RTOL * max(v, comm, sens):
+        return x
+    return _bracketed_stationary(g, mu, v)
 
 
 def _inner_powers(gs: list[float], m: int, mu: float, v: float) -> list[float]:
@@ -261,16 +297,6 @@ def dual_subgradient(p, gamma_tilde: float, P: float) -> tuple[float, float]:
     )
 
 
-def default_dual_bound(lambdas2, sigma_c2: float, P: float, gamma_tilde: float) -> float:
-    """Initial edge length of the dual search box over (mu, v).
-
-    Heuristic; the searches double it and restart whenever the incumbent
-    lands on the boundary, so it only needs to be in the right ballpark.
-    """
-    g_max = float(np.max(np.asarray(lambdas2, dtype=float))) / sigma_c2
-    return 10.0 * (INV_LN2 * g_max + P * gamma_tilde)
-
-
 def _dual_value(gs, p, mu, v, gamma_tilde, P):
     R = 0.0
     S = 0.0
@@ -289,176 +315,131 @@ def _dual_value(gs, p, mu, v, gamma_tilde, P):
     return R - v * (S - P)
 
 
-def _newton_polish(gs, m, gamma_tilde, P, mu, v, max_iter=40):
-    """Newton iteration on the two tight constraints (sum 1/p, sum p).
+def _power_map(gs, m, mu, v):
+    """Inner powers at (mu, v) > 0, their sum S and trace inverse C, and the
+    partial derivatives of S and C in mu and v.
 
-    The powers are an implicit smooth function of (mu, v) through the
-    stationarity equations; positivity is preserved by backtracking.
-    Returns (mu, v, converged).
+    The derivatives follow from the stationarity equations by implicit
+    differentiation: dp/dv = 1/f'(p) and dp/dmu = -1/(p^2 f'(p)).
     """
-    r = len(gs)
-    k_sense = m - r
-    c_scale = max(1.0, gamma_tilde)
-    p_scale = max(1.0, P)
-
-    def residuals(mu_, v_):
-        p_ = _inner_powers(gs, m, mu_, v_)
-        f1 = sum(1.0 / x for x in p_) - gamma_tilde
-        f2 = sum(p_) - P
-        return p_, f1, f2
-
-    try:
-        p, f1, f2 = residuals(mu, v)
-    except (InactiveChannelError, ValueError, ZeroDivisionError, OverflowError):
-        return mu, v, False
-    norm = max(abs(f1) / c_scale, abs(f2) / p_scale)
-    for _ in range(max_iter):
-        if norm <= 1e-13:
-            return mu, v, True
-        dc_dmu = dc_dv = ds_dmu = ds_dv = 0.0
-        for g, x in zip(gs, p):
-            gx = g * x
-            fp = -INV_LN2 * g * g / ((1.0 + gx) * (1.0 + gx)) - 2.0 * mu / (x * x * x)
-            dp_dmu = -(1.0 / (x * x)) / fp
-            dp_dv = 1.0 / fp
-            inv2 = 1.0 / (x * x)
-            dc_dmu -= dp_dmu * inv2
-            dc_dv -= dp_dv * inv2
-            ds_dmu += dp_dmu
-            ds_dv += dp_dv
-        if k_sense:
-            ps = math.sqrt(mu / v)
-            dps_dmu = 0.5 / math.sqrt(mu * v)
-            dps_dv = -0.5 * ps / v
-            inv2 = 1.0 / (ps * ps)
-            dc_dmu -= k_sense * dps_dmu * inv2
-            dc_dv -= k_sense * dps_dv * inv2
-            ds_dmu += k_sense * dps_dmu
-            ds_dv += k_sense * dps_dv
-        det = dc_dmu * ds_dv - dc_dv * ds_dmu
-        if det == 0.0 or not math.isfinite(det):
-            return mu, v, False
-        dmu = (-f1 * ds_dv + dc_dv * f2) / det
-        dv = (-dc_dmu * f2 + ds_dmu * f1) / det
-        step = 1.0
-        improved = False
-        for _ in range(50):
-            nmu, nv = mu + step * dmu, v + step * dv
-            if nmu > 0.0 and nv > 0.0:
-                try:
-                    np_, nf1, nf2 = residuals(nmu, nv)
-                except (InactiveChannelError, ValueError, ZeroDivisionError, OverflowError):
-                    step *= 0.5
-                    continue
-                nnorm = max(abs(nf1) / c_scale, abs(nf2) / p_scale)
-                if nnorm < norm:
-                    mu, v, p, f1, f2, norm = nmu, nv, np_, nf1, nf2, nnorm
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            return mu, v, norm <= 1e-13
-    return mu, v, norm <= 1e-13
+    p = _inner_powers(gs, m, mu, v)
+    S = C = S_mu = S_v = C_mu = C_v = 0.0
+    for g, x in zip(gs, p):
+        gx1 = 1.0 + g * x
+        inv2 = 1.0 / (x * x)
+        fp = -INV_LN2 * g * g / (gx1 * gx1) - 2.0 * mu * inv2 / x
+        dp_dv = 1.0 / fp
+        dp_dmu = -inv2 * dp_dv
+        S += x
+        C += 1.0 / x
+        S_mu += dp_dmu
+        S_v += dp_dv
+        C_mu -= inv2 * dp_dmu
+        C_v -= inv2 * dp_dv
+    k = m - len(gs)
+    if k:
+        ps = p[-1]
+        S += k * ps
+        C += k / ps
+        S_mu += 0.5 * k * ps / mu
+        S_v -= 0.5 * k * ps / v
+        C_mu -= 0.5 * k / (mu * ps)
+        C_v += 0.5 * k / (v * ps)
+    return p, S, C, S_mu, S_v, C_mu, C_v
 
 
-@dataclass
-class _DualResult:
-    mu: float
-    v: float
-    iterations: int
-    converged: bool
-    hit_edge: bool = False
+def _log_newton(residual, x: float, tol: float) -> float:
+    """Root of a strictly decreasing function of x by safeguarded Newton.
 
-
-def _ellipsoid_once(gs, m, gamma_tilde, P, box, budget) -> _DualResult:
-    """One ellipsoid run over the quadrant, starting from a ball that covers
-    the box [0, box]^2.  Feasibility cuts push the center back to mu, v > 0;
-    objective cuts use the dual subgradient.  Every few iterations the best
-    iterate is handed to the Newton polish; success ends the run."""
-    need_mu_pos = len(gs) < m
-    cx = cy = 0.5 * box
-    radius = 0.75 * box
-    a11 = a22 = radius * radius
-    a12 = 0.0
-    best = None
-    best_g = math.inf
-    polish_every = 10
-    k_used = 0
-    collapsed = False
-    for k in range(budget):
-        k_used = k + 1
-        mu, v = cx, cy
-        if mu < 0.0 or (need_mu_pos and mu <= 0.0):
-            g1, g2 = -1.0, 0.0
-        elif v <= 0.0:
-            g1, g2 = 0.0, -1.0
+    ``residual(x)`` returns the function value and a proposed Newton step.
+    Steps are capped at _MAX_LOG_STEP.  A step that points away from the
+    root is replaced by a full capped step towards it, and one that leaves
+    the bracket of the sign changes seen so far by the bracket's midpoint.
+    Stops when |value| <= tol, or when the bracket or the step has shrunk
+    to a few ulps of x.  The returned x is always the last one evaluated.
+    """
+    lo, hi = -math.inf, math.inf
+    while True:
+        val, step = residual(x)
+        if abs(val) <= tol:
+            return x
+        if val > 0.0:
+            lo = x
         else:
-            p = _inner_powers(gs, m, mu, v)
-            ssum = sum(p)
-            cinv = 0.0
-            for x in p:
-                if x <= 0.0:
-                    cinv = math.inf
-                    break
-                cinv += 1.0 / x
-            if math.isinf(cinv):
-                g1, g2 = -1.0, 0.0
-            else:
-                gval = _dual_value(gs, p, mu, v, gamma_tilde, P)
-                if gval < best_g:
-                    best_g, best = gval, (mu, v)
-                g1 = gamma_tilde - cinv
-                g2 = P - ssum
-        if best is not None and k_used % polish_every == 0:
-            pm, pv, ok = _newton_polish(gs, m, gamma_tilde, P, best[0], best[1])
-            if ok:
-                return _DualResult(pm, pv, k_used, True)
-        a_g1 = a11 * g1 + a12 * g2
-        a_g2 = a12 * g1 + a22 * g2
-        denom2 = g1 * a_g1 + g2 * a_g2
-        if not (denom2 > 0.0) or not math.isfinite(denom2):
-            collapsed = True
-            break
-        den = math.sqrt(denom2)
-        bx, by = a_g1 / den, a_g2 / den
-        cx -= bx / 3.0
-        cy -= by / 3.0
-        a11 = (4.0 / 3.0) * (a11 - (2.0 / 3.0) * bx * bx)
-        a12 = (4.0 / 3.0) * (a12 - (2.0 / 3.0) * bx * by)
-        a22 = (4.0 / 3.0) * (a22 - (2.0 / 3.0) * by * by)
-    if best is not None:
-        # a collapsed ellipsoid has pinpointed the dual pair; an exhausted
-        # budget has not, and must never be reported as converged
-        if collapsed:
-            pm, pv, ok = _newton_polish(gs, m, gamma_tilde, P, best[0], best[1])
-            if ok:
-                return _DualResult(pm, pv, k_used, True)
-        hit = best[0] >= 0.8 * box or best[1] >= 0.8 * box
-        return _DualResult(best[0], best[1], k_used, False, hit_edge=hit)
-    return _DualResult(0.5 * box, 0.5 * box, k_used, False, hit_edge=True)
+            hi = x
+        ulps = 4.0 * _EPS * max(1.0, abs(x))
+        if hi - lo <= ulps:
+            return x
+        if not step * val > 0.0:
+            step = math.copysign(_MAX_LOG_STEP, val)
+        step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
+        if abs(step) <= ulps:
+            return x
+        nx = x + step
+        x = nx if lo < nx < hi else 0.5 * (lo + hi)
 
 
-def _solve_dual(gs, m, gamma_tilde, P, settings: SolverSettings) -> _DualResult:
-    box = settings.dual_box_initial
-    if box is None:
-        box = 10.0 * (INV_LN2 * max(gs) + P * gamma_tilde)
-    used = 0
-    last = None
-    while used < settings.max_ellipsoid_iters:
-        res = _ellipsoid_once(gs, m, gamma_tilde, P, box, settings.max_ellipsoid_iters - used)
-        used += res.iterations
-        res.iterations = used
-        if res.converged:
-            return res
-        last = res
-        if res.hit_edge:
-            box *= 4.0
-            continue
-        break
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _solve_dual(gs, m, gamma_tilde, P, budget):
+    """Dual pair with both constraints tight, by nested log-scale Newton.
+
+    Returns (mu, v, powers, evaluations, converged); the powers belong to
+    the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
+    """
+    evals = 0
+    last = None  # (mu, v, _power_map output) of the latest evaluation
+    c_min = m * m / P
+
+    def power_residual(mu, x):
+        # log(S / P) at v = e^x, and its Newton step in x
+        nonlocal evals, last
+        if evals >= budget:
+            raise _BudgetExhausted
+        evals += 1
+        v = math.exp(x)
+        last = (mu, v, _power_map(gs, m, mu, v))
+        _, S, _, _, S_v, _, _ = last[2]
+        F = math.log(S / P)
+        return F, -F * S / (v * S_v)
+
+    # start from the equal split, whose sensing law fixes mu/v = (P/m)^2
+    v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
+    log_v = math.log(v0)
+    tangent = None  # (log mu, d log v* / d log mu) at the previous mu
+
+    def crb_residual(t):
+        # log(C / gamma_tilde) along v*(mu) decides convergence; the Newton
+        # step acts on log((C - c_min) / (gamma_tilde - c_min)) instead,
+        # which is close to linear in log mu both for loose CRB budgets and
+        # near the equal-split boundary
+        nonlocal log_v, tangent
+        mu = math.exp(t)
+        if tangent is not None:
+            log_v += tangent[1] * (t - tangent[0])
+        log_v = _log_newton(lambda x: power_residual(mu, x), log_v, _INNER_TOL)
+        _, v, (_, S, C, S_mu, S_v, C_mu, C_v) = last
+        dv_dmu = -S_mu / S_v
+        tangent = (t, mu * dv_dmu / v)
+        excess = C - c_min
+        step = math.nan
+        if excess > 0.0:
+            slope = mu * (C_mu + C_v * dv_dmu) / excess
+            step = -math.log(excess / (gamma_tilde - c_min)) / slope
+        return math.log(C / gamma_tilde), step
+
+    converged = False
+    try:
+        _log_newton(crb_residual, math.log(v0 * (P / m) ** 2), _DUAL_TOL)
+        converged = True
+    except (_BudgetExhausted, ArithmeticError, ValueError):
+        pass
     if last is None:
-        last = _DualResult(math.nan, math.nan, used, False)
-    last.iterations = used
-    return last
+        return math.nan, math.nan, None, evals, False
+    mu, v, (p, *_) = last
+    return mu, v, p, evals, converged
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P, kkt_tol):
@@ -515,7 +496,8 @@ def solve_p1(
     """Maximize the rate subject to CRB(Q) <= gamma and tr(Q) <= P.
 
     Exactly one of ``gamma`` (a CRB threshold) or ``gamma_tilde`` (the
-    equivalent budget on tr(Q^-1)) must be given.
+    equivalent budget on tr(Q^-1)) must be given.  The channel rank and
+    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).
 
     Solution path:
 
@@ -525,9 +507,13 @@ def solve_p1(
       reported);
     * full-rank channel whose water-filling already satisfies the CRB
       budget -> water-filling with a zero CRB multiplier;
-    * otherwise both constraints are tight and the dual pair is found by the
-      ellipsoid search plus Newton polish, then certified against the KKT
-      conditions.  ``optimal`` is only reported with a passing certificate.
+    * otherwise both constraints are tight.  The dual pair is found by a
+      Newton search in log mu on the CRB budget, each step solving the
+      power budget for v*(mu) by a Newton search in log v; both searches
+      keep a sign-change bracket and cap their steps.  The result is then
+      certified against the KKT conditions: ``optimal`` is only reported
+      with a passing certificate, and an exhausted
+      ``settings.max_dual_iters`` budget gives ``iteration_limit``.
     """
     if settings is None:
         settings = SolverSettings()
@@ -541,10 +527,7 @@ def solve_p1(
     else:
         gamma = crb_from_trace_budget(gamma_tilde, scenario.sigma_s2, scenario.Ns, scenario.L)
 
-    lam = H.lambdas
-    top = float(lam[0]) if lam.size else 0.0
-    r = int(np.count_nonzero(lam > settings.rank_tol * top)) if top > 0.0 else 0
-    lam2 = lam[:r] ** 2
+    lam2 = H.lambdas2
     gs = [float(x) / s2 for x in lam2]
 
     if not feasibility_check(m, P, gamma_tilde):
@@ -558,7 +541,7 @@ def solve_p1(
                                 kkt_residual=0.0, duality_gap=0.0)
         return _finish(alloc, H, scenario, gamma, gamma_tilde, "optimal")
 
-    if r == m:
+    if H.r == m:
         wf = waterfill(lam2, s2, P, m=m)
         if np.all(wf.p > 0.0):
             trace_inv = float((1.0 / wf.p).sum())
@@ -571,13 +554,12 @@ def solve_p1(
                 return _finish(alloc, H, scenario, gamma, gamma_tilde,
                                "optimal" if ok else "iteration_limit")
 
-    dual = _solve_dual(gs, m, gamma_tilde, P, settings)
-    if not (dual.mu > 0.0 and dual.v > 0.0):
+    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P, settings.max_dual_iters)
+    if p is None:
         return SolveReport(None, None, None, "iteration_limit", gamma_tilde=gamma_tilde)
-    p = np.asarray(_inner_powers(gs, m, dual.mu, dual.v))
-    ok, res, gap = _certify(gs, m, list(p), dual.mu, dual.v, gamma_tilde, P, settings.kkt_tol)
-    status = "optimal" if (dual.converged and ok) else "iteration_limit"
-    alloc = PowerAllocation(p=p, mu=dual.mu, v=dual.v, iterations=dual.iterations,
+    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
+    status = "optimal" if (converged and ok) else "iteration_limit"
+    alloc = PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
                             kkt_residual=res, duality_gap=gap)
     return _finish(alloc, H, scenario, gamma, gamma_tilde, status)
 

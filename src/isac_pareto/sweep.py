@@ -4,7 +4,6 @@ solves and benchmark curves matched to the same grid."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +81,13 @@ def _solve_row(H, scenario, gamma, settings) -> tuple[SweepRow, SolveReport | No
 def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
           crb_cap: float | str = "auto",
           schemes=DEFAULT_SCHEMES,
-          settings: SolverSettings | None = None,
-          workers: int = 1) -> SweepResult:
+          settings: SolverSettings | None = None) -> SweepResult:
     """Trace the frontier and benchmark curves over a geometric CRB grid.
 
     The grid runs from the minimum CRB to the rate-maximization endpoint
     when that is finite, else to ``crb_cap`` (``"auto"`` = 100x the minimum).
     Benchmark rows report, for each grid threshold, the best sweep point
-    whose CRB fits under it.  Per-threshold solves may run on ``workers``
-    threads; results are reassembled in grid order.
+    whose CRB fits under it.
     """
     if n_points < 2:
         raise ValueError("need at least two grid points")
@@ -111,13 +108,8 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     rows: list[SweepRow] = []
     reports: list[SolveReport | None] = []
     if "optimal" in schemes:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                solved = list(pool.map(
-                    lambda g: _solve_row(H, scenario, g, settings), gammas))
-        else:
-            solved = [_solve_row(H, scenario, g, settings) for g in gammas]
-        for row, rep in solved:
+        for g in gammas:
+            row, rep = _solve_row(H, scenario, g, settings)
             rows.append(row)
             reports.append(rep)
 

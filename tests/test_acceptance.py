@@ -353,7 +353,7 @@ def test_criterion_11_frontier_geometry(scenario1, scenario2):
 def test_criterion_12_performance(scenario1):
     H, sc = scenario1
     t0 = time.perf_counter()
-    res = sweep(H, sc, 50, workers=1)
+    res = sweep(H, sc, 50)
     sweep_time = time.perf_counter() - t0
     assert all(r.status == "optimal" for r in res.rows if r.scheme == "optimal")
     times = []

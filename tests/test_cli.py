@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isac_pareto.cli import main
+from isac_pareto.cli import ConfigError, load_config, main
 from isac_pareto.metrics import crb_from_powers, rate_from_powers
 from isac_pareto.scenario import load_fixture
 
@@ -91,6 +91,25 @@ def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["sweep", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("key", ["max_ellipsoid_iters", "dual_box_initial", "rank_tol"])
+def test_config_retired_solver_key_rejected(tmp_path, key):
+    cfg = dict(SC1)
+    cfg["solver"] = {key: 10}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_config_dual_budget_accepted(tmp_path):
+    cfg = dict(SC1)
+    cfg["solver"] = {"max_dual_iters": 10}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(cfg))
+    _, settings = load_config(path)
+    assert settings.max_dual_iters == 10
 
 
 def test_config_missing_key_rejected(tmp_path):

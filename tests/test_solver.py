@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from isac_pareto.closed_form import asymptotic_allocation, waterfill
+from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
 from isac_pareto.metrics import rate_from_powers, trace_budget
-from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
+from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
     InactiveChannelError,
     SolverSettings,
@@ -88,6 +88,43 @@ def test_cubic_vs_bisection_randomized(rng):
         assert abs(root - ref) <= 1e-10 * max(1.0, ref)
         assert abs(stationarity_residual(root, g, mu, v)) <= 1e-10
     assert neg_disc > 50
+
+
+def _scaled_residual(p, g, mu, v):
+    comm = INV_LN2 * g / (1.0 + g * p)
+    sens = mu / (p * p)
+    return abs(comm + sens - v) / max(v, comm, sens)
+
+
+def test_cubic_weak_channel_tiny_mu_matches_bisection():
+    # cancellation in the radical branch gave 9.1e-14 with residual 1.2e11 here
+    g, mu, v = 0.0187, 1e-15, 9.33
+    root = cubic_stationary_root(g, mu, v)
+    ref = _bisect_root(g, mu, v)
+    assert ref == pytest.approx(1.0368e-8, rel=1e-4)
+    assert abs(root - ref) <= 1e-10 * ref
+    assert _scaled_residual(root, g, mu, v) <= 1e-12
+
+
+def test_cubic_log_uniform_sweep_vs_bisection():
+    rng = np.random.default_rng(20260501)
+    n = 5000
+    gs = 10.0 ** rng.uniform(-6, 3, n)
+    mus = 10.0 ** rng.uniform(-18, 2, n)
+    vs = 10.0 ** rng.uniform(-2, 2, n)
+    hi = (INV_LN2 + np.sqrt(INV_LN2 ** 2 + 4 * mus * vs)) / (2 * vs)
+    lo = np.zeros(n)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        pos = INV_LN2 * gs / (1 + gs * mid) + mus / (mid * mid) - vs > 0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    ref = 0.5 * (lo + hi)
+    for g, mu, v, pr in zip(gs, mus, vs, ref):
+        g, mu, v = float(g), float(mu), float(v)
+        root = cubic_stationary_root(g, mu, v)
+        assert abs(root - pr) <= 1e-10 * pr, (g, mu, v)
+        assert _scaled_residual(root, g, mu, v) <= 1e-12, (g, mu, v)
 
 
 def test_inner_allocation_reduces_to_waterfill_when_mu_zero():
@@ -205,11 +242,33 @@ def test_solve_matches_asymptotic_split(fixtures_dir):
 def test_solve_iteration_limit_reported():
     H = ChannelMatrix.from_matrix(np.diag([2.0, 1.0]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=2.0)
-    settings = SolverSettings(max_ellipsoid_iters=3)
+    settings = SolverSettings(max_dual_iters=3)
     # water-filling has a trace-inverse load of 2.1333, so a budget of 2.05
     # makes the CRB constraint genuinely tight
     rep = solve_p1(H, sc, gamma_tilde=2.05, settings=settings)
     assert rep.status == "iteration_limit"
+
+
+def test_stress_battery_every_solve_optimal():
+    # 400 random links across ranks, Rician factors and 8 decades of power,
+    # each at 8 thresholds from the equal-split boundary to a loose budget
+    rng = np.random.default_rng(1)
+    factors = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
+    kcs = (0.0, 1.0, 10.0, 100.0, 1e4, math.inf)
+    failed = []
+    for trial in range(400):
+        M = int(rng.integers(2, 17))
+        Nc = int(rng.integers(2, 17))
+        Kc = kcs[int(rng.integers(0, len(kcs)))]
+        P = float(10.0 ** rng.uniform(-2, 6))
+        sc = Scenario(M=M, Nc=Nc, Ns=12, L=max(200, M + 1), P=P, Kc=Kc, seed=trial)
+        H = rician_channel(sc)
+        _, lo = crb_min_point(H, sc)
+        for f in factors:
+            rep = solve_p1(H, sc, f * lo.crb)
+            if rep.status != "optimal":
+                failed.append((trial, f, rep.status))
+    assert failed == []
 
 
 def test_mu_positive_when_rank_deficient(scenario1):
