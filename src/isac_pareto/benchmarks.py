@@ -4,6 +4,13 @@ Time switching interpolates between the two endpoint covariances; the two
 power-splitting schemes sweep a factor beta that divides the budget between
 communication and sensing subchannels (EP) or between the strongest
 eigenmode and everything else (SEM).
+
+Both splits allocate power in the channel eigenbasis, Q = Vc diag(p) Vc^H,
+so a sweep builds its powers as one (n_beta, M) array and takes every
+point's CRB and rate from the closed forms :func:`crb_from_powers` and
+:func:`rate_from_powers`; no covariance is assembled or decomposed.
+:func:`best_at_crbs` selects the best point under each of many CRB limits
+with one binary search over the points sorted by CRB.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CRPoint, assemble_covariance, crb_trace, rate
+from .metrics import CRPoint, crb_from_powers, rate_from_powers
 from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
@@ -25,6 +32,7 @@ __all__ = [
     "power_split_sem",
     "pareto_indices",
     "best_at_crb",
+    "best_at_crbs",
 ]
 
 DEFAULT_BETA_POINTS = 201
@@ -74,22 +82,16 @@ def time_switching(pt_rate_max: CRPoint, pt_crb_min: CRPoint, taus) -> list[CRPo
     return points
 
 
-def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_beta, scheme) -> BetaSweep:
+def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, scheme) -> BetaSweep:
+    # powers_of_betas maps the beta grid to its (n_beta, M) eigenbasis powers
     betas = np.asarray(betas, dtype=float)
     if np.any(np.diff(betas) < 0):
         raise ValueError("beta grid must be sorted ascending")
-    points = []
-    for beta in betas:
-        p = powers_of_beta(beta)
-        Q = assemble_covariance(H.Vc, p, budget=scenario.P)
-        points.append(
-            CRPoint(
-                crb=crb_trace(Q, scenario.sigma_s2, scenario.Ns, scenario.L),
-                rate=rate(Q, H, scenario.sigma_c2),
-                gamma_target=None,
-                scheme=scheme,
-            )
-        )
+    p = powers_of_betas(betas)
+    crbs = crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L)
+    rates = rate_from_powers(H.lambdas2, p, scenario.sigma_c2)
+    points = [CRPoint(crb=c, rate=rt, gamma_target=None, scheme=scheme)
+              for c, rt in zip(crbs.tolist(), rates.tolist())]
     return BetaSweep(betas=betas, points=points, pareto=pareto_indices(points))
 
 
@@ -107,10 +109,10 @@ def power_split_ep(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSwee
         betas = _beta_grid(extra=r / m)
 
     def powers(beta):
-        p = np.empty(m)
-        p[:r] = beta * P / r
+        p = np.empty((beta.size, m))
+        p[:, :r] = (beta * P / r)[:, None]
         if m > r:
-            p[r:] = (1.0 - beta) * P / (m - r)
+            p[:, r:] = ((1.0 - beta) * P / (m - r))[:, None]
         return p
 
     return _split_sweep(H, scenario, betas, powers, "ep")
@@ -124,9 +126,9 @@ def power_split_sem(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSwe
         betas = _beta_grid(extra=1.0 / m)
 
     def powers(beta):
-        p = np.empty(m)
-        p[0] = beta * P
-        p[1:] = (1.0 - beta) * P / (m - 1)
+        p = np.empty((beta.size, m))
+        p[:, 0] = beta * P
+        p[:, 1:] = ((1.0 - beta) * P / (m - 1))[:, None]
         return p
 
     return _split_sweep(H, scenario, betas, powers, "sem")
@@ -154,9 +156,29 @@ def pareto_indices(points) -> list[int]:
 
 
 def best_at_crb(points, crb_limit: float, rtol: float = 1e-12) -> CRPoint | None:
-    """Highest-rate point whose CRB does not exceed ``crb_limit``."""
-    best = None
-    for pt in points:
-        if pt.crb <= crb_limit * (1.0 + rtol) and (best is None or pt.rate > best.rate):
-            best = pt
-    return best
+    """Highest-rate point whose CRB does not exceed ``crb_limit``.
+
+    Of several points with the highest rate, the first one listed wins.
+    """
+    return best_at_crbs(points, [crb_limit], rtol)[0]
+
+
+def best_at_crbs(points, crb_limits, rtol: float = 1e-12) -> list[CRPoint | None]:
+    """For each of ``crb_limits``, the highest-rate point whose CRB does not
+    exceed it, or ``None``; of several with the highest rate, the first one
+    listed wins.
+
+    The points are sorted by CRB once and ranked by (rate, earlier listed);
+    a running maximum of the rank along the CRB order gives the winner
+    among every CRB prefix, and one binary search finds each limit's prefix.
+    """
+    n = len(points)
+    crb = np.array([pt.crb for pt in points], dtype=float)
+    by_crb = np.argsort(crb, kind="stable")
+    by_rank = np.lexsort((-np.arange(n), [pt.rate for pt in points]))
+    rank = np.empty(n, dtype=int)
+    rank[by_rank] = np.arange(n)
+    prefix_best = np.maximum.accumulate(rank[by_crb])
+    limits = np.asarray(crb_limits, dtype=float) * (1.0 + rtol)
+    counts = np.searchsorted(crb[by_crb], limits, side="right")
+    return [points[by_rank[prefix_best[k - 1]]] if k else None for k in counts.tolist()]

@@ -123,24 +123,34 @@ def crb_trace(Q, sigma_s2: float, Ns: int, L: int) -> float:
     return sigma_s2 * Ns / L * float((1.0 / eigs).sum())
 
 
-def rate_from_powers(lambdas2, p, sigma_c2: float) -> float:
+def rate_from_powers(lambdas2, p, sigma_c2: float):
     """Rate over parallel subchannels: sum log2(1 + lambda_i^2 p_i / sigma_c2).
 
     ``p`` may be longer than ``lambdas2``; the extra (sensing) entries do not
-    contribute to the rate.
+    contribute to the rate.  A 2-D ``p`` holds one allocation per row and
+    gives an array with one rate per row; a 1-D ``p`` gives a float.
     """
     lam2 = np.asarray(lambdas2, dtype=float)
-    pw = np.asarray(p, dtype=float)[: lam2.size]
-    return float(np.log1p(lam2 * pw / sigma_c2).sum() / LN2)
+    pw = np.asarray(p, dtype=float)[..., : lam2.size]
+    out = np.log1p(lam2 * pw / sigma_c2).sum(axis=-1) / LN2
+    return float(out) if pw.ndim == 1 else out
 
 
-def crb_from_powers(p, sigma_s2: float, Ns: int, L: int) -> float:
-    """CRB of a diagonal (eigenbasis) allocation; ``inf`` on a floored entry."""
+def crb_from_powers(p, sigma_s2: float, Ns: int, L: int):
+    """CRB of a diagonal (eigenbasis) allocation; ``inf`` on a floored entry.
+
+    For Q = Vc diag(p) Vc^H this equals :func:`crb_trace`, with the same
+    floor rule applied to the entries of ``p``.  A 2-D ``p`` holds one
+    allocation per row and gives an array with one CRB per row; a 1-D ``p``
+    gives a float.
+    """
     pw = np.asarray(p, dtype=float)
-    floor = EIG_FLOOR_REL * max(float(pw.sum()), 0.0) / pw.size
-    if pw.min() <= floor:
-        return math.inf
-    return sigma_s2 * Ns / L * float((1.0 / pw).sum())
+    floor = EIG_FLOOR_REL * np.maximum(pw.sum(axis=-1), 0.0) / pw.shape[-1]
+    floored = pw.min(axis=-1) <= floor
+    with np.errstate(divide="ignore"):
+        out = sigma_s2 * Ns / L * (1.0 / pw).sum(axis=-1)
+    out = np.where(floored, math.inf, out)
+    return float(out) if pw.ndim == 1 else out
 
 
 def trace_budget(gamma: float, sigma_s2: float, Ns: int, L: int) -> float:

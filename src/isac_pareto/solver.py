@@ -8,13 +8,17 @@ and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
 found by one nested search on a log scale: for fixed mu the power budget
 fixes v*(mu), and mu is then set by the CRB budget along v*(mu).  Both are
-safeguarded Newton iterations on the tight constraints.
+safeguarded Newton iterations on the tight constraints.  The search starts
+from the equal split, or, inside a frontier sweep, from the multipliers of
+the neighbouring threshold (see :func:`_warm_start`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +29,10 @@ from .metrics import (
     CRPoint,
     TransmitCovariance,
     assemble_covariance,
+    crb_from_trace_budget,
     crb_trace,
     rate,
     trace_budget,
-    crb_from_trace_budget,
 )
 from .scenario import ChannelMatrix, Scenario
 
@@ -43,7 +47,6 @@ __all__ = [
     "sensing_power",
     "inner_allocation",
     "dual_subgradient",
-    "assemble_covariance",
     "solve_p1",
 ]
 
@@ -92,7 +95,7 @@ class SolveReport:
     stopped short of the certificate.  On non-optimal statuses the
     remaining fields carry the best-effort iterate (or ``None`` when
     infeasible).  ``allocation.iterations`` counts the evaluations of the
-    inner power map.
+    inner power map, those of a discarded warm-started search included.
     """
 
     allocation: PowerAllocation | None
@@ -383,11 +386,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _solve_dual(gs, m, gamma_tilde, P, budget):
+def _solve_dual(gs, m, gamma_tilde, P, budget, start=None):
     """Dual pair with both constraints tight, by nested log-scale Newton.
 
-    Returns (mu, v, powers, evaluations, converged); the powers belong to
-    the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
+    The search starts from ``start`` = (mu, v) when given, else from the
+    equal split.  Returns (mu, v, powers, evaluations, converged); the
+    powers belong to the last evaluated (mu, v), or are ``None`` if nothing
+    was evaluated.
     """
     evals = 0
     last = None  # (mu, v, _power_map output) of the latest evaluation
@@ -405,8 +410,12 @@ def _solve_dual(gs, m, gamma_tilde, P, budget):
         F = math.log(S / P)
         return F, -F * S / (v * S_v)
 
-    # start from the equal split, whose sensing law fixes mu/v = (P/m)^2
-    v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
+    if start is None:
+        # the equal split, whose sensing law fixes mu/v = (P/m)^2
+        v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
+        mu0 = v0 * (P / m) ** 2
+    else:
+        mu0, v0 = start
     log_v = math.log(v0)
     tangent = None  # (log mu, d log v* / d log mu) at the previous mu
 
@@ -432,7 +441,7 @@ def _solve_dual(gs, m, gamma_tilde, P, budget):
 
     converged = False
     try:
-        _log_newton(crb_residual, math.log(v0 * (P / m) ** 2), _DUAL_TOL)
+        _log_newton(crb_residual, math.log(mu0), _DUAL_TOL)
         converged = True
     except (_BudgetExhausted, ArithmeticError, ValueError):
         pass
@@ -483,6 +492,30 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P, kkt_tol):
         and gap_rel <= 1e-8
     )
     return ok, residual, gap_rel
+
+
+# (mu, v) that the dual searches of solve_p1 start from; set by _warm_start
+_DUAL_START: ContextVar[tuple[float, float] | None] = ContextVar("dual_start", default=None)
+
+
+@contextmanager
+def _warm_start(start: tuple[float, float] | None):
+    """Start the dual search of every :func:`solve_p1` in the block from
+    ``start`` = (mu, v) instead of the equal split (``None``: equal split).
+
+    A frontier sweep passes the multipliers of the previous threshold.  The
+    power budget alone fixes v*(mu), whatever the CRB budget, so the search
+    resumes on the previous v*(mu) curve and only has to move mu.  A
+    warm-started search that ends without a passing certificate is
+    discarded and the solve starts again from the equal split, so a warm
+    start never costs a certified result; each search has the full
+    ``settings.max_dual_iters`` budget.
+    """
+    token = _DUAL_START.set(start)
+    try:
+        yield
+    finally:
+        _DUAL_START.reset(token)
 
 
 def solve_p1(
@@ -554,10 +587,20 @@ def solve_p1(
                 return _finish(alloc, H, scenario, gamma, gamma_tilde,
                                "optimal" if ok else "iteration_limit")
 
-    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P, settings.max_dual_iters)
+    # a warm-started search stands only with a certificate; else a cold one runs
+    start = _DUAL_START.get()
+    evals = 0
+    for first in ([None] if start is None else [start, None]):
+        mu, v, p, spent, converged = _solve_dual(gs, m, gamma_tilde, P,
+                                                 settings.max_dual_iters, first)
+        evals += spent
+        if p is None:
+            continue
+        ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
+        if converged and ok:
+            break
     if p is None:
         return SolveReport(None, None, None, "iteration_limit", gamma_tilde=gamma_tilde)
-    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
     status = "optimal" if (converged and ok) else "iteration_limit"
     alloc = PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
                             kkt_residual=res, duality_gap=gap)

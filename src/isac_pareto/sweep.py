@@ -1,5 +1,15 @@
 """Frontier sweep: endpoints, a geometric CRB-threshold grid, per-threshold
-solves and benchmark curves matched to the same grid."""
+solves and benchmark curves matched to the same grid.
+
+The thresholds are solved in ascending order by continuation: each dual
+search starts from the multipliers (mu, v) of the previous threshold when
+that row is an ``optimal`` dual solution (mu > 0), and from the equal split
+otherwise (:func:`solver._warm_start`).  A warm-started solve that is not
+certified is solved again from the equal split, so every row gets the status
+a cold :func:`solve_p1` would give it.  The EP/SEM rows come from
+closed-form metrics of the split powers and one batched selection per
+scheme (:func:`best_at_crbs`).
+"""
 
 from __future__ import annotations
 
@@ -10,7 +20,7 @@ import numpy as np
 
 from .benchmarks import (
     NotApplicableError,
-    best_at_crb,
+    best_at_crbs,
     power_split_ep,
     power_split_sem,
     time_switching,
@@ -18,7 +28,7 @@ from .benchmarks import (
 from .closed_form import crb_min_point, rate_max_point
 from .metrics import CRPoint
 from .scenario import ChannelMatrix, Scenario
-from .solver import SolveReport, SolverSettings, solve_p1
+from .solver import SolveReport, SolverSettings, _warm_start, solve_p1
 
 __all__ = ["DEFAULT_SCHEMES", "SweepRow", "SweepResult", "sweep"]
 
@@ -64,9 +74,10 @@ class SweepResult:
         ]
 
 
-def _solve_row(H, scenario, gamma, settings) -> tuple[SweepRow, SolveReport | None]:
+def _solve_row(H, scenario, gamma, settings, start) -> tuple[SweepRow, SolveReport | None]:
     try:
-        rep = solve_p1(H, scenario, gamma, settings)
+        with _warm_start(start):
+            rep = solve_p1(H, scenario, gamma, settings)
     except Exception as exc:  # annotate, never abort the sweep
         return SweepRow("optimal", gamma, math.nan, math.nan,
                         status=f"error: {exc}"), None
@@ -108,17 +119,18 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     rows: list[SweepRow] = []
     reports: list[SolveReport | None] = []
     if "optimal" in schemes:
+        start = None
         for g in gammas:
-            row, rep = _solve_row(H, scenario, g, settings)
+            row, rep = _solve_row(H, scenario, g, settings, start)
             rows.append(row)
             reports.append(rep)
+            start = (row.mu, row.v) if row.status == "optimal" and row.mu > 0.0 else None
 
     for scheme, maker in (("ep", power_split_ep), ("sem", power_split_sem)):
         if scheme not in schemes:
             continue
         bench = maker(H, scenario)
-        for g in gammas:
-            pt = best_at_crb(bench.points, g)
+        for g, pt in zip(gammas, best_at_crbs(bench.points, gammas)):
             if pt is None:
                 rows.append(SweepRow(scheme, g, math.nan, math.nan,
                                      status="no_feasible_point"))

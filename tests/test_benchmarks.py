@@ -6,13 +6,14 @@ import pytest
 from isac_pareto.benchmarks import (
     NotApplicableError,
     best_at_crb,
+    best_at_crbs,
     pareto_indices,
     power_split_ep,
     power_split_sem,
     time_switching,
 )
 from isac_pareto.closed_form import crb_min_point, rate_max_point
-from isac_pareto.metrics import CRPoint
+from isac_pareto.metrics import CRPoint, assemble_covariance, crb_trace, rate
 from isac_pareto.scenario import ChannelMatrix, Scenario
 
 
@@ -118,3 +119,93 @@ def test_best_at_crb():
     pts = [CRPoint(crb=0.1, rate=1.0), CRPoint(crb=0.2, rate=3.0), CRPoint(crb=0.5, rate=4.0)]
     assert best_at_crb(pts, 0.3).rate == 3.0
     assert best_at_crb(pts, 0.05) is None
+
+
+def _ep_powers(r, m, P, beta):
+    p = np.empty(m)
+    p[:r] = beta * P / r
+    if m > r:
+        p[r:] = (1.0 - beta) * P / (m - r)
+    return p
+
+
+def _sem_powers(r, m, P, beta):
+    p = np.empty(m)
+    p[0] = beta * P
+    p[1:] = (1.0 - beta) * P / (m - 1)
+    return p
+
+
+def _covariance_path(H, sc, bench, powers):
+    # the M x M path: assemble Q, then eigendecompose it for the CRB and
+    # H Q H^H for the rate
+    out = []
+    for beta in bench.betas:
+        Q = assemble_covariance(H.Vc, powers(H.r, sc.M, sc.P, beta), budget=sc.P)
+        out.append((crb_trace(Q, sc.sigma_s2, sc.Ns, sc.L), rate(Q, H, sc.sigma_c2)))
+    return out
+
+
+SPLITS = pytest.mark.parametrize("maker,powers", [(power_split_ep, _ep_powers),
+                                                  (power_split_sem, _sem_powers)],
+                                 ids=["ep", "sem"])
+
+
+@pytest.mark.parametrize("case", ["scenario1", "scenario2"])
+@SPLITS
+def test_split_sweep_matches_per_beta_covariance_path(case, maker, powers, request):
+    H, sc = request.getfixturevalue(case)
+    bench = maker(H, sc)
+    ref = _covariance_path(H, sc, bench, powers)
+    assert len(bench.points) == len(ref) == bench.betas.size
+    for beta, pt, (ref_crb, ref_rate) in zip(bench.betas, bench.points, ref):
+        if math.isinf(ref_crb):
+            assert pt.crb == math.inf, beta
+        else:
+            assert pt.crb == pytest.approx(ref_crb, rel=1e-10), beta
+        assert pt.rate == pytest.approx(ref_rate, rel=1e-10, abs=1e-300), beta
+    if bench.betas.size > 1:
+        # beta = 0 and beta = 1 both leave a subchannel without power
+        assert math.isinf(bench.points[0].crb) and math.isinf(bench.points[-1].crb)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "scenario2"])
+@SPLITS
+def test_split_sweep_eigenvalue_floor_matches_covariance_path(case, maker, powers, request):
+    # powers far below and well above the relative floor that makes a CRB
+    # infinite; the M x M path's rounding rules out a 1e-10 value check here
+    H, sc = request.getfixturevalue(case)
+    bench = maker(H, sc, betas=[0.0, 1e-13, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0])
+    ref = _covariance_path(H, sc, bench, powers)
+    assert [math.isinf(pt.crb) for pt in bench.points] == [math.isinf(c) for c, _ in ref]
+    if bench.betas.size > 1:
+        assert [math.isinf(pt.crb) for pt in bench.points] == [True, True, False, False,
+                                                               False, True, True]
+
+
+def _brute_force_best(points, limit, rtol=1e-12):
+    feasible = [i for i, pt in enumerate(points) if pt.crb <= limit * (1.0 + rtol)]
+    if not feasible:
+        return None
+    top = max(points[i].rate for i in feasible)
+    return points[min(i for i in feasible if points[i].rate == top)]
+
+
+def test_best_at_crb_batched_selection_matches_brute_force(rng):
+    # few distinct values force tied rates, equal CRBs and exact duplicate
+    # points (distinct objects, so the tie-break is checked by identity)
+    crb_values = [0.1, 0.2, 0.35, 0.5, math.inf]
+    rate_values = [0.0, 1.0, 2.5, 4.0]
+    for _ in range(200):
+        n = int(rng.integers(0, 25))
+        points = [CRPoint(crb=float(rng.choice(crb_values)), rate=float(rng.choice(rate_values)))
+                  for _ in range(n)]
+        points += [CRPoint(crb=pt.crb, rate=pt.rate) for pt in points[: int(rng.integers(0, 4))]]
+        rng.shuffle(points)
+        limits = crb_values + [0.05, 0.3, 0.5 * (1.0 + 1e-13), 0.5 * (1.0 + 1e-11), 1e9]
+        batched = best_at_crbs(points, limits)
+        assert len(batched) == len(limits)
+        for limit, got in zip(limits, batched):
+            ref = _brute_force_best(points, limit)
+            assert got is ref
+            assert best_at_crb(points, limit) is ref
