@@ -52,9 +52,7 @@ from .solver import (
     InactiveChannelError,
     SolveReport,
     SolverSettings,
-    cubic_real_roots,
     cubic_stationary_root,
-    dual_subgradient,
     feasibility_check,
     inner_allocation,
     sensing_power,

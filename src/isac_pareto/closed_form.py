@@ -17,7 +17,7 @@ from .metrics import (
     CRPoint,
     TransmitCovariance,
     assemble_covariance,
-    crb_trace,
+    crb_from_powers,
     rate_from_powers,
 )
 from .scenario import ChannelMatrix, Scenario
@@ -131,7 +131,7 @@ def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[TransmitCovari
     """
     wf = waterfill(H.lambdas2, scenario.sigma_c2, scenario.P, m=scenario.M)
     Q = assemble_covariance(H.Vc, wf.p, budget=scenario.P)
-    crb = crb_trace(Q, scenario.sigma_s2, scenario.Ns, scenario.L)
+    crb = crb_from_powers(wf.p, scenario.sigma_s2, scenario.Ns, scenario.L)
     rate_val = rate_from_powers(H.lambdas2, wf.p, scenario.sigma_c2)
     return Q, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="waterfill")
 

@@ -3,9 +3,11 @@
 The problem is diagonalized by the channel SVD, reduced to a power
 allocation over communication and dedicated sensing subchannels, and solved
 through its Lagrange dual.  For multipliers (mu, v) each communication
-subchannel takes the unique positive root of a cubic stationarity equation
-and each sensing subchannel takes sqrt(mu/v); these powers form a family of
-water-filling solutions, monotone in both multipliers.  The dual pair is
+subchannel takes the unique positive root of its stationarity equation,
+found by one bracketed, safeguarded Newton iteration (see
+:func:`cubic_stationary_root`), and each sensing subchannel takes
+sqrt(mu/v); these powers form a family of water-filling solutions,
+monotone in both multipliers.  The dual pair is
 found by one nested search on a log scale: for fixed mu the power budget
 fixes v*(mu), and mu is then set by the CRB budget along v*(mu).  Both are
 safeguarded Newton iterations on the tight constraints.  The search starts
@@ -41,22 +43,16 @@ __all__ = [
     "SolverSettings",
     "SolveReport",
     "feasibility_check",
-    "cubic_real_roots",
     "cubic_stationary_root",
     "stationarity_residual",
     "sensing_power",
     "inner_allocation",
-    "dual_subgradient",
     "solve_p1",
 ]
 
 INV_LN2 = 1.0 / LN2
 _EPS = sys.float_info.epsilon
 
-# A cubic root is accepted only if its stationarity residual, relative to the
-# largest term of the equation, is at most this; otherwise the bracketed
-# solve takes over.
-_ROOT_RTOL = 1e-12
 # The dual search stops once |log(sum 1/p / gamma_tilde)| is at most this;
 # each inner solve for v*(mu) once |log(sum p / P)| is at most this.
 _DUAL_TOL = 1e-13
@@ -133,82 +129,24 @@ def stationarity_residual(p: float, lambda2_over_sigma2: float, mu: float, v: fl
     return res
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def cubic_real_roots(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-    """All real roots of a x^3 + b x^2 + c x + d = 0 (a != 0).
-
-    Radical (Cardano) branch for a positive discriminant, trigonometric
-    branch when all three roots are real.
-    """
-    if a == 0.0:
-        raise ValueError("leading coefficient must be non-zero")
-    B = b / a
-    C = c / a
-    D = d / a
-    p = C - B * B / 3.0
-    q = D - B * C / 3.0 + 2.0 * B ** 3 / 27.0
-    shift = -B / 3.0
-    if p == 0.0:
-        return (shift + _cbrt(-q),)
-    disc = q * q / 4.0 + p ** 3 / 27.0
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        return (shift + _cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s),)
-    if disc == 0.0:
-        u = _cbrt(-q / 2.0)
-        return (shift + 2.0 * u, shift - u)
-    rho = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * rho)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    return tuple(
-        shift + rho * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)
-    )
-
-
-def _bracketed_stationary(g: float, mu: float, v: float) -> float:
-    # f(p) is convex and strictly decreasing on p > 0 (mu > 0).  The root lies
-    # above sqrt(mu/v) and the water-filling power, where one term alone
-    # equals v, and below the zero of 1/(p ln2) + mu/p^2 - v >= f(p).
-    lo = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
-    hi = (INV_LN2 + math.sqrt(INV_LN2 * INV_LN2 + 4.0 * mu * v)) / (2.0 * v)
-    p = lo
-    for _ in range(200):
-        gp1 = 1.0 + g * p
-        comm = INV_LN2 * g / gp1
-        sens = mu / (p * p)
-        f = comm + sens - v
-        if f > 0.0:
-            lo = p
-        elif f < 0.0:
-            hi = p
-        else:
-            break
-        if hi - lo <= 4.0 * _EPS * hi:
-            break
-        q = p + f / (comm * g / gp1 + 2.0 * sens / p)
-        # a Newton step from the left never overshoots; one from the right
-        # may, and is replaced by the geometric midpoint of the bracket
-        p = q if lo < q < hi else math.sqrt(lo * hi)
-    return p
-
-
 def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> float:
-    """Unique positive power solving the per-subchannel stationarity equation.
+    """Unique positive power solving the per-subchannel stationarity equation
+    f(p) = g/((1 + g p) ln 2) + mu/p^2 - v = 0, with g the noise-normalized
+    channel gain (cleared of denominators, a cubic in p).
 
     For mu = 0 this degenerates to the water-filling form
     1/(v ln 2) - sigma_c2/lambda^2 and raises :class:`InactiveChannelError`
-    when that is non-positive.  For mu > 0 the equation is cleared to the
-    cubic  v p^3 + (v/g - 1/ln2) p^2 - mu p - mu/g = 0  with g the
-    noise-normalized channel gain; the unique positive real root is selected
-    and polished by a couple of Newton steps.  The root is kept only if its
-    stationarity residual, relative to the largest term of the equation, is
-    below 1e-12; otherwise (cancellation in the radical branch, typically a
-    weak channel at a tiny mu) a bracketed, safeguarded Newton solve of the
-    stationarity equation replaces it.
+    when that is non-positive.  For mu > 0, f is convex and strictly
+    decreasing on p > 0, and its root lies in the bracket
+    [max(sqrt(mu/v), water-filling power), zero of 1/(p ln 2) + mu/p^2 - v]:
+    at the lower end one term of f alone equals v, and the upper end's
+    function bounds f from above.  A Newton iteration starts at the lower
+    end, where a step never overshoots; a step that leaves the bracket of
+    the sign changes seen so far is replaced by the bracket's geometric
+    midpoint.  It
+    stops when f is exactly zero, the bracket has shrunk to a few ulps, or a
+    step no longer moves p, and returns the evaluated point with the
+    smallest |f|.
     """
     g = lambda2_over_sigma2
     if g <= 0.0:
@@ -224,34 +162,32 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
                 f"water level {INV_LN2 / v} below noise floor {1.0 / g}"
             )
         return x
-    best = None
-    best_res = math.inf
-    for x in cubic_real_roots(v, v / g - INV_LN2, -mu, -mu / g):
-        if x > 0.0:
-            r = abs(stationarity_residual(x, g, mu, v))
-            if r < best_res:
-                best, best_res = x, r
-    if best is None:
-        return _bracketed_stationary(g, mu, v)
-    x, fx = best, best_res
-    for _ in range(8):
-        if fx <= 1e-15 * max(1.0, v):
+    lo = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
+    hi = (INV_LN2 + math.sqrt(INV_LN2 * INV_LN2 + 4.0 * mu * v)) / (2.0 * v)
+    p = best = lo
+    best_f = math.inf
+    for _ in range(200):
+        gp1 = 1.0 + g * p
+        comm = INV_LN2 * g / gp1
+        sens = mu / (p * p)
+        f = comm + sens - v
+        # near a root at large v, |f| is a few ulps of v and the last
+        # iterate need not be the most accurate one
+        if abs(f) < best_f:
+            best, best_f = p, abs(f)
+        if f > 0.0:
+            lo = p
+        elif f < 0.0:
+            hi = p
+        else:
             break
-        f = stationarity_residual(x, g, mu, v)
-        gx = g * x
-        fp = -INV_LN2 * g * g / ((1.0 + gx) * (1.0 + gx)) - 2.0 * mu / (x * x * x)
-        y = x - f / fp
-        if y <= 0.0:
-            y = 0.5 * x
-        fy = abs(stationarity_residual(y, g, mu, v))
-        if fy >= fx:
+        if hi - lo <= 4.0 * _EPS * hi:
             break
-        x, fx = y, fy
-    comm = INV_LN2 * g / (1.0 + g * x)
-    sens = mu / (x * x)
-    if abs(comm + sens - v) <= _ROOT_RTOL * max(v, comm, sens):
-        return x
-    return _bracketed_stationary(g, mu, v)
+        q = p + f / (comm * g / gp1 + 2.0 * sens / p)
+        if q == p:
+            break
+        p = q if lo < q < hi else math.sqrt(lo * hi)
+    return best
 
 
 def _inner_powers(gs: list[float], m: int, mu: float, v: float) -> list[float]:
@@ -286,18 +222,6 @@ def inner_allocation(lambdas2, m: int, sigma_c2: float, mu: float, v: float) -> 
         raise ValueError("rank-deficient channels need a positive CRB multiplier")
     gs = [float(x) / sigma_c2 for x in lam2]
     return np.asarray(_inner_powers(gs, m, mu, v))
-
-
-def dual_subgradient(p, gamma_tilde: float, P: float) -> tuple[float, float]:
-    """Subgradient of the dual function at the maximizer ``p``:
-    (-(sum 1/p - gamma_tilde), -(sum p - P))."""
-    pw = np.asarray(p, dtype=float)
-    if np.any(pw <= 0.0):
-        raise ValueError("all powers must be positive")
-    return (
-        -(float((1.0 / pw).sum()) - gamma_tilde),
-        -(float(pw.sum()) - P),
-    )
 
 
 def _dual_value(gs, p, mu, v, gamma_tilde, P):

@@ -9,9 +9,7 @@ from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_c
 from isac_pareto.solver import (
     InactiveChannelError,
     SolverSettings,
-    cubic_real_roots,
     cubic_stationary_root,
-    dual_subgradient,
     feasibility_check,
     inner_allocation,
     sensing_power,
@@ -66,12 +64,6 @@ def test_sensing_power_closed_form():
     assert sensing_power(4.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_cubic_real_roots_known_polynomial():
-    # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-    roots = sorted(cubic_real_roots(1.0, -6.0, 11.0, -6.0))
-    np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], atol=1e-9)
-
-
 def test_cubic_vs_bisection_randomized(rng):
     neg_disc = 0
     for _ in range(500):
@@ -111,7 +103,7 @@ def test_cubic_log_uniform_sweep_vs_bisection():
     n = 5000
     gs = 10.0 ** rng.uniform(-6, 3, n)
     mus = 10.0 ** rng.uniform(-18, 2, n)
-    vs = 10.0 ** rng.uniform(-2, 2, n)
+    vs = 10.0 ** rng.uniform(-2, 6, n)
     hi = (INV_LN2 + np.sqrt(INV_LN2 ** 2 + 4 * mus * vs)) / (2 * vs)
     lo = np.zeros(n)
     for _ in range(200):
@@ -149,16 +141,6 @@ def test_inner_allocation_equal_duals_sensing_power_one():
 def test_inner_allocation_requires_positive_mu_when_rank_deficient():
     with pytest.raises(ValueError):
         inner_allocation(np.array([1.0]), 2, 1.0, 0.0, 1.0)
-
-
-def test_dual_subgradient_zero_at_tight_constraints():
-    assert dual_subgradient([2.0, 2.0, 2.0, 2.0], 2.0, 8.0) == (0.0, 0.0)
-
-
-def test_dual_subgradient_hand_values():
-    g1, g2 = dual_subgradient([1.0, 1.0], 3.0, 1.0)
-    assert g1 == pytest.approx(1.0)
-    assert g2 == pytest.approx(-1.0)
 
 
 def test_solve_boundary_budget_gives_uniform():
