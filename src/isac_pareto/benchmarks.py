@@ -44,11 +44,10 @@ class NotApplicableError(ValueError):
 
 @dataclass
 class BetaSweep:
-    """All points of one power-splitting sweep plus its Pareto subset."""
+    """All points of one power-splitting sweep, one per beta."""
 
     betas: np.ndarray
     points: list[CRPoint]
-    pareto: list[int]
 
 
 def _beta_grid(extra: float | None) -> np.ndarray:
@@ -92,7 +91,7 @@ def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, s
     rates = rate_from_powers(H.lambdas2, p, scenario.sigma_c2)
     points = [CRPoint(crb=c, rate=rt, gamma_target=None, scheme=scheme)
               for c, rt in zip(crbs.tolist(), rates.tolist())]
-    return BetaSweep(betas=betas, points=points, pareto=pareto_indices(points))
+    return BetaSweep(betas=betas, points=points)
 
 
 def power_split_ep(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSweep:

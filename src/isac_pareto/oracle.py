@@ -1,9 +1,13 @@
 """Independent verification machinery for the CRB-constrained solver.
 
-Deliberately shares no numerical method with the main solver: the dual is
-minimized by exhaustive logarithmic grid search with local refinement (no
-Newton search), inner stationary points come from bisection (no cubic formula),
-and tiny instances are additionally brute-forced on a primal grid.
+Deliberately shares no numerical method with the main solver and uses no
+derivative.  The dual is minimized from its values alone by two nested
+log-grid shrinks: h(mu) = min_v D(mu, v) is convex, since partial
+minimization keeps convexity, so a shrink over 8 mu values is exact, and
+each h value comes from an inner shrink over 8 v values.  Inner stationary
+points come from bisection (no cubic formula).  Tiny instances are
+additionally brute-forced on a primal simplex grid, whose best point is
+then zoomed on the tight constraint surface.
 """
 
 from __future__ import annotations
@@ -26,21 +30,24 @@ INV_LN2 = 1.0 / LN2
 
 
 def _dual_box(gs: np.ndarray, P: float, gamma_tilde: float) -> float:
-    """Initial upper edge of the (mu, v) grid; the search expands it whenever
-    the incumbent lands on the outer boundary."""
+    """Upper edge of the starting mu and v windows; a window whose argmin
+    lands on an edge moves on its own."""
     return 10.0 * (INV_LN2 * float(np.max(gs)) + P * gamma_tilde)
 
 
-def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: int = 100) -> np.ndarray:
+def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: int = 60) -> np.ndarray:
     """Stationary powers of all communication subchannels at each (mu, v).
 
     Vectorized bisection of the monotone-decreasing stationarity residual;
-    returns an (n_points, r) matrix.
+    returns an (n_points, r) matrix.  The Lagrangian is stationary in p, so
+    a dual value needs p to only about half precision, which the default 60
+    halvings give with ample room; final powers take more.
     """
     n, r = MU.size, gs.size
     if r == 0:
         return np.zeros((n, 0))
     G = gs[None, :]
+    A = INV_LN2 * G
     MUc = MU[:, None]
     Vc = V[:, None]
     # f(p) <= 1/(p ln2) + mu/p^2 - v, whose positive zero upper-bounds the root
@@ -49,15 +56,15 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
     lo = np.zeros((n, r))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        f = INV_LN2 * G / (1.0 + G * mid) + MUc / (mid * mid) - Vc
-        pos = f > 0.0
+        # f(mid) > 0, with f = A / (1 + G mid) + mu / mid^2 - v
+        pos = A / (1.0 + G * mid) + MUc / (mid * mid) > Vc
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     return 0.5 * (lo + hi)
 
 
 def _grid_values(gs, m, MU, V, gamma_tilde, P):
-    """Dual function over flattened (mu, v) points; returns (values, comm).
+    """Dual function at each of the flattened (mu, v) points.
 
     mu = 0 is a legal boundary point of the dual domain: the sensing powers
     and any dry communication channels sit at zero there and contribute
@@ -78,42 +85,94 @@ def _grid_values(gs, m, MU, V, gamma_tilde, P):
         if m > r:
             cinv = cinv + (m - r) / np.sqrt(MU[pos] / V[pos])
         vals[pos] -= MU[pos] * (cinv - gamma_tilde)
-    return vals, comm
+    return vals
 
 
 def _repair_feasible(p: np.ndarray, m: int, P: float, gamma_tilde: float) -> np.ndarray:
-    """Project a near-feasible allocation onto the power face and inside the
-    trace-inverse budget.
+    """Project each row of an (n, m) stack of near-feasible allocations onto
+    the power face and inside the trace-inverse budget.
 
     Scaling onto sum(p) = P is always done (scaling up strictly lowers the
     trace-inverse load, scaling down is needed for feasibility); a remaining
-    budget violation is removed by blending toward the uniform point.
+    budget violation is removed by blending toward the uniform point, which
+    lands the row on the tight budget surface.  The blend weight is bisected
+    to 2^-60, far inside the 1e-15 margin it is then given.
     """
     q = np.clip(p, 1e-300, None)
-    q = q * (P / q.sum())
-    if (1.0 / q).sum() <= gamma_tilde:
+    q = q * (P / q.sum(axis=1, keepdims=True))
+    over = (1.0 / q).sum(axis=1, keepdims=True) > gamma_tilde
+    if not np.any(over):
         return q
-    uniform = np.full(m, P / m)
-    lo, hi = 0.0, 1.0
-    for _ in range(90):
+    to_uniform = P / m - q
+    lo = np.zeros_like(over, dtype=float)
+    hi = np.ones_like(lo)
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        blend = (1.0 - mid) * q + mid * uniform
-        if (1.0 / blend).sum() <= gamma_tilde:
-            hi = mid
-        else:
-            lo = mid
-    theta = min(1.0, hi * (1.0 + 1e-12) + 1e-15)
-    return (1.0 - theta) * q + theta * uniform
+        fits = (1.0 / (q + mid * to_uniform)).sum(axis=1, keepdims=True) <= gamma_tilde
+        lo, hi = np.where(fits, lo, mid), np.where(fits, mid, hi)
+    theta = np.where(over, np.minimum(1.0, hi * (1.0 + 1e-12) + 1e-15), 0.0)
+    return q + theta * to_uniform
+
+
+# points per window of a log-grid shrink, and its stopping rule: a window
+# narrows until its grid step is at most _SHRINK_TOL in log scale, or for at
+# most _SHRINK_STEPS evaluations.  Much below 1e-8 the argmin picks would be
+# rounding noise.
+_SHRINK_POINTS = 8
+_SHRINK_TOL = 1e-6
+_SHRINK_STEPS = 60
+
+
+def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
+    """Minimize a unimodal function of x > 0 per row by a log-grid shrink.
+
+    ``values`` maps an (n, 8) array of points, one row per problem, to their
+    values; ``lo`` and ``hi`` are the (n,) starting windows.  An interior
+    argmin narrows its row's window to one grid step either side, which is
+    exact for a unimodal function; an edge argmin re-centres the window on
+    that edge at the same width.  Exact values of a unimodal function never
+    send a re-centred window back to the opposite edge, so such a bounce is
+    rounding noise on a flat stretch and narrows the window instead.  Only a
+    narrowing shrinks the step, so a window that reaches the tolerance
+    brackets the minimum; its argmin, even on an edge, is then within one
+    step of it.  A window whose values are all equal holds no more
+    information and stops too.  Returns the argmin and its value per row.
+    """
+    unit = np.linspace(0.0, 1.0, _SHRINK_POINTS)
+    t_lo, t_hi = np.log(lo), np.log(hi)
+    rows = np.arange(t_lo.size)
+    done = np.zeros(t_lo.size, dtype=bool)
+    side = np.zeros(t_lo.size)  # -1 / +1 after a re-centre on the low / high edge
+    for _ in range(_SHRINK_STEPS):
+        t = t_lo[:, None] + (t_hi - t_lo)[:, None] * unit
+        x = np.exp(t)
+        vals = values(x)
+        k = np.argmin(vals, axis=1)
+        step = (t_hi - t_lo) / (_SHRINK_POINTS - 1)
+        done |= (step <= _SHRINK_TOL) | (vals.min(axis=1) == vals.max(axis=1))
+        if np.all(done):
+            break
+        edge = np.where(k == 0, -1.0, np.where(k == _SHRINK_POINTS - 1, 1.0, 0.0))
+        narrow = (edge == 0.0) | (edge * side < 0.0)
+        side = np.where(narrow, 0.0, edge)
+        reach = np.where(narrow, step, 0.5 * (t_hi - t_lo))
+        tk = t[rows, k]
+        t_lo = np.where(done, t_lo, tk - reach)
+        t_hi = np.where(done, t_hi, tk + reach)
+    return x[rows, k], vals[rows, k]
 
 
 def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
-                     gamma_tilde: float, grid_density: int = 60) -> PowerAllocation:
-    """Reference solution of the power allocation by dual grid search.
+                     gamma_tilde: float) -> PowerAllocation:
+    """Reference solution of the power allocation by nested dual shrinks.
 
-    Evaluates the dual on a ``grid_density`` x ``grid_density`` logarithmic
-    (mu, v) grid over an adaptive box, then refines three times, each pass
-    shrinking the window tenfold around the incumbent.  The grid expands and
-    restarts when the incumbent lands on the outer boundary.
+    An outer log-grid shrink over 8 mu values minimizes h(mu) = min_v
+    D(mu, v); each h value comes from an inner log-grid shrink over 8 v
+    values, run for all 8 mu values at once, so each inner step evaluates
+    the dual on one 8 x 8 block.  Both start from [1e-12, ``_dual_box``] and
+    stop at a log step of 1e-6.  The mu = 0 face, which a log axis cannot
+    reach, is an explicit candidate compared by h that wins ties.  The
+    powers at the best (mu, v) are repaired onto the feasible set.
     """
     lam2 = np.asarray(lambdas2, dtype=float)
     r = lam2.size
@@ -125,154 +184,57 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
         return PowerAllocation(p=np.full(m, P / m), iterations=0,
                                kkt_residual=0.0, duality_gap=0.0)
     gs = lam2 / sigma_c2
-    d = int(grid_density)
-    if d < 8:
-        raise ValueError("grid density too small to refine")
-
-    lo_mu = lo_v = 1e-12
-    hi_mu = hi_v = _dual_box(gs, P, gamma_tilde)
+    box = _dual_box(gs, P, gamma_tilde)
     evals = 0
 
-    def eval_grid(mu_ax, v_ax):
-        nonlocal evals
-        MU, V = [a.ravel() for a in np.meshgrid(mu_ax, v_ax, indexing="ij")]
-        vals, _ = _grid_values(gs, m, MU, V, gamma_tilde, P)
-        evals += MU.size
-        k = int(np.argmin(vals))
-        return divmod(k, v_ax.size)
+    def v_shrink(mu):
+        # v*(mu) and h(mu) for each entry of the 1-D array mu
+        def block(V):
+            nonlocal evals
+            MU = np.broadcast_to(mu[:, None], V.shape)
+            vals = _grid_values(gs, m, MU.ravel(), V.ravel(), gamma_tilde, P)
+            evals += V.size
+            return vals.reshape(V.shape)
 
-    # the dual minimum may sit on the mu = 0 face (slack CRB budget), which a
-    # logarithmic axis cannot reach, so mu = 0 rides along as an extra row
-    for _ in range(6):
-        mu_ax = np.concatenate([[0.0], np.geomspace(lo_mu, hi_mu, d - 1)])
-        v_ax = np.geomspace(lo_v, hi_v, d)
-        i, j = eval_grid(mu_ax, v_ax)
-        expanded = False
-        if i == d - 1:
-            hi_mu *= 10.0
-            expanded = True
-        if j == d - 1:
-            hi_v *= 10.0
-            expanded = True
-        if i == 1:
-            lo_mu /= 100.0
-            expanded = True
-        if j == 0:
-            lo_v /= 100.0
-            expanded = True
-        if not expanded:
-            break
-    mu_star, v_star = mu_ax[i], v_ax[j]
+        return _log_shrink(block, np.full(mu.size, 1e-12), np.full(mu.size, box))
 
-    span_mu = math.log10(hi_mu) - math.log10(lo_mu)
-    span_v = math.log10(hi_v) - math.log10(lo_v)
-    for _ in range(3):
-        span_mu /= 10.0
-        span_v /= 10.0
-        center_mu = mu_star if mu_star > 0.0 else lo_mu
-        mu_ax = np.concatenate([
-            [0.0],
-            np.geomspace(center_mu * 10 ** (-span_mu / 2),
-                         center_mu * 10 ** (span_mu / 2), d - 1),
-        ])
-        v_ax = np.geomspace(v_star * 10 ** (-span_v / 2),
-                            v_star * 10 ** (span_v / 2), d)
-        i, j = eval_grid(mu_ax, v_ax)
-        mu_star, v_star = mu_ax[i], v_ax[j]
+    (mu_best,), _ = _log_shrink(lambda MU: v_shrink(MU[0])[1][None, :],
+                                np.array([1e-12]), np.array([box]))
+    mus = np.array([0.0, mu_best])
+    vs, hs = v_shrink(mus)
+    k = int(np.argmin(hs))
+    mu_arr, v_arr = mus[k:k + 1], vs[k:k + 1]
+    mu_star, v_star = float(mu_arr[0]), float(v_arr[0])
 
-    # the zoom passes leave the duals at ~1e-4 relative, not enough for the
-    # 1e-5 allocation agreement the oracle promises; finish with alternating
-    # 1-D ternary descents (the dual is convex per coordinate)
-    def dual_at(mu_vals, v_vals):
-        nonlocal evals
-        mu_arr = np.asarray(mu_vals, dtype=float)
-        v_arr = np.asarray(v_vals, dtype=float)
-        out, _ = _grid_values(gs, m, mu_arr, v_arr, gamma_tilde, P)
-        evals += mu_arr.size
-        return out
-
-    span = max(span_mu, span_v) * (d - 1) / 2.0
-    for _ in range(3):
-        a, b = v_star * 10 ** (-span), v_star * 10 ** (span)
-        for _ in range(120):
-            m1, m2 = a * (b / a) ** (1 / 3), a * (b / a) ** (2 / 3)
-            f1, f2 = dual_at([mu_star, mu_star], [m1, m2])
-            if f1 < f2:
-                b = m2
-            else:
-                a = m1
-        v_star = math.sqrt(a * b)
-        if mu_star > 0.0:
-            a, b = mu_star * 10 ** (-span), mu_star * 10 ** (span)
-            for _ in range(120):
-                m1, m2 = a * (b / a) ** (1 / 3), a * (b / a) ** (2 / 3)
-                f1, f2 = dual_at([m1, m2], [v_star, v_star])
-                if f1 < f2:
-                    b = m2
-                else:
-                    a = m1
-            cand = math.sqrt(a * b)
-            f_cand, f_zero = dual_at([cand, 0.0], [v_star, v_star])
-            mu_star = cand if f_cand <= f_zero else 0.0
-
-    mu_arr = np.array([mu_star])
-    v_arr = np.array([v_star])
-    comm = _bisect_comm_powers(gs, mu_arr, v_arr, iters=200)[0]
     p = np.empty(m)
-    p[:r] = comm
+    p[:r] = _bisect_comm_powers(gs, mu_arr, v_arr, iters=200)[0]
     if m > r:
         p[r:] = math.sqrt(mu_star / v_star)
-    gval = float(_grid_values(gs, m, mu_arr, v_arr, gamma_tilde, P)[0][0])
-    p_feas = _repair_feasible(p, m, P, gamma_tilde)
+    gval = float(_grid_values(gs, m, mu_arr, v_arr, gamma_tilde, P)[0])
+    p_feas = _repair_feasible(p[None, :], m, P, gamma_tilde)[0]
     rate_val = float(np.log1p(gs * p_feas[:r]).sum() * INV_LN2)
     residual = max(0.0, float(p_feas.sum()) - P,
                    float((1.0 / p_feas).sum()) - gamma_tilde)
-    return PowerAllocation(p=p_feas, mu=float(mu_star), v=float(v_star),
+    return PowerAllocation(p=p_feas, mu=mu_star, v=v_star,
                            iterations=evals, kkt_residual=residual,
                            duality_gap=gval - rate_val)
 
 
-def _exchange_interval(pi: float, pj: float, cap: float, eps: float) -> tuple[float, float]:
-    # feasible shifts d with 1/(pi+d) + 1/(pj-d) <= cap; an interval around 0
-    def load(dd):
-        return 1.0 / (pi + dd) + 1.0 / (pj - dd)
-
-    hi_lim = pj - eps
-    lo_lim = -pi + eps
-    if load(0.0) > cap:
-        return 0.0, 0.0
-    if load(hi_lim) <= cap:
-        hi = hi_lim
-    else:
-        a, b = 0.0, hi_lim
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if load(mid) <= cap:
-                a = mid
-            else:
-                b = mid
-        hi = a
-    if load(lo_lim) <= cap:
-        lo = lo_lim
-    else:
-        a, b = 0.0, lo_lim
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if load(mid) <= cap:
-                a = mid
-            else:
-                b = mid
-        lo = a
-    return lo, hi
+def _tuples(axis: np.ndarray, m: int) -> np.ndarray:
+    """All m-tuples of ``axis`` values, one per row."""
+    return np.stack([a.ravel() for a in np.meshgrid(*[axis] * m, indexing="ij")], axis=1)
 
 
 def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
                        gamma_tilde: float, steps: int) -> PowerAllocation:
     """Brute-force primal solution for m <= 3.
 
-    Enumerates a uniform grid over the simplex sum(p) <= P, filters it by the
-    trace-inverse budget, then polishes the best point with pairwise power
-    exchanges (1-D concave line searches along the power face).
+    Enumerates a uniform grid over the simplex sum(p) <= P and filters it by
+    the trace-inverse budget.  The best point is then zoomed: each pass
+    evaluates a 9^m box around the incumbent, every candidate scaled onto
+    sum(p) = P and, if over the budget, blended toward uniform onto the
+    tight budget surface; the incumbent stays a candidate.  The box
+    half-width starts at 4P/steps and halves down to 1e-10 P.
     """
     if m > 3:
         raise ValueError("primal grid search is limited to m <= 3")
@@ -286,9 +248,10 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
     if not feasibility_check(m, P, gamma_tilde):
         raise ValueError(f"budget {gamma_tilde} below the minimum {m * m / P}")
 
-    axes = [np.linspace(P / steps, P, steps)] * m
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in mesh], axis=1)
+    def rates(pts):
+        return np.log1p(pts[:, :r] * gs[None, :]).sum(axis=1) * INV_LN2
+
+    pts = _tuples(np.linspace(P / steps, P, steps), m)
     mask = pts.sum(axis=1) <= P * (1.0 + 1e-12)
     pts = pts[mask]
     mask = (1.0 / pts).sum(axis=1) <= gamma_tilde * (1.0 + 1e-12)
@@ -296,52 +259,17 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
     evaluated = int(mask.size)
     uniform = np.full((1, m), P / m)
     pts = np.vstack([pts, uniform]) if pts.size else uniform
-    rates = np.log1p(pts[:, :r] * gs[None, :]).sum(axis=1) * INV_LN2
-    best = pts[int(np.argmax(rates))].copy()
+    best = pts[int(np.argmax(rates(pts)))]
 
-    def rate_of(p):
-        return float(np.log1p(gs * p[:r]).sum() * INV_LN2)
-
-    eps = 1e-12 * P
-    for _ in range(8):
-        scale = P / best.sum()
-        if scale > 1.0:
-            # scaling up only relaxes the trace-inverse load
-            best = best * scale
-        moved = False
-        for i in range(m):
-            for j in range(m):
-                if i == j or (i >= r and j >= r):
-                    continue
-                rest = sum(1.0 / best[k] for k in range(m) if k not in (i, j))
-                cap = gamma_tilde - rest
-                if cap <= 0.0:
-                    continue
-                lo, hi = _exchange_interval(best[i], best[j], cap, eps)
-                if hi - lo <= 0.0:
-                    continue
-                a, b = lo, hi
-
-                def moved_rate(dd, ii=i, jj=j):
-                    q = best.copy()
-                    q[ii] += dd
-                    q[jj] -= dd
-                    return rate_of(q)
-
-                for _ in range(90):
-                    m1 = a + (b - a) / 3.0
-                    m2 = b - (b - a) / 3.0
-                    if moved_rate(m1) < moved_rate(m2):
-                        a = m1
-                    else:
-                        b = m2
-                d_opt = 0.5 * (a + b)
-                if moved_rate(d_opt) > rate_of(best) + 1e-15:
-                    best[i] += d_opt
-                    best[j] -= d_opt
-                    moved = True
-        if not moved:
-            break
+    box = _tuples(np.linspace(-1.0, 1.0, 9), m)
+    half = 4.0 * P / steps
+    while half > 1e-10 * P:
+        cand = best + half * box
+        cand = _repair_feasible(cand[np.all(cand > 0.0, axis=1)], m, P, gamma_tilde)
+        cand = np.vstack([best[None, :], cand])
+        evaluated += cand.shape[0]
+        best = cand[int(np.argmax(rates(cand)))]
+        half *= 0.5
     residual = max(0.0, float(best.sum()) - P, float((1.0 / best).sum()) - gamma_tilde)
     return PowerAllocation(p=best, iterations=evaluated, kkt_residual=residual)
 
@@ -354,7 +282,7 @@ def _haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_feasible_covariance(m: int, P: float, gamma_tilde: float,
-                               rng: np.random.Generator, max_tries: int = 16) -> np.ndarray:
+                               rng: np.random.Generator) -> np.ndarray:
     """Random (generally non-diagonal) Hermitian PD matrix satisfying both
     the power and the trace-inverse constraints.
 
@@ -364,28 +292,8 @@ def sample_feasible_covariance(m: int, P: float, gamma_tilde: float,
     """
     if not gamma_tilde > m * m / P:
         raise ValueError("need a strictly interior trace-inverse budget")
-    d = None
-    for _ in range(max_tries):
-        w = np.exp(0.6 * rng.standard_normal(m))
-        cand = P * w / w.sum()
-        if (1.0 / cand).sum() <= gamma_tilde:
-            d = cand
-            break
-        uniform = np.full(m, P / m)
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            blend = (1.0 - mid) * cand + mid * uniform
-            if (1.0 / blend).sum() <= gamma_tilde:
-                hi = mid
-            else:
-                lo = mid
-        blend = (1.0 - hi) * cand + hi * uniform
-        if (1.0 / blend).sum() <= gamma_tilde:
-            d = blend
-            break
-    if d is None:
-        raise RuntimeError("could not draw a feasible diagonal within the budget")
+    w = np.exp(0.6 * rng.standard_normal(m))
+    d = _repair_feasible((P * w / w.sum())[None, :], m, P, gamma_tilde)[0]
     u = _haar_unitary(m, rng)
     q = (u * d[None, :]) @ u.conj().T
     return 0.5 * (q + q.conj().T)

@@ -200,7 +200,11 @@ def save_fixture(channel, path) -> None:
 
 
 def load_fixture(path) -> ChannelMatrix:
-    """Load a channel previously stored with :func:`save_fixture`."""
+    """Load a channel previously stored with :func:`save_fixture`.
+
+    A rank-0 (all-zero) channel carries no communication subchannel and is
+    rejected like a malformed file.
+    """
     with open(path, "r", encoding="ascii") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
@@ -226,7 +230,10 @@ def load_fixture(path) -> ChannelMatrix:
         except ValueError as exc:
             raise FixtureFormatError(f"{path}: row {i} has a non-numeric field") from exc
         H[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
-    return ChannelMatrix.from_matrix(H)
+    channel = ChannelMatrix.from_matrix(H)
+    if channel.r == 0:
+        raise FixtureFormatError(f"{path}: channel has rank 0 (every entry is zero)")
+    return channel
 
 
 # Default seeds are pinned so that the named presets have the qualitative

@@ -454,7 +454,8 @@ def solve_p1(
 
     Exactly one of ``gamma`` (a CRB threshold) or ``gamma_tilde`` (the
     equivalent budget on tr(Q^-1)) must be given.  The channel rank and
-    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).
+    gains are those of ``H`` (``H.r`` and ``H.lambdas2``); a rank-0 channel
+    raises ``ValueError``.
 
     Solution path:
 
@@ -479,6 +480,8 @@ def solve_p1(
     m, P, s2 = scenario.M, scenario.P, scenario.sigma_c2
     if H.shape != (scenario.Nc, scenario.M):
         raise ValueError(f"channel shape {H.shape} does not match scenario")
+    if H.r == 0:
+        raise ValueError("channel has rank 0: there is no communication subchannel")
     if gamma_tilde is None:
         gamma_tilde = trace_budget(gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
     else:

@@ -5,6 +5,7 @@ Run from the repository root:  python3 tests/fixtures/regenerate.py
 Seeds are pinned; regeneration must be a no-op unless the RNG policy changes.
 """
 
+import math
 from pathlib import Path
 
 from isac_pareto.scenario import Scenario, preset_scenario, rician_channel, save_fixture
@@ -24,6 +25,21 @@ SPECS = {
     "b_3x3.csv": Scenario(M=3, Nc=3, Ns=12, L=200, P=15.0, Kc=0.0, seed=3),
     # full rank but underpowered: water-filling dries the weakest channel
     "b_2x2_lowpower.csv": Scenario(M=2, Nc=2, Ns=12, L=200, P=10.0, Kc=0.0, seed=5),
+    # oracle reproducers: full-rank channels where a coordinate-descent dual
+    # search missed the solver's rate by more than 1e-5 ...
+    "o_dual_6x7.csv": Scenario(M=6, Nc=7, Ns=12, L=200, P=0.4770038313421024, seed=530087412),
+    "o_dual_5x7.csv": Scenario(M=5, Nc=7, Ns=12, L=200, P=0.8074895087827315, seed=2112124865),
+    "o_dual_3x5.csv": Scenario(M=3, Nc=5, Ns=12, L=200, P=1.8680905310036566, seed=478371359),
+    "o_dual_6x6.csv": Scenario(M=6, Nc=6, Ns=12, L=200, P=0.32594866609508893, seed=26076964),
+    # ... and M = 3 channels where a pairwise-exchange primal polish stopped
+    # more than 1e-4 short
+    "o_primal_los_3x3.csv": Scenario(M=3, Nc=3, Ns=12, L=200, P=6.560643071707601,
+                                     Kc=math.inf, seed=2180442),
+    "o_primal_los_3x5.csv": Scenario(M=3, Nc=5, Ns=12, L=200, P=55.51251915633323,
+                                     Kc=math.inf, seed=1671048924),
+    "o_primal_3x2_a.csv": Scenario(M=3, Nc=2, Ns=12, L=200, P=3.729089099923998, seed=596836679),
+    "o_primal_3x2_b.csv": Scenario(M=3, Nc=2, Ns=12, L=200, P=1.3869275933817704,
+                                   seed=1424803591),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from isac_pareto.cli import ConfigError, load_config, main
 from isac_pareto.metrics import crb_from_powers, rate_from_powers
-from isac_pareto.scenario import load_fixture
+from isac_pareto.scenario import load_fixture, save_fixture
 
 SC1 = {
     "M": 8, "Nc": 6, "Ns": 12, "L": 200,
@@ -213,3 +213,20 @@ def test_fixture_used_from_config(tmp_path):
                  "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert float(rows[0]["crb"]) == pytest.approx(0.0048, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--points", "3"],
+    ["point", "--gamma", "0.01"],
+    ["rate-vs-snr", "--gamma", "0.01", "--snr-list", "10,20"],
+])
+def test_zero_channel_fixture_rejected(tmp_path, capsys, command):
+    # an all-zero channel has rank 0: no communication subchannel to solve for
+    save_fixture(np.zeros((SC1["Nc"], SC1["M"])), tmp_path / "zero.csv")
+    cfg = dict(SC1)
+    cfg["fixture_path"] = "zero.csv"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] != "point" else []
+    assert main([command[0], str(path), *command[1:], *out]) == 1
+    assert "error:" in capsys.readouterr().err

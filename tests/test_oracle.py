@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from isac_pareto.closed_form import waterfill
+from isac_pareto.closed_form import crb_min_point, waterfill
 from isac_pareto.metrics import (
     rate,
     rate_from_powers,
@@ -14,7 +12,7 @@ from isac_pareto.oracle import (
     oracle_primal_grid,
     sample_feasible_covariance,
 )
-from isac_pareto.scenario import ChannelMatrix, Scenario
+from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import solve_p1
 
 
@@ -116,3 +114,70 @@ def test_diagonal_restriction_properties(rng, scenario1):
         if np.trace(q_diag).real > P * (1 + 1e-12):
             viol += 1
     assert viol == 0
+
+
+# Channels pinned in tests/fixtures (see regenerate.py); gamma = f * CRB_min.
+# On these, a coordinate-descent dual search missed the solver's rate by
+# 1.4e-5 to 2.0e-5 relative ...
+DUAL_REPRODUCERS = [
+    ("o_dual_6x7.csv", 6, 7, 0.4770038313421024, 1.1422759609100066),
+    ("o_dual_5x7.csv", 5, 7, 0.8074895087827315, 1.0474188542672853),
+    ("o_dual_3x5.csv", 3, 5, 1.8680905310036566, 1.9941828827450605),
+    ("o_dual_6x6.csv", 6, 6, 0.32594866609508893, 1.1508276659588352),
+]
+# ... and a pairwise-exchange primal polish stopped 5.8e-4 to 1.4e-2 short
+PRIMAL_REPRODUCERS = [
+    ("o_primal_los_3x3.csv", 3, 3, 6.560643071707601, 1.2915805959309317),
+    ("o_primal_los_3x5.csv", 3, 5, 55.51251915633323, 1.1884974215314237),
+    ("o_primal_3x2_a.csv", 3, 2, 3.729089099923998, 1.3268030103708965),
+    ("o_primal_3x2_b.csv", 3, 2, 1.3869275933817704, 5.7215488071221285),
+]
+# loose CRB budgets at low power, M <= 3
+LOOSE_CASES = [
+    ("b_2x2.csv", 2, 2, 0.01, 30.0),
+    ("b_3x2.csv", 3, 2, 0.03, 1e3),
+    ("b_2x3.csv", 2, 3, 0.1, 1e5),
+    ("b_3x3.csv", 3, 3, 0.3, 1e5),
+]
+
+
+def _optimal_solve(fixtures_dir, fixture, M, Nc, P, f):
+    H = load_fixture(fixtures_dir / fixture)
+    sc = Scenario(M=M, Nc=Nc, Ns=12, L=200, P=P)
+    _, pt_min = crb_min_point(H, sc)
+    rep = solve_p1(H, sc, f * pt_min.crb)
+    assert rep.status == "optimal"
+    return H, sc, rep
+
+
+def _dual_dev(H, sc, rep):
+    alloc = oracle_dual_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+    r = rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2)
+    return alloc, abs(r - rep.achieved.rate) / max(1.0, rep.achieved.rate)
+
+
+@pytest.mark.parametrize("case", DUAL_REPRODUCERS, ids=[c[0] for c in DUAL_REPRODUCERS])
+def test_dual_grid_full_rank_reproducers(fixtures_dir, case):
+    H, sc, rep = _optimal_solve(fixtures_dir, *case)
+    _, dev = _dual_dev(H, sc, rep)
+    assert dev <= 1e-5
+
+
+@pytest.mark.parametrize("case", PRIMAL_REPRODUCERS, ids=[c[0] for c in PRIMAL_REPRODUCERS])
+def test_primal_grid_m3_reproducers(fixtures_dir, case):
+    H, sc, rep = _optimal_solve(fixtures_dir, *case)
+    alloc = oracle_primal_grid(H.lambdas2, 3, sc.sigma_c2, sc.P, rep.gamma_tilde, steps=120)
+    assert abs(rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2) - rep.achieved.rate) <= 1e-4
+
+
+@pytest.mark.parametrize("case", LOOSE_CASES, ids=[f"{c[0]}-P{c[3]}-f{c[4]:g}" for c in LOOSE_CASES])
+def test_oracles_agree_at_loose_budget_low_power(fixtures_dir, case):
+    H, sc, rep = _optimal_solve(fixtures_dir, *case)
+    dual, dev = _dual_dev(H, sc, rep)
+    assert dev <= 1e-5
+    steps = 1000 if sc.M == 2 else 120
+    primal = oracle_primal_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde, steps)
+    primal_rate = rate_from_powers(H.lambdas2, primal.p, sc.sigma_c2)
+    assert abs(primal_rate - rep.achieved.rate) <= 1e-4
+    dual_value = rate_from_powers(H.lambdas2, dual.p, sc.sigma_c2) + dual.duality_gap
+    assert primal_rate <= dual_value + 1e-9

@@ -162,6 +162,13 @@ def test_solve_infeasible_budget():
     assert rep.allocation is None
 
 
+def test_solve_rank_zero_channel_rejected():
+    H = ChannelMatrix.from_matrix(np.zeros((2, 2)))
+    sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=8.0)
+    with pytest.raises(ValueError, match="rank 0"):
+        solve_p1(H, sc, gamma_tilde=2.0)
+
+
 def test_solve_slack_budget_recovers_waterfilling(scenario2):
     H, sc = scenario2
     wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
