@@ -29,6 +29,13 @@ __all__ = [
 INV_LN2 = 1.0 / LN2
 
 
+def _check_rank(r: int, m: int) -> None:
+    if r == 0:
+        raise ValueError("channel has rank 0: there is no communication subchannel")
+    if r > m:
+        raise ValueError(f"more channel gains ({r}) than antennas ({m})")
+
+
 def _dual_box(gs: np.ndarray, P: float, gamma_tilde: float) -> float:
     """Upper edge of the starting mu and v windows; a window whose argmin
     lands on an edge moves on its own."""
@@ -44,8 +51,6 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
     halvings give with ample room; final powers take more.
     """
     n, r = MU.size, gs.size
-    if r == 0:
-        return np.zeros((n, 0))
     G = gs[None, :]
     A = INV_LN2 * G
     MUc = MU[:, None]
@@ -81,7 +86,7 @@ def _grid_values(gs, m, MU, V, gamma_tilde, P):
     pos = MU > 0.0
     if np.any(pos):
         with np.errstate(divide="ignore"):
-            cinv = (1.0 / comm[pos]).sum(axis=1) if r else np.zeros(int(pos.sum()))
+            cinv = (1.0 / comm[pos]).sum(axis=1)
         if m > r:
             cinv = cinv + (m - r) / np.sqrt(MU[pos] / V[pos])
         vals[pos] -= MU[pos] * (cinv - gamma_tilde)
@@ -176,8 +181,7 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
     """
     lam2 = np.asarray(lambdas2, dtype=float)
     r = lam2.size
-    if r > m:
-        raise ValueError(f"more channel gains ({r}) than antennas ({m})")
+    _check_rank(r, m)
     if not feasibility_check(m, P, gamma_tilde):
         raise ValueError(f"budget {gamma_tilde} below the minimum {m * m / P}")
     if gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
@@ -244,6 +248,7 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
         raise ValueError("grid would be too large; lower steps")
     lam2 = np.asarray(lambdas2, dtype=float)
     r = lam2.size
+    _check_rank(r, m)
     gs = lam2 / sigma_c2
     if not feasibility_check(m, P, gamma_tilde):
         raise ValueError(f"budget {gamma_tilde} below the minimum {m * m / P}")

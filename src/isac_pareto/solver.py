@@ -10,17 +10,19 @@ sqrt(mu/v); these powers form a family of water-filling solutions,
 monotone in both multipliers.  The dual pair is
 found by one nested search on a log scale: for fixed mu the power budget
 fixes v*(mu), and mu is then set by the CRB budget along v*(mu).  Both are
-safeguarded Newton iterations on the tight constraints.  The search starts
-from the equal split, or, inside a frontier sweep, from the multipliers of
-the neighbouring threshold (see :func:`_warm_start`).
+safeguarded Newton iterations on the tight constraints, started from the
+equal split.
+
+:func:`solve_p1` runs that search in scalar Python for one budget.  A
+frontier sweep runs it for all of its budgets at once over numpy arrays
+(:func:`_lockstep_dual`); every lane of that batch is judged by the same
+KKT certificate, and a lane that fails it is left to :func:`solve_p1`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +93,7 @@ class SolveReport:
     stopped short of the certificate.  On non-optimal statuses the
     remaining fields carry the best-effort iterate (or ``None`` when
     infeasible).  ``allocation.iterations`` counts the evaluations of the
-    inner power map, those of a discarded warm-started search included.
+    inner power map.
     """
 
     allocation: PowerAllocation | None
@@ -310,13 +312,19 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _solve_dual(gs, m, gamma_tilde, P, budget, start=None):
-    """Dual pair with both constraints tight, by nested log-scale Newton.
+def _equal_split_duals(gs, m, P):
+    # the multipliers the dual searches start from: v averages the rate
+    # slopes at the equal split, whose sensing law fixes mu/v = (P/m)^2
+    v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
+    return v0 * (P / m) ** 2, v0
 
-    The search starts from ``start`` = (mu, v) when given, else from the
-    equal split.  Returns (mu, v, powers, evaluations, converged); the
-    powers belong to the last evaluated (mu, v), or are ``None`` if nothing
-    was evaluated.
+
+def _solve_dual(gs, m, gamma_tilde, P, budget):
+    """Dual pair with both constraints tight, by nested log-scale Newton
+    from the equal split.
+
+    Returns (mu, v, powers, evaluations, converged); the powers belong to
+    the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
     """
     evals = 0
     last = None  # (mu, v, _power_map output) of the latest evaluation
@@ -334,12 +342,7 @@ def _solve_dual(gs, m, gamma_tilde, P, budget, start=None):
         F = math.log(S / P)
         return F, -F * S / (v * S_v)
 
-    if start is None:
-        # the equal split, whose sensing law fixes mu/v = (P/m)^2
-        v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
-        mu0 = v0 * (P / m) ** 2
-    else:
-        mu0, v0 = start
+    mu0, v0 = _equal_split_duals(gs, m, P)
     log_v = math.log(v0)
     tangent = None  # (log mu, d log v* / d log mu) at the previous mu
 
@@ -418,28 +421,188 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P, kkt_tol):
     return ok, residual, gap_rel
 
 
-# (mu, v) that the dual searches of solve_p1 start from; set by _warm_start
-_DUAL_START: ContextVar[tuple[float, float] | None] = ContextVar("dual_start", default=None)
+def _solution_paths(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
+    """The path :func:`solve_p1` takes for each trace-inverse budget, and the
+    water-filling allocation of a full-rank channel (``None`` otherwise).
 
-
-@contextmanager
-def _warm_start(start: tuple[float, float] | None):
-    """Start the dual search of every :func:`solve_p1` in the block from
-    ``start`` = (mu, v) instead of the equal split (``None``: equal split).
-
-    A frontier sweep passes the multipliers of the previous threshold.  The
-    power budget alone fixes v*(mu), whatever the CRB budget, so the search
-    resumes on the previous v*(mu) curve and only has to move mu.  A
-    warm-started search that ends without a passing certificate is
-    discarded and the solve starts again from the equal split, so a warm
-    start never costs a certified result; each search has the full
-    ``settings.max_dual_iters`` budget.
+    A path is ``infeasible``; ``boundary``, a budget at the minimum M^2/P,
+    met only by the equal split; ``waterfill``, where the water-filling of a
+    full-rank channel already meets the budget; or ``dual``, where both
+    constraints are tight.
     """
-    token = _DUAL_START.set(start)
-    try:
-        yield
-    finally:
-        _DUAL_START.reset(token)
+    m, P = scenario.M, scenario.P
+    wf = None
+    wf_trace_inv = math.inf
+    if H.r == m:
+        wf = waterfill(H.lambdas2, scenario.sigma_c2, P, m=m)
+        if np.all(wf.p > 0.0):
+            wf_trace_inv = float((1.0 / wf.p).sum())
+    paths = []
+    for gamma_tilde in gamma_tildes:
+        if not feasibility_check(m, P, gamma_tilde):
+            paths.append("infeasible")
+        elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
+            paths.append("boundary")
+        elif wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
+            paths.append("waterfill")
+        else:
+            paths.append("dual")
+    return paths, wf
+
+
+def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
+    """:func:`_power_map` for each lane of the (n,) arrays mu, v > 0, with
+    g the r communication gains and k = m - r sensing subchannels.
+
+    Each stationary root is found by Newton from the lower end of the
+    bracket of :func:`cubic_stationary_root`, max(sqrt(mu/v), water-filling
+    power), where f is positive.  Below its root f is convex and
+    decreasing, so no step overshoots and a root is done once a step no
+    longer moves it up.  Returns the (n, m) powers and the (n,) arrays S,
+    C, S_mu, S_v, C_mu, C_v.
+    """
+    # (n, r) operands throughout: same-shape arithmetic is faster than
+    # broadcasting at these sizes
+    n, r = mu.size, g.size
+    G = g[None, :].repeat(n, axis=0)
+    A = INV_LN2 * G
+    MU = mu.repeat(r).reshape(n, r)
+    V = v.repeat(r).reshape(n, r)
+    p = np.maximum(np.sqrt(MU / V), INV_LN2 / V - 1.0 / G)
+    for _ in range(200):
+        gp1 = G * p
+        gp1 += 1.0
+        comm = A / gp1
+        sens = MU / (p * p)
+        f = comm + sens
+        f -= V
+        comm *= G
+        comm /= gp1
+        sens *= 2.0
+        sens /= p
+        comm += sens  # -f'(p)
+        f /= comm
+        f += p  # the Newton iterate
+        if not (f > p).any():
+            break
+        p = np.maximum(p, f)
+    gx1 = 1.0 + G * p
+    inv2 = 1.0 / (p * p)
+    dp_dv = 1.0 / (-A * G / (gx1 * gx1) - 2.0 * MU * inv2 / p)
+    dp_dmu = -inv2 * dp_dv
+    ps = np.sqrt(mu / v)
+    powers = np.empty((n, r + k))
+    powers[:, :r] = p
+    powers[:, r:] = ps[:, None]
+    S = p.sum(axis=1) + k * ps
+    C = (1.0 / p).sum(axis=1) + k / ps
+    S_mu = dp_dmu.sum(axis=1) + 0.5 * k * ps / mu
+    S_v = dp_dv.sum(axis=1) - 0.5 * k * ps / v
+    C_mu = -(inv2 * dp_dmu).sum(axis=1) - 0.5 * k / (mu * ps)
+    C_v = -(inv2 * dp_dv).sum(axis=1) + 0.5 * k / (v * ps)
+    return powers, S, C, S_mu, S_v, C_mu, C_v
+
+
+def _newton_lanes(x, val, step, lo, hi, tol):
+    """One step of :func:`_log_newton` for each lane: returns the lanes
+    that stopped, the next x and the updated bracket."""
+    done = np.abs(val) <= tol
+    up = val > 0.0
+    lo = np.where(up, x, lo)
+    hi = np.where(up, hi, x)
+    ulps = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+    step = np.where(step * val > 0.0, step, np.copysign(_MAX_LOG_STEP, val))
+    step = np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
+    done |= (hi - lo <= ulps) | (np.abs(step) <= ulps)
+    nx = x + step
+    return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi)), lo, hi
+
+
+def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes,
+                   settings: SolverSettings):
+    """The dual search of :func:`solve_p1` for many budgets of one channel
+    at once.
+
+    Each budget on the ``dual`` path (see :func:`_solution_paths`) is one
+    lane.  All lanes start from the equal split and run the nested
+    log-scale Newton of :func:`_solve_dual` in lockstep over numpy arrays:
+    each pass evaluates the power map once for every live lane, and each
+    lane keeps its own brackets on log mu and log v, its own tangent step
+    and its own ``settings.max_dual_iters`` budget.  A lane whose values
+    turn non-finite stops unconverged.  Every converged lane is then judged
+    by :func:`_certify`.
+
+    Returns one entry per budget, ``None`` off the dual path and else the
+    lane's :class:`PowerAllocation`, whose ``iterations`` counts its
+    power-map evaluations; and a boolean array that is True where the lane
+    converged and passed the certificate.
+    """
+    paths, _ = _solution_paths(H, scenario, gamma_tildes)
+    lanes = [i for i, path in enumerate(paths) if path == "dual"]
+    allocs: list[PowerAllocation | None] = [None] * len(paths)
+    certified = np.zeros(len(paths), dtype=bool)
+    if not lanes:
+        return allocs, certified
+    m, P = scenario.M, scenario.P
+    gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
+    g, k = np.asarray(gs), m - len(gs)
+    gt = np.asarray(gamma_tildes, dtype=float)[lanes]
+    n = gt.size
+    c_min = m * m / P
+    mu0, v0 = _equal_split_duals(gs, m, P)
+    t = np.full(n, math.log(mu0))  # log mu
+    x = np.full(n, math.log(v0))   # log v
+    t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
+    x_lo, x_hi = t_lo.copy(), t_hi.copy()
+    evals = np.zeros(n, dtype=int)
+    live = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    p = np.full((n, m), np.nan)
+    mu, v = np.full(n, np.nan), np.full(n, np.nan)
+    with np.errstate(all="ignore"):
+        while True:
+            live &= evals < settings.max_dual_iters
+            i = np.flatnonzero(live)
+            if i.size == 0:
+                break
+            evals[i] += 1
+            mu_i, v_i, t_i, x_i, gt_i = np.exp(t[i]), np.exp(x[i]), t[i], x[i], gt[i]
+            p[i], S, C, S_mu, S_v, C_mu, C_v = _power_map_lanes(g, k, mu_i, v_i)
+            mu[i], v[i] = mu_i, v_i
+            finite = np.isfinite(S + C + S_mu + S_v + C_mu + C_v)
+            # inner search: log(S / P) in log v
+            F = np.log(S / P)
+            inner_done, x_next, x_lo_i, x_hi_i = _newton_lanes(
+                x_i, F, -F * S / (v_i * S_v), x_lo[i], x_hi[i], _INNER_TOL)
+            # outer search along v*(mu), as in _solve_dual's crb_residual
+            dv_dmu = -S_mu / S_v
+            excess = C - c_min
+            slope = mu_i * (C_mu + C_v * dv_dmu) / excess
+            step = np.where(excess > 0.0, -np.log(excess / (gt_i - c_min)) / slope, np.nan)
+            outer_done, t_next, t_lo_i, t_hi_i = _newton_lanes(
+                t_i, np.log(C / gt_i), step, t_lo[i], t_hi[i], _DUAL_TOL)
+            # a lane with v*(mu) solved takes its outer step, moving log v
+            # along the tangent d log v* / d log mu and opening a new inner
+            # bracket; any other lane takes its inner step
+            t[i] = np.where(inner_done, t_next, t_i)
+            t_lo[i] = np.where(inner_done, t_lo_i, t_lo[i])
+            t_hi[i] = np.where(inner_done, t_hi_i, t_hi[i])
+            x[i] = np.where(inner_done, x_i + mu_i * dv_dmu / v_i * (t_next - t_i), x_next)
+            x_lo[i] = np.where(inner_done, -np.inf, x_lo_i)
+            x_hi[i] = np.where(inner_done, np.inf, x_hi_i)
+            stop = inner_done & outer_done
+            converged[i[stop & finite]] = True
+            live[i[stop | ~finite]] = False
+    for j, lane in enumerate(lanes):
+        mu_j, v_j = float(mu[j]), float(v[j])
+        ok, res, gap = False, math.nan, math.nan
+        if converged[j]:
+            ok, res, gap = _certify(gs, m, p[j].tolist(), mu_j, v_j, float(gt[j]), P,
+                                    settings.kkt_tol)
+        allocs[lane] = PowerAllocation(p=p[j], mu=mu_j, v=v_j, iterations=int(evals[j]),
+                                       kkt_residual=res, duality_gap=gap)
+        certified[lane] = ok
+    return allocs, certified
 
 
 def solve_p1(
@@ -468,7 +631,8 @@ def solve_p1(
     * otherwise both constraints are tight.  The dual pair is found by a
       Newton search in log mu on the CRB budget, each step solving the
       power budget for v*(mu) by a Newton search in log v; both searches
-      keep a sign-change bracket and cap their steps.  The result is then
+      start from the equal split, keep a sign-change bracket and cap their
+      steps.  The result is then
       certified against the KKT conditions: ``optimal`` is only reported
       with a passing certificate, and an exhausted
       ``settings.max_dual_iters`` budget gives ``iteration_limit``.
@@ -487,47 +651,30 @@ def solve_p1(
     else:
         gamma = crb_from_trace_budget(gamma_tilde, scenario.sigma_s2, scenario.Ns, scenario.L)
 
-    lam2 = H.lambdas2
-    gs = [float(x) / s2 for x in lam2]
+    gs = [float(x) / s2 for x in H.lambdas2]
+    (path,), wf = _solution_paths(H, scenario, [gamma_tilde])
 
-    if not feasibility_check(m, P, gamma_tilde):
+    if path == "infeasible":
         return SolveReport(None, None, None, "infeasible", gamma_tilde=gamma_tilde)
 
-    min_trace_inv = m * m / P
-    if gamma_tilde <= min_trace_inv * (1.0 + 1e-12):
+    if path == "boundary":
         # unique feasible point; optimal by the AM-HM equality condition
         p = np.full(m, P / m)
         alloc = PowerAllocation(p=p, mu=math.nan, v=math.nan, iterations=0,
                                 kkt_residual=0.0, duality_gap=0.0)
         return _finish(alloc, H, scenario, gamma, gamma_tilde, "optimal")
 
-    if H.r == m:
-        wf = waterfill(lam2, s2, P, m=m)
-        if np.all(wf.p > 0.0):
-            trace_inv = float((1.0 / wf.p).sum())
-            if trace_inv <= gamma_tilde * (1.0 + 4e-12):
-                ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P,
-                                        settings.kkt_tol)
-                alloc = PowerAllocation(p=wf.p, mu=0.0, v=wf.v,
-                                        water_level=wf.water_level, iterations=0,
-                                        kkt_residual=res, duality_gap=gap)
-                return _finish(alloc, H, scenario, gamma, gamma_tilde,
-                               "optimal" if ok else "iteration_limit")
+    if path == "waterfill":
+        ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P, settings.kkt_tol)
+        alloc = PowerAllocation(p=wf.p, mu=0.0, v=wf.v, water_level=wf.water_level,
+                                iterations=0, kkt_residual=res, duality_gap=gap)
+        return _finish(alloc, H, scenario, gamma, gamma_tilde,
+                       "optimal" if ok else "iteration_limit")
 
-    # a warm-started search stands only with a certificate; else a cold one runs
-    start = _DUAL_START.get()
-    evals = 0
-    for first in ([None] if start is None else [start, None]):
-        mu, v, p, spent, converged = _solve_dual(gs, m, gamma_tilde, P,
-                                                 settings.max_dual_iters, first)
-        evals += spent
-        if p is None:
-            continue
-        ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
-        if converged and ok:
-            break
+    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P, settings.max_dual_iters)
     if p is None:
         return SolveReport(None, None, None, "iteration_limit", gamma_tilde=gamma_tilde)
+    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
     status = "optimal" if (converged and ok) else "iteration_limit"
     alloc = PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
                             kkt_residual=res, duality_gap=gap)

@@ -1,20 +1,22 @@
 """Frontier sweep: endpoints, a geometric CRB-threshold grid, per-threshold
 solves and benchmark curves matched to the same grid.
 
-The thresholds are solved in ascending order by continuation: each dual
-search starts from the multipliers (mu, v) of the previous threshold when
-that row is an ``optimal`` dual solution (mu > 0), and from the equal split
-otherwise (:func:`solver._warm_start`).  A warm-started solve that is not
-certified is solved again from the equal split, so every row gets the status
-a cold :func:`solve_p1` would give it.  The EP/SEM rows come from
-closed-form metrics of the split powers and one batched selection per
-scheme (:func:`best_at_crbs`).
+The optimal rows of all thresholds are solved together: one lockstep dual
+search runs every threshold whose solution has both constraints tight
+(:func:`solver._lockstep_dual`), and each row's CRB and rate come in closed
+form from its eigenbasis powers.  A threshold off that path (the equal-split
+boundary or water-filling), and a lane that ends without a passing KKT
+certificate, is solved by :func:`solve_p1`, so every row gets the status a
+:func:`solve_p1` call would give it.  The EP/SEM rows come from closed-form
+metrics of the split powers and one batched selection per scheme
+(:func:`best_at_crbs`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from .benchmarks import (
     time_switching,
 )
 from .closed_form import crb_min_point, rate_max_point
-from .metrics import CRPoint
+from .metrics import CRPoint, crb_from_powers, rate_from_powers, trace_budget
 from .scenario import ChannelMatrix, Scenario
-from .solver import SolveReport, SolverSettings, _warm_start, solve_p1
+from .solver import SolverSettings, _lockstep_dual, solve_p1
 
 __all__ = ["DEFAULT_SCHEMES", "SweepRow", "SweepResult", "sweep"]
 
@@ -42,6 +44,10 @@ AUTO_CAP_FACTOR = 100.0
 
 @dataclass
 class SweepRow:
+    """One row of a sweep.  On an ``optimal``-scheme row, ``iterations``
+    counts power-map evaluations: those of the threshold's lockstep lane,
+    plus those of its :func:`solve_p1` fallback if it had one."""
+
     scheme: str
     gamma_target: float
     crb: float
@@ -62,7 +68,6 @@ class SweepResult:
     capped: bool
     endpoint_min: CRPoint
     endpoint_max: CRPoint
-    reports: list[SolveReport | None] = field(default_factory=list)
 
     def points(self, scheme: str) -> list[CRPoint]:
         """Finite rows of one scheme as CRPoints, grid order."""
@@ -74,19 +79,45 @@ class SweepResult:
         ]
 
 
-def _solve_row(H, scenario, gamma, settings, start) -> tuple[SweepRow, SolveReport | None]:
+def _solve_row(H, scenario, gamma, settings, spent: int = 0) -> SweepRow:
+    # one row by solve_p1; ``spent`` evaluations of a discarded lane count too
     try:
-        with _warm_start(start):
-            rep = solve_p1(H, scenario, gamma, settings)
+        rep = solve_p1(H, scenario, gamma, settings)
     except Exception as exc:  # annotate, never abort the sweep
-        return SweepRow("optimal", gamma, math.nan, math.nan,
-                        status=f"error: {exc}"), None
+        return SweepRow("optimal", gamma, math.nan, math.nan, status=f"error: {exc}")
     if rep.allocation is None:
-        return SweepRow("optimal", gamma, math.nan, math.nan, status=rep.status), rep
+        return SweepRow("optimal", gamma, math.nan, math.nan, status=rep.status)
     a = rep.allocation
     return SweepRow("optimal", gamma, rep.achieved.crb, rep.achieved.rate,
-                    mu=a.mu, v=a.v, iterations=a.iterations,
-                    kkt_residual=a.kkt_residual, status=rep.status), rep
+                    mu=a.mu, v=a.v, iterations=spent + a.iterations,
+                    kkt_residual=a.kkt_residual, status=rep.status)
+
+
+def _optimal_rows(H, scenario, gammas, settings) -> list[SweepRow]:
+    gamma_tildes = [trace_budget(g, scenario.sigma_s2, scenario.Ns, scenario.L)
+                    for g in gammas]
+    try:
+        allocs, certified = _lockstep_dual(H, scenario, gamma_tildes,
+                                           settings or SolverSettings())
+    except Exception as exc:  # never abort the sweep: solve each row on its own
+        warnings.warn(f"lockstep dual search failed ({exc!r}); solving each threshold alone",
+                      RuntimeWarning, stacklevel=3)
+        return [_solve_row(H, scenario, g, settings) for g in gammas]
+    done = [a for a, ok in zip(allocs, certified) if ok]
+    p = np.array([a.p for a in done]).reshape(len(done), scenario.M)
+    metrics = zip(crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L).tolist(),
+                  rate_from_powers(H.lambdas2, p, scenario.sigma_c2).tolist())
+    rows = []
+    for g, a, ok in zip(gammas, allocs, certified):
+        if ok:
+            crb, rate = next(metrics)
+            rows.append(SweepRow("optimal", g, crb, rate, mu=a.mu, v=a.v,
+                                 iterations=a.iterations, kkt_residual=a.kkt_residual,
+                                 status="optimal"))
+        else:
+            rows.append(_solve_row(H, scenario, g, settings,
+                                   0 if a is None else a.iterations))
+    return rows
 
 
 def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
@@ -117,14 +148,8 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
         gammas = np.full(n_points, lo)
 
     rows: list[SweepRow] = []
-    reports: list[SolveReport | None] = []
     if "optimal" in schemes:
-        start = None
-        for g in gammas:
-            row, rep = _solve_row(H, scenario, g, settings, start)
-            rows.append(row)
-            reports.append(rep)
-            start = (row.mu, row.v) if row.status == "optimal" and row.mu > 0.0 else None
+        rows.extend(_optimal_rows(H, scenario, gammas, settings))
 
     for scheme, maker in (("ep", power_split_ep), ("sem", power_split_sem)):
         if scheme not in schemes:
@@ -151,5 +176,4 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
                 rows.append(SweepRow("time_switch", g, pt.crb, pt.rate))
 
     return SweepResult(rows=rows, gammas=gammas, crb_min=lo, crb_cap=hi,
-                       capped=capped, endpoint_min=pt_min, endpoint_max=pt_max,
-                       reports=reports)
+                       capped=capped, endpoint_min=pt_min, endpoint_max=pt_max)

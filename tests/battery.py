@@ -9,8 +9,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from isac_pareto.closed_form import crb_min_point, rate_max_point
-from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
+from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,3 +90,18 @@ def iter_instances():
         channel = load_channel(case)
         for gamma in gammas_for(case, channel):
             yield case, channel, gamma
+
+
+def stress_links(trials: int):
+    """Yield (channel, scenario) for the leading trials of the seeded stress
+    battery: ``default_rng(1)``, M and Nc in [2, 16], a Rician factor from
+    {0, 1, 10, 100, 1e4, inf} and P = 10**uniform(-2, 6), across ranks."""
+    rng = np.random.default_rng(1)
+    kcs = (0.0, 1.0, 10.0, 100.0, 1e4, math.inf)
+    for trial in range(trials):
+        M = int(rng.integers(2, 17))
+        Nc = int(rng.integers(2, 17))
+        Kc = kcs[int(rng.integers(0, len(kcs)))]
+        P = float(10.0 ** rng.uniform(-2, 6))
+        sc = Scenario(M=M, Nc=Nc, Ns=12, L=max(200, M + 1), P=P, Kc=Kc, seed=trial)
+        yield rician_channel(sc), sc

@@ -43,6 +43,11 @@ def test_dual_grid_rejects_infeasible():
         oracle_dual_grid(np.array([1.0]), 2, 1.0, 1.0, 1.0)
 
 
+def test_dual_grid_rejects_rank_zero():
+    with pytest.raises(ValueError, match="rank 0"):
+        oracle_dual_grid(np.array([]), 2, 1.0, 2.0, 5.0)
+
+
 def test_primal_grid_boundary_equal_split():
     alloc = oracle_primal_grid(np.array([2.0, 1.0]), 2, 1.0, 4.0, 1.0, steps=400)
     np.testing.assert_allclose(alloc.p, 2.0, atol=1e-9)
@@ -66,6 +71,11 @@ def test_primal_grid_vs_solver_hand_instance():
 def test_primal_grid_rejects_large_m():
     with pytest.raises(ValueError):
         oracle_primal_grid(np.ones(4), 4, 1.0, 4.0, 10.0, steps=10)
+
+
+def test_primal_grid_rejects_rank_zero():
+    with pytest.raises(ValueError, match="rank 0"):
+        oracle_primal_grid(np.array([]), 2, 1.0, 2.0, 5.0, steps=50)
 
 
 def test_primal_grid_never_beats_dual_bound():

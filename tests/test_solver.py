@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from battery import stress_links
 from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
 from isac_pareto.metrics import rate_from_powers, trace_budget
-from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
+from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import (
     InactiveChannelError,
     SolverSettings,
@@ -241,17 +242,9 @@ def test_solve_iteration_limit_reported():
 def test_stress_battery_every_solve_optimal():
     # 400 random links across ranks, Rician factors and 8 decades of power,
     # each at 8 thresholds from the equal-split boundary to a loose budget
-    rng = np.random.default_rng(1)
     factors = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
-    kcs = (0.0, 1.0, 10.0, 100.0, 1e4, math.inf)
     failed = []
-    for trial in range(400):
-        M = int(rng.integers(2, 17))
-        Nc = int(rng.integers(2, 17))
-        Kc = kcs[int(rng.integers(0, len(kcs)))]
-        P = float(10.0 ** rng.uniform(-2, 6))
-        sc = Scenario(M=M, Nc=Nc, Ns=12, L=max(200, M + 1), P=P, Kc=Kc, seed=trial)
-        H = rician_channel(sc)
+    for trial, (H, sc) in enumerate(stress_links(400)):
         _, lo = crb_min_point(H, sc)
         for f in factors:
             rep = solve_p1(H, sc, f * lo.crb)
