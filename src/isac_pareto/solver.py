@@ -277,39 +277,28 @@ def _power_map(gs, m, mu, v):
     return p, S, C, S_mu, S_v, C_mu, C_v
 
 
-def _log_newton(residual, x: float, tol: float) -> float:
-    """Root of a strictly decreasing function of x by safeguarded Newton.
+def _newton_step(x, val, step, lo, hi, tol):
+    """One safeguarded Newton step on a strictly decreasing function of x,
+    whose value at x is ``val`` and whose proposed step is ``step``.
 
-    ``residual(x)`` returns the function value and a proposed Newton step.
-    Steps are capped at _MAX_LOG_STEP.  A step that points away from the
-    root is replaced by a full capped step towards it, and one that leaves
-    the bracket of the sign changes seen so far by the bracket's midpoint.
-    Stops when |value| <= tol, or when the bracket or the step has shrunk
-    to a few ulps of x.  The returned x is always the last one evaluated.
+    The bracket [lo, hi] of the sign changes seen so far takes x in.  A step
+    that points away from the root is replaced by a full capped step
+    towards it, steps are capped at _MAX_LOG_STEP, and a next x outside the
+    bracket is replaced by the bracket's midpoint.  Returns whether the
+    search stopped (|val| <= tol, or the bracket or the step has shrunk to a
+    few ulps of x), the next x and the updated bracket.
     """
-    lo, hi = -math.inf, math.inf
-    while True:
-        val, step = residual(x)
-        if abs(val) <= tol:
-            return x
-        if val > 0.0:
-            lo = x
-        else:
-            hi = x
-        ulps = 4.0 * _EPS * max(1.0, abs(x))
-        if hi - lo <= ulps:
-            return x
-        if not step * val > 0.0:
-            step = math.copysign(_MAX_LOG_STEP, val)
-        step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
-        if abs(step) <= ulps:
-            return x
-        nx = x + step
-        x = nx if lo < nx < hi else 0.5 * (lo + hi)
-
-
-class _BudgetExhausted(Exception):
-    pass
+    if val > 0.0:
+        lo = x
+    else:
+        hi = x
+    ulps = 4.0 * _EPS * max(1.0, abs(x))
+    if not step * val > 0.0:
+        step = math.copysign(_MAX_LOG_STEP, val)
+    step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
+    done = abs(val) <= tol or hi - lo <= ulps or abs(step) <= ulps
+    nx = x + step
+    return done, (nx if lo < nx < hi else 0.5 * (lo + hi)), lo, hi
 
 
 def _equal_split_duals(gs, m, P):
@@ -320,58 +309,58 @@ def _equal_split_duals(gs, m, P):
 
 
 def _solve_dual(gs, m, gamma_tilde, P, budget):
-    """Dual pair with both constraints tight, by nested log-scale Newton
-    from the equal split.
+    """Dual pair with both constraints tight, by log-scale Newton from the
+    equal split: the scalar form of :func:`_lockstep_dual`.
+
+    Each pass evaluates the power map once and takes one Newton step in
+    log v on the power budget.  Once that inner search stops, the pass takes
+    a step in log mu on the CRB budget instead, moves log v along the
+    tangent d log v* / d log mu and opens a new log v bracket.  A math error
+    ends the search unconverged.
 
     Returns (mu, v, powers, evaluations, converged); the powers belong to
     the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
     """
+    c_min = m * m / P
+    mu0, v0 = _equal_split_duals(gs, m, P)
+    t, x = math.log(mu0), math.log(v0)  # log mu, log v
+    t_lo = x_lo = -math.inf
+    t_hi = x_hi = math.inf
     evals = 0
     last = None  # (mu, v, _power_map output) of the latest evaluation
-    c_min = m * m / P
-
-    def power_residual(mu, x):
-        # log(S / P) at v = e^x, and its Newton step in x
-        nonlocal evals, last
-        if evals >= budget:
-            raise _BudgetExhausted
-        evals += 1
-        v = math.exp(x)
-        last = (mu, v, _power_map(gs, m, mu, v))
-        _, S, _, _, S_v, _, _ = last[2]
-        F = math.log(S / P)
-        return F, -F * S / (v * S_v)
-
-    mu0, v0 = _equal_split_duals(gs, m, P)
-    log_v = math.log(v0)
-    tangent = None  # (log mu, d log v* / d log mu) at the previous mu
-
-    def crb_residual(t):
-        # log(C / gamma_tilde) along v*(mu) decides convergence; the Newton
-        # step acts on log((C - c_min) / (gamma_tilde - c_min)) instead,
-        # which is close to linear in log mu both for loose CRB budgets and
-        # near the equal-split boundary
-        nonlocal log_v, tangent
-        mu = math.exp(t)
-        if tangent is not None:
-            log_v += tangent[1] * (t - tangent[0])
-        log_v = _log_newton(lambda x: power_residual(mu, x), log_v, _INNER_TOL)
-        _, v, (_, S, C, S_mu, S_v, C_mu, C_v) = last
-        dv_dmu = -S_mu / S_v
-        tangent = (t, mu * dv_dmu / v)
-        excess = C - c_min
-        step = math.nan
-        if excess > 0.0:
-            slope = mu * (C_mu + C_v * dv_dmu) / excess
-            step = -math.log(excess / (gamma_tilde - c_min)) / slope
-        return math.log(C / gamma_tilde), step
-
     converged = False
     try:
-        _log_newton(crb_residual, math.log(mu0), _DUAL_TOL)
-        converged = True
-    except (_BudgetExhausted, ArithmeticError, ValueError):
-        pass
+        while evals < budget:
+            evals += 1
+            mu, v = math.exp(t), math.exp(x)
+            last = (mu, v, _power_map(gs, m, mu, v))
+            _, S, C, S_mu, S_v, C_mu, C_v = last[2]
+            # inner search: log(S / P) in log v
+            F = math.log(S / P)
+            inner_done, x_next, x_lo, x_hi = _newton_step(
+                x, F, -F * S / (v * S_v), x_lo, x_hi, _INNER_TOL)
+            if not inner_done:
+                x = x_next
+                continue
+            # outer search along v*(mu): log(C / gamma_tilde) decides
+            # convergence; the step acts on log((C - c_min) / (gamma_tilde -
+            # c_min)) instead, which is close to linear in log mu both for
+            # loose CRB budgets and near the equal-split boundary
+            dv_dmu = -S_mu / S_v
+            excess = C - c_min
+            step = math.nan
+            if excess > 0.0:
+                slope = mu * (C_mu + C_v * dv_dmu) / excess
+                step = -math.log(excess / (gamma_tilde - c_min)) / slope
+            converged, t_next, t_lo, t_hi = _newton_step(
+                t, math.log(C / gamma_tilde), step, t_lo, t_hi, _DUAL_TOL)
+            if converged:
+                break
+            x += mu * dv_dmu / v * (t_next - t)
+            x_lo, x_hi = -math.inf, math.inf
+            t = t_next
+    except (ArithmeticError, ValueError):
+        pass  # unconverged, with the last completed evaluation
     if last is None:
         return math.nan, math.nan, None, evals, False
     mu, v, (p, *_) = last
@@ -504,8 +493,8 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
 
 
 def _newton_lanes(x, val, step, lo, hi, tol):
-    """One step of :func:`_log_newton` for each lane: returns the lanes
-    that stopped, the next x and the updated bracket."""
+    """:func:`_newton_step` for each lane: returns the lanes that stopped,
+    the next x and the updated bracket."""
     done = np.abs(val) <= tol
     up = val > 0.0
     lo = np.where(up, x, lo)
@@ -574,7 +563,7 @@ def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes,
             F = np.log(S / P)
             inner_done, x_next, x_lo_i, x_hi_i = _newton_lanes(
                 x_i, F, -F * S / (v_i * S_v), x_lo[i], x_hi[i], _INNER_TOL)
-            # outer search along v*(mu), as in _solve_dual's crb_residual
+            # outer search along v*(mu), as in _solve_dual
             dv_dmu = -S_mu / S_v
             excess = C - c_min
             slope = mu_i * (C_mu + C_v * dv_dmu) / excess
