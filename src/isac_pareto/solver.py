@@ -4,8 +4,8 @@ The problem is diagonalized by the channel SVD, reduced to a power
 allocation over communication and dedicated sensing subchannels, and solved
 through its Lagrange dual.  For multipliers (mu, v) each communication
 subchannel takes the unique positive root of its stationarity equation,
-found by one bracketed, safeguarded Newton iteration (see
-:func:`cubic_stationary_root`), and each sensing subchannel takes
+found by a monotone Newton iteration (see :func:`cubic_stationary_root`),
+and each sensing subchannel takes
 sqrt(mu/v); these powers form a family of water-filling solutions,
 monotone in both multipliers.  The dual pair is
 found by one nested search on a log scale: for fixed mu the power budget
@@ -139,16 +139,11 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     For mu = 0 this degenerates to the water-filling form
     1/(v ln 2) - sigma_c2/lambda^2 and raises :class:`InactiveChannelError`
     when that is non-positive.  For mu > 0, f is convex and strictly
-    decreasing on p > 0, and its root lies in the bracket
-    [max(sqrt(mu/v), water-filling power), zero of 1/(p ln 2) + mu/p^2 - v]:
-    at the lower end one term of f alone equals v, and the upper end's
-    function bounds f from above.  A Newton iteration starts at the lower
-    end, where a step never overshoots; a step that leaves the bracket of
-    the sign changes seen so far is replaced by the bracket's geometric
-    midpoint.  It
-    stops when f is exactly zero, the bracket has shrunk to a few ulps, or a
-    step no longer moves p, and returns the evaluated point with the
-    smallest |f|.
+    decreasing on p > 0, and at p0 = max(sqrt(mu/v), water-filling power)
+    one of its terms alone equals v, so f(p0) >= 0.  Newton from p0 thus
+    rises monotonically to the root; it stops when the next iterate no
+    longer rises.  This is the iteration of :func:`_power_map_lanes`, with
+    the same arithmetic, so both return the same root.
     """
     g = lambda2_over_sigma2
     if g <= 0.0:
@@ -164,32 +159,18 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
                 f"water level {INV_LN2 / v} below noise floor {1.0 / g}"
             )
         return x
-    lo = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
-    hi = (INV_LN2 + math.sqrt(INV_LN2 * INV_LN2 + 4.0 * mu * v)) / (2.0 * v)
-    p = best = lo
-    best_f = math.inf
+    a = INV_LN2 * g
+    p = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
     for _ in range(200):
-        gp1 = 1.0 + g * p
-        comm = INV_LN2 * g / gp1
+        gp1 = g * p + 1.0
+        comm = a / gp1
         sens = mu / (p * p)
         f = comm + sens - v
-        # near a root at large v, |f| is a few ulps of v and the last
-        # iterate need not be the most accurate one
-        if abs(f) < best_f:
-            best, best_f = p, abs(f)
-        if f > 0.0:
-            lo = p
-        elif f < 0.0:
-            hi = p
-        else:
+        q = f / (comm * g / gp1 + sens * 2.0 / p) + p  # the Newton iterate
+        if not q > p:
             break
-        if hi - lo <= 4.0 * _EPS * hi:
-            break
-        q = p + f / (comm * g / gp1 + 2.0 * sens / p)
-        if q == p:
-            break
-        p = q if lo < q < hi else math.sqrt(lo * hi)
-    return best
+        p = q
+    return p
 
 
 def _inner_powers(gs: list[float], m: int, mu: float, v: float) -> list[float]:
@@ -443,12 +424,11 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     """:func:`_power_map` for each lane of the (n,) arrays mu, v > 0, with
     g the r communication gains and k = m - r sensing subchannels.
 
-    Each stationary root is found by Newton from the lower end of the
-    bracket of :func:`cubic_stationary_root`, max(sqrt(mu/v), water-filling
-    power), where f is positive.  Below its root f is convex and
-    decreasing, so no step overshoots and a root is done once a step no
-    longer moves it up.  Returns the (n, m) powers and the (n,) arrays S,
-    C, S_mu, S_v, C_mu, C_v.
+    Each stationary root is the monotone Newton iteration of
+    :func:`cubic_stationary_root`, run for all lanes and subchannels at once
+    until no iterate rises any more; a root that has stopped rising stays
+    put.  Returns the (n, m) powers and the (n,) arrays S, C, S_mu, S_v,
+    C_mu, C_v.
     """
     # (n, r) operands throughout: same-shape arithmetic is faster than
     # broadcasting at these sizes

@@ -10,6 +10,7 @@ from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import (
     InactiveChannelError,
     SolverSettings,
+    _power_map_lanes,
     cubic_stationary_root,
     feasibility_check,
     inner_allocation,
@@ -118,6 +119,9 @@ def test_cubic_log_uniform_sweep_vs_bisection():
         root = cubic_stationary_root(g, mu, v)
         assert abs(root - pr) <= 1e-10 * pr, (g, mu, v)
         assert _scaled_residual(root, g, mu, v) <= 1e-12, (g, mu, v)
+        # the lockstep power map, one lane per point, finds the same root
+        powers = _power_map_lanes(np.array([g]), 0, np.array([mu]), np.array([v]))[0]
+        assert powers[0, 0] == root, (g, mu, v)
 
 
 def test_inner_allocation_reduces_to_waterfill_when_mu_zero():
