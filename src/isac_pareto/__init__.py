@@ -51,7 +51,6 @@ from .scenario import (
 from .solver import (
     InactiveChannelError,
     SolveReport,
-    SolverSettings,
     cubic_stationary_root,
     feasibility_check,
     inner_allocation,

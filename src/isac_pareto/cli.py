@@ -2,7 +2,10 @@
 tables, channel fixture generation, CSV emission and plot-script generation.
 
 Scenario configs are JSON files carrying exactly the Scenario fields plus an
-optional "solver" block; unknown keys are rejected to catch typos.
+optional "fixture_path"; unknown keys are rejected, with their values, to
+catch typos and retired settings.  Malformed numbers on the command line
+(a non-finite threshold or cap, fewer than two grid points) exit with
+status 1, as bad configs do.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .scenario import (
     rician_channel,
     save_fixture,
 )
-from .solver import SolverSettings, feasibility_check, solve_p1
-from .sweep import DEFAULT_SCHEMES, sweep
+from .solver import feasibility_check, solve_p1
+from .sweep import DEFAULT_SCHEMES, SweepRow, sweep
 
 __all__ = ["main", "entrypoint"]
 
@@ -38,8 +41,7 @@ CSV_HEADER = ["scheme", "gamma_target", "crb", "rate_bps_hz", "mu", "v",
 
 _SCENARIO_KEYS = {"M", "Nc", "Ns", "L", "P", "sigma_c2", "sigma_s2", "Kc",
                   "theta", "seed"}
-_OPTIONAL_KEYS = {"fixture_path", "solver"}
-_SOLVER_KEYS = {"kkt_tol", "max_dual_iters"}
+_OPTIONAL_KEYS = {"fixture_path"}
 
 
 class ConfigError(ValueError):
@@ -64,7 +66,13 @@ def _parse_kc(value):
     return float(value)
 
 
-def load_config(path) -> tuple[Scenario, SolverSettings]:
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return value
+
+
+def load_config(path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -74,16 +82,11 @@ def load_config(path) -> tuple[Scenario, SolverSettings]:
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _SCENARIO_KEYS - _OPTIONAL_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(f"{k}={raw[k]!r}" for k in sorted(unknown)))
     missing = _SCENARIO_KEYS - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise ConfigError("'solver' must be a JSON object")
-    unknown = set(solver_raw) - _SOLVER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
     fixture = raw.get("fixture_path")
     if fixture is not None:
         fixture = str((path.parent / fixture).resolve()) if not Path(fixture).is_absolute() else fixture
@@ -94,21 +97,15 @@ def load_config(path) -> tuple[Scenario, SolverSettings]:
             sigma_s2=float(raw["sigma_s2"]), Kc=_parse_kc(raw["Kc"]),
             theta=float(raw["theta"]), seed=int(raw["seed"]), fixture_path=fixture,
         )
-        settings = SolverSettings(**solver_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    return scenario, settings
+    return scenario
 
 
-def _sort_key(row):
-    return (row[0], math.isnan(_float_or_nan(row[2])), _float_or_nan(row[2]))
-
-
-def _float_or_nan(x):
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        return math.nan
+def _csv_row(row: SweepRow) -> list[str]:
+    return [row.scheme, _fmt(row.gamma_target), _fmt(row.crb), _fmt(row.rate),
+            _fmt(row.mu), _fmt(row.v), str(row.iterations), _fmt(row.kkt_residual),
+            row.status]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -189,7 +186,7 @@ def _emit_plot_script(out_path: Path, template: str) -> Path:
 
 def cmd_sweep(args) -> int:
     try:
-        scenario, settings = load_config(args.config)
+        scenario = load_config(args.config)
         H = rician_channel(scenario)
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -200,17 +197,14 @@ def cmd_sweep(args) -> int:
         print(f"error: unknown schemes {sorted(bad)}", file=sys.stderr)
         return 1
     cap = "auto" if args.crb_cap is None else args.crb_cap
-    result = sweep(H, scenario, args.points, crb_cap=cap, schemes=schemes,
-                   settings=settings)
-    rows = [
-        [row.scheme, _fmt(row.gamma_target), _fmt(row.crb), _fmt(row.rate),
-         _fmt(row.mu), _fmt(row.v), str(row.iterations),
-         _fmt(row.kkt_residual), row.status]
-        for row in result.rows
-    ]
-    rows.sort(key=_sort_key)
+    try:
+        result = sweep(H, scenario, args.points, crb_cap=cap, schemes=schemes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    rows = sorted(result.rows, key=lambda r: (r.scheme, math.isnan(r.crb), r.crb))
     out = Path(args.out)
-    _write_csv(out, CSV_HEADER, rows)
+    _write_csv(out, CSV_HEADER, [_csv_row(r) for r in rows])
     script = _emit_plot_script(out, _PLOT_FRONTIER)
     print(f"wrote {out} and {script}")
     optimal_rows = [r for r in result.rows if r.scheme == "optimal"]
@@ -239,7 +233,8 @@ def _point_payload(scenario, rep, gamma):
 
 def cmd_point(args) -> int:
     try:
-        scenario, settings = load_config(args.config)
+        _finite("--gamma", args.gamma)
+        scenario = load_config(args.config)
         H = rician_channel(scenario)
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -253,7 +248,7 @@ def cmd_point(args) -> int:
             file=sys.stderr,
         )
         return 2
-    rep = solve_p1(H, scenario, args.gamma, settings)
+    rep = solve_p1(H, scenario, args.gamma)
     payload = _point_payload(scenario, rep, args.gamma)
     if args.json:
         print(json.dumps(payload, allow_nan=True))
@@ -267,19 +262,20 @@ def cmd_point(args) -> int:
               f"duality_gap: {_fmt(rep.allocation.duality_gap)}")
         print(f"crb: {_fmt(rep.achieved.crb)}  rate: {_fmt(rep.achieved.rate)} bps/Hz")
     if args.out:
-        row = ["optimal", _fmt(args.gamma), _fmt(rep.achieved.crb),
-               _fmt(rep.achieved.rate), _fmt(rep.allocation.mu),
-               _fmt(rep.allocation.v), str(rep.allocation.iterations),
-               _fmt(rep.allocation.kkt_residual), rep.status]
-        _write_csv(Path(args.out), CSV_HEADER, [row])
+        a = rep.allocation
+        row = SweepRow("optimal", args.gamma, rep.achieved.crb, rep.achieved.rate,
+                       mu=a.mu, v=a.v, iterations=a.iterations,
+                       kkt_residual=a.kkt_residual, status=rep.status)
+        _write_csv(Path(args.out), CSV_HEADER, [_csv_row(row)])
     return 0 if rep.status == "optimal" else 3
 
 
 def cmd_rate_vs_snr(args) -> int:
     try:
-        scenario, settings = load_config(args.config)
+        _finite("--gamma", args.gamma)
+        scenario = load_config(args.config)
         H = rician_channel(scenario)
-        snrs = [float(s) for s in args.snr_list.split(",") if s.strip()]
+        snrs = [_finite("SNR", float(s)) for s in args.snr_list.split(",") if s.strip()]
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -294,7 +290,7 @@ def cmd_rate_vs_snr(args) -> int:
         if not feasibility_check(scen.M, scen.P, gt):
             rows.append([_fmt(snr_db), _fmt(power), "nan", "nan", "nan", "infeasible"])
             continue
-        rep = solve_p1(H, scen, args.gamma, settings)
+        rep = solve_p1(H, scen, args.gamma)
         ep = best_at_crb(power_split_ep(H, scen).points, args.gamma)
         sem = best_at_crb(power_split_sem(H, scen).points, args.gamma)
         rows.append([

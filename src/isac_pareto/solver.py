@@ -5,18 +5,18 @@ allocation over communication and dedicated sensing subchannels, and solved
 through its Lagrange dual.  For multipliers (mu, v) each communication
 subchannel takes the unique positive root of its stationarity equation,
 found by a monotone Newton iteration (see :func:`cubic_stationary_root`),
-and each sensing subchannel takes
-sqrt(mu/v); these powers form a family of water-filling solutions,
-monotone in both multipliers.  The dual pair is
-found by one nested search on a log scale: for fixed mu the power budget
-fixes v*(mu), and mu is then set by the CRB budget along v*(mu).  Both are
-safeguarded Newton iterations on the tight constraints, started from the
-equal split.
+and each sensing subchannel takes sqrt(mu/v); these powers form a family of
+water-filling solutions, monotone in both multipliers.  The dual pair is
+found by one search on a log scale, started from the equal split: for fixed
+mu the power budget fixes v*(mu), and mu is then set by the CRB budget
+along v*(mu).  Each pass evaluates the powers once and takes one
+safeguarded Newton step, in log v until v*(mu) is found and then in log mu.
 
-:func:`solve_p1` runs that search in scalar Python for one budget.  A
-frontier sweep runs it for all of its budgets at once over numpy arrays
-(:func:`_lockstep_dual`); every lane of that batch is judged by the same
-KKT certificate, and a lane that fails it is left to :func:`solve_p1`.
+The search has two forms with the same iteration and arithmetic:
+:func:`solve_p1` runs it in scalar Python for one budget, and a frontier
+sweep runs it for all of its budgets at once over numpy arrays
+(:func:`_lockstep_dual`).  Both judge their result by the same KKT
+certificate, and a lane that fails it is left to :func:`solve_p1`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
     "InactiveChannelError",
-    "SolverSettings",
     "SolveReport",
     "feasibility_check",
     "cubic_stationary_root",
@@ -61,6 +60,10 @@ _DUAL_TOL = 1e-13
 _INNER_TOL = 1e-14
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
+# Tolerance of the KKT certificate, and the budget of power-map evaluations
+# of one dual search.
+_KKT_TOL = 1e-9
+_MAX_DUAL_ITERS = 2000
 
 
 class InactiveChannelError(ValueError):
@@ -69,31 +72,17 @@ class InactiveChannelError(ValueError):
 
 
 @dataclass
-class SolverSettings:
-    """``max_dual_iters`` bounds the evaluations of the inner power map over
-    the whole dual search."""
-
-    kkt_tol: float = 1e-9
-    max_dual_iters: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.kkt_tol <= 0:
-            raise ValueError("KKT tolerance must be positive")
-        if self.max_dual_iters < 1:
-            raise ValueError("iteration budget must be positive")
-
-
-@dataclass
 class SolveReport:
     """Outcome of one CRB-constrained solve.
 
     ``status`` is one of ``optimal``, ``infeasible`` or ``iteration_limit``.
     ``optimal`` always carries a passing KKT certificate;
-    ``iteration_limit`` means the dual search ran out of its budget or
-    stopped short of the certificate.  On non-optimal statuses the
-    remaining fields carry the best-effort iterate (or ``None`` when
-    infeasible).  ``allocation.iterations`` counts the evaluations of the
-    inner power map.
+    ``iteration_limit`` means the dual search spent its _MAX_DUAL_ITERS
+    power-map evaluations, ended on a math error, or stopped short of the
+    certificate.  On non-optimal statuses the remaining fields carry the
+    best-effort iterate (or ``None`` when infeasible).
+    ``allocation.iterations`` counts the evaluations of the inner power
+    map.
     """
 
     allocation: PowerAllocation | None
@@ -159,11 +148,10 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
                 f"water level {INV_LN2 / v} below noise floor {1.0 / g}"
             )
         return x
-    a = INV_LN2 * g
     p = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
     for _ in range(200):
         gp1 = g * p + 1.0
-        comm = a / gp1
+        comm = INV_LN2 * g / gp1
         sens = mu / (p * p)
         f = comm + sens - v
         q = f / (comm * g / gp1 + sens * 2.0 / p) + p  # the Newton iterate
@@ -262,7 +250,7 @@ def _newton_step(x, val, step, lo, hi, tol):
     """One safeguarded Newton step on a strictly decreasing function of x,
     whose value at x is ``val`` and whose proposed step is ``step``.
 
-    The bracket [lo, hi] of the sign changes seen so far takes x in.  A step
+    x joins the bracket [lo, hi] of the sign changes seen so far.  A step
     that points away from the root is replaced by a full capped step
     towards it, steps are capped at _MAX_LOG_STEP, and a next x outside the
     bracket is replaced by the bracket's midpoint.  Returns whether the
@@ -289,7 +277,7 @@ def _equal_split_duals(gs, m, P):
     return v0 * (P / m) ** 2, v0
 
 
-def _solve_dual(gs, m, gamma_tilde, P, budget):
+def _solve_dual(gs, m, gamma_tilde, P):
     """Dual pair with both constraints tight, by log-scale Newton from the
     equal split: the scalar form of :func:`_lockstep_dual`.
 
@@ -311,7 +299,7 @@ def _solve_dual(gs, m, gamma_tilde, P, budget):
     last = None  # (mu, v, _power_map output) of the latest evaluation
     converged = False
     try:
-        while evals < budget:
+        while evals < _MAX_DUAL_ITERS:
             evals += 1
             mu, v = math.exp(t), math.exp(x)
             last = (mu, v, _power_map(gs, m, mu, v))
@@ -348,8 +336,8 @@ def _solve_dual(gs, m, gamma_tilde, P, budget):
     return mu, v, p, evals, converged
 
 
-def _certify(gs, m, p, mu, v, gamma_tilde, P, kkt_tol):
-    """KKT certificate for a candidate (p, mu, v).
+def _certify(gs, m, p, mu, v, gamma_tilde, P):
+    """KKT certificate for a candidate (p, mu, v) at tolerance _KKT_TOL.
 
     Returns (ok, residual, relative_duality_gap).  The residual is the worst
     over stationarity, the sensing-power law, primal feasibility overshoot
@@ -377,13 +365,13 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P, kkt_tol):
     gval = _dual_value(gs, p, mu, v, gamma_tilde, P)
     rate_val = INV_LN2 * sum(math.log1p(g * x) for g, x in zip(gs, p))
     gap_rel = abs(gval - rate_val) / max(1.0, abs(rate_val))
-    slack_scale = kkt_tol * max(1.0, gamma_tilde, P)
+    slack_scale = _KKT_TOL * max(1.0, gamma_tilde, P)
     residual = max(stat, sens, over_p, over_c, comp_c, comp_p)
     ok = (
-        stat <= kkt_tol
-        and sens <= kkt_tol
-        and over_p <= kkt_tol * max(1.0, P)
-        and over_c <= kkt_tol * max(1.0, gamma_tilde)
+        stat <= _KKT_TOL
+        and sens <= _KKT_TOL
+        and over_p <= _KKT_TOL * max(1.0, P)
+        and over_c <= _KKT_TOL * max(1.0, gamma_tilde)
         and comp_c <= slack_scale
         and comp_p <= slack_scale
         and gap_rel <= 1e-8
@@ -487,19 +475,18 @@ def _newton_lanes(x, val, step, lo, hi, tol):
     return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi)), lo, hi
 
 
-def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes,
-                   settings: SolverSettings):
+def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     """The dual search of :func:`solve_p1` for many budgets of one channel
     at once.
 
     Each budget on the ``dual`` path (see :func:`_solution_paths`) is one
-    lane.  All lanes start from the equal split and run the nested
-    log-scale Newton of :func:`_solve_dual` in lockstep over numpy arrays:
-    each pass evaluates the power map once for every live lane, and each
-    lane keeps its own brackets on log mu and log v, its own tangent step
-    and its own ``settings.max_dual_iters`` budget.  A lane whose values
-    turn non-finite stops unconverged.  Every converged lane is then judged
-    by :func:`_certify`.
+    lane.  All lanes start from the equal split and run the passes of
+    :func:`_solve_dual` in lockstep over numpy arrays: each pass evaluates
+    the power map once for every live lane, and each lane keeps its own
+    brackets on log mu and log v, its own tangent step and its own budget
+    of _MAX_DUAL_ITERS evaluations.  A lane whose values turn non-finite
+    stops unconverged.  Every converged lane is then judged by
+    :func:`_certify`.
 
     Returns one entry per budget, ``None`` off the dual path and else the
     lane's :class:`PowerAllocation`, whose ``iterations`` counts its
@@ -530,7 +517,7 @@ def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes,
     mu, v = np.full(n, np.nan), np.full(n, np.nan)
     with np.errstate(all="ignore"):
         while True:
-            live &= evals < settings.max_dual_iters
+            live &= evals < _MAX_DUAL_ITERS
             i = np.flatnonzero(live)
             if i.size == 0:
                 break
@@ -566,8 +553,7 @@ def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes,
         mu_j, v_j = float(mu[j]), float(v[j])
         ok, res, gap = False, math.nan, math.nan
         if converged[j]:
-            ok, res, gap = _certify(gs, m, p[j].tolist(), mu_j, v_j, float(gt[j]), P,
-                                    settings.kkt_tol)
+            ok, res, gap = _certify(gs, m, p[j].tolist(), mu_j, v_j, float(gt[j]), P)
         allocs[lane] = PowerAllocation(p=p[j], mu=mu_j, v=v_j, iterations=int(evals[j]),
                                        kkt_residual=res, duality_gap=gap)
         certified[lane] = ok
@@ -578,7 +564,6 @@ def solve_p1(
     H: ChannelMatrix,
     scenario: Scenario,
     gamma: float | None = None,
-    settings: SolverSettings | None = None,
     *,
     gamma_tilde: float | None = None,
 ) -> SolveReport:
@@ -597,17 +582,14 @@ def solve_p1(
       reported);
     * full-rank channel whose water-filling already satisfies the CRB
       budget -> water-filling with a zero CRB multiplier;
-    * otherwise both constraints are tight.  The dual pair is found by a
-      Newton search in log mu on the CRB budget, each step solving the
-      power budget for v*(mu) by a Newton search in log v; both searches
-      start from the equal split, keep a sign-change bracket and cap their
-      steps.  The result is then
-      certified against the KKT conditions: ``optimal`` is only reported
-      with a passing certificate, and an exhausted
-      ``settings.max_dual_iters`` budget gives ``iteration_limit``.
+    * otherwise both constraints are tight.  The dual pair is found by
+      :func:`_solve_dual`, Newton steps in log v on the power budget and in
+      log mu on the CRB budget from the equal split, each kept in a
+      sign-change bracket and capped.  The result is then certified against
+      the KKT conditions: ``optimal`` is only reported with a passing
+      certificate, and a search that spends its _MAX_DUAL_ITERS power-map
+      evaluations gives ``iteration_limit``.
     """
-    if settings is None:
-        settings = SolverSettings()
     if (gamma is None) == (gamma_tilde is None):
         raise ValueError("give exactly one of gamma or gamma_tilde")
     m, P, s2 = scenario.M, scenario.P, scenario.sigma_c2
@@ -634,16 +616,16 @@ def solve_p1(
         return _finish(alloc, H, scenario, gamma, gamma_tilde, "optimal")
 
     if path == "waterfill":
-        ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P, settings.kkt_tol)
+        ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P)
         alloc = PowerAllocation(p=wf.p, mu=0.0, v=wf.v, water_level=wf.water_level,
                                 iterations=0, kkt_residual=res, duality_gap=gap)
         return _finish(alloc, H, scenario, gamma, gamma_tilde,
                        "optimal" if ok else "iteration_limit")
 
-    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P, settings.max_dual_iters)
+    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P)
     if p is None:
         return SolveReport(None, None, None, "iteration_limit", gamma_tilde=gamma_tilde)
-    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P, settings.kkt_tol)
+    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P)
     status = "optimal" if (converged and ok) else "iteration_limit"
     alloc = PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
                             kkt_residual=res, duality_gap=gap)

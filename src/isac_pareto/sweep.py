@@ -30,7 +30,7 @@ from .benchmarks import (
 from .closed_form import crb_min_point, rate_max_point
 from .metrics import CRPoint, crb_from_powers, rate_from_powers, trace_budget
 from .scenario import ChannelMatrix, Scenario
-from .solver import SolverSettings, _lockstep_dual, solve_p1
+from .solver import _lockstep_dual, solve_p1
 
 __all__ = ["DEFAULT_SCHEMES", "SweepRow", "SweepResult", "sweep"]
 
@@ -79,10 +79,10 @@ class SweepResult:
         ]
 
 
-def _solve_row(H, scenario, gamma, settings, spent: int = 0) -> SweepRow:
+def _solve_row(H, scenario, gamma, spent: int = 0) -> SweepRow:
     # one row by solve_p1; ``spent`` evaluations of a discarded lane count too
     try:
-        rep = solve_p1(H, scenario, gamma, settings)
+        rep = solve_p1(H, scenario, gamma)
     except Exception as exc:  # annotate, never abort the sweep
         return SweepRow("optimal", gamma, math.nan, math.nan, status=f"error: {exc}")
     if rep.allocation is None:
@@ -93,16 +93,15 @@ def _solve_row(H, scenario, gamma, settings, spent: int = 0) -> SweepRow:
                     kkt_residual=a.kkt_residual, status=rep.status)
 
 
-def _optimal_rows(H, scenario, gammas, settings) -> list[SweepRow]:
+def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
     gamma_tildes = [trace_budget(g, scenario.sigma_s2, scenario.Ns, scenario.L)
                     for g in gammas]
     try:
-        allocs, certified = _lockstep_dual(H, scenario, gamma_tildes,
-                                           settings or SolverSettings())
+        allocs, certified = _lockstep_dual(H, scenario, gamma_tildes)
     except Exception as exc:  # never abort the sweep: solve each row on its own
         warnings.warn(f"lockstep dual search failed ({exc!r}); solving each threshold alone",
                       RuntimeWarning, stacklevel=3)
-        return [_solve_row(H, scenario, g, settings) for g in gammas]
+        return [_solve_row(H, scenario, g) for g in gammas]
     done = [a for a, ok in zip(allocs, certified) if ok]
     p = np.array([a.p for a in done]).reshape(len(done), scenario.M)
     metrics = zip(crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L).tolist(),
@@ -115,32 +114,36 @@ def _optimal_rows(H, scenario, gammas, settings) -> list[SweepRow]:
                                  iterations=a.iterations, kkt_residual=a.kkt_residual,
                                  status="optimal"))
         else:
-            rows.append(_solve_row(H, scenario, g, settings,
-                                   0 if a is None else a.iterations))
+            rows.append(_solve_row(H, scenario, g, 0 if a is None else a.iterations))
     return rows
 
 
 def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
           crb_cap: float | str = "auto",
-          schemes=DEFAULT_SCHEMES,
-          settings: SolverSettings | None = None) -> SweepResult:
+          schemes=DEFAULT_SCHEMES) -> SweepResult:
     """Trace the frontier and benchmark curves over a geometric CRB grid.
 
     The grid runs from the minimum CRB to the rate-maximization endpoint
-    when that is finite, else to ``crb_cap`` (``"auto"`` = 100x the minimum).
-    Benchmark rows report, for each grid threshold, the best sweep point
-    whose CRB fits under it.
+    when that is finite, else to ``crb_cap`` (``"auto"`` = 100x the minimum);
+    a numeric ``crb_cap`` also caps a finite endpoint and must be positive
+    and finite.  Benchmark rows report, for each grid threshold, the best
+    sweep point whose CRB fits under it.
     """
     if n_points < 2:
-        raise ValueError("need at least two grid points")
+        raise ValueError(f"need at least two grid points, got {n_points}")
+    if crb_cap != "auto":
+        crb_cap = float(crb_cap)
+        if not (math.isfinite(crb_cap) and crb_cap > 0.0):
+            raise ValueError(
+                f"crb_cap must be 'auto' or a positive finite number, got {crb_cap}")
     _, pt_min = crb_min_point(H, scenario)
     _, pt_max = rate_max_point(H, scenario)
     lo = pt_min.crb
     capped = not math.isfinite(pt_max.crb)
     if capped:
-        hi = AUTO_CAP_FACTOR * lo if crb_cap == "auto" else float(crb_cap)
+        hi = AUTO_CAP_FACTOR * lo if crb_cap == "auto" else crb_cap
     else:
-        hi = pt_max.crb if crb_cap == "auto" else min(pt_max.crb, float(crb_cap))
+        hi = pt_max.crb if crb_cap == "auto" else min(pt_max.crb, crb_cap)
     hi = max(hi, lo)
     if hi > lo:
         gammas = np.geomspace(lo, hi, n_points)
@@ -149,7 +152,7 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
 
     rows: list[SweepRow] = []
     if "optimal" in schemes:
-        rows.extend(_optimal_rows(H, scenario, gammas, settings))
+        rows.extend(_optimal_rows(H, scenario, gammas))
 
     for scheme, maker in (("ep", power_split_ep), ("sem", power_split_sem)):
         if scheme not in schemes:

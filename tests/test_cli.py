@@ -93,7 +93,8 @@ def test_config_unknown_key_rejected(tmp_path):
     assert main(["sweep", str(path), "--out", str(tmp_path / "x.csv")]) == 1
 
 
-@pytest.mark.parametrize("key", ["max_ellipsoid_iters", "dual_box_initial", "rank_tol"])
+@pytest.mark.parametrize("key", ["max_ellipsoid_iters", "dual_box_initial", "rank_tol",
+                                 "kkt_tol", "max_dual_iters"])
 def test_config_retired_solver_key_rejected(tmp_path, key):
     cfg = dict(SC1)
     cfg["solver"] = {key: 10}
@@ -101,15 +102,6 @@ def test_config_retired_solver_key_rejected(tmp_path, key):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=key):
         load_config(path)
-
-
-def test_config_dual_budget_accepted(tmp_path):
-    cfg = dict(SC1)
-    cfg["solver"] = {"max_dual_iters": 10}
-    path = tmp_path / "budget.json"
-    path.write_text(json.dumps(cfg))
-    _, settings = load_config(path)
-    assert settings.max_dual_iters == 10
 
 
 def test_config_missing_key_rejected(tmp_path):
@@ -230,3 +222,17 @@ def test_zero_channel_fixture_rejected(tmp_path, capsys, command):
     out = ["--out", str(tmp_path / "o.csv")] if command[0] != "point" else []
     assert main([command[0], str(path), *command[1:], *out]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, named", [
+    (["sweep", "--points", "1"], "two grid points"),
+    (["sweep", "--crb-cap", "nan"], "crb_cap"),
+    (["sweep", "--crb-cap", "inf"], "crb_cap"),
+    (["point", "--gamma", "nan"], "--gamma"),
+    (["rate-vs-snr", "--gamma", "nan", "--snr-list", "10,20"], "--gamma"),
+], ids=["points_1", "crb_cap_nan", "crb_cap_inf", "point_gamma_nan", "snr_gamma_nan"])
+def test_malformed_number_rejected(config1, tmp_path, capsys, command, named):
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] != "point" else []
+    assert main([command[0], str(config1), *command[1:], *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err

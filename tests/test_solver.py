@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from isac_pareto.metrics import rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import (
     InactiveChannelError,
-    SolverSettings,
     _power_map_lanes,
     cubic_stationary_root,
     feasibility_check,
@@ -18,6 +18,8 @@ from isac_pareto.solver import (
     solve_p1,
     stationarity_residual,
 )
+
+solver_module = importlib.import_module("isac_pareto.solver")
 
 INV_LN2 = 1.0 / math.log(2.0)
 
@@ -233,13 +235,13 @@ def test_solve_matches_asymptotic_split(fixtures_dir):
     np.testing.assert_allclose(rep.allocation.p, ref.p, rtol=1e-3)
 
 
-def test_solve_iteration_limit_reported():
+def test_solve_iteration_limit_reported(monkeypatch):
     H = ChannelMatrix.from_matrix(np.diag([2.0, 1.0]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=2.0)
-    settings = SolverSettings(max_dual_iters=3)
+    monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 3)
     # water-filling has a trace-inverse load of 2.1333, so a budget of 2.05
     # makes the CRB constraint genuinely tight
-    rep = solve_p1(H, sc, gamma_tilde=2.05, settings=settings)
+    rep = solve_p1(H, sc, gamma_tilde=2.05)
     assert rep.status == "iteration_limit"
 
 

@@ -9,7 +9,7 @@ from battery import stress_links
 from isac_pareto.closed_form import crb_min_point, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
-from isac_pareto.solver import SolverSettings, _certify, _solution_paths, solve_p1
+from isac_pareto.solver import _certify, _solution_paths, solve_p1
 from isac_pareto.sweep import sweep
 
 # the package root re-exports the function ``sweep`` under the module's name
@@ -97,8 +97,9 @@ def test_sweep_degenerate_box_region():
 
 def test_sweep_annotates_failures_without_aborting(scenario1, monkeypatch):
     H, sc = scenario1
-    settings = SolverSettings(max_dual_iters=2)
-    res = sweep(H, sc, 6, settings=settings)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_MAX_DUAL_ITERS", 2)
+        res = sweep(H, sc, 6)
     opt = [r for r in res.rows if r.scheme == "optimal"]
     assert len(opt) == 6
     # the boundary point solves in closed form; tight interior ones cannot
@@ -117,10 +118,10 @@ def test_sweep_annotates_failures_without_aborting(scenario1, monkeypatch):
     solve = sweep_module.solve_p1
     broken = res.gammas[2]
 
-    def raising(H, scenario, gamma, settings):
+    def raising(H, scenario, gamma):
         if gamma == broken:
             raise FloatingPointError("overflow in the dual search")
-        return solve(H, scenario, gamma, settings)
+        return solve(H, scenario, gamma)
 
     monkeypatch.setattr(sweep_module, "solve_p1", raising)
     with pytest.warns(RuntimeWarning, match="overflow in the lockstep search"):
@@ -208,7 +209,7 @@ def test_lockstep_rows_match_cold_solves_on_stress_links():
             crb = crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L)
             rate = rate_from_powers(H.lambdas2, a.p, sc.sigma_c2)
             assert _rel(row.crb, crb) <= 1e-9 and _rel(row.rate, rate) <= 1e-9, (sc, row, a)
-            ok, _, _ = _certify(gs, sc.M, a.p.tolist(), row.mu, row.v, gt, sc.P, 1e-9)
+            ok, _, _ = _certify(gs, sc.M, a.p.tolist(), row.mu, row.v, gt, sc.P)
             assert ok, (sc, row, a)
     assert lanes > 1000
 
@@ -218,20 +219,22 @@ def test_unfinished_lanes_fall_back_to_scalar_rows(monkeypatch):
     # a tiny budget exhausts every lane, and a tiny KKT tolerance fails every
     # certificate; each row is then the row of solve_p1, whose evaluations
     # add to those the lane spent
-    for settings in (SolverSettings(max_dual_iters=3), SolverSettings(kkt_tol=1e-30)):
-        opt = [r for r in sweep(H, sc, 50, settings=settings).rows if r.scheme == "optimal"]
+    for name, value in (("_MAX_DUAL_ITERS", 3), ("_KKT_TOL", 1e-30)):
+        monkeypatch.setattr(solver_module, name, value)
+        opt = [r for r in sweep(H, sc, 50).rows if r.scheme == "optimal"]
         fell_back = 0
         for row in opt:
-            cold = solve_p1(H, sc, row.gamma_target, settings)
+            cold = solve_p1(H, sc, row.gamma_target)
             a = cold.allocation
             assert row.status == cold.status
             assert (row.crb, row.rate, row.mu, row.v, row.kkt_residual) == (
                 cold.achieved.crb, cold.achieved.rate, a.mu, a.v, a.kkt_residual)
             if a.mu > 0.0:
                 assert cold.status == "iteration_limit"
-                assert 1 <= row.iterations - a.iterations <= settings.max_dual_iters
+                assert 1 <= row.iterations - a.iterations <= solver_module._MAX_DUAL_ITERS
                 fell_back += 1
         assert fell_back > 40
+        monkeypatch.undo()
 
     # a lane whose power map turns non-finite stops after that evaluation
     # and falls back alone; the other lanes finish in lockstep
