@@ -359,8 +359,9 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
     ssum = float(sum(p))
     cinv = sum(1.0 / x for x in p) if all(x > 0.0 for x in p) else math.inf
     over_p = max(0.0, ssum - P)
-    over_c = max(0.0, cinv - gamma_tilde) if math.isfinite(cinv) else math.inf
-    comp_c = mu * abs(cinv - gamma_tilde) if math.isfinite(cinv) else math.inf
+    # written so that an infinite budget, met with mu = 0, leaves no inf - inf
+    over_c = 0.0 if cinv <= gamma_tilde else cinv - gamma_tilde
+    comp_c = 0.0 if mu == 0.0 else mu * abs(cinv - gamma_tilde)
     comp_p = v * abs(ssum - P)
     gval = _dual_value(gs, p, mu, v, gamma_tilde, P)
     rate_val = INV_LN2 * sum(math.log1p(g * x) for g, x in zip(gs, p))
@@ -401,7 +402,7 @@ def _solution_paths(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             paths.append("infeasible")
         elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
             paths.append("boundary")
-        elif wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
+        elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
             paths.append("waterfill")
         else:
             paths.append("dual")
@@ -571,8 +572,9 @@ def solve_p1(
 
     Exactly one of ``gamma`` (a CRB threshold) or ``gamma_tilde`` (the
     equivalent budget on tr(Q^-1)) must be given.  The channel rank and
-    gains are those of ``H`` (``H.r`` and ``H.lambdas2``); a rank-0 channel
-    raises ``ValueError``.
+    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).  A rank-0
+    channel, a NaN budget, and an infinite budget on a rank-deficient
+    channel raise ``ValueError``.
 
     Solution path:
 
@@ -597,10 +599,16 @@ def solve_p1(
         raise ValueError(f"channel shape {H.shape} does not match scenario")
     if H.r == 0:
         raise ValueError("channel has rank 0: there is no communication subchannel")
+    name, given = ("gamma", gamma) if gamma_tilde is None else ("gamma_tilde", gamma_tilde)
     if gamma_tilde is None:
         gamma_tilde = trace_budget(gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
     else:
         gamma = crb_from_trace_budget(gamma_tilde, scenario.sigma_s2, scenario.Ns, scenario.L)
+    if math.isnan(gamma_tilde):
+        raise ValueError(f"{name} is NaN")
+    if gamma_tilde == math.inf and H.r < m:
+        raise ValueError(f"{name} = {given} leaves the CRB unbounded on a rank-{H.r} channel "
+                         f"with M = {m}, where the sensing subchannels then have no optimal power")
 
     gs = [float(x) / s2 for x in H.lambdas2]
     (path,), wf = _solution_paths(H, scenario, [gamma_tilde])

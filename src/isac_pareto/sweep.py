@@ -46,7 +46,13 @@ AUTO_CAP_FACTOR = 100.0
 class SweepRow:
     """One row of a sweep.  On an ``optimal``-scheme row, ``iterations``
     counts power-map evaluations: those of the threshold's lockstep lane,
-    plus those of its :func:`solve_p1` fallback if it had one."""
+    plus those of its :func:`solve_p1` fallback if it had one.
+
+    ``mu`` and ``v`` are certified multipliers, but their trailing digits
+    are not determined on full-rank high-power links: a cold
+    :func:`solve_p1` of the same threshold can differ there by up to about
+    1e-4 relative, while ``crb`` and ``rate`` agree within about 1e-14.
+    """
 
     scheme: str
     gamma_target: float

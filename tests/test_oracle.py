@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from isac_pareto.metrics import (
     rotate_from_eigenbasis,
 )
 from isac_pareto.oracle import (
+    _SHRINK_TOL,
+    _dual_box,
+    _grid_values,
+    _log_shrink,
+    _root_bracket,
+    _v_window,
     oracle_dual_grid,
     oracle_primal_grid,
     sample_feasible_covariance,
@@ -46,6 +54,64 @@ def test_dual_grid_rejects_infeasible():
 def test_dual_grid_rejects_rank_zero():
     with pytest.raises(ValueError, match="rank 0"):
         oracle_dual_grid(np.array([]), 2, 1.0, 2.0, 5.0)
+
+
+@pytest.mark.parametrize("gamma_tilde", [math.inf, math.nan])
+def test_dual_grid_rejects_non_finite_budget(gamma_tilde):
+    with pytest.raises(ValueError, match="gamma_tilde must be finite"):
+        oracle_dual_grid(np.array([3.0, 1.0]), 2, 1.0, 2.0, gamma_tilde)
+
+
+def _stationarity(g, mu, v, p):
+    # f(p) = g / ((1 + g p) ln2) + mu / p^2 - v, with its limit at p = 0
+    if p == 0.0:
+        return math.inf if mu > 0.0 else g / math.log(2.0) - v
+    return g / ((1.0 + g * p) * math.log(2.0)) + mu / (p * p) - v
+
+
+def test_root_bracket_holds_the_stationary_power():
+    # f(lo) >= 0 >= f(hi), except that lo = 0 may hold a dry channel's
+    # stationary power of 0 at mu = 0, where f(0) < 0
+    rng = np.random.default_rng(2024)
+    n = 4000
+    g = 10.0 ** rng.uniform(-4, 4, n)
+    v = 10.0 ** rng.uniform(-4, 4, n)
+    mu = np.where(rng.uniform(size=n) < 0.25, 0.0, 10.0 ** rng.uniform(-14, 4, n))
+    dry_faces = 0
+    for gi, mi, vi in zip(g, mu, v):
+        lo, hi = _root_bracket(np.array([gi]), np.array([mi]), np.array([vi]))
+        a, b = float(lo[0, 0]), float(hi[0, 0])
+        assert 0.0 <= a <= b
+        assert _stationarity(gi, mi, vi, b) <= 0.0
+        if a == 0.0 and mi == 0.0 and gi / math.log(2.0) <= vi:
+            dry_faces += 1
+            assert b == 0.0
+        else:
+            assert _stationarity(gi, mi, vi, a) >= 0.0
+    assert dry_faces > 100
+
+
+@pytest.mark.parametrize("m,r", [(3, 3), (6, 6), (4, 2), (8, 5)])
+def test_v_window_holds_the_wide_window_minimizer(m, r):
+    # v*(mu) from a shrink over the generic window [1e-12, _dual_box] lies in
+    # the closed-form window, up to that shrink's own resolution
+    rng = np.random.default_rng(100 * m + r)
+    for _ in range(5):
+        gs = 10.0 ** rng.uniform(-2, 3, r)
+        P = float(10.0 ** rng.uniform(-1, 3))
+        gamma_tilde = m * m / P * float(10.0 ** rng.uniform(0.01, 2))
+        box = _dual_box(gs, P, gamma_tilde)
+        mu = np.concatenate([[0.0], 10.0 ** rng.uniform(-10, math.log10(box), 7)])
+
+        def block(V):
+            MU = np.broadcast_to(mu[:, None], V.shape)
+            return _grid_values(gs, m, MU.ravel(), V.ravel(), gamma_tilde, P).reshape(V.shape)
+
+        v_star, _ = _log_shrink(block, np.full(mu.size, 1e-12), np.full(mu.size, box))
+        lo, hi = _v_window(gs, m, P, mu)
+        slack = math.exp(_SHRINK_TOL)
+        assert np.all(v_star >= lo / slack)
+        assert np.all(v_star <= hi * slack)
 
 
 def test_primal_grid_boundary_equal_split():

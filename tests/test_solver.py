@@ -176,6 +176,25 @@ def test_solve_rank_zero_channel_rejected():
         solve_p1(H, sc, gamma_tilde=2.0)
 
 
+@pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
+def test_solve_non_finite_budgets(preset, request):
+    # a NaN budget is an error; so is an infinite one on a rank-deficient
+    # channel, while a full-rank channel water-fills
+    H, sc = request.getfixturevalue(preset)
+    for name in ("gamma", "gamma_tilde"):
+        with pytest.raises(ValueError, match=f"{name} is NaN"):
+            solve_p1(H, sc, **{name: math.nan})
+        if H.r < sc.M:
+            with pytest.raises(ValueError, match=f"{name} = inf"):
+                solve_p1(H, sc, **{name: math.inf})
+        else:
+            rep = solve_p1(H, sc, **{name: math.inf})
+            assert rep.status == "optimal"
+            assert rep.allocation.mu == 0.0
+            np.testing.assert_array_equal(rep.allocation.p,
+                                          waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M).p)
+
+
 def test_solve_slack_budget_recovers_waterfilling(scenario2):
     H, sc = scenario2
     wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
