@@ -37,6 +37,11 @@ __all__ = [
 
 DEFAULT_BETA_POINTS = 201
 
+# A point whose CRB exceeds a limit by at most this much, relative, still
+# fits under it: a limit and a CRB computed by different formulas (the
+# minimum CRB and the isotropic split's closed form) may differ in rounding.
+_CRB_LIMIT_RTOL = 1e-12
+
 
 class NotApplicableError(ValueError):
     """The scheme is undefined for this scenario (infinite endpoint CRB)."""
@@ -154,15 +159,15 @@ def pareto_indices(points) -> list[int]:
     return sorted(keep)
 
 
-def best_at_crb(points, crb_limit: float, rtol: float = 1e-12) -> CRPoint | None:
+def best_at_crb(points, crb_limit: float) -> CRPoint | None:
     """Highest-rate point whose CRB does not exceed ``crb_limit``.
 
     Of several points with the highest rate, the first one listed wins.
     """
-    return best_at_crbs(points, [crb_limit], rtol)[0]
+    return best_at_crbs(points, [crb_limit])[0]
 
 
-def best_at_crbs(points, crb_limits, rtol: float = 1e-12) -> list[CRPoint | None]:
+def best_at_crbs(points, crb_limits) -> list[CRPoint | None]:
     """For each of ``crb_limits``, the highest-rate point whose CRB does not
     exceed it, or ``None``; of several with the highest rate, the first one
     listed wins.
@@ -178,6 +183,6 @@ def best_at_crbs(points, crb_limits, rtol: float = 1e-12) -> list[CRPoint | None
     rank = np.empty(n, dtype=int)
     rank[by_rank] = np.arange(n)
     prefix_best = np.maximum.accumulate(rank[by_crb])
-    limits = np.asarray(crb_limits, dtype=float) * (1.0 + rtol)
+    limits = np.asarray(crb_limits, dtype=float) * (1.0 + _CRB_LIMIT_RTOL)
     counts = np.searchsorted(crb[by_crb], limits, side="right")
     return [points[by_rank[prefix_best[k - 1]]] if k else None for k in counts.tolist()]

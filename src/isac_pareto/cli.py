@@ -28,7 +28,6 @@ import numpy as np
 
 from .benchmarks import best_at_crb, power_split_ep, power_split_sem
 from .closed_form import crb_min_point
-from .metrics import trace_budget
 from .scenario import (
     PRESET_NAMES,
     FixtureFormatError,
@@ -37,7 +36,7 @@ from .scenario import (
     rician_channel,
     save_fixture,
 )
-from .solver import feasibility_check, solve_p1
+from .solver import solve_p1
 from .sweep import DEFAULT_SCHEMES, SweepRow, sweep
 
 __all__ = ["main", "entrypoint"]
@@ -249,16 +248,15 @@ def cmd_point(args) -> int:
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _, pt_min = crb_min_point(H, scenario)
-    gt = trace_budget(args.gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
-    if not feasibility_check(scenario.M, scenario.P, gt):
+    rep = solve_p1(H, scenario, args.gamma)
+    if rep.status == "infeasible":
+        _, pt_min = crb_min_point(H, scenario)
         print(
             f"error: gamma {args.gamma:.6g} is below the minimum achievable CRB "
             f"{pt_min.crb:.6g} ({_fmt(pt_min.crb)})",
             file=sys.stderr,
         )
         return 2
-    rep = solve_p1(H, scenario, args.gamma)
     payload = _point_payload(scenario, rep, args.gamma)
     if args.json:
         print(json.dumps(payload, allow_nan=True))
@@ -296,11 +294,10 @@ def cmd_rate_vs_snr(args) -> int:
     for snr_db in snrs:
         power = scenario.sigma_c2 * 10.0 ** (snr_db / 10.0)
         scen = dataclasses.replace(scenario, P=power)
-        gt = trace_budget(args.gamma, scen.sigma_s2, scen.Ns, scen.L)
-        if not feasibility_check(scen.M, scen.P, gt):
+        rep = solve_p1(H, scen, args.gamma)
+        if rep.status == "infeasible":
             rows.append([_fmt(snr_db), _fmt(power), "nan", "nan", "nan", "infeasible"])
             continue
-        rep = solve_p1(H, scen, args.gamma)
         ep = best_at_crb(power_split_ep(H, scen).points, args.gamma)
         sem = best_at_crb(power_split_sem(H, scen).points, args.gamma)
         rows.append([

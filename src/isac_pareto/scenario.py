@@ -71,10 +71,10 @@ class Scenario:
             raise ValueError(f"need at least one BS-Rx antenna, got Ns={self.Ns}")
         if self.L <= self.M:
             raise ValueError(f"CPI length must exceed M: L={self.L}, M={self.M}")
-        if self.P <= 0:
-            raise ValueError(f"power budget must be positive, got P={self.P}")
-        if self.sigma_c2 <= 0 or self.sigma_s2 <= 0:
-            raise ValueError("noise variances must be positive")
+        if not 0.0 < self.P < math.inf:
+            raise ValueError(f"power budget must be positive and finite, got P={self.P}")
+        if not (0.0 < self.sigma_c2 < math.inf and 0.0 < self.sigma_s2 < math.inf):
+            raise ValueError("noise variances must be positive and finite")
         if self.Kc < 0:
             raise ValueError(f"Rician factor must be non-negative, got Kc={self.Kc}")
 

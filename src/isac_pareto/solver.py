@@ -12,11 +12,13 @@ mu the power budget fixes v*(mu), and mu is then set by the CRB budget
 along v*(mu).  Each pass evaluates the powers once and takes one
 safeguarded Newton step, in log v until v*(mu) is found and then in log mu.
 
-The search has two forms with the same iteration and arithmetic:
-:func:`solve_p1` runs it in scalar Python for one budget, and a frontier
-sweep runs it for all of its budgets at once over numpy arrays
-(:func:`_lockstep_dual`).  Both judge their result by the same KKT
-certificate, and a lane that fails it is left to :func:`solve_p1`.
+One routine, :func:`_solve_budgets`, decides each budget's path
+(infeasible, the equal-split boundary, water-filling or the dual search)
+and judges every result by the same KKT certificate; :func:`solve_p1`
+calls it for one budget and a frontier sweep for all of its budgets.  The
+search has two forms with the same iteration and arithmetic, chosen by the
+number of budgets: scalar Python for one (:func:`_solve_dual`), and all
+budgets at once over numpy arrays for several (:func:`_lockstep_dual`).
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ _MAX_LOG_STEP = 7.0
 # of one dual search.
 _KKT_TOL = 1e-9
 _MAX_DUAL_ITERS = 2000
+# Relative slack below M^2/P that still counts as a feasible budget.
+_FEASIBILITY_RTOL = 1e-12
 
 
 class InactiveChannelError(ValueError):
@@ -92,16 +96,17 @@ class SolveReport:
     gamma_tilde: float = math.nan
 
 
-def feasibility_check(m: int, P: float, gamma_tilde: float, rtol: float = 1e-12) -> bool:
+def feasibility_check(m: int, P: float, gamma_tilde: float) -> bool:
     """True iff the trace-inverse budget is achievable: gamma_tilde >= M^2/P.
 
     The minimum of sum 1/p_i under sum p_i <= P is M^2/P, attained by the
     equal allocation, so anything below that is infeasible.  A hair of
-    relative tolerance absorbs round-trip conversion error.
+    relative tolerance, _FEASIBILITY_RTOL, absorbs round-trip conversion
+    error.
     """
     if m < 1 or P <= 0.0:
         raise ValueError("need m >= 1 and P > 0")
-    return gamma_tilde >= (m * m / P) * (1.0 - rtol)
+    return gamma_tilde >= (m * m / P) * (1.0 - _FEASIBILITY_RTOL)
 
 
 def sensing_power(mu: float, v: float) -> float:
@@ -380,35 +385,6 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
     return ok, residual, gap_rel
 
 
-def _solution_paths(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
-    """The path :func:`solve_p1` takes for each trace-inverse budget, and the
-    water-filling allocation of a full-rank channel (``None`` otherwise).
-
-    A path is ``infeasible``; ``boundary``, a budget at the minimum M^2/P,
-    met only by the equal split; ``waterfill``, where the water-filling of a
-    full-rank channel already meets the budget; or ``dual``, where both
-    constraints are tight.
-    """
-    m, P = scenario.M, scenario.P
-    wf = None
-    wf_trace_inv = math.inf
-    if H.r == m:
-        wf = waterfill(H.lambdas2, scenario.sigma_c2, P, m=m)
-        if np.all(wf.p > 0.0):
-            wf_trace_inv = float((1.0 / wf.p).sum())
-    paths = []
-    for gamma_tilde in gamma_tildes:
-        if not feasibility_check(m, P, gamma_tilde):
-            paths.append("infeasible")
-        elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
-            paths.append("boundary")
-        elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
-            paths.append("waterfill")
-        else:
-            paths.append("dual")
-    return paths, wf
-
-
 def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     """:func:`_power_map` for each lane of the (n,) arrays mu, v > 0, with
     g the r communication gains and k = m - r sensing subchannels.
@@ -476,34 +452,21 @@ def _newton_lanes(x, val, step, lo, hi, tol):
     return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi)), lo, hi
 
 
-def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
-    """The dual search of :func:`solve_p1` for many budgets of one channel
-    at once.
+def _lockstep_dual(gs, m, gamma_tildes, P):
+    """:func:`_solve_dual` for many budgets of one channel at once.
 
-    Each budget on the ``dual`` path (see :func:`_solution_paths`) is one
-    lane.  All lanes start from the equal split and run the passes of
-    :func:`_solve_dual` in lockstep over numpy arrays: each pass evaluates
-    the power map once for every live lane, and each lane keeps its own
-    brackets on log mu and log v, its own tangent step and its own budget
-    of _MAX_DUAL_ITERS evaluations.  A lane whose values turn non-finite
-    stops unconverged.  Every converged lane is then judged by
-    :func:`_certify`.
+    Each budget is one lane.  All lanes start from the equal split and run
+    the passes of :func:`_solve_dual` in lockstep over numpy arrays: each
+    pass evaluates the power map once for every live lane, and each lane
+    keeps its own brackets on log mu and log v, its own tangent step and its
+    own budget of _MAX_DUAL_ITERS evaluations.  A lane whose values turn
+    non-finite stops unconverged.
 
-    Returns one entry per budget, ``None`` off the dual path and else the
-    lane's :class:`PowerAllocation`, whose ``iterations`` counts its
-    power-map evaluations; and a boolean array that is True where the lane
-    converged and passed the certificate.
+    Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
+    evaluation, the (n,) evaluation counts and the (n,) converged flags.
     """
-    paths, _ = _solution_paths(H, scenario, gamma_tildes)
-    lanes = [i for i, path in enumerate(paths) if path == "dual"]
-    allocs: list[PowerAllocation | None] = [None] * len(paths)
-    certified = np.zeros(len(paths), dtype=bool)
-    if not lanes:
-        return allocs, certified
-    m, P = scenario.M, scenario.P
-    gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
     g, k = np.asarray(gs), m - len(gs)
-    gt = np.asarray(gamma_tildes, dtype=float)[lanes]
+    gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
     c_min = m * m / P
     mu0, v0 = _equal_split_duals(gs, m, P)
@@ -550,15 +513,86 @@ def _lockstep_dual(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             stop = inner_done & outer_done
             converged[i[stop & finite]] = True
             live[i[stop | ~finite]] = False
-    for j, lane in enumerate(lanes):
-        mu_j, v_j = float(mu[j]), float(v[j])
-        ok, res, gap = False, math.nan, math.nan
-        if converged[j]:
-            ok, res, gap = _certify(gs, m, p[j].tolist(), mu_j, v_j, float(gt[j]), P)
-        allocs[lane] = PowerAllocation(p=p[j], mu=mu_j, v=v_j, iterations=int(evals[j]),
-                                       kkt_residual=res, duality_gap=gap)
-        certified[lane] = ok
-    return allocs, certified
+    return mu, v, p, evals, converged
+
+
+def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
+    """Raise ``ValueError`` unless ``H`` is an Nc x M channel of positive rank."""
+    if H.shape != (scenario.Nc, scenario.M):
+        raise ValueError(f"channel shape {H.shape} does not match scenario")
+    if H.r == 0:
+        raise ValueError("channel has rank 0: there is no communication subchannel")
+
+
+def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
+    """Solve the CRB-constrained problem for each trace-inverse budget of one
+    channel; returns one (allocation, status) pair per budget, with
+    allocation ``None`` when there is none to report.
+
+    Each budget takes one of four paths:
+
+    * below the minimum M^2/P -> ``infeasible``;
+    * at the minimum -> the unique feasible point, the equal split, optimal
+      by the AM-HM equality condition (the dual is degenerate there, so no
+      multipliers are reported);
+    * a full-rank channel whose water-filling already meets the budget ->
+      water-filling with a zero CRB multiplier;
+    * otherwise both constraints are tight and the dual pair is searched
+      for: by the scalar :func:`_solve_dual` for a single budget, else by
+      one :func:`_lockstep_dual` over every such budget.
+
+    ``optimal`` is only returned with a passing :func:`_certify`; a search
+    that spends its _MAX_DUAL_ITERS evaluations, ends on a math error or
+    misses the certificate gives ``iteration_limit``.
+    """
+    m, P = scenario.M, scenario.P
+    gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
+    wf = None
+    wf_trace_inv = math.inf
+    if H.r == m:
+        wf = waterfill(H.lambdas2, scenario.sigma_c2, P, m=m)
+        if np.all(wf.p > 0.0):
+            wf_trace_inv = float((1.0 / wf.p).sum())
+    out: list[tuple[PowerAllocation | None, str]] = []
+    dual = []  # indices of the budgets with both constraints tight
+    for j, gamma_tilde in enumerate(gamma_tildes):
+        if not feasibility_check(m, P, gamma_tilde):
+            out.append((None, "infeasible"))
+        elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
+            out.append((PowerAllocation(p=np.full(m, P / m), mu=math.nan, v=math.nan,
+                                        iterations=0, kkt_residual=0.0, duality_gap=0.0),
+                        "optimal"))
+        elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
+            ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P)
+            out.append((PowerAllocation(p=wf.p, mu=0.0, v=wf.v, water_level=wf.water_level,
+                                        iterations=0, kkt_residual=res, duality_gap=gap),
+                        "optimal" if ok else "iteration_limit"))
+        else:
+            out.append((None, "iteration_limit"))  # until a search evaluates it
+            dual.append(j)
+    if len(gamma_tildes) == 1:
+        # a one-lane lockstep search takes about ten times as long
+        for j in dual:
+            mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tildes[j], P)
+            if p is not None:
+                ok, res, gap = _certify(gs, m, p, mu, v, gamma_tildes[j], P)
+                out[j] = (PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
+                                          kkt_residual=res, duality_gap=gap),
+                          "optimal" if (converged and ok) else "iteration_limit")
+    elif dual:
+        gts = [gamma_tildes[j] for j in dual]
+        mu, v, p, evals, converged = _lockstep_dual(gs, m, gts, P)
+        for j, gt, mu_j, v_j, p_j, evals_j, conv_j in zip(
+                dual, gts, mu.tolist(), v.tolist(), p, evals.tolist(), converged.tolist()):
+            # an unconverged lane may hold non-finite powers: only a
+            # converged one is certified
+            ok, res, gap = False, math.nan, math.nan
+            if conv_j:
+                ok, res, gap = _certify(gs, m, p_j.tolist(), mu_j, v_j, gt, P)
+            out[j] = (PowerAllocation(p=p_j, mu=mu_j, v=v_j, iterations=evals_j,
+                                      kkt_residual=res, duality_gap=gap),
+                      "optimal" if ok else "iteration_limit")
+    return out
 
 
 def solve_p1(
@@ -572,33 +606,24 @@ def solve_p1(
 
     Exactly one of ``gamma`` (a CRB threshold) or ``gamma_tilde`` (the
     equivalent budget on tr(Q^-1)) must be given.  The channel rank and
-    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).  A rank-0
-    channel, a NaN budget, and an infinite budget on a rank-deficient
-    channel raise ``ValueError``.
+    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose
+    shape is not Nc x M, a rank-0 channel, a NaN budget, and an infinite
+    budget on a rank-deficient channel raise ``ValueError``.
 
-    Solution path:
-
-    * infeasible budget -> status ``infeasible``;
-    * budget exactly at the minimum M^2/P -> the unique feasible point, the
-      equal allocation (the dual is degenerate there, so no multipliers are
-      reported);
-    * full-rank channel whose water-filling already satisfies the CRB
-      budget -> water-filling with a zero CRB multiplier;
-    * otherwise both constraints are tight.  The dual pair is found by
-      :func:`_solve_dual`, Newton steps in log v on the power budget and in
-      log mu on the CRB budget from the equal split, each kept in a
-      sign-change bracket and capped.  The result is then certified against
-      the KKT conditions: ``optimal`` is only reported with a passing
-      certificate, and a search that spends its _MAX_DUAL_ITERS power-map
-      evaluations gives ``iteration_limit``.
+    The budget takes the path :func:`_solve_budgets` gives it: status
+    ``infeasible`` below the minimum M^2/P; the equal split at it;
+    water-filling with a zero CRB multiplier when that already meets the
+    budget; and otherwise the scalar dual search :func:`_solve_dual`,
+    Newton steps in log v on the power budget and in log mu on the CRB
+    budget from the equal split, each kept in a sign-change bracket and
+    capped.  ``optimal`` is only reported with a passing KKT certificate,
+    and a search that spends its _MAX_DUAL_ITERS power-map evaluations
+    gives ``iteration_limit``.
     """
     if (gamma is None) == (gamma_tilde is None):
         raise ValueError("give exactly one of gamma or gamma_tilde")
-    m, P, s2 = scenario.M, scenario.P, scenario.sigma_c2
-    if H.shape != (scenario.Nc, scenario.M):
-        raise ValueError(f"channel shape {H.shape} does not match scenario")
-    if H.r == 0:
-        raise ValueError("channel has rank 0: there is no communication subchannel")
+    _check_channel(H, scenario)
+    m = scenario.M
     name, given = ("gamma", gamma) if gamma_tilde is None else ("gamma_tilde", gamma_tilde)
     if gamma_tilde is None:
         gamma_tilde = trace_budget(gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
@@ -610,33 +635,9 @@ def solve_p1(
         raise ValueError(f"{name} = {given} leaves the CRB unbounded on a rank-{H.r} channel "
                          f"with M = {m}, where the sensing subchannels then have no optimal power")
 
-    gs = [float(x) / s2 for x in H.lambdas2]
-    (path,), wf = _solution_paths(H, scenario, [gamma_tilde])
-
-    if path == "infeasible":
-        return SolveReport(None, None, None, "infeasible", gamma_tilde=gamma_tilde)
-
-    if path == "boundary":
-        # unique feasible point; optimal by the AM-HM equality condition
-        p = np.full(m, P / m)
-        alloc = PowerAllocation(p=p, mu=math.nan, v=math.nan, iterations=0,
-                                kkt_residual=0.0, duality_gap=0.0)
-        return _finish(alloc, H, scenario, gamma, gamma_tilde, "optimal")
-
-    if path == "waterfill":
-        ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P)
-        alloc = PowerAllocation(p=wf.p, mu=0.0, v=wf.v, water_level=wf.water_level,
-                                iterations=0, kkt_residual=res, duality_gap=gap)
-        return _finish(alloc, H, scenario, gamma, gamma_tilde,
-                       "optimal" if ok else "iteration_limit")
-
-    mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tilde, P)
-    if p is None:
-        return SolveReport(None, None, None, "iteration_limit", gamma_tilde=gamma_tilde)
-    ok, res, gap = _certify(gs, m, p, mu, v, gamma_tilde, P)
-    status = "optimal" if (converged and ok) else "iteration_limit"
-    alloc = PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
-                            kkt_residual=res, duality_gap=gap)
+    (alloc, status), = _solve_budgets(H, scenario, [gamma_tilde])
+    if alloc is None:
+        return SolveReport(None, None, None, status, gamma_tilde=gamma_tilde)
     return _finish(alloc, H, scenario, gamma, gamma_tilde, status)
 
 

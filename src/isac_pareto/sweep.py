@@ -1,21 +1,21 @@
 """Frontier sweep: endpoints, a geometric CRB-threshold grid, per-threshold
 solves and benchmark curves matched to the same grid.
 
-The optimal rows of all thresholds are solved together: one lockstep dual
-search runs every threshold whose solution has both constraints tight
-(:func:`solver._lockstep_dual`), and each row's CRB and rate come in closed
-form from its eigenbasis powers.  A threshold off that path (the equal-split
-boundary or water-filling), and a lane that ends without a passing KKT
-certificate, is solved by :func:`solve_p1`, so every row gets the status a
-:func:`solve_p1` call would give it.  The EP/SEM rows come from closed-form
-metrics of the split powers and one batched selection per scheme
-(:func:`best_at_crbs`).
+The optimal rows of all thresholds are solved together by
+:func:`solver._solve_budgets`, the routine that also serves
+:func:`solve_p1`: it gives each threshold its path (the equal-split
+boundary, water-filling or the dual search), runs one lockstep dual search
+over every threshold whose solution has both constraints tight, and
+certifies each result.  A row left at ``iteration_limit`` gets a second
+opinion from :func:`solve_p1`'s scalar search.  Every row's CRB and rate
+come in closed form from its eigenbasis powers, over one array of all rows.
+The EP/SEM rows come from closed-form metrics of the split powers and one
+batched selection per scheme (:func:`best_at_crbs`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .benchmarks import (
 from .closed_form import crb_min_point, rate_max_point
 from .metrics import CRPoint, crb_from_powers, rate_from_powers, trace_budget
 from .scenario import ChannelMatrix, Scenario
-from .solver import _lockstep_dual, solve_p1
+from .solver import _check_channel, _solve_budgets, solve_p1
 
 __all__ = ["DEFAULT_SCHEMES", "SweepRow", "SweepResult", "sweep"]
 
@@ -46,7 +46,8 @@ AUTO_CAP_FACTOR = 100.0
 class SweepRow:
     """One row of a sweep.  On an ``optimal``-scheme row, ``iterations``
     counts power-map evaluations: those of the threshold's lockstep lane,
-    plus those of its :func:`solve_p1` fallback if it had one.
+    plus those of its :func:`solve_p1` second opinion if it had one; ``crb``
+    and ``rate`` are the closed forms of the row's eigenbasis powers.
 
     ``mu`` and ``v`` are certified multipliers, but their trailing digits
     are not determined on full-rank high-power links: a cold
@@ -85,42 +86,31 @@ class SweepResult:
         ]
 
 
-def _solve_row(H, scenario, gamma, spent: int = 0) -> SweepRow:
-    # one row by solve_p1; ``spent`` evaluations of a discarded lane count too
-    try:
-        rep = solve_p1(H, scenario, gamma)
-    except Exception as exc:  # annotate, never abort the sweep
-        return SweepRow("optimal", gamma, math.nan, math.nan, status=f"error: {exc}")
-    if rep.allocation is None:
-        return SweepRow("optimal", gamma, math.nan, math.nan, status=rep.status)
-    a = rep.allocation
-    return SweepRow("optimal", gamma, rep.achieved.crb, rep.achieved.rate,
-                    mu=a.mu, v=a.v, iterations=spent + a.iterations,
-                    kkt_residual=a.kkt_residual, status=rep.status)
-
-
 def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
     gamma_tildes = [trace_budget(g, scenario.sigma_s2, scenario.Ns, scenario.L)
                     for g in gammas]
-    try:
-        allocs, certified = _lockstep_dual(H, scenario, gamma_tildes)
-    except Exception as exc:  # never abort the sweep: solve each row on its own
-        warnings.warn(f"lockstep dual search failed ({exc!r}); solving each threshold alone",
-                      RuntimeWarning, stacklevel=3)
-        return [_solve_row(H, scenario, g) for g in gammas]
-    done = [a for a, ok in zip(allocs, certified) if ok]
-    p = np.array([a.p for a in done]).reshape(len(done), scenario.M)
+    solved = []
+    for g, (a, status) in zip(gammas, _solve_budgets(H, scenario, gamma_tildes)):
+        spent = 0
+        if status == "iteration_limit":
+            # the scalar search of solve_p1 certifies some lanes that the
+            # lockstep search leaves near the equal-split boundary
+            spent = 0 if a is None else a.iterations
+            rep = solve_p1(H, scenario, g)
+            a, status = rep.allocation, rep.status
+        solved.append((g, a, status, spent))
+    p = np.array([a.p for _, a, _, _ in solved if a is not None]).reshape(-1, scenario.M)
     metrics = zip(crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L).tolist(),
                   rate_from_powers(H.lambdas2, p, scenario.sigma_c2).tolist())
     rows = []
-    for g, a, ok in zip(gammas, allocs, certified):
-        if ok:
+    for g, a, status, spent in solved:
+        if a is None:
+            rows.append(SweepRow("optimal", g, math.nan, math.nan, status=status))
+        else:
             crb, rate = next(metrics)
             rows.append(SweepRow("optimal", g, crb, rate, mu=a.mu, v=a.v,
-                                 iterations=a.iterations, kkt_residual=a.kkt_residual,
-                                 status="optimal"))
-        else:
-            rows.append(_solve_row(H, scenario, g, 0 if a is None else a.iterations))
+                                 iterations=spent + a.iterations,
+                                 kkt_residual=a.kkt_residual, status=status))
     return rows
 
 
@@ -133,8 +123,10 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     when that is finite, else to ``crb_cap`` (``"auto"`` = 100x the minimum);
     a numeric ``crb_cap`` also caps a finite endpoint and must be positive
     and finite.  Benchmark rows report, for each grid threshold, the best
-    sweep point whose CRB fits under it.
+    sweep point whose CRB fits under it.  A channel that is not Nc x M, or
+    has rank 0, raises ``ValueError``.
     """
+    _check_channel(H, scenario)
     if n_points < 2:
         raise ValueError(f"need at least two grid points, got {n_points}")
     if crb_cap != "auto":

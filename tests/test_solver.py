@@ -11,6 +11,7 @@ from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import (
     InactiveChannelError,
     _power_map_lanes,
+    _solve_budgets,
     cubic_stationary_root,
     feasibility_check,
     inner_allocation,
@@ -266,15 +267,23 @@ def test_solve_iteration_limit_reported(monkeypatch):
 
 def test_stress_battery_every_solve_optimal():
     # 400 random links across ranks, Rician factors and 8 decades of power,
-    # each at 8 thresholds from the equal-split boundary to a loose budget
+    # each at 8 thresholds from the equal-split boundary to a loose budget:
+    # one solve_p1 call per threshold (the scalar search), and all 8 of a
+    # link as one batch (the lockstep search), which must certify every
+    # lane on its own, near-boundary ones included
     factors = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
     failed = []
     for trial, (H, sc) in enumerate(stress_links(400)):
         _, lo = crb_min_point(H, sc)
+        gts = []
         for f in factors:
             rep = solve_p1(H, sc, f * lo.crb)
             if rep.status != "optimal":
                 failed.append((trial, f, rep.status))
+            gts.append(rep.gamma_tilde)
+        for f, (_, status) in zip(factors, _solve_budgets(H, sc, gts)):
+            if status != "optimal":
+                failed.append((trial, f, "batch", status))
     assert failed == []
 
 

@@ -9,11 +9,9 @@ from battery import stress_links
 from isac_pareto.closed_form import crb_min_point, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
-from isac_pareto.solver import _certify, _solution_paths, solve_p1
+from isac_pareto.solver import _certify, solve_p1
 from isac_pareto.sweep import sweep
 
-# the package root re-exports the function ``sweep`` under the module's name
-sweep_module = importlib.import_module("isac_pareto.sweep")
 solver_module = importlib.import_module("isac_pareto.solver")
 
 # the two channels whose default grids used to return non-optimal rows
@@ -108,28 +106,6 @@ def test_sweep_annotates_failures_without_aborting(scenario1, monkeypatch):
     assert "iteration_limit" in statuses
     assert all(s in ("optimal", "iteration_limit") for s in statuses)
 
-    # a raising lockstep search falls back to one solve_p1 per row; a solve
-    # that raises becomes an "error: <message>" row, and the rows after it
-    # are still solved
-    def batch_raising(*args):
-        raise FloatingPointError("overflow in the lockstep search")
-
-    monkeypatch.setattr(sweep_module, "_lockstep_dual", batch_raising)
-    solve = sweep_module.solve_p1
-    broken = res.gammas[2]
-
-    def raising(H, scenario, gamma):
-        if gamma == broken:
-            raise FloatingPointError("overflow in the dual search")
-        return solve(H, scenario, gamma)
-
-    monkeypatch.setattr(sweep_module, "solve_p1", raising)
-    with pytest.warns(RuntimeWarning, match="overflow in the lockstep search"):
-        opt = [r for r in sweep(H, sc, 6).rows if r.scheme == "optimal"]
-    assert opt[2].status == "error: overflow in the dual search"
-    assert math.isnan(opt[2].crb) and math.isnan(opt[2].rate)
-    assert all(r.status == "optimal" for r in opt[:2] + opt[3:])
-
 
 @pytest.mark.parametrize("sc", FORMER_FAILURES, ids=FORMER_FAILURE_IDS)
 def test_sweep_default_grid_all_optimal(sc):
@@ -143,6 +119,16 @@ def test_sweep_rejects_single_point(scenario1):
     H, sc = scenario1
     with pytest.raises(ValueError):
         sweep(H, sc, 1)
+
+
+def test_sweep_rejects_channel_that_does_not_fit(scenario2):
+    # before any row is solved: a 6x6 channel under Nc = 7 used to give
+    # four optimal rows and two error rows
+    H, sc = scenario2
+    with pytest.raises(ValueError, match=r"channel shape \(6, 6\) does not match"):
+        sweep(H, dataclasses.replace(sc, Nc=7), 6)
+    with pytest.raises(ValueError, match="rank 0"):
+        sweep(ChannelMatrix.from_matrix(np.zeros((6, 6))), sc, 6)
 
 
 def _rel(a, b):
@@ -180,36 +166,32 @@ def test_sweep_warm_start_matches_cold_solves_on_former_failures(sc):
 
 def test_lockstep_rows_match_cold_solves_on_stress_links():
     # every rank, Rician factor and 8 decades of power on the default grid.
-    # Dual-path rows are compared with the closed-form metrics of the cold
-    # allocation, not with solve_p1's eigvalsh path, whose rate strays from
-    # them on rank-1 line-of-sight links at high power (1.0e-10 relative on
-    # link 9, at P = 4.9e5).  Rows off the dual path come from solve_p1
-    # itself and must equal it exactly.
+    # A row's crb and rate are the closed forms of its powers, so they are
+    # compared with the closed forms of the cold allocation, not with
+    # solve_p1's eigvalsh path.  Rows off the dual path (mu = 0 or nan) come
+    # from the allocation solve_p1 itself returns and must match exactly.
     # On full-rank links at high power the multipliers are ill-determined:
     # the stationarity equations v - mu/p_i^2 = g_i/((1 + g_i p_i) ln 2) are
     # nearly parallel across subchannels, and two certified searches can
-    # differ by 1e-4 in mu and v.  So the multipliers of a row must instead
-    # certify the cold allocation.
+    # differ by 1e-4 in mu and v.  So the multipliers of a dual row must
+    # instead certify the cold allocation.
     lanes = 0
     for H, sc in stress_links(40):
         opt = [r for r in sweep(H, sc, 50).rows if r.scheme == "optimal"]
-        gts = [trace_budget(r.gamma_target, sc.sigma_s2, sc.Ns, sc.L) for r in opt]
-        paths, _ = _solution_paths(H, sc, gts)
         gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
-        for row, path, gt in zip(opt, paths, gts):
+        for row in opt:
             cold = solve_p1(H, sc, row.gamma_target)
             assert row.status == cold.status, (sc, row)
             a = cold.allocation
-            if path != "dual":
-                assert (row.crb, row.rate, row.iterations) == (
-                    cold.achieved.crb, cold.achieved.rate, a.iterations)
+            crb = crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L)
+            rate = rate_from_powers(H.lambdas2, a.p, sc.sigma_c2)
+            if not a.mu > 0.0:
+                assert (row.crb, row.rate, row.iterations) == (crb, rate, a.iterations)
                 assert _rel(row.mu, a.mu) == 0.0 and _rel(row.v, a.v) == 0.0
                 continue
             lanes += 1
-            crb = crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L)
-            rate = rate_from_powers(H.lambdas2, a.p, sc.sigma_c2)
             assert _rel(row.crb, crb) <= 1e-9 and _rel(row.rate, rate) <= 1e-9, (sc, row, a)
-            ok, _, _ = _certify(gs, sc.M, a.p.tolist(), row.mu, row.v, gt, sc.P)
+            ok, _, _ = _certify(gs, sc.M, a.p.tolist(), row.mu, row.v, cold.gamma_tilde, sc.P)
             assert ok, (sc, row, a)
     assert lanes > 1000
 
@@ -228,7 +210,8 @@ def test_unfinished_lanes_fall_back_to_scalar_rows(monkeypatch):
             a = cold.allocation
             assert row.status == cold.status
             assert (row.crb, row.rate, row.mu, row.v, row.kkt_residual) == (
-                cold.achieved.crb, cold.achieved.rate, a.mu, a.v, a.kkt_residual)
+                crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L),
+                rate_from_powers(H.lambdas2, a.p, sc.sigma_c2), a.mu, a.v, a.kkt_residual)
             if a.mu > 0.0:
                 assert cold.status == "iteration_limit"
                 assert 1 <= row.iterations - a.iterations <= solver_module._MAX_DUAL_ITERS
@@ -252,8 +235,9 @@ def test_unfinished_lanes_fall_back_to_scalar_rows(monkeypatch):
     opt = [r for r in sweep(H, sc, 50).rows if r.scheme == "optimal"]
     assert all(r.status == "optimal" for r in opt)
     first = next(r for r in opt if r.mu > 0.0)
-    cold = solve_p1(H, sc, first.gamma_target)
+    a = solve_p1(H, sc, first.gamma_target).allocation
     assert (first.crb, first.rate, first.mu, first.v) == (
-        cold.achieved.crb, cold.achieved.rate, cold.allocation.mu, cold.allocation.v)
-    assert first.iterations == 1 + cold.allocation.iterations
+        crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L),
+        rate_from_powers(H.lambdas2, a.p, sc.sigma_c2), a.mu, a.v)
+    assert first.iterations == 1 + a.iterations
     assert calls[1] == calls[0] - 1
