@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -284,16 +285,18 @@ def cmd_rate_vs_snr(args) -> int:
         scenario = load_config(args.config)
         H = rician_channel(scenario)
         snrs = [_finite("SNR", float(s)) for s in args.snr_list.split(",") if s.strip()]
-    except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
+        # a power that overflows, or is too small for a finite CRB, fails here
+        scens = [dataclasses.replace(scenario, P=scenario.sigma_c2 * 10.0 ** (snr_db / 10.0))
+                 for snr_db in snrs]
+    except (ConfigError, FixtureFormatError, OSError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not snrs:
         print("error: empty --snr-list", file=sys.stderr)
         return 1
     rows = []
-    for snr_db in snrs:
-        power = scenario.sigma_c2 * 10.0 ** (snr_db / 10.0)
-        scen = dataclasses.replace(scenario, P=power)
+    for snr_db, scen in zip(snrs, scens):
+        power = scen.P
         rep = solve_p1(H, scen, args.gamma)
         if rep.status == "infeasible":
             rows.append([_fmt(snr_db), _fmt(power), "nan", "nan", "nan", "infeasible"])
@@ -328,7 +331,10 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and
+    # building it costs about ten times as much as a parse
     parser = argparse.ArgumentParser(
         prog="isac-pareto",
         description="CRB-rate region characterization for a MIMO ISAC link",
@@ -364,7 +370,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fixture)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -75,6 +75,13 @@ class Scenario:
             raise ValueError(f"power budget must be positive and finite, got P={self.P}")
         if not (0.0 < self.sigma_c2 < math.inf and 0.0 < self.sigma_s2 < math.inf):
             raise ValueError("noise variances must be positive and finite")
+        # the minimum trace-inverse budget M^2/P and the minimum CRB bound
+        # every threshold from below; once either overflows, none is finite
+        m2 = self.M * self.M
+        if not (math.isfinite(m2 / self.P)
+                and math.isfinite(self.sigma_s2 * self.Ns * m2 / (self.P * self.L))):
+            raise ValueError(f"power budget P={self.P} is so small that M^2/P or the "
+                             "minimum CRB overflows")
         if self.Kc < 0:
             raise ValueError(f"Rician factor must be non-negative, got Kc={self.Kc}")
 

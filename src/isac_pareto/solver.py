@@ -10,7 +10,12 @@ water-filling solutions, monotone in both multipliers.  The dual pair is
 found by one search on a log scale, started from the equal split: for fixed
 mu the power budget fixes v*(mu), and mu is then set by the CRB budget
 along v*(mu).  Each pass evaluates the powers once and takes one
-safeguarded Newton step, in log v until v*(mu) is found and then in log mu.
+safeguarded Newton step of the joint 2x2 system in (log mu, log v), in its
+Schur form: the CRB residual is predicted to first order at the end of the
+inner Newton step in log v, and once the power-budget residual is small
+against that prediction (an inexact Newton step) the pass moves log mu on
+it and log v by the inner step plus the tangent of v*(mu); until then it
+takes the inner step alone.
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
@@ -60,6 +65,9 @@ _EPS = sys.float_info.epsilon
 # each inner solve for v*(mu) once |log(sum p / P)| is at most this.
 _DUAL_TOL = 1e-13
 _INNER_TOL = 1e-14
+# A pass steps in log mu before the inner search has stopped once
+# |log(S / P)| is at most this fraction of the outer residual.
+_INNER_FRACTION = 0.1
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
 # Tolerance of the KKT certificate, and the budget of power-map evaluations
@@ -286,11 +294,19 @@ def _solve_dual(gs, m, gamma_tilde, P):
     """Dual pair with both constraints tight, by log-scale Newton from the
     equal split: the scalar form of :func:`_lockstep_dual`.
 
-    Each pass evaluates the power map once and takes one Newton step in
-    log v on the power budget.  Once that inner search stops, the pass takes
-    a step in log mu on the CRB budget instead, moves log v along the
-    tangent d log v* / d log mu and opens a new log v bracket.  A math error
-    ends the search unconverged.
+    Each pass evaluates the power map once.  It computes the inner Newton
+    step dx_in in log v on the power budget residual F = log(S / P), and the
+    outer residual on the curve v*(mu) to first order,
+    G = log(C / gamma_tilde) + (v C_v / C) dx_in, with dx_in = 0 once the
+    inner search has stopped: the Schur complement of the joint 2x2 Newton
+    system in (log mu, log v).  Once the inner search has stopped, or
+    |F| <= _INNER_FRACTION |G|, the pass takes a step in log mu: G decides
+    the log mu bracket and the stop test, and the predicted trace inverse
+    C exp((v C_v / C) dx_in) the step.  It then moves log v by dx_in plus
+    the tangent d log v* / d log mu and opens a new log v bracket.
+    Otherwise, and whenever the outer search has stopped before the inner
+    one, the pass takes the inner step.  The search has converged when both
+    have stopped.  A math error ends it unconverged.
 
     Returns (mu, v, powers, evaluations, converged); the powers belong to
     the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
@@ -311,28 +327,35 @@ def _solve_dual(gs, m, gamma_tilde, P):
             _, S, C, S_mu, S_v, C_mu, C_v = last[2]
             # inner search: log(S / P) in log v
             F = math.log(S / P)
-            inner_done, x_next, x_lo, x_hi = _newton_step(
-                x, F, -F * S / (v * S_v), x_lo, x_hi, _INNER_TOL)
-            if not inner_done:
-                x = x_next
-                continue
-            # outer search along v*(mu): log(C / gamma_tilde) decides
-            # convergence; the step acts on log((C - c_min) / (gamma_tilde -
-            # c_min)) instead, which is close to linear in log mu both for
-            # loose CRB budgets and near the equal-split boundary
-            dv_dmu = -S_mu / S_v
-            excess = C - c_min
-            step = math.nan
-            if excess > 0.0:
-                slope = mu * (C_mu + C_v * dv_dmu) / excess
-                step = -math.log(excess / (gamma_tilde - c_min)) / slope
-            converged, t_next, t_lo, t_hi = _newton_step(
-                t, math.log(C / gamma_tilde), step, t_lo, t_hi, _DUAL_TOL)
-            if converged:
-                break
-            x += mu * dv_dmu / v * (t_next - t)
-            x_lo, x_hi = -math.inf, math.inf
-            t = t_next
+            dx_in = -F * S / (v * S_v)
+            inner_done, x_next, x_lo, x_hi = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
+            if inner_done:
+                dx_in = 0.0
+            # outer search along v*(mu), on log(C / gamma_tilde) after the
+            # inner step to first order; the step acts on the excess
+            # log((C - c_min) / (gamma_tilde - c_min)) instead, which is close
+            # to linear in log mu both for loose CRB budgets and near the
+            # equal-split boundary
+            c_v = v * C_v / C
+            G = math.log(C / gamma_tilde) + c_v * dx_in
+            if inner_done or abs(F) <= _INNER_FRACTION * abs(G):
+                dv_dmu = -S_mu / S_v
+                excess = C * math.exp(c_v * dx_in) - c_min
+                step = math.nan
+                if excess > 0.0:
+                    slope = mu * (C_mu + C_v * dv_dmu) / excess
+                    step = -math.log(excess / (gamma_tilde - c_min)) / slope
+                outer_done, t_next, t_lo_next, t_hi_next = _newton_step(
+                    t, G, step, t_lo, t_hi, _DUAL_TOL)
+                if outer_done and inner_done:
+                    converged = True
+                    break
+                if not outer_done:
+                    x = x + dx_in + mu * dv_dmu / v * (t_next - t)
+                    x_lo, x_hi = -math.inf, math.inf
+                    t, t_lo, t_hi = t_next, t_lo_next, t_hi_next
+                    continue
+            x = x_next
     except (ArithmeticError, ValueError):
         pass  # unconverged, with the last completed evaluation
     if last is None:
@@ -458,9 +481,12 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
     Each budget is one lane.  All lanes start from the equal split and run
     the passes of :func:`_solve_dual` in lockstep over numpy arrays: each
     pass evaluates the power map once for every live lane, and each lane
-    keeps its own brackets on log mu and log v, its own tangent step and its
-    own budget of _MAX_DUAL_ITERS evaluations.  A lane whose values turn
-    non-finite stops unconverged.
+    keeps its own brackets on log mu and log v, chooses between the inner
+    and the outer step by the rule of :func:`_solve_dual`, and has its own
+    budget of _MAX_DUAL_ITERS evaluations.  Both steps are computed for
+    every lane and each lane keeps the one it chose, with the arithmetic of
+    the scalar form, so a lane takes exactly the evaluations of that form.
+    A lane whose values turn non-finite stops unconverged.
 
     Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
     evaluation, the (n,) evaluation counts and the (n,) converged flags.
@@ -492,24 +518,31 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
             finite = np.isfinite(S + C + S_mu + S_v + C_mu + C_v)
             # inner search: log(S / P) in log v
             F = np.log(S / P)
+            dx_in = -F * S / (v_i * S_v)
             inner_done, x_next, x_lo_i, x_hi_i = _newton_lanes(
-                x_i, F, -F * S / (v_i * S_v), x_lo[i], x_hi[i], _INNER_TOL)
+                x_i, F, dx_in, x_lo[i], x_hi[i], _INNER_TOL)
+            dx_in = np.where(inner_done, 0.0, dx_in)
             # outer search along v*(mu), as in _solve_dual
+            c_v = v_i * C_v / C
+            G = np.log(C / gt_i) + c_v * dx_in
             dv_dmu = -S_mu / S_v
-            excess = C - c_min
+            excess = C * np.exp(c_v * dx_in) - c_min
             slope = mu_i * (C_mu + C_v * dv_dmu) / excess
             step = np.where(excess > 0.0, -np.log(excess / (gt_i - c_min)) / slope, np.nan)
             outer_done, t_next, t_lo_i, t_hi_i = _newton_lanes(
-                t_i, np.log(C / gt_i), step, t_lo[i], t_hi[i], _DUAL_TOL)
-            # a lane with v*(mu) solved takes its outer step, moving log v
-            # along the tangent d log v* / d log mu and opening a new inner
-            # bracket; any other lane takes its inner step
-            t[i] = np.where(inner_done, t_next, t_i)
-            t_lo[i] = np.where(inner_done, t_lo_i, t_lo[i])
-            t_hi[i] = np.where(inner_done, t_hi_i, t_hi[i])
-            x[i] = np.where(inner_done, x_i + mu_i * dv_dmu / v_i * (t_next - t_i), x_next)
-            x_lo[i] = np.where(inner_done, -np.inf, x_lo_i)
-            x_hi[i] = np.where(inner_done, np.inf, x_hi_i)
+                t_i, G, step, t_lo[i], t_hi[i], _DUAL_TOL)
+            # a lane whose inner search has stopped, or whose inner residual
+            # is small against the outer one while the outer search goes on,
+            # takes its outer step: log v moves by the inner step plus the
+            # tangent d log v* / d log mu and opens a new inner bracket; any
+            # other lane takes its inner step
+            outer = inner_done | ((np.abs(F) <= _INNER_FRACTION * np.abs(G)) & ~outer_done)
+            t[i] = np.where(outer, t_next, t_i)
+            t_lo[i] = np.where(outer, t_lo_i, t_lo[i])
+            t_hi[i] = np.where(outer, t_hi_i, t_hi[i])
+            x[i] = np.where(outer, x_i + dx_in + mu_i * dv_dmu / v_i * (t_next - t_i), x_next)
+            x_lo[i] = np.where(outer, -np.inf, x_lo_i)
+            x_hi[i] = np.where(outer, np.inf, x_hi_i)
             stop = inner_done & outer_done
             converged[i[stop & finite]] = True
             live[i[stop | ~finite]] = False

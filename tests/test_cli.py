@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +237,45 @@ def test_malformed_number_rejected(config1, tmp_path, capsys, command, named):
     assert main([command[0], str(config1), *command[1:], *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("P, command, named", [
+    (1e-320, ["sweep", "--points", "4"], "P=1e-320"),
+    (1.0, ["rate-vs-snr", "--gamma", "0.1", "--snr-list", "10,-3150"], "P=1e-315"),
+    (1.0, ["rate-vs-snr", "--gamma", "0.1", "--snr-list", "10,4000"], "out of range"),
+], ids=["sweep_tiny", "snr_tiny", "snr_huge"])
+def test_power_out_of_range_rejected(tmp_path, capsys, P, command, named):
+    # at P = 1e-320 (or an SNR of -3150 dB) M^2/P and the minimum CRB are
+    # inf, so no threshold can be met or missed; at 4000 dB the power
+    # overflows
+    cfg = dict(SC1, M=4, Nc=3, P=P, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+
+
+def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, capsys):
+    # the argument parser is built once and shared by every call, a failed
+    # parse included
+    calls = [
+        ["sweep", str(config1), "--points", "5", "--out", str(tmp_path / "sweep.csv")],
+        ["point", str(config1), "--gamma", "0.0152", "--json"],
+        ["rate-vs-snr", str(config1), "--gamma", "0.1", "--snr-list", "0,20",
+         "--out", str(tmp_path / "snr.csv")],
+        ["fixture", "--emit", "scenario2", "--seed", "3", "--out", str(tmp_path / "fx.csv")],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        written = Path(argv[-1]).read_bytes() if argv[-2] == "--out" else b""
+        return code, capsys.readouterr().out, written
+
+    first = [run(argv) for argv in calls]
+    with pytest.raises(SystemExit):
+        main(["point", str(config1)])  # --gamma missing
+    capsys.readouterr()
+    again = [run(argv) for argv in reversed(calls)]
+    assert first == again[::-1]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]

@@ -157,6 +157,15 @@ def test_scenario_invariants_rejected(kwargs):
         Scenario(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(P=1e-320),                  # M^2/P overflows
+    dict(P=1e-300, sigma_s2=1e10),   # only the minimum CRB overflows
+])
+def test_scenario_power_with_overflowing_minimum_crb_rejected(kwargs):
+    with pytest.raises(ValueError, match=f"P={kwargs['P']}"):
+        Scenario(M=4, Nc=3, Ns=12, L=200, seed=1, **kwargs)
+
+
 def test_presets_have_expected_shape_and_rank(fixtures_dir):
     s1 = preset_scenario("scenario1")
     H1 = rician_channel(s1)

@@ -10,8 +10,10 @@ from isac_pareto.metrics import rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import (
     InactiveChannelError,
+    _lockstep_dual,
     _power_map_lanes,
     _solve_budgets,
+    _solve_dual,
     cubic_stationary_root,
     feasibility_check,
     inner_allocation,
@@ -265,26 +267,63 @@ def test_solve_iteration_limit_reported(monkeypatch):
     assert rep.status == "iteration_limit"
 
 
+STRESS_FACTORS = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
+
+
 def test_stress_battery_every_solve_optimal():
     # 400 random links across ranks, Rician factors and 8 decades of power,
     # each at 8 thresholds from the equal-split boundary to a loose budget:
     # one solve_p1 call per threshold (the scalar search), and all 8 of a
     # link as one batch (the lockstep search), which must certify every
-    # lane on its own, near-boundary ones included
-    factors = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
+    # lane on its own, near-boundary ones included.  A dual-path result is
+    # the one with evaluations; a batch costs as many passes as its slowest
+    # lane takes evaluations.
     failed = []
+    scalar_evals = []
+    batch_passes = []
     for trial, (H, sc) in enumerate(stress_links(400)):
         _, lo = crb_min_point(H, sc)
         gts = []
-        for f in factors:
+        for f in STRESS_FACTORS:
             rep = solve_p1(H, sc, f * lo.crb)
             if rep.status != "optimal":
                 failed.append((trial, f, rep.status))
+            if rep.allocation is not None and rep.allocation.iterations > 0:
+                scalar_evals.append(rep.allocation.iterations)
             gts.append(rep.gamma_tilde)
-        for f, (_, status) in zip(factors, _solve_budgets(H, sc, gts)):
+        lanes = []
+        for f, (alloc, status) in zip(STRESS_FACTORS, _solve_budgets(H, sc, gts)):
             if status != "optimal":
                 failed.append((trial, f, "batch", status))
+            if alloc is not None and alloc.iterations > 0:
+                lanes.append(alloc.iterations)
+        if lanes:
+            batch_passes.append(max(lanes))
     assert failed == []
+    assert len(scalar_evals) > 2600 and len(batch_passes) > 380
+    assert np.mean(scalar_evals) <= 12.0
+    assert np.mean(batch_passes) <= 14.0
+
+
+def test_scalar_and_lockstep_searches_are_twins():
+    # the two forms run the same iteration with the same arithmetic, so each
+    # lane of a batch takes as many evaluations as the scalar search of its
+    # budget alone, and converges exactly when that does
+    lanes = 0
+    for H, sc in stress_links(60):
+        _, lo = crb_min_point(H, sc)
+        gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) for f in STRESS_FACTORS]
+        dual = [gt for gt, (alloc, _) in zip(gts, _solve_budgets(H, sc, gts))
+                if alloc is not None and alloc.iterations > 0]
+        if not dual:
+            continue
+        gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
+        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, dual, sc.P)
+        for j, gt in enumerate(dual):
+            _, _, _, evals_j, converged_j = _solve_dual(gs, sc.M, gt, sc.P)
+            assert (evals_j, converged_j) == (evals[j], converged[j]), (sc, gt)
+            lanes += 1
+    assert lanes > 300
 
 
 def test_mu_positive_when_rank_deficient(scenario1):
