@@ -29,6 +29,7 @@ import numpy as np
 
 from .benchmarks import best_at_crb, power_split_ep, power_split_sem
 from .closed_form import crb_min_point
+from .metrics import crb_from_powers, rate_from_powers
 from .scenario import (
     PRESET_NAMES,
     FixtureFormatError,
@@ -56,12 +57,7 @@ class ConfigError(ValueError):
 
 def _fmt(x) -> str:
     """Scientific notation with 12 significant digits; inf/nan as literals."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.11e}"
+    return f"{float(x):.11e}"
 
 
 def _parse_kc(value):
@@ -219,7 +215,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _point_payload(scenario, rep, gamma):
+def _closed_form_point(H, scenario, p):
+    """CRB and rate of the eigenbasis allocation ``p``, from the closed forms
+    that sweep rows take theirs from."""
+    return (crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L),
+            rate_from_powers(H.lambdas2, p, scenario.sigma_c2))
+
+
+def _point_payload(rep, gamma, crb, rate):
     """The ``point`` result as a JSON-ready dict.  ``mu`` and ``v`` are
     certified multipliers whose trailing digits are not determined on
     full-rank high-power links (up to about 1e-4 relative between two
@@ -229,8 +232,8 @@ def _point_payload(scenario, rep, gamma):
         "scheme": "optimal",
         "gamma_target": gamma,
         "gamma_tilde": rep.gamma_tilde,
-        "crb": rep.achieved.crb,
-        "rate_bps_hz": rep.achieved.rate,
+        "crb": crb,
+        "rate_bps_hz": rate,
         "mu": a.mu,
         "v": a.v,
         "iterations": a.iterations,
@@ -258,7 +261,12 @@ def cmd_point(args) -> int:
             file=sys.stderr,
         )
         return 2
-    payload = _point_payload(scenario, rep, args.gamma)
+    if rep.allocation is None:
+        print(f"error: the dual search ended before it evaluated a point ({rep.status})",
+              file=sys.stderr)
+        return 3
+    crb, rate = _closed_form_point(H, scenario, rep.allocation.p)
+    payload = _point_payload(rep, args.gamma, crb, rate)
     if args.json:
         print(json.dumps(payload, allow_nan=True))
     else:
@@ -269,10 +277,10 @@ def cmd_point(args) -> int:
         print(f"iterations: {rep.allocation.iterations}  "
               f"kkt_residual: {_fmt(rep.allocation.kkt_residual)}  "
               f"duality_gap: {_fmt(rep.allocation.duality_gap)}")
-        print(f"crb: {_fmt(rep.achieved.crb)}  rate: {_fmt(rep.achieved.rate)} bps/Hz")
+        print(f"crb: {_fmt(crb)}  rate: {_fmt(rate)} bps/Hz")
     if args.out:
         a = rep.allocation
-        row = SweepRow("optimal", args.gamma, rep.achieved.crb, rep.achieved.rate,
+        row = SweepRow("optimal", args.gamma, crb, rate,
                        mu=a.mu, v=a.v, iterations=a.iterations,
                        kkt_residual=a.kkt_residual, status=rep.status)
         _write_csv(Path(args.out), CSV_HEADER, [_csv_row(row)])
@@ -303,9 +311,11 @@ def cmd_rate_vs_snr(args) -> int:
             continue
         ep = best_at_crb(power_split_ep(H, scen).points, args.gamma)
         sem = best_at_crb(power_split_sem(H, scen).points, args.gamma)
+        rate = math.nan
+        if rep.allocation is not None:
+            _, rate = _closed_form_point(H, scen, rep.allocation.p)
         rows.append([
-            _fmt(snr_db), _fmt(power),
-            _fmt(rep.achieved.rate if rep.achieved else math.nan),
+            _fmt(snr_db), _fmt(power), _fmt(rate),
             _fmt(ep.rate if ep else math.nan),
             _fmt(sem.rate if sem else math.nan),
             "ok" if rep.status == "optimal" else rep.status,

@@ -8,6 +8,7 @@ generator that produced it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,17 @@ class Scenario:
             raise ValueError(f"power budget must be positive and finite, got P={self.P}")
         if not (0.0 < self.sigma_c2 < math.inf and 0.0 < self.sigma_s2 < math.inf):
             raise ValueError("noise variances must be positive and finite")
-        # the minimum trace-inverse budget M^2/P and the minimum CRB bound
-        # every threshold from below; once either overflows, none is finite
-        m2 = self.M * self.M
-        if not (math.isfinite(m2 / self.P)
-                and math.isfinite(self.sigma_s2 * self.Ns * m2 / (self.P * self.L))):
-            raise ValueError(f"power budget P={self.P} is so small that M^2/P or the "
-                             "minimum CRB overflows")
+        # the dual search starts from mu = v (P/M)^2, on a log scale; this
+        # also keeps the minimum trace-inverse budget M^2/P finite
+        per_antenna = self.P / self.M
+        if not sys.float_info.min <= per_antenna * per_antenna < math.inf:
+            raise ValueError(f"power budget P={self.P} is so far from 1 that (P/M)^2 "
+                             "is not a normal float")
+        # the minimum CRB bounds every threshold from below; once it
+        # overflows, none is finite
+        if not math.isfinite(self.sigma_s2 * self.Ns * self.M * self.M / (self.P * self.L)):
+            raise ValueError(f"power budget P={self.P} is so small that the minimum CRB "
+                             "overflows")
         if self.Kc < 0:
             raise ValueError(f"Rician factor must be non-negative, got Kc={self.Kc}")
 

@@ -22,8 +22,9 @@ One routine, :func:`_solve_budgets`, decides each budget's path
 and judges every result by the same KKT certificate; :func:`solve_p1`
 calls it for one budget and a frontier sweep for all of its budgets.  The
 search has two forms with the same iteration and arithmetic, chosen by the
-number of budgets: scalar Python for one (:func:`_solve_dual`), and all
-budgets at once over numpy arrays for several (:func:`_lockstep_dual`).
+number of budgets on the dual path: scalar Python, one budget at a time
+(:func:`_solve_dual`), below a measured crossover, and all budgets at once
+over numpy arrays (:func:`_lockstep_dual`) from it on.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ _KKT_TOL = 1e-9
 _MAX_DUAL_ITERS = 2000
 # Relative slack below M^2/P that still counts as a feasible budget.
 _FEASIBILITY_RTOL = 1e-12
+# Fewest dual-path budgets that _solve_budgets hands to the lockstep search
+# (see its docstring for the measurement).
+_LOCKSTEP_MIN_BUDGETS = 24
 
 
 class InactiveChannelError(ValueError):
@@ -284,10 +288,11 @@ def _newton_step(x, val, step, lo, hi, tol):
 
 
 def _equal_split_duals(gs, m, P):
-    # the multipliers the dual searches start from: v averages the rate
-    # slopes at the equal split, whose sensing law fixes mu/v = (P/m)^2
+    # log mu and log v that the dual searches start from: v averages the
+    # rate slopes at the equal split, whose sensing law fixes
+    # mu/v = (P/m)^2; log mu is a sum of logs, as mu itself may underflow
     v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
-    return v0 * (P / m) ** 2, v0
+    return math.log(v0) + 2.0 * math.log(P / m), math.log(v0)
 
 
 def _solve_dual(gs, m, gamma_tilde, P):
@@ -312,8 +317,7 @@ def _solve_dual(gs, m, gamma_tilde, P):
     the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
     """
     c_min = m * m / P
-    mu0, v0 = _equal_split_duals(gs, m, P)
-    t, x = math.log(mu0), math.log(v0)  # log mu, log v
+    t, x = _equal_split_duals(gs, m, P)  # log mu, log v
     t_lo = x_lo = -math.inf
     t_hi = x_hi = math.inf
     evals = 0
@@ -495,9 +499,9 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
     gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
     c_min = m * m / P
-    mu0, v0 = _equal_split_duals(gs, m, P)
-    t = np.full(n, math.log(mu0))  # log mu
-    x = np.full(n, math.log(v0))   # log v
+    t0, x0 = _equal_split_duals(gs, m, P)
+    t = np.full(n, t0)  # log mu
+    x = np.full(n, x0)  # log v
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
     x_lo, x_hi = t_lo.copy(), t_hi.copy()
     evals = np.zeros(n, dtype=int)
@@ -571,12 +575,38 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     * a full-rank channel whose water-filling already meets the budget ->
       water-filling with a zero CRB multiplier;
     * otherwise both constraints are tight and the dual pair is searched
-      for: by the scalar :func:`_solve_dual` for a single budget, else by
-      one :func:`_lockstep_dual` over every such budget.
+      for: by one scalar :func:`_solve_dual` per budget when there are fewer
+      than _LOCKSTEP_MIN_BUDGETS such budgets, else by one
+      :func:`_lockstep_dual` over all of them.
 
     ``optimal`` is only returned with a passing :func:`_certify`; a search
     that spends its _MAX_DUAL_ITERS evaluations, ends on a math error or
     misses the certificate gives ``iteration_limit``.
+
+    A lockstep batch costs about as many passes as its slowest lane takes
+    evaluations, and each pass has a fixed numpy overhead, so it only beats
+    n scalar searches for large n.  Measured per stress link (mean over the
+    first 60 of ``tests/battery.stress_links``), with n budgets log-spaced
+    from M^2/P (1 + 1e-6) to the smaller of 1e3 M^2/P and just below the
+    water-filling load, all on the dual path, each the best of three runs
+    (Python 3.11, numpy 2.4, 2 vCPUs; the rows from 16 on are the median of
+    three such measurements, 28 the mean of two):
+
+    ====  ===========  =============  ===============
+     n    scalar (ms)  lockstep (ms)  lockstep passes
+    ====  ===========  =============  ===============
+     2        0.7           6.7            24.7
+     8        2.4           6.4            25.6
+     12       3.3           6.3            25.6
+     16       4.8           7.2            25.6
+     20       6.2           7.2            25.7
+     24       7.7           7.8            25.6
+     28       8.9           7.6            25.7
+     32       9.2           7.0            25.8
+     50      17.4           9.2            26.0
+    ====  ===========  =============  ===============
+
+    So the crossover, _LOCKSTEP_MIN_BUDGETS, is 24 budgets.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -603,8 +633,7 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
         else:
             out.append((None, "iteration_limit"))  # until a search evaluates it
             dual.append(j)
-    if len(gamma_tildes) == 1:
-        # a one-lane lockstep search takes about ten times as long
+    if len(dual) < _LOCKSTEP_MIN_BUDGETS:
         for j in dual:
             mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tildes[j], P)
             if p is not None:

@@ -1,14 +1,18 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isac_pareto.cli import ConfigError, load_config, main
+from isac_pareto.cli import ConfigError, _fmt, load_config, main
+from isac_pareto.closed_form import crb_min_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers
-from isac_pareto.scenario import load_fixture, save_fixture
+from isac_pareto.scenario import Scenario, load_fixture, rician_channel, save_fixture
+from isac_pareto.solver import solve_p1
 
 SC1 = {
     "M": 8, "Nc": 6, "Ns": 12, "L": 200,
@@ -49,6 +53,12 @@ def test_sweep_csv_schema_and_first_crb(config1, tmp_path, capsys):
         "scheme", "gamma_target", "crb", "rate_bps_hz", "mu", "v",
         "iterations", "kkt_residual", "status",
     ]
+    # every number is in scientific notation, or a nan/inf literal
+    number = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}|nan|-?inf")
+    for row in rows:
+        for key in ("gamma_target", "crb", "rate_bps_hz", "mu", "v", "kkt_residual"):
+            assert number.fullmatch(row[key]), (key, row[key])
+    assert {r["crb"] for r in rows} & {"nan", "inf"}
     opt = [r for r in rows if r["scheme"] == "optimal"]
     assert float(opt[0]["crb"]) == pytest.approx(0.0048, abs=1e-12)
     # 12 significant digits, scientific notation
@@ -80,9 +90,8 @@ def test_sweep_infinity_serialized_as_inf(config1, tmp_path):
     assert "inf" not in raw.split("\n")[0]  # header clean
     # beta = 1 rows are filtered by the per-threshold selection, so force one
     # through the point of this check: the formatter itself
-    from isac_pareto.cli import _fmt
-
     assert _fmt(math.inf) == "inf"
+    assert _fmt(-math.inf) == "-inf"
     assert _fmt(math.nan) == "nan"
 
 
@@ -254,6 +263,62 @@ def test_power_out_of_range_rejected(tmp_path, capsys, P, command, named):
     assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("P", [6e-307, 1e-300, 1e-250, 1e-200])
+def test_sweep_rejects_power_whose_square_is_subnormal(tmp_path, capsys, P):
+    # the dual search starts from mu = v (P/M)^2, which is not a normal float
+    cfg = dict(SC1, M=4, Nc=3, P=P, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(path), "--points", "4", "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"P={P}" in err, err
+
+
+def test_point_reports_closed_form_metrics_on_tiny_mu_link(tmp_path, capsys):
+    # stress link 257 at 1e6 x CRB_min: one sensing power is about 1e-7 of
+    # the others, and an eigvalsh of the assembled covariance strays from the
+    # closed-form CRB of the same powers by about 1e-9; point reports the
+    # closed forms, as sweep rows do
+    cfg = dict(SC1, M=16, Nc=15, L=200, P=432.5423698243096, Kc=1.0, seed=257)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sc = Scenario(**cfg)
+    H = rician_channel(sc)
+    gamma = repr(1e6 * crb_min_point(H, sc)[1].crb)
+    out = tmp_path / "point.csv"
+    assert main(["point", str(path), "--gamma", gamma, "--json", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.0 < payload["mu"] < 1e-12
+    p = np.asarray(payload["p"])
+    crb = crb_from_powers(p, sc.sigma_s2, sc.Ns, sc.L)
+    rate = rate_from_powers(H.lambdas2, p, sc.sigma_c2)
+    assert (payload["crb"], payload["rate_bps_hz"]) == (crb, rate)
+    row = _read_csv(out)[0]
+    assert (row["crb"], row["rate_bps_hz"]) == (_fmt(crb), _fmt(rate))
+    assert main(["point", str(path), "--gamma", gamma]) == 0
+    assert f"crb: {_fmt(crb)}  rate: {_fmt(rate)} bps/Hz" in capsys.readouterr().out
+    snr = repr(10.0 * math.log10(sc.P / sc.sigma_c2))
+    assert main(["rate-vs-snr", str(path), "--gamma", gamma, "--snr-list", snr,
+                 "--out", str(tmp_path / "snr.csv")]) == 0
+    at_snr = dataclasses.replace(sc, P=sc.sigma_c2 * 10.0 ** (float(snr) / 10.0))
+    p = solve_p1(H, at_snr, float(gamma)).allocation.p
+    snr_row = _read_csv(tmp_path / "snr.csv")[0]
+    assert snr_row["rate_optimal"] == _fmt(rate_from_powers(H.lambdas2, p, sc.sigma_c2))
+
+
+def test_point_reports_a_search_that_evaluated_nothing(tmp_path, capsys):
+    # gains near 1e-300 make mu underflow to 0 at the first evaluation, so
+    # solve_p1 has no allocation to report
+    cfg = dict(SC1, M=4, Nc=3, P=1e-15, sigma_c2=1e300, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sc = Scenario(**cfg)
+    gamma = repr(3.0 * crb_min_point(rician_channel(sc), sc)[1].crb)
+    assert main(["point", str(path), "--gamma", gamma]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iteration_limit" in err, err
 
 
 def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, capsys):

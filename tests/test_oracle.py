@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from isac_pareto.metrics import (
     rotate_from_eigenbasis,
 )
 from isac_pareto.oracle import (
+    _SHRINK_POINTS,
     _SHRINK_TOL,
     _dual_box,
     _grid_values,
     _log_shrink,
     _root_bracket,
+    _simplex_grid,
     _v_window,
     oracle_dual_grid,
     oracle_primal_grid,
@@ -22,6 +25,8 @@ from isac_pareto.oracle import (
 )
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
 from isac_pareto.solver import solve_p1
+
+oracle_module = importlib.import_module("isac_pareto.oracle")
 
 
 def test_dual_grid_boundary_budget_uniform():
@@ -112,6 +117,37 @@ def test_v_window_holds_the_wide_window_minimizer(m, r):
         slack = math.exp(_SHRINK_TOL)
         assert np.all(v_star >= lo / slack)
         assert np.all(v_star <= hi * slack)
+
+
+def test_log_shrink_edges_and_flat_rows():
+    # four rows at once, one window [1, 1e6] each: a minimum inside it, one
+    # far beyond each edge, and a flat function; every call evaluates a
+    # _SHRINK_POINTS-wide row of points per problem
+    centres = np.array([3.7e2, 4.2e11, 2.5e-9, np.nan])
+    widths = []
+
+    def values(x):
+        widths.append(x.shape)
+        vals = (np.log(x) - np.log(centres)[:, None]) ** 2
+        vals[3] = 1.5
+        return vals
+
+    x, val = _log_shrink(values, np.ones(4), np.full(4, 1e6))
+    assert _SHRINK_POINTS == 16
+    assert all(shape == (4, _SHRINK_POINTS) for shape in widths)
+    assert np.all(np.abs(np.log(x[:3] / centres[:3])) <= _SHRINK_TOL)
+    assert np.all(val[:3] <= _SHRINK_TOL ** 2)
+    # the flat row stops at once, on its first point
+    assert (x[3], val[3]) == (1.0, 1.5)
+
+    calls = []
+
+    def flat(x):
+        calls.append(x.shape)
+        return np.zeros(x.shape)
+
+    x, val = _log_shrink(flat, np.array([2.0]), np.array([8.0]))
+    assert calls == [(1, _SHRINK_POINTS)] and (x[0], val[0]) == (2.0, 0.0)
 
 
 def test_primal_grid_boundary_equal_split():
@@ -257,3 +293,60 @@ def test_oracles_agree_at_loose_budget_low_power(fixtures_dir, case):
     assert abs(primal_rate - rep.achieved.rate) <= 1e-4
     dual_value = rate_from_powers(H.lambdas2, dual.p, sc.sigma_c2) + dual.duality_gap
     assert primal_rate <= dual_value + 1e-9
+
+
+def _cube_grid(P, m, steps, gamma_tilde):
+    # the whole steps^m grid, then the two float masks of _simplex_grid
+    axis = np.linspace(P / steps, P, steps)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*[axis] * m, indexing="ij")], axis=1)
+    mask = pts.sum(axis=1) <= P * (1.0 + 1e-12)
+    pts = pts[mask]
+    mask = (1.0 / pts).sum(axis=1) <= gamma_tilde * (1.0 + 1e-12)
+    return pts[mask], int(mask.size)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_simplex_grid_is_the_masked_cube(m):
+    # enumerating only index tuples that can lie in the simplex keeps every
+    # candidate, bit for bit and in the same order
+    rng = np.random.default_rng(31 + m)
+    for steps in (2, 3, 7, 120) + ((1000,) if m == 2 else ()):
+        for _ in range(2):
+            P = float(10.0 ** rng.uniform(-3, 5))
+            gamma_tilde = m * m / P * float(10.0 ** rng.uniform(0.0, 3.0))
+            pts, evaluated = _simplex_grid(P, m, steps, gamma_tilde)
+            want, want_evaluated = _cube_grid(P, m, steps, gamma_tilde)
+            assert evaluated == want_evaluated
+            assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", [PRIMAL_REPRODUCERS[0], LOOSE_CASES[0]],
+                         ids=lambda c: c[0])
+def test_primal_grid_bit_identical_to_cube_enumeration(fixtures_dir, case, monkeypatch):
+    H, sc, rep = _optimal_solve(fixtures_dir, *case)
+    args = (H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde, 1000 if sc.M == 2 else 120)
+    got = oracle_primal_grid(*args)
+    monkeypatch.setattr(oracle_module, "_simplex_grid", _cube_grid)
+    want = oracle_primal_grid(*args)
+    assert got.p.tobytes() == want.p.tobytes()
+    assert (got.iterations, got.kkt_residual) == (want.iterations, want.kkt_residual)
+
+
+def test_dual_grid_work_bound_on_pinned_fixtures(fixtures_dir, monkeypatch):
+    # a deterministic count of the dual grid's work: its _grid_values calls,
+    # one per shrink step and candidate, summed over every pinned fixture.
+    # With 16-point windows they number 924; 8-point windows took 2148.
+    calls = []
+    grid_values = oracle_module._grid_values
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return grid_values(*args)
+
+    monkeypatch.setattr(oracle_module, "_grid_values", counted)
+    for case in DUAL_REPRODUCERS + PRIMAL_REPRODUCERS + LOOSE_CASES:
+        H, sc, rep = _optimal_solve(fixtures_dir, *case)
+        alloc = oracle_dual_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+        assert abs(rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2)
+                   - rep.achieved.rate) <= 1e-5 * max(1.0, rep.achieved.rate)
+    assert len(calls) <= 924

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ def test_scenario_invariants_rejected(kwargs):
 def test_scenario_power_with_overflowing_minimum_crb_rejected(kwargs):
     with pytest.raises(ValueError, match=f"P={kwargs['P']}"):
         Scenario(M=4, Nc=3, Ns=12, L=200, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("P", [6e-307, 1e-300, 1e-250, 1e-200, 1e160])
+def test_scenario_power_whose_square_per_antenna_is_not_normal_rejected(P):
+    # the dual search starts from mu = v (P/M)^2; below about 1e-154 M that
+    # square is subnormal or 0, above about 1e154 M it overflows
+    with pytest.raises(ValueError, match=re.escape(f"P={P}")):
+        Scenario(M=4, Nc=3, Ns=12, L=200, P=P, seed=1)
 
 
 def test_presets_have_expected_shape_and_rank(fixtures_dir):

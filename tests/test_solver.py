@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -6,8 +7,8 @@ import pytest
 
 from battery import stress_links
 from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
-from isac_pareto.metrics import rate_from_powers, trace_budget
-from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture
+from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
+from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
     InactiveChannelError,
     _lockstep_dual,
@@ -21,6 +22,7 @@ from isac_pareto.solver import (
     solve_p1,
     stationarity_residual,
 )
+from isac_pareto.sweep import sweep
 
 solver_module = importlib.import_module("isac_pareto.solver")
 
@@ -270,14 +272,16 @@ def test_solve_iteration_limit_reported(monkeypatch):
 STRESS_FACTORS = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
 
 
-def test_stress_battery_every_solve_optimal():
+def test_stress_battery_every_solve_optimal(monkeypatch):
     # 400 random links across ranks, Rician factors and 8 decades of power,
     # each at 8 thresholds from the equal-split boundary to a loose budget:
     # one solve_p1 call per threshold (the scalar search), and all 8 of a
-    # link as one batch (the lockstep search), which must certify every
-    # lane on its own, near-boundary ones included.  A dual-path result is
-    # the one with evaluations; a batch costs as many passes as its slowest
-    # lane takes evaluations.
+    # link as one batch (the lockstep search, which _solve_budgets is made
+    # to take for so few budgets), which must certify every lane on its
+    # own, near-boundary ones included.  A dual-path result is the one with
+    # evaluations; a batch costs as many passes as its slowest lane takes
+    # evaluations.
+    monkeypatch.setattr(solver_module, "_LOCKSTEP_MIN_BUDGETS", 2)
     failed = []
     scalar_evals = []
     batch_passes = []
@@ -324,6 +328,97 @@ def test_scalar_and_lockstep_searches_are_twins():
             assert (evals_j, converged_j) == (evals[j], converged[j]), (sc, gt)
             lanes += 1
     assert lanes > 300
+
+
+def test_tiny_power_still_solves():
+    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1e-100, seed=1)
+    H = rician_channel(sc)
+    _, lo = crb_min_point(H, sc)
+    rep = solve_p1(H, sc, 3.0 * lo.crb)
+    assert rep.status == "optimal" and rep.allocation.mu > 0.0
+
+
+def test_dual_searches_start_where_mu_underflows():
+    # with gains near 1e-300, mu = v (P/M)^2 at the equal split underflows to
+    # 0; the searches start from its logarithm instead of raising on log(0)
+    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1e-15, sigma_c2=1e300, seed=1)
+    H = rician_channel(sc)
+    gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
+    _, lo = crb_min_point(H, sc)
+    gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
+    assert solver_module._equal_split_duals(gs, sc.M, sc.P)[0] < math.log(5e-324)
+    _solve_dual(gs, sc.M, gt, sc.P)
+    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt], sc.P)
+    assert solve_p1(H, sc, 3.0 * lo.crb).status in ("optimal", "iteration_limit")
+    rows = [r for r in sweep(H, sc, 6).rows if r.scheme == "optimal"]
+    assert len(rows) == 6
+
+
+def _dual_budgets(H, sc, n):
+    # n budgets log-spaced from just above M^2/P to the smaller of 1e3 M^2/P
+    # and just below the water-filling load; all are on the dual path unless
+    # that load is within 1e-6 of M^2/P, and then none is returned
+    c_min = sc.M * sc.M / sc.P
+    hi = 1e3 * c_min
+    if H.r == sc.M:
+        wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
+        if np.all(wf.p > 0.0):
+            hi = min(hi, float((1.0 / wf.p).sum()) * (1.0 - 1e-6))
+    lo = c_min * (1.0 + 1e-6)
+    return list(lo * (hi / lo) ** np.linspace(0.0, 1.0, n)) if hi > lo else []
+
+
+def test_dispatch_rows_agree_on_both_sides_of_the_crossover(monkeypatch):
+    # below _LOCKSTEP_MIN_BUDGETS dual budgets each runs the scalar search,
+    # from it on all run in one lockstep batch; the two forms are twins, so
+    # every budget gets the same status, evaluations and closed-form metrics
+    forms = []
+    for name in ("_solve_dual", "_lockstep_dual"):
+        search = getattr(solver_module, name)
+
+        def spy(*args, _search=search, _name=name):
+            forms.append(_name)
+            return _search(*args)
+
+        monkeypatch.setattr(solver_module, name, spy)
+    n = solver_module._LOCKSTEP_MIN_BUDGETS
+    lanes = 0
+    for H, sc in stress_links(12):
+        gts = _dual_budgets(H, sc, n)
+        if not gts:
+            continue
+        forms.clear()
+        batch = _solve_budgets(H, sc, gts)
+        assert forms == ["_lockstep_dual"]
+        forms.clear()
+        alone = _solve_budgets(H, sc, gts[:-1])
+        assert forms == ["_solve_dual"] * (n - 1)
+        for (a, status), (b, status_b) in zip(batch, alone):
+            assert status == status_b == "optimal", (sc, status, status_b)
+            assert a.iterations == b.iterations > 0
+            for x, y in ((crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L),
+                          crb_from_powers(b.p, sc.sigma_s2, sc.Ns, sc.L)),
+                         (rate_from_powers(H.lambdas2, a.p, sc.sigma_c2),
+                          rate_from_powers(H.lambdas2, b.p, sc.sigma_c2))):
+                assert abs(x - y) <= 1e-9 * abs(y), (sc, x, y)
+            lanes += 1
+    assert lanes > 200
+
+
+def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
+    batches = []
+    search = solver_module._lockstep_dual
+
+    def spy(gs, m, gts, P):
+        batches.append(len(gts))
+        return search(gs, m, gts, P)
+
+    monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
+    for H, sc in (scenario1, scenario2):
+        for P in (8.0, 800.0):
+            batches.clear()
+            sweep(H, dataclasses.replace(sc, P=P), 50)
+            assert len(batches) == 1 and batches[0] >= solver_module._LOCKSTEP_MIN_BUDGETS
 
 
 def test_mu_positive_when_rank_deficient(scenario1):
