@@ -34,7 +34,6 @@ from .metrics import (
     rate,
     rate_from_powers,
     rotate_from_eigenbasis,
-    rotate_to_eigenbasis,
     trace_budget,
 )
 from .oracle import oracle_dual_grid, oracle_primal_grid, sample_feasible_covariance
@@ -49,12 +48,9 @@ from .scenario import (
     steering_vector,
 )
 from .solver import (
-    InactiveChannelError,
     SolveReport,
     cubic_stationary_root,
     feasibility_check,
-    inner_allocation,
-    sensing_power,
     solve_p1,
     stationarity_residual,
 )

@@ -3,9 +3,11 @@ tables, channel fixture generation, CSV emission and plot-script generation.
 
 Scenario configs are JSON files carrying exactly the Scenario fields plus an
 optional "fixture_path"; unknown keys are rejected, with their values, to
-catch typos and retired settings.  Malformed numbers on the command line
-(a non-finite threshold or cap, fewer than two grid points) exit with
-status 1, as bad configs do.
+catch typos and retired settings.  So are a boolean value, a non-integral
+count or seed and a non-string fixture path, which JSON can carry but no
+Scenario field takes.  Malformed numbers on the command line (a non-finite
+threshold or cap, fewer than two grid points) exit with status 1, as bad
+configs do.
 
 The ``mu`` and ``v`` that ``sweep`` and ``point`` print are certified KKT
 multipliers, but their trailing digits are not determined on full-rank
@@ -89,8 +91,17 @@ def load_config(path) -> Scenario:
     missing = _SCENARIO_KEYS - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    for key in sorted(_SCENARIO_KEYS):
+        value = raw[key]
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        if (key in ("M", "Nc", "Ns", "L", "seed") and isinstance(value, float)
+                and not value.is_integer()):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     fixture = raw.get("fixture_path")
     if fixture is not None:
+        if not isinstance(fixture, str):
+            raise ConfigError(f"fixture_path must be a string, got {fixture!r}")
         fixture = str((path.parent / fixture).resolve()) if not Path(fixture).is_absolute() else fixture
     try:
         scenario = Scenario(

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import (
-    LN2,
-    CRPoint,
-    TransmitCovariance,
-    assemble_covariance,
-    crb_from_powers,
-    rate_from_powers,
-)
+from .metrics import LN2, CRPoint, crb_from_powers, rate_from_powers
 from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
@@ -48,10 +41,6 @@ class PowerAllocation:
     iterations: int = 0
     kkt_residual: float = math.nan
     duality_gap: float = math.nan
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.p))
 
 
 def waterfill(lambdas2, sigma_c2: float, P: float, m: int | None = None) -> PowerAllocation:
@@ -122,31 +111,30 @@ def p0_threshold(lambdas2, sigma_c2: float) -> float:
     return float(np.sum(sigma_c2 / worst - sigma_c2 / lam2))
 
 
-def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[TransmitCovariance, CRPoint]:
-    """Rate-maximization endpoint: water-filled covariance and its C-R pair.
+def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation, CRPoint]:
+    """Rate-maximization endpoint: the water-filling allocation and its C-R pair.
 
-    The CRB coordinate is infinite when the water-filled covariance is rank
-    deficient, i.e. when the channel rank is below M or the power does not
-    clear :func:`p0_threshold`.
+    The CRB coordinate is infinite when the water-filled powers leave a
+    subchannel dry, i.e. when the channel rank is below M or the power does
+    not clear :func:`p0_threshold`.
     """
     wf = waterfill(H.lambdas2, scenario.sigma_c2, scenario.P, m=scenario.M)
-    Q = assemble_covariance(H.Vc, wf.p, budget=scenario.P)
     crb = crb_from_powers(wf.p, scenario.sigma_s2, scenario.Ns, scenario.L)
     rate_val = rate_from_powers(H.lambdas2, wf.p, scenario.sigma_c2)
-    return Q, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="waterfill")
+    return wf, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="waterfill")
 
 
-def crb_min_point(H: ChannelMatrix, scenario: Scenario) -> tuple[TransmitCovariance, CRPoint]:
-    """CRB-minimization endpoint: isotropic covariance (P/M) I and its pair.
+def crb_min_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation, CRPoint]:
+    """CRB-minimization endpoint: the equal split P/M and its C-R pair.
 
-    The minimum CRB has the closed form sigma_s2*Ns*M^2/(P*L).
+    Its covariance is (P/M) I in any basis.  The minimum CRB has the closed
+    form sigma_s2*Ns*M^2/(P*L).
     """
     m, P = scenario.M, scenario.P
-    Q = TransmitCovariance(Q=(P / m) * np.eye(m, dtype=complex), budget=P)
+    uniform = PowerAllocation(p=np.full(m, P / m))
     crb = scenario.sigma_s2 * scenario.Ns * m * m / (P * scenario.L)
-    uniform = np.full(m, P / m)
-    rate_val = rate_from_powers(H.lambdas2, uniform, scenario.sigma_c2)
-    return Q, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="crbmin")
+    rate_val = rate_from_powers(H.lambdas2, uniform.p, scenario.sigma_c2)
+    return uniform, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="crbmin")
 
 
 def asymptotic_allocation(r: int, m: int, P: float, gamma_tilde: float) -> PowerAllocation:

@@ -1,8 +1,11 @@
-"""Transmit covariance type and the two link metrics: rate and CRB trace.
+"""The two link metrics, rate and CRB, in closed form and in matrix form.
 
-Also hosts the unitary rotation identities used to move between the antenna
-basis and the channel eigenbasis, and the covariance assembly from a
-per-subchannel power vector.
+Every allocation the library produces is diagonal in the channel
+eigenbasis, Q = Vc diag(p) Vc^H, so both metrics come in closed form from
+the powers p (:func:`rate_from_powers`, :func:`crb_from_powers`).  The
+matrix forms (:func:`rate`, :func:`crb_trace`), the covariance type, its
+assembly from a power vector and the rotation into the antenna basis serve
+the solver's report and the tests that check the closed forms against them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "crb_from_powers",
     "trace_budget",
     "crb_from_trace_budget",
-    "rotate_to_eigenbasis",
     "rotate_from_eigenbasis",
     "assemble_covariance",
 ]
@@ -163,14 +165,11 @@ def crb_from_trace_budget(gamma_tilde: float, sigma_s2: float, Ns: int, L: int) 
     return sigma_s2 * Ns * gamma_tilde / L
 
 
-def rotate_to_eigenbasis(Q, Vc: np.ndarray) -> np.ndarray:
-    """Express a covariance in the channel eigenbasis: Vc^H Q Vc."""
-    Qm = _as_matrix(Q)
-    return Vc.conj().T @ Qm @ Vc
-
-
 def rotate_from_eigenbasis(Qt, Vc: np.ndarray) -> np.ndarray:
-    """Undo :func:`rotate_to_eigenbasis`: Vc Qt Vc^H."""
+    """Express an eigenbasis covariance in the antenna basis: Vc Qt Vc^H.
+
+    With ``Vc.conj().T`` in place of ``Vc`` it maps the other way, Vc^H Q Vc.
+    """
     Qm = _as_matrix(Qt)
     return Vc @ Qm @ Vc.conj().T
 

@@ -87,8 +87,10 @@ class Scenario:
         if not math.isfinite(self.sigma_s2 * self.Ns * self.M * self.M / (self.P * self.L)):
             raise ValueError(f"power budget P={self.P} is so small that the minimum CRB "
                              "overflows")
-        if self.Kc < 0:
+        if not self.Kc >= 0:
             raise ValueError(f"Rician factor must be non-negative, got Kc={self.Kc}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"angle must be finite, got theta={self.theta}")
 
 
 @dataclass

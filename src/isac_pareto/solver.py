@@ -49,13 +49,10 @@ from .metrics import (
 from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
-    "InactiveChannelError",
     "SolveReport",
     "feasibility_check",
     "cubic_stationary_root",
     "stationarity_residual",
-    "sensing_power",
-    "inner_allocation",
     "solve_p1",
 ]
 
@@ -80,11 +77,6 @@ _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets that _solve_budgets hands to the lockstep search
 # (see its docstring for the measurement).
 _LOCKSTEP_MIN_BUDGETS = 24
-
-
-class InactiveChannelError(ValueError):
-    """The stationarity equation has no positive root: with a zero CRB
-    multiplier the water level sits below this channel's noise floor."""
 
 
 @dataclass
@@ -121,13 +113,6 @@ def feasibility_check(m: int, P: float, gamma_tilde: float) -> bool:
     return gamma_tilde >= (m * m / P) * (1.0 - _FEASIBILITY_RTOL)
 
 
-def sensing_power(mu: float, v: float) -> float:
-    """Stationary power of a dedicated sensing subchannel: sqrt(mu / v)."""
-    if mu < 0 or v <= 0:
-        raise ValueError("need mu >= 0 and v > 0")
-    return math.sqrt(mu / v)
-
-
 def stationarity_residual(p: float, lambda2_over_sigma2: float, mu: float, v: float) -> float:
     """Derivative of the per-channel Lagrangian at power p (zero at optimum)."""
     g = lambda2_over_sigma2
@@ -142,29 +127,22 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     f(p) = g/((1 + g p) ln 2) + mu/p^2 - v = 0, with g the noise-normalized
     channel gain (cleared of denominators, a cubic in p).
 
-    For mu = 0 this degenerates to the water-filling form
-    1/(v ln 2) - sigma_c2/lambda^2 and raises :class:`InactiveChannelError`
-    when that is non-positive.  For mu > 0, f is convex and strictly
-    decreasing on p > 0, and at p0 = max(sqrt(mu/v), water-filling power)
-    one of its terms alone equals v, so f(p0) >= 0.  Newton from p0 thus
-    rises monotonically to the root; it stops when the next iterate no
-    longer rises.  This is the iteration of :func:`_power_map_lanes`, with
-    the same arithmetic, so both return the same root.
+    Needs mu > 0; at mu = 0 the power is the water-filling one,
+    max(1/(v ln 2) - 1/g, 0), which :func:`_inner_powers` sets directly.
+    For mu > 0, f is convex and strictly decreasing on p > 0, and at
+    p0 = max(sqrt(mu/v), water-filling power) one of its terms alone equals
+    v, so f(p0) >= 0.  Newton from p0 thus rises monotonically to the root;
+    it stops when the next iterate no longer rises.  This is the iteration
+    of :func:`_power_map_lanes`, with the same arithmetic, so both return
+    the same root.
     """
     g = lambda2_over_sigma2
     if g <= 0.0:
         raise ValueError(f"channel gain must be positive, got {g}")
     if v <= 0.0:
         raise ValueError(f"power multiplier must be positive, got {v}")
-    if mu < 0.0:
-        raise ValueError(f"CRB multiplier must be non-negative, got {mu}")
-    if mu == 0.0:
-        x = INV_LN2 / v - 1.0 / g
-        if x <= 0.0:
-            raise InactiveChannelError(
-                f"water level {INV_LN2 / v} below noise floor {1.0 / g}"
-            )
-        return x
+    if mu <= 0.0:
+        raise ValueError(f"CRB multiplier must be positive, got {mu}")
     p = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
     for _ in range(200):
         gp1 = g * p + 1.0
@@ -193,23 +171,6 @@ def _inner_powers(gs: list[float], m: int, mu: float, v: float) -> list[float]:
         for i in range(r, m):
             p[i] = ps
     return p
-
-
-def inner_allocation(lambdas2, m: int, sigma_c2: float, mu: float, v: float) -> np.ndarray:
-    """Maximizer of the Lagrangian at multipliers (mu, v), length m.
-
-    Communication subchannels solve the cubic stationarity equation; the
-    m - r dedicated sensing subchannels all take sqrt(mu/v).  With mu = 0
-    (only allowed for a full-rank channel) this is exactly water-filling at
-    level 1/(v ln 2), including dry channels at zero.
-    """
-    lam2 = np.asarray(lambdas2, dtype=float)
-    if v <= 0.0:
-        raise ValueError("power multiplier must be positive")
-    if lam2.size < m and mu <= 0.0:
-        raise ValueError("rank-deficient channels need a positive CRB multiplier")
-    gs = [float(x) / sigma_c2 for x in lam2]
-    return np.asarray(_inner_powers(gs, m, mu, v))
 
 
 def _dual_value(gs, p, mu, v, gamma_tilde, P):

@@ -76,15 +76,6 @@ class SweepResult:
     endpoint_min: CRPoint
     endpoint_max: CRPoint
 
-    def points(self, scheme: str) -> list[CRPoint]:
-        """Finite rows of one scheme as CRPoints, grid order."""
-        return [
-            CRPoint(crb=row.crb, rate=row.rate, gamma_target=row.gamma_target,
-                    scheme=row.scheme)
-            for row in self.rows
-            if row.scheme == scheme and math.isfinite(row.rate)
-        ]
-
 
 def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
     gamma_tildes = [trace_budget(g, scenario.sigma_s2, scenario.Ns, scenario.L)

@@ -103,6 +103,21 @@ def test_config_unknown_key_rejected(tmp_path):
     assert main(["sweep", str(path), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("M", 8.9), ("Ns", 12.999), ("L", 200.5), ("Nc", math.inf),
+    ("seed", True), ("Ns", True), ("P", True), ("fixture_path", 5),
+])
+def test_config_mistyped_value_rejected(tmp_path, capsys, key, value):
+    # a truncated count or a boolean would run as some other scenario
+    cfg = dict(SC1)
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["point", str(path), "--gamma", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 @pytest.mark.parametrize("key", ["max_ellipsoid_iters", "dual_box_initial", "rank_tol",
                                  "kkt_tol", "max_dual_iters"])
 def test_config_retired_solver_key_rejected(tmp_path, key):

@@ -10,7 +10,7 @@ from isac_pareto.closed_form import (
     rate_max_point,
     waterfill,
 )
-from isac_pareto.metrics import rate_from_powers
+from isac_pareto.metrics import assemble_covariance, rate, rate_from_powers
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 
 
@@ -104,7 +104,7 @@ def test_rate_max_finite_crb_above_threshold():
     H = ChannelMatrix.from_matrix(np.diag([2.0, 1.0]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=2.0)
     assert p0_threshold(H.lambdas2, 1.0) == pytest.approx(0.75)
-    Q, pt = rate_max_point(H, sc)
+    _, pt = rate_max_point(H, sc)
     assert math.isfinite(pt.crb)
     wf = waterfill(H.lambdas2, 1.0, 2.0)
     assert np.all(wf.p > 0)
@@ -129,13 +129,23 @@ def test_crb_min_rate_formula():
     assert pt.rate == pytest.approx(3.0, abs=1e-12)  # log2(4) + log2(2)
 
 
-def test_endpoint_rate_consistency(scenario2):
-    from isac_pareto.metrics import rate
+def test_endpoint_allocations(scenario1, scenario2):
+    for H, sc in (scenario1, scenario2):
+        uniform, _ = crb_min_point(H, sc)
+        np.testing.assert_array_equal(uniform.p, np.full(sc.M, sc.P / sc.M))
+        wf, _ = rate_max_point(H, sc)
+        ref = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
+        np.testing.assert_array_equal(wf.p, ref.p)
+        assert (wf.mu, wf.v, wf.water_level) == (ref.mu, ref.v, ref.water_level)
 
+
+def test_endpoint_rate_consistency(scenario2):
     H, sc = scenario2
-    Qs, pt_min = crb_min_point(H, sc)
+    uniform, pt_min = crb_min_point(H, sc)
+    Qs = assemble_covariance(H.Vc, uniform.p, budget=sc.P)
     assert pt_min.rate == pytest.approx(rate(Qs, H, sc.sigma_c2), abs=1e-10)
-    Qc, pt_max = rate_max_point(H, sc)
+    wf, pt_max = rate_max_point(H, sc)
+    Qc = assemble_covariance(H.Vc, wf.p, budget=sc.P)
     assert pt_max.rate == pytest.approx(rate(Qc, H, sc.sigma_c2), abs=1e-10)
 
 

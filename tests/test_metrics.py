@@ -11,7 +11,6 @@ from isac_pareto.metrics import (
     rate,
     rate_from_powers,
     rotate_from_eigenbasis,
-    rotate_to_eigenbasis,
     trace_budget,
 )
 from isac_pareto.scenario import ChannelMatrix, Scenario, rician_channel
@@ -85,14 +84,14 @@ def test_trace_budget_roundtrip():
 
 def test_rotation_identity_matrix():
     q = np.diag([1.0, 2.0]).astype(complex)
-    np.testing.assert_array_equal(rotate_to_eigenbasis(q, np.eye(2, dtype=complex)), q)
+    np.testing.assert_array_equal(rotate_from_eigenbasis(q, np.eye(2, dtype=complex)), q)
 
 
 def test_rotation_roundtrip_and_trace_preserved(rng):
     for _ in range(20):
         q = _random_psd(rng, 6)
         u = _random_unitary(rng, 6)
-        qt = rotate_to_eigenbasis(q, u)
+        qt = rotate_from_eigenbasis(q, u.conj().T)
         back = rotate_from_eigenbasis(qt, u)
         assert np.linalg.norm(back - q) <= 1e-12 * max(1.0, np.linalg.norm(q))
         assert np.trace(qt).real == pytest.approx(np.trace(q).real, abs=1e-10)
@@ -102,7 +101,7 @@ def test_rotation_preserves_trace_inverse(rng):
     for _ in range(20):
         q = _random_psd(rng, 5) + 0.5 * np.eye(5)
         u = _random_unitary(rng, 5)
-        qt = rotate_to_eigenbasis(q, u)
+        qt = rotate_from_eigenbasis(q, u.conj().T)
         ti = np.trace(np.linalg.inv(q)).real
         ti_rot = np.trace(np.linalg.inv(qt)).real
         assert ti_rot == pytest.approx(ti, rel=1e-8)

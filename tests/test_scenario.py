@@ -151,6 +151,9 @@ def test_fixture_path_used_instead_of_sampling(tmp_path):
         dict(M=2, Nc=2, Ns=1, L=10, P=math.nan),
         dict(M=2, Nc=2, Ns=1, L=10, P=math.inf),
         dict(M=2, Nc=2, Ns=1, L=10, P=1.0, sigma_s2=math.nan),
+        dict(M=2, Nc=2, Ns=1, L=10, P=1.0, Kc=math.nan),
+        dict(M=2, Nc=2, Ns=1, L=10, P=1.0, theta=math.nan),
+        dict(M=2, Nc=2, Ns=1, L=10, P=1.0, theta=math.inf),
     ],
 )
 def test_scenario_invariants_rejected(kwargs):

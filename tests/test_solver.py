@@ -10,15 +10,13 @@ from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterf
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
-    InactiveChannelError,
+    _inner_powers,
     _lockstep_dual,
     _power_map_lanes,
     _solve_budgets,
     _solve_dual,
     cubic_stationary_root,
     feasibility_check,
-    inner_allocation,
-    sensing_power,
     solve_p1,
     stationarity_residual,
 )
@@ -52,13 +50,10 @@ def test_feasibility_crbmin_maps_to_boundary():
     assert feasibility_check(8, 800.0, gt)
 
 
-def test_cubic_waterfilling_degenerate_case():
-    assert cubic_stationary_root(2.0, 0.0, INV_LN2) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_cubic_inactive_channel_signalled():
-    with pytest.raises(InactiveChannelError):
-        cubic_stationary_root(0.1, 0.0, 10.0)
+def test_cubic_rejects_zero_mu():
+    # at mu = 0 the power is the water-filling one, set by _inner_powers
+    with pytest.raises(ValueError, match="CRB multiplier"):
+        cubic_stationary_root(2.0, 0.0, INV_LN2)
 
 
 def test_cubic_hand_instance_matches_bisection():
@@ -67,10 +62,6 @@ def test_cubic_hand_instance_matches_bisection():
     root = cubic_stationary_root(1.0, 1.0, 1.0)
     assert root == pytest.approx(expected, abs=1e-10)
     assert abs(stationarity_residual(root, 1.0, 1.0, 1.0)) <= 1e-12
-
-
-def test_sensing_power_closed_form():
-    assert sensing_power(4.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_cubic_vs_bisection_randomized(rng):
@@ -134,25 +125,24 @@ def test_cubic_log_uniform_sweep_vs_bisection():
 def test_inner_allocation_reduces_to_waterfill_when_mu_zero():
     lam2 = np.array([2.0, 1.0])
     v = 0.5
-    p = inner_allocation(lam2, 2, 1.0, 0.0, v)
+    p = _inner_powers(lam2.tolist(), 2, 0.0, v)
     wf_level = INV_LN2 / v
     wf = waterfill(lam2, 1.0, float(np.maximum(wf_level - 1.0 / lam2, 0).sum()))
     np.testing.assert_allclose(p, wf.p, atol=1e-12)
+    # water level 1: the g = 2 channel takes 1 - 1/2, the g = 0.1 one stays dry
+    assert _inner_powers([2.0, 0.1], 2, 0.0, INV_LN2) == pytest.approx([0.5, 0.0], abs=1e-14)
 
 
 def test_inner_allocation_hand_instance():
-    p = inner_allocation(np.array([1.0]), 2, 1.0, 1.0, 1.0)
+    p = _inner_powers([1.0], 2, 1.0, 1.0)
     np.testing.assert_allclose(p, [1.5267188046546143, 1.0], atol=1e-9)
+    # each sensing subchannel takes sqrt(mu / v)
+    assert _inner_powers([1.0], 3, 4.0, 1.0)[1:] == pytest.approx([2.0, 2.0], abs=1e-15)
 
 
 def test_inner_allocation_equal_duals_sensing_power_one():
-    p = inner_allocation(np.array([1.0, 0.5]), 4, 1.0, 0.7, 0.7)
+    p = _inner_powers([1.0, 0.5], 4, 0.7, 0.7)
     np.testing.assert_allclose(p[2:], 1.0, atol=1e-14)
-
-
-def test_inner_allocation_requires_positive_mu_when_rank_deficient():
-    with pytest.raises(ValueError):
-        inner_allocation(np.array([1.0]), 2, 1.0, 0.0, 1.0)
 
 
 def test_solve_boundary_budget_gives_uniform():
