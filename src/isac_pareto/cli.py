@@ -27,8 +27,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .benchmarks import best_at_crb, power_split_ep, power_split_sem
 from .closed_form import crb_min_point
 from .metrics import crb_from_powers, rate_from_powers
@@ -395,6 +393,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" and is not one plain
+    # number as an option, so "--snr-list -10,0,10" is joined into the form
+    # "--snr-list=-10,0,10", which it reads as a value
+    for i in range(len(argv) - 1):
+        if argv[i] == "--snr-list":
+            argv[i:i + 2] = [f"--snr-list={argv[i + 1]}"]
+            break
     args = _parser().parse_args(argv)
     return args.func(args)
 

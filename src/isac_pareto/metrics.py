@@ -43,10 +43,6 @@ class TransmitCovariance:
     Q: np.ndarray
     budget: float
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.Q).real)
-
     def validate(self) -> None:
         """Check Hermitian symmetry, positive semidefiniteness and the trace
         budget; raise ``ValueError`` on violation."""

@@ -19,12 +19,13 @@ takes the inner step alone.
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
-and judges every result by the same KKT certificate; :func:`solve_p1`
-calls it for one budget and a frontier sweep for all of its budgets.  The
-search has two forms with the same iteration and arithmetic, chosen by the
-number of budgets on the dual path: scalar Python, one budget at a time
-(:func:`_solve_dual`), below a measured crossover, and all budgets at once
-over numpy arrays (:func:`_lockstep_dual`) from it on.
+and judges every candidate, water-filling and dual, by the same KKT
+certificate in one loop; :func:`solve_p1` calls it for one budget and a
+frontier sweep for all of its budgets.  The search has two forms with the
+same iteration and arithmetic, chosen by the number of budgets on the
+dual path: scalar Python, one budget at a time (:func:`_solve_dual`),
+below a measured crossover, and all budgets at once over numpy arrays
+(:func:`_lockstep_dual`) from it on.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     channel gain (cleared of denominators, a cubic in p).
 
     Needs mu > 0; at mu = 0 the power is the water-filling one,
-    max(1/(v ln 2) - 1/g, 0), which :func:`_inner_powers` sets directly.
+    max(1/(v ln 2) - 1/g, 0), which :func:`waterfill` gives.
     For mu > 0, f is convex and strictly decreasing on p > 0, and at
     p0 = max(sqrt(mu/v), water-filling power) one of its terms alone equals
     v, so f(p0) >= 0.  Newton from p0 thus rises monotonically to the root;
@@ -156,49 +157,17 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     return p
 
 
-def _inner_powers(gs: list[float], m: int, mu: float, v: float) -> list[float]:
-    # Lagrangian maximizer at (mu, v); plain floats on the hot path.
-    p = [0.0] * m
-    for i, g in enumerate(gs):
-        if mu > 0.0:
-            p[i] = cubic_stationary_root(g, mu, v)
-        else:
-            x = INV_LN2 / v - 1.0 / g
-            p[i] = x if x > 0.0 else 0.0
-    r = len(gs)
-    if m > r:
-        ps = math.sqrt(mu / v)
-        for i in range(r, m):
-            p[i] = ps
-    return p
-
-
-def _dual_value(gs, p, mu, v, gamma_tilde, P):
-    R = 0.0
-    S = 0.0
-    for g, x in zip(gs, p):
-        R += math.log1p(g * x)
-    R *= INV_LN2
-    for x in p:
-        S += x
-    if mu > 0.0:
-        cinv = 0.0
-        for x in p:
-            if x <= 0.0:
-                return math.inf
-            cinv += 1.0 / x
-        return R - mu * (cinv - gamma_tilde) - v * (S - P)
-    return R - v * (S - P)
-
-
 def _power_map(gs, m, mu, v):
     """Inner powers at (mu, v) > 0, their sum S and trace inverse C, and the
     partial derivatives of S and C in mu and v.
 
-    The derivatives follow from the stationarity equations by implicit
-    differentiation: dp/dv = 1/f'(p) and dp/dmu = -1/(p^2 f'(p)).
+    Each communication subchannel takes its stationary root
+    (:func:`cubic_stationary_root`) and each of the m - r sensing
+    subchannels sqrt(mu/v).  The derivatives follow from the stationarity
+    equations by implicit differentiation: dp/dv = 1/f'(p) and
+    dp/dmu = -1/(p^2 f'(p)).
     """
-    p = _inner_powers(gs, m, mu, v)
+    p = [cubic_stationary_root(g, mu, v) for g in gs]
     S = C = S_mu = S_v = C_mu = C_v = 0.0
     for g, x in zip(gs, p):
         gx1 = 1.0 + g * x
@@ -214,7 +183,8 @@ def _power_map(gs, m, mu, v):
         C_v -= inv2 * dp_dv
     k = m - len(gs)
     if k:
-        ps = p[-1]
+        ps = math.sqrt(mu / v)
+        p += [ps] * k
         S += k * ps
         C += k / ps
         S_mu += 0.5 * k * ps / mu
@@ -334,7 +304,9 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
 
     Returns (ok, residual, relative_duality_gap).  The residual is the worst
     over stationarity, the sensing-power law, primal feasibility overshoot
-    and complementary slackness.
+    and complementary slackness; the duality gap is that of the Lagrangian
+    at (p, mu, v), built from the same rate, power sum and trace inverse,
+    against the rate.
     """
     r = len(gs)
     stat = 0.0
@@ -356,9 +328,12 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
     over_c = 0.0 if cinv <= gamma_tilde else cinv - gamma_tilde
     comp_c = 0.0 if mu == 0.0 else mu * abs(cinv - gamma_tilde)
     comp_p = v * abs(ssum - P)
-    gval = _dual_value(gs, p, mu, v, gamma_tilde, P)
     rate_val = INV_LN2 * sum(math.log1p(g * x) for g, x in zip(gs, p))
-    gap_rel = abs(gval - rate_val) / max(1.0, abs(rate_val))
+    # the Lagrangian at (p, mu, v), without its CRB term at mu = 0, where the
+    # budget may be infinite
+    crb_term = mu * (cinv - gamma_tilde) if mu > 0.0 else 0.0
+    lagrangian = rate_val - crb_term - v * (ssum - P)
+    gap_rel = abs(lagrangian - rate_val) / max(1.0, abs(rate_val))
     slack_scale = _KKT_TOL * max(1.0, gamma_tilde, P)
     residual = max(stat, sens, over_p, over_c, comp_c, comp_p)
     ok = (
@@ -540,9 +515,11 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       than _LOCKSTEP_MIN_BUDGETS such budgets, else by one
       :func:`_lockstep_dual` over all of them.
 
-    ``optimal`` is only returned with a passing :func:`_certify`; a search
-    that spends its _MAX_DUAL_ITERS evaluations, ends on a math error or
-    misses the certificate gives ``iteration_limit``.
+    One loop then judges every candidate, water-filling and dual alike: one
+    with finite powers gets :func:`_certify`, and it is ``optimal`` if and
+    only if it converged and passed.  A search that spends its
+    _MAX_DUAL_ITERS evaluations, ends on a math error or misses the
+    certificate gives ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
@@ -577,44 +554,36 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
         wf = waterfill(H.lambdas2, scenario.sigma_c2, P, m=m)
         if np.all(wf.p > 0.0):
             wf_trace_inv = float((1.0 / wf.p).sum())
-    out: list[tuple[PowerAllocation | None, str]] = []
+    # iteration_limit with no allocation until a search evaluates the budget
+    out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
+    found = []  # (index, (mu, v, powers, evaluations, converged)) per candidate
     dual = []  # indices of the budgets with both constraints tight
     for j, gamma_tilde in enumerate(gamma_tildes):
         if not feasibility_check(m, P, gamma_tilde):
-            out.append((None, "infeasible"))
+            out[j] = (None, "infeasible")
         elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
-            out.append((PowerAllocation(p=np.full(m, P / m), mu=math.nan, v=math.nan,
-                                        iterations=0, kkt_residual=0.0, duality_gap=0.0),
-                        "optimal"))
+            out[j] = (PowerAllocation(p=np.full(m, P / m), mu=math.nan, v=math.nan,
+                                      iterations=0, kkt_residual=0.0, duality_gap=0.0),
+                      "optimal")
         elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
-            ok, res, gap = _certify(gs, m, list(wf.p), 0.0, wf.v, gamma_tilde, P)
-            out.append((PowerAllocation(p=wf.p, mu=0.0, v=wf.v, water_level=wf.water_level,
-                                        iterations=0, kkt_residual=res, duality_gap=gap),
-                        "optimal" if ok else "iteration_limit"))
+            found.append((j, (0.0, wf.v, wf.p, 0, True)))
         else:
-            out.append((None, "iteration_limit"))  # until a search evaluates it
             dual.append(j)
     if len(dual) < _LOCKSTEP_MIN_BUDGETS:
-        for j in dual:
-            mu, v, p, evals, converged = _solve_dual(gs, m, gamma_tildes[j], P)
-            if p is not None:
-                ok, res, gap = _certify(gs, m, p, mu, v, gamma_tildes[j], P)
-                out[j] = (PowerAllocation(p=np.asarray(p), mu=mu, v=v, iterations=evals,
-                                          kkt_residual=res, duality_gap=gap),
-                          "optimal" if (converged and ok) else "iteration_limit")
-    elif dual:
-        gts = [gamma_tildes[j] for j in dual]
-        mu, v, p, evals, converged = _lockstep_dual(gs, m, gts, P)
-        for j, gt, mu_j, v_j, p_j, evals_j, conv_j in zip(
-                dual, gts, mu.tolist(), v.tolist(), p, evals.tolist(), converged.tolist()):
-            # an unconverged lane may hold non-finite powers: only a
-            # converged one is certified
-            ok, res, gap = False, math.nan, math.nan
-            if conv_j:
-                ok, res, gap = _certify(gs, m, p_j.tolist(), mu_j, v_j, gt, P)
-            out[j] = (PowerAllocation(p=p_j, mu=mu_j, v=v_j, iterations=evals_j,
-                                      kkt_residual=res, duality_gap=gap),
-                      "optimal" if ok else "iteration_limit")
+        found += [(j, _solve_dual(gs, m, gamma_tildes[j], P)) for j in dual]
+    else:
+        mu, v, p, evals, converged = _lockstep_dual(gs, m, [gamma_tildes[j] for j in dual], P)
+        found += zip(dual, zip(mu.tolist(), v.tolist(), p, evals.tolist(), converged.tolist()))
+    for j, (mu, v, p, evals, converged) in found:
+        if p is None:
+            continue  # the search evaluated nothing
+        p = np.asarray(p)
+        ok, res, gap = False, math.nan, math.nan
+        if np.isfinite(p).all():
+            ok, res, gap = _certify(gs, m, p.tolist(), mu, v, gamma_tildes[j], P)
+        out[j] = (PowerAllocation(p=p, mu=mu, v=v, iterations=evals,
+                                  kkt_residual=res, duality_gap=gap),
+                  "optimal" if converged and ok else "iteration_limit")
     return out
 
 

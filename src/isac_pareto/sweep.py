@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import (
-    NotApplicableError,
-    best_at_crbs,
-    power_split_ep,
-    power_split_sem,
-    time_switching,
-)
+from .benchmarks import best_at_crbs, power_split_ep, power_split_sem, time_switching
 from .closed_form import crb_min_point, rate_max_point
-from .metrics import CRPoint, crb_from_powers, rate_from_powers, trace_budget
+from .metrics import crb_from_powers, rate_from_powers, trace_budget
 from .scenario import ChannelMatrix, Scenario
 from .solver import _check_channel, _solve_budgets, solve_p1
 
@@ -69,12 +63,9 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    gammas: np.ndarray
     crb_min: float
     crb_cap: float
     capped: bool
-    endpoint_min: CRPoint
-    endpoint_max: CRPoint
 
 
 def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
@@ -167,5 +158,4 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
             for g, pt in zip(gammas, pts):
                 rows.append(SweepRow("time_switch", g, pt.crb, pt.rate))
 
-    return SweepResult(rows=rows, gammas=gammas, crb_min=lo, crb_cap=hi,
-                       capped=capped, endpoint_min=pt_min, endpoint_max=pt_max)
+    return SweepResult(rows=rows, crb_min=lo, crb_cap=hi, capped=capped)

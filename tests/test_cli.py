@@ -199,6 +199,23 @@ def test_rate_vs_snr_infeasible_rows_annotated(config1, tmp_path):
     assert rows[1]["status"] == "ok"
 
 
+def test_rate_vs_snr_list_may_start_with_a_minus(config1, tmp_path):
+    # "--snr-list -10,0,30" reads like "--snr-list=-10,0,30", not like an
+    # unknown option; a --snr-list with no value is still a usage error
+    csvs = []
+    for spelling in (["--snr-list", "-10,0,30"], ["--snr-list=-10,0,30"]):
+        out = tmp_path / f"snr{len(csvs)}.csv"
+        assert main(["rate-vs-snr", str(config1), "--gamma", "0.1", *spelling,
+                     "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert [r["snr_db"] for r in _read_csv(out)] == [_fmt(s) for s in (-10.0, 0.0, 30.0)]
+    with pytest.raises(SystemExit) as exc:
+        main(["rate-vs-snr", str(config1), "--gamma", "0.1",
+              "--out", str(tmp_path / "o.csv"), "--snr-list"])
+    assert exc.value.code == 2
+
+
 def test_fixture_emit_scenario1(tmp_path, capsys):
     out = tmp_path / "fx.csv"
     assert main(["fixture", "--emit", "scenario1", "--out", str(out)]) == 0

@@ -10,8 +10,8 @@ from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterf
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
-    _inner_powers,
     _lockstep_dual,
+    _power_map,
     _power_map_lanes,
     _solve_budgets,
     _solve_dual,
@@ -51,7 +51,7 @@ def test_feasibility_crbmin_maps_to_boundary():
 
 
 def test_cubic_rejects_zero_mu():
-    # at mu = 0 the power is the water-filling one, set by _inner_powers
+    # at mu = 0 the power is the water-filling one, which waterfill gives
     with pytest.raises(ValueError, match="CRB multiplier"):
         cubic_stationary_root(2.0, 0.0, INV_LN2)
 
@@ -122,26 +122,15 @@ def test_cubic_log_uniform_sweep_vs_bisection():
         assert powers[0, 0] == root, (g, mu, v)
 
 
-def test_inner_allocation_reduces_to_waterfill_when_mu_zero():
-    lam2 = np.array([2.0, 1.0])
-    v = 0.5
-    p = _inner_powers(lam2.tolist(), 2, 0.0, v)
-    wf_level = INV_LN2 / v
-    wf = waterfill(lam2, 1.0, float(np.maximum(wf_level - 1.0 / lam2, 0).sum()))
-    np.testing.assert_allclose(p, wf.p, atol=1e-12)
-    # water level 1: the g = 2 channel takes 1 - 1/2, the g = 0.1 one stays dry
-    assert _inner_powers([2.0, 0.1], 2, 0.0, INV_LN2) == pytest.approx([0.5, 0.0], abs=1e-14)
-
-
 def test_inner_allocation_hand_instance():
-    p = _inner_powers([1.0], 2, 1.0, 1.0)
+    p = _power_map([1.0], 2, 1.0, 1.0)[0]
     np.testing.assert_allclose(p, [1.5267188046546143, 1.0], atol=1e-9)
     # each sensing subchannel takes sqrt(mu / v)
-    assert _inner_powers([1.0], 3, 4.0, 1.0)[1:] == pytest.approx([2.0, 2.0], abs=1e-15)
+    assert _power_map([1.0], 3, 4.0, 1.0)[0][1:] == pytest.approx([2.0, 2.0], abs=1e-15)
 
 
 def test_inner_allocation_equal_duals_sensing_power_one():
-    p = _inner_powers([1.0, 0.5], 4, 0.7, 0.7)
+    p = _power_map([1.0, 0.5], 4, 0.7, 0.7)[0]
     np.testing.assert_allclose(p[2:], 1.0, atol=1e-14)
 
 
