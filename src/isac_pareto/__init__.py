@@ -9,9 +9,7 @@ CRB-constrained rate maximizer and standard benchmark schemes.
 
 from .benchmarks import (
     BetaSweep,
-    NotApplicableError,
     best_at_crb,
-    pareto_indices,
     power_split_ep,
     power_split_sem,
     time_switching,

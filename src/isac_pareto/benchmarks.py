@@ -1,9 +1,9 @@
 """Baseline transmission schemes the optimal frontier is compared against.
 
-Time switching interpolates between the two endpoint covariances; the two
-power-splitting schemes sweep a factor beta that divides the budget between
-communication and sensing subchannels (EP) or between the strongest
-eigenmode and everything else (SEM).
+Time switching interpolates between the two endpoint (CRB, rate) pairs;
+the two power-splitting schemes sweep a factor beta that divides the
+budget between communication and sensing subchannels (EP) or between the
+strongest eigenmode and everything else (SEM).
 
 Both splits allocate power in the channel eigenbasis, Q = Vc diag(p) Vc^H,
 so a sweep builds its powers as one (n_beta, M) array and takes every
@@ -15,7 +15,6 @@ with one binary search over the points sorted by CRB.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,10 @@ from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
     "DEFAULT_BETA_POINTS",
-    "NotApplicableError",
     "BetaSweep",
     "time_switching",
     "power_split_ep",
     "power_split_sem",
-    "pareto_indices",
     "best_at_crb",
     "best_at_crbs",
 ]
@@ -43,10 +40,6 @@ DEFAULT_BETA_POINTS = 201
 _CRB_LIMIT_RTOL = 1e-12
 
 
-class NotApplicableError(ValueError):
-    """The scheme is undefined for this scenario (infinite endpoint CRB)."""
-
-
 @dataclass
 class BetaSweep:
     """All points of one power-splitting sweep, one per beta."""
@@ -55,42 +48,30 @@ class BetaSweep:
     points: list[CRPoint]
 
 
-def _beta_grid(extra: float | None) -> np.ndarray:
-    betas = np.linspace(0.0, 1.0, DEFAULT_BETA_POINTS)
-    if extra is not None:
-        # make sure the exact uniform-allocation split is in the sweep
-        betas = np.union1d(betas, [extra])
-    return betas
+def _beta_grid(extra: float) -> np.ndarray:
+    # make sure the exact uniform-allocation split is in the sweep
+    return np.union1d(np.linspace(0.0, 1.0, DEFAULT_BETA_POINTS), [extra])
 
 
-def time_switching(pt_rate_max: CRPoint, pt_crb_min: CRPoint, taus) -> list[CRPoint]:
-    """Straight segment between the two endpoint (CRB, rate) pairs.
+def time_switching(pt_rate_max: CRPoint, pt_crb_min: CRPoint,
+                   gammas) -> tuple[np.ndarray, np.ndarray]:
+    """The (crb, rate) arrays of the straight segment between the two
+    endpoints, one point per CRB threshold in ``gammas``.
 
-    Only applicable when the rate-maximizing covariance has full rank;
-    raises :class:`NotApplicableError` when its CRB is infinite.
+    The switching fraction toward the rate-maximizing endpoint is the
+    threshold's position between the two endpoint CRBs, clipped to [0, 1].
+    Meaningful only when the rate-maximizing CRB is finite, which is when
+    :func:`~isac_pareto.sweep.sweep` calls it.
     """
-    if not math.isfinite(pt_rate_max.crb):
-        raise NotApplicableError("rate-maximizing covariance is rank deficient")
-    points = []
-    for tau in np.asarray(taus, dtype=float):
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"switching fraction must lie in [0, 1], got {tau}")
-        points.append(
-            CRPoint(
-                crb=tau * pt_rate_max.crb + (1.0 - tau) * pt_crb_min.crb,
-                rate=tau * pt_rate_max.rate + (1.0 - tau) * pt_crb_min.rate,
-                gamma_target=None,
-                scheme="time_switch",
-            )
-        )
-    return points
+    span = pt_rate_max.crb - pt_crb_min.crb
+    g = np.asarray(gammas, dtype=float)
+    tau = np.zeros_like(g) if span == 0.0 else np.clip((g - pt_crb_min.crb) / span, 0.0, 1.0)
+    return (tau * pt_rate_max.crb + (1.0 - tau) * pt_crb_min.crb,
+            tau * pt_rate_max.rate + (1.0 - tau) * pt_crb_min.rate)
 
 
 def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, scheme) -> BetaSweep:
     # powers_of_betas maps the beta grid to its (n_beta, M) eigenbasis powers
-    betas = np.asarray(betas, dtype=float)
-    if np.any(np.diff(betas) < 0):
-        raise ValueError("beta grid must be sorted ascending")
     p = powers_of_betas(betas)
     crbs = crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L)
     rates = rate_from_powers(H.lambdas2, p, scenario.sigma_c2)
@@ -99,7 +80,7 @@ def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, s
     return BetaSweep(betas=betas, points=points)
 
 
-def power_split_ep(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSweep:
+def power_split_ep(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
     """Equal power within each part: beta*P over the r communication
     subchannels, (1-beta)*P over the M-r sensing subchannels.
 
@@ -107,10 +88,7 @@ def power_split_ep(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSwee
     collapses to the single point beta = 1 (the isotropic allocation).
     """
     r, m, P = H.r, scenario.M, scenario.P
-    if r == m:
-        betas = np.array([1.0])
-    elif betas is None:
-        betas = _beta_grid(extra=r / m)
+    betas = np.array([1.0]) if r == m else _beta_grid(extra=r / m)
 
     def powers(beta):
         p = np.empty((beta.size, m))
@@ -122,12 +100,11 @@ def power_split_ep(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSwee
     return _split_sweep(H, scenario, betas, powers, "ep")
 
 
-def power_split_sem(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSweep:
+def power_split_sem(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
     """Strongest eigenmode transmission: beta*P on the dominant subchannel,
     the rest spread equally over the other M-1."""
     m, P = scenario.M, scenario.P
-    if betas is None:
-        betas = _beta_grid(extra=1.0 / m)
+    betas = _beta_grid(extra=1.0 / m)
 
     def powers(beta):
         p = np.empty((beta.size, m))
@@ -136,27 +113,6 @@ def power_split_sem(H: ChannelMatrix, scenario: Scenario, betas=None) -> BetaSwe
         return p
 
     return _split_sweep(H, scenario, betas, powers, "sem")
-
-
-def pareto_indices(points) -> list[int]:
-    """Indices of the non-dominated points (lower CRB and higher rate win).
-
-    A point is dominated if another has crb <= and rate >= with at least one
-    strict; exact duplicates are all kept.
-    """
-    n = len(points)
-    order = sorted(range(n), key=lambda i: (points[i].crb, -points[i].rate))
-    keep: list[int] = []
-    best_rate = -math.inf
-    best_crb = math.nan
-    for i in order:
-        c, rt = points[i].crb, points[i].rate
-        if rt > best_rate:
-            keep.append(i)
-            best_rate, best_crb = rt, c
-        elif rt == best_rate and c == best_crb:
-            keep.append(i)
-    return sorted(keep)
 
 
 def best_at_crb(points, crb_limit: float) -> CRPoint | None:

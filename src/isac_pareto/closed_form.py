@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import LN2, CRPoint, crb_from_powers, rate_from_powers
+from .metrics import EIG_FLOOR_REL, LN2, CRPoint, crb_from_powers, rate_from_powers
 from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
@@ -114,12 +114,17 @@ def p0_threshold(lambdas2, sigma_c2: float) -> float:
 def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation, CRPoint]:
     """Rate-maximization endpoint: the water-filling allocation and its C-R pair.
 
-    The CRB coordinate is infinite when the water-filled powers leave a
-    subchannel dry, i.e. when the channel rank is below M or the power does
-    not clear :func:`p0_threshold`.
+    The CRB coordinate is infinite when a water-filled subchannel is dry,
+    i.e. its power is at or below ``EIG_FLOOR_REL * P/M``, as when the
+    channel rank is below M or P does not clear :func:`p0_threshold`.  This
+    is the one rule that decides whether a sweep's grid is capped;
+    elsewhere the closed-form CRB is exact.
     """
     wf = waterfill(H.lambdas2, scenario.sigma_c2, scenario.P, m=scenario.M)
-    crb = crb_from_powers(wf.p, scenario.sigma_s2, scenario.Ns, scenario.L)
+    if wf.p.min() <= EIG_FLOOR_REL * scenario.P / scenario.M:
+        crb = math.inf
+    else:
+        crb = crb_from_powers(wf.p, scenario.sigma_s2, scenario.Ns, scenario.L)
     rate_val = rate_from_powers(H.lambdas2, wf.p, scenario.sigma_c2)
     return wf, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="waterfill")
 

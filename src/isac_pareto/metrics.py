@@ -2,7 +2,8 @@
 
 Every allocation the library produces is diagonal in the channel
 eigenbasis, Q = Vc diag(p) Vc^H, so both metrics come in closed form from
-the powers p (:func:`rate_from_powers`, :func:`crb_from_powers`).  The
+the powers p (:func:`rate_from_powers`, :func:`crb_from_powers`); the
+closed-form CRB is exact, infinite only at an exact zero power.  The
 matrix forms (:func:`rate`, :func:`crb_trace`), the covariance type, its
 assembly from a power vector and the rotation into the antenna basis serve
 the solver's report and the tests that check the closed forms against them.
@@ -32,7 +33,9 @@ __all__ = [
 LN2 = math.log(2.0)
 
 # An eigenvalue of Q at or below EIG_FLOOR_REL * (trace/M) counts as zero,
-# which makes the CRB infinite (the target response is not estimable).
+# which makes the CRB infinite (the target response is not estimable).  It
+# is the resolution of crb_trace's eigendecomposition, and the rule by which
+# closed_form.rate_max_point calls a water-filled subchannel dry.
 EIG_FLOOR_REL = 1e-9
 
 
@@ -135,19 +138,16 @@ def rate_from_powers(lambdas2, p, sigma_c2: float):
 
 
 def crb_from_powers(p, sigma_s2: float, Ns: int, L: int):
-    """CRB of a diagonal (eigenbasis) allocation; ``inf`` on a floored entry.
+    """CRB of a diagonal (eigenbasis) allocation: (sigma_s2 Ns / L) sum 1/p_i.
 
-    For Q = Vc diag(p) Vc^H this equals :func:`crb_trace`, with the same
-    floor rule applied to the entries of ``p``.  A 2-D ``p`` holds one
-    allocation per row and gives an array with one CRB per row; a 1-D ``p``
-    gives a float.
+    Exact: infinite only when some entry of ``p`` is exactly zero.  For
+    Q = Vc diag(p) Vc^H it equals :func:`crb_trace` wherever the eigenvalues
+    of Q clear that function's floor.  A 2-D ``p`` holds one allocation per
+    row and gives an array with one CRB per row; a 1-D ``p`` gives a float.
     """
     pw = np.asarray(p, dtype=float)
-    floor = EIG_FLOOR_REL * np.maximum(pw.sum(axis=-1), 0.0) / pw.shape[-1]
-    floored = pw.min(axis=-1) <= floor
     with np.errstate(divide="ignore"):
         out = sigma_s2 * Ns / L * (1.0 / pw).sum(axis=-1)
-    out = np.where(floored, math.inf, out)
     return float(out) if pw.ndim == 1 else out
 
 

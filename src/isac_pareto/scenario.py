@@ -162,7 +162,7 @@ def steering_vector(count: int, theta: float) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(count) * math.sin(theta))
 
 
-def rician_channel(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelMatrix:
+def rician_channel(scenario: Scenario) -> ChannelMatrix:
     """Draw the Nc x M Rician communication channel of a scenario.
 
     The line-of-sight part is the outer product of the receive and transmit
@@ -181,13 +181,12 @@ def rician_channel(scenario: Scenario, rng: np.random.Generator | None = None) -
                 f"({scenario.Nc}, {scenario.M})"
             )
         return ch
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
     a_rx = steering_vector(scenario.Nc, scenario.theta)
     a_tx = steering_vector(scenario.M, scenario.theta)
     los = np.outer(a_rx, a_tx)
     if math.isinf(scenario.Kc):
         return ChannelMatrix.from_matrix(los)
+    rng = np.random.default_rng(scenario.seed)
     re = rng.standard_normal((scenario.Nc, scenario.M))
     im = rng.standard_normal((scenario.Nc, scenario.M))
     diffuse = (re + 1j * im) / math.sqrt(2.0)

@@ -10,7 +10,9 @@ certifies each result.  A row left at ``iteration_limit`` gets a second
 opinion from :func:`solve_p1`'s scalar search.  Every row's CRB and rate
 come in closed form from its eigenbasis powers, over one array of all rows.
 The EP/SEM rows come from closed-form metrics of the split powers and one
-batched selection per scheme (:func:`best_at_crbs`).
+batched selection per scheme (:func:`best_at_crbs`).  Whether the grid is
+capped is read from :func:`rate_max_point`, the one place that calls a
+water-filled subchannel dry; a capped sweep has no time-switching segment.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """All rows of a sweep.  ``capped`` is set when :func:`rate_max_point`
+    gives an infinite CRB; the grid then ends at ``crb_cap`` and the
+    time-switching rows are ``not_applicable``."""
+
     rows: list[SweepRow]
     crb_min: float
     crb_cap: float
@@ -102,11 +108,14 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     """Trace the frontier and benchmark curves over a geometric CRB grid.
 
     The grid runs from the minimum CRB to the rate-maximization endpoint
-    when that is finite, else to ``crb_cap`` (``"auto"`` = 100x the minimum);
-    a numeric ``crb_cap`` also caps a finite endpoint and must be positive
-    and finite.  Benchmark rows report, for each grid threshold, the best
-    sweep point whose CRB fits under it.  A channel that is not Nc x M, or
-    has rank 0, raises ``ValueError``.
+    when :func:`rate_max_point` gives it a finite CRB, else to ``crb_cap``
+    (``"auto"`` = 100x the minimum) with ``capped`` set; a numeric
+    ``crb_cap`` also caps a finite endpoint and must be positive and
+    finite.  Time-switching rows lie on the segment between the two
+    endpoints, or are ``not_applicable`` when capped.  Benchmark rows
+    report, for each grid threshold, the best sweep point whose CRB fits
+    under it.  A channel that is not Nc x M, or has rank 0, raises
+    ``ValueError``.
     """
     _check_channel(H, scenario)
     if n_points < 2:
@@ -151,11 +160,8 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
                 rows.append(SweepRow("time_switch", g, math.nan, math.nan,
                                      status="not_applicable"))
         else:
-            span = pt_max.crb - pt_min.crb
-            taus = [0.0 if span == 0.0 else min(1.0, max(0.0, (g - pt_min.crb) / span))
-                    for g in gammas]
-            pts = time_switching(pt_max, pt_min, taus)
-            for g, pt in zip(gammas, pts):
-                rows.append(SweepRow("time_switch", g, pt.crb, pt.rate))
+            crbs, rates = time_switching(pt_max, pt_min, gammas)
+            for g, c, rt in zip(gammas, crbs.tolist(), rates.tolist()):
+                rows.append(SweepRow("time_switch", g, c, rt))
 
     return SweepResult(rows=rows, crb_min=lo, crb_cap=hi, capped=capped)

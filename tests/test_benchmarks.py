@@ -4,47 +4,36 @@ import numpy as np
 import pytest
 
 from isac_pareto.benchmarks import (
-    NotApplicableError,
     best_at_crb,
     best_at_crbs,
-    pareto_indices,
     power_split_ep,
     power_split_sem,
     time_switching,
 )
-from isac_pareto.closed_form import crb_min_point, rate_max_point
-from isac_pareto.metrics import CRPoint, assemble_covariance, crb_trace, rate
+from isac_pareto.closed_form import crb_min_point
+from isac_pareto.metrics import (
+    EIG_FLOOR_REL,
+    CRPoint,
+    assemble_covariance,
+    crb_from_powers,
+    crb_trace,
+    rate,
+)
 from isac_pareto.scenario import ChannelMatrix, Scenario
 
 
-def _brute_force_pareto(points):
-    keep = []
-    for i, a in enumerate(points):
-        dominated = False
-        for j, b in enumerate(points):
-            if i == j:
-                continue
-            if b.crb <= a.crb and b.rate >= a.rate and (b.crb < a.crb or b.rate > a.rate):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
-
-
 def test_time_switching_endpoints_and_midpoint():
+    # thresholds outside the two endpoint CRBs clip to the nearer endpoint
     hi = CRPoint(crb=0.4, rate=10.0)
     lo = CRPoint(crb=0.1, rate=6.0)
-    pts = time_switching(hi, lo, [0.0, 0.5, 1.0])
-    assert (pts[0].crb, pts[0].rate) == (0.1, 6.0)
-    assert (pts[2].crb, pts[2].rate) == (0.4, 10.0)
-    assert pts[1].crb == pytest.approx(0.25)
-    assert pts[1].rate == pytest.approx(8.0)
-
-
-def test_time_switching_rejects_infinite_endpoint():
-    with pytest.raises(NotApplicableError):
-        time_switching(CRPoint(crb=math.inf, rate=10.0), CRPoint(crb=0.1, rate=6.0), [0.5])
+    crb, rt = time_switching(hi, lo, [0.05, 0.1, 0.25, 0.4, 0.5])
+    assert crb.tolist()[:2] == [0.1, 0.1] and rt.tolist()[:2] == [6.0, 6.0]
+    assert crb.tolist()[3:] == [0.4, 0.4] and rt.tolist()[3:] == [10.0, 10.0]
+    assert crb[2] == pytest.approx(0.25)
+    assert rt[2] == pytest.approx(8.0)
+    # equal endpoint CRBs leave every threshold at the CRB-minimizing point
+    crb, rt = time_switching(CRPoint(crb=0.1, rate=6.0), lo, [0.1, 0.2])
+    assert crb.tolist() == [0.1, 0.1] and rt.tolist() == [6.0, 6.0]
 
 
 def test_ep_full_rank_collapses_to_isotropic():
@@ -69,14 +58,16 @@ def test_ep_uniform_beta_recovers_isotropic(scenario1):
 
 def test_ep_all_power_to_comm_is_rank_deficient(scenario1):
     H, sc = scenario1
-    sweep = power_split_ep(H, sc, betas=[1.0])
-    assert sweep.points[0].crb == math.inf
+    sweep = power_split_ep(H, sc)
+    assert sweep.betas[-1] == 1.0
+    assert sweep.points[-1].crb == math.inf
 
 
 def test_sem_all_power_on_one_mode_is_rank_deficient(scenario1):
     H, sc = scenario1
-    sweep = power_split_sem(H, sc, betas=[1.0])
-    assert sweep.points[0].crb == math.inf
+    sweep = power_split_sem(H, sc)
+    assert sweep.betas[-1] == 1.0
+    assert sweep.points[-1].crb == math.inf
 
 
 def test_sem_uniform_beta_recovers_isotropic(scenario2):
@@ -92,27 +83,10 @@ def test_sem_uniform_beta_recovers_isotropic(scenario2):
 def test_sem_hand_computed_point():
     H = ChannelMatrix.from_matrix(np.diag([math.sqrt(2.0), 1.0]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=2.0)
-    sweep = power_split_sem(H, sc, betas=[0.75])
-    pt = sweep.points[0]
+    sweep = power_split_sem(H, sc)
+    pt = sweep.points[list(sweep.betas).index(0.75)]
     assert pt.rate == pytest.approx(math.log2(4.0) + math.log2(1.5), abs=1e-12)
     assert pt.crb == pytest.approx((12 / 200) * (1 / 1.5 + 1 / 0.5), rel=1e-12)
-
-
-def test_pareto_filter_matches_brute_force(rng):
-    for _ in range(30):
-        n = int(rng.integers(2, 40))
-        points = [
-            CRPoint(crb=float(rng.choice([rng.uniform(0.1, 2.0), math.inf])),
-                    rate=float(rng.uniform(0.0, 5.0)))
-            for _ in range(n)
-        ]
-        assert pareto_indices(points) == _brute_force_pareto(points)
-
-
-def test_pareto_filter_on_real_sweep(scenario1):
-    H, sc = scenario1
-    sweep = power_split_ep(H, sc)
-    assert pareto_indices(sweep.points) == _brute_force_pareto(sweep.points)
 
 
 def test_best_at_crb():
@@ -170,17 +144,22 @@ def test_split_sweep_matches_per_beta_covariance_path(case, maker, powers, reque
 
 
 @pytest.mark.parametrize("case", ["scenario1", "scenario2"])
-@SPLITS
-def test_split_sweep_eigenvalue_floor_matches_covariance_path(case, maker, powers, request):
-    # powers far below and well above the relative floor that makes a CRB
-    # infinite; the M x M path's rounding rules out a 1e-10 value check here
+@pytest.mark.parametrize("powers", [_ep_powers, _sem_powers], ids=["ep", "sem"])
+def test_split_sweep_eigenvalue_floor_matches_covariance_path(case, powers, request):
+    # split powers far below and well above the relative floor of the M x M
+    # path: the closed form is infinite only at an exact zero power, and the
+    # two agree wherever the eigenvalues of Q clear that floor; the M x M
+    # path's rounding rules out a 1e-10 value check at the small powers
     H, sc = request.getfixturevalue(case)
-    bench = maker(H, sc, betas=[0.0, 1e-13, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0])
-    ref = _covariance_path(H, sc, bench, powers)
-    assert [math.isinf(pt.crb) for pt in bench.points] == [math.isinf(c) for c, _ in ref]
-    if bench.betas.size > 1:
-        assert [math.isinf(pt.crb) for pt in bench.points] == [True, True, False, False,
-                                                               False, True, True]
+    for beta in [0.0, 1e-13, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0]:
+        p = powers(H.r, sc.M, sc.P, beta)
+        closed = crb_from_powers(p, sc.sigma_s2, sc.Ns, sc.L)
+        ref = crb_trace(assemble_covariance(H.Vc, p), sc.sigma_s2, sc.Ns, sc.L)
+        assert math.isinf(closed) == (p.min() == 0.0), beta
+        if p.min() > EIG_FLOOR_REL * p.sum() / sc.M:
+            assert closed == pytest.approx(ref, rel=1e-8), beta
+        else:
+            assert math.isinf(ref), beta
 
 
 def _brute_force_best(points, limit, rtol=1e-12):

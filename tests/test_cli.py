@@ -340,6 +340,16 @@ def test_point_reports_closed_form_metrics_on_tiny_mu_link(tmp_path, capsys):
     assert snr_row["rate_optimal"] == _fmt(rate_from_powers(H.lambdas2, p, sc.sigma_c2))
 
 
+def test_point_reports_a_finite_crb_at_tiny_sensing_powers(config1, capsys):
+    # at 1e9 x CRB_min both sensing powers are about 2.5e-10 x P/M, yet
+    # their sum 1/p meets the budget: the certified point has a finite CRB
+    assert main(["point", str(config1), "--gamma", "4.8e6", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "optimal"
+    assert min(payload["p"]) < 1e-9 * SC1["P"] / SC1["M"]
+    assert payload["crb"] == pytest.approx(4.8e6, rel=1e-12)
+
+
 def test_point_reports_a_search_that_evaluated_nothing(tmp_path, capsys):
     # gains near 1e-300 make mu underflow to 0 at the first evaluation, so
     # solve_p1 has no allocation to report

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used: an unused-import check
-that needs no linter.  ``__init__.py`` is left out, as it imports in order
-to re-export."""
+"""Every name a package module imports is used, and every name its
+``__all__`` lists is bound: an unused-import and stale-export check that
+needs no linter.  ``__init__.py`` is left out, as it imports in order to
+re-export (a stale name there fails at import)."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,25 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unbound_exports(source: str) -> list[str]:
+    """Names that the ``__all__`` of ``source`` lists but that its top level
+    neither defines, assigns nor imports."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
 def test_unused_imports_finds_only_unused_names():
     source = ("from __future__ import annotations\n"
               "import os\nimport os.path\nimport numpy as np\n"
@@ -41,3 +61,17 @@ def test_unused_imports_finds_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unbound_exports_finds_only_stale_names():
+    source = ("import numpy as np\nfrom .a import b, c as d\n"
+              "__all__ = ['np', 'b', 'd', 'C', 'f', 'K', 'T', 'gone']\n"
+              "K = 1\nT: int = 2\nclass C:\n    inner = 3\n"
+              "def f():\n    local = 4\n    return local\n")
+    assert unbound_exports(source) == ["gone"]
+    assert unbound_exports(source.replace("'gone'", "'inner', 'local'")) == ["inner", "local"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_exports_only_bound_names(path):
+    assert unbound_exports(path.read_text()) == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from battery import stress_links
-from isac_pareto.closed_form import crb_min_point, rate_max_point
+from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
 from isac_pareto.solver import _certify, solve_p1
@@ -69,6 +69,30 @@ def test_sweep_cap_flag_and_infinite_endpoint(scenario1):
     assert res.crb_cap == pytest.approx(100.0 * pt_min.crb, rel=1e-12)
     ts_rows = [r for r in res.rows if r.scheme == "time_switch"]
     assert ts_rows and all(r.status == "not_applicable" for r in ts_rows)
+
+
+def test_sweep_cap_is_decided_by_the_water_filling_floor():
+    # diag(1, sqrt(0.5)) has p0 = 1; just above it the weak subchannel gets
+    # (P - 1)/2.  At 1e-10 that is under the EIG_FLOOR_REL * P/M floor of
+    # rate_max_point, so the grid is capped even though the exact CRB of
+    # the water-filling powers is finite; at 1e-8 it clears the floor
+    H = ChannelMatrix.from_matrix(np.diag([1.0, math.sqrt(0.5)]))
+    p0 = p0_threshold(H.lambdas2, 1.0)
+    capped = Scenario(M=2, Nc=2, Ns=12, L=200, P=p0 * (1.0 + 1e-10))
+    wf, pt_max = rate_max_point(H, capped)
+    assert pt_max.crb == math.inf
+    assert math.isfinite(crb_from_powers(wf.p, capped.sigma_s2, capped.Ns, capped.L))
+    res = sweep(H, capped, 6)
+    assert res.capped
+    ts = [r for r in res.rows if r.scheme == "time_switch"]
+    assert len(ts) == 6 and all(r.status == "not_applicable" for r in ts)
+
+    uncapped = dataclasses.replace(capped, P=p0 * (1.0 + 1e-8))
+    res = sweep(H, uncapped, 6)
+    assert not res.capped
+    assert res.crb_cap == rate_max_point(H, uncapped)[1].crb
+    ts = [r for r in res.rows if r.scheme == "time_switch"]
+    assert len(ts) == 6 and all(r.status == "ok" and math.isfinite(r.crb) for r in ts)
 
 
 def test_sweep_time_switch_rows_when_finite(scenario2):
