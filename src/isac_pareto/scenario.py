@@ -76,8 +76,8 @@ class Scenario:
             raise ValueError(f"power budget must be positive and finite, got P={self.P}")
         if not (0.0 < self.sigma_c2 < math.inf and 0.0 < self.sigma_s2 < math.inf):
             raise ValueError("noise variances must be positive and finite")
-        # the dual search starts from mu = v (P/M)^2, on a log scale; this
-        # also keeps the minimum trace-inverse budget M^2/P finite
+        # the KKT certificate works in the original units, where mu is about
+        # v (P/M)^2; this also keeps the minimum trace-inverse budget M^2/P finite
         per_antenna = self.P / self.M
         if not sys.float_info.min <= per_antenna * per_antenna < math.inf:
             raise ValueError(f"power budget P={self.P} is so far from 1 that (P/M)^2 "

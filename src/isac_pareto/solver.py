@@ -7,15 +7,15 @@ subchannel takes the unique positive root of its stationarity equation,
 found by a monotone Newton iteration (see :func:`cubic_stationary_root`),
 and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
-found by one search on a log scale, started from the equal split: for fixed
-mu the power budget fixes v*(mu), and mu is then set by the CRB budget
-along v*(mu).  Each pass evaluates the powers once and takes one
-safeguarded Newton step of the joint 2x2 system in (log mu, log v), in its
-Schur form: the CRB residual is predicted to first order at the end of the
-inner Newton step in log v, and once the power-budget residual is small
+found by one search on a log scale in units of P, started from the equal
+split: for fixed mu the power budget fixes v*(mu), and mu is then set by
+the CRB budget along v*(mu).  Each pass evaluates the powers once and takes
+one safeguarded Newton step of the joint 2x2 system in (log mu, log v), in
+its Schur form: the CRB residual is predicted to first order at the end of
+the inner Newton step in log v, and once the power-budget residual is small
 against that prediction (an inexact Newton step) the pass moves log mu on
 it and log v by the inner step plus the tangent of v*(mu); until then it
-takes the inner step alone.
+takes the inner step alone.  Only measured residuals move the brackets.
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
@@ -65,7 +65,7 @@ _EPS = sys.float_info.epsilon
 _DUAL_TOL = 1e-13
 _INNER_TOL = 1e-14
 # A pass steps in log mu before the inner search has stopped once
-# |log(S / P)| is at most this fraction of the outer residual.
+# |log(sum p / P)| is at most this fraction of the outer residual.
 _INNER_FRACTION = 0.1
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
@@ -198,57 +198,54 @@ def _newton_step(x, val, step, lo, hi, tol):
     """One safeguarded Newton step on a strictly decreasing function of x,
     whose value at x is ``val`` and whose proposed step is ``step``.
 
-    x joins the bracket [lo, hi] of the sign changes seen so far.  A step
+    The caller keeps the bracket [lo, hi] of measured sign changes.  A step
     that points away from the root is replaced by a full capped step
     towards it, steps are capped at _MAX_LOG_STEP, and a next x outside the
     bracket is replaced by the bracket's midpoint.  Returns whether the
     search stopped (|val| <= tol, or the bracket or the step has shrunk to a
-    few ulps of x), the next x and the updated bracket.
+    few ulps of x) and the next x.
     """
-    if val > 0.0:
-        lo = x
-    else:
-        hi = x
     ulps = 4.0 * _EPS * max(1.0, abs(x))
     if not step * val > 0.0:
         step = math.copysign(_MAX_LOG_STEP, val)
     step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
     done = abs(val) <= tol or hi - lo <= ulps or abs(step) <= ulps
     nx = x + step
-    return done, (nx if lo < nx < hi else 0.5 * (lo + hi)), lo, hi
+    return done, (nx if lo < nx < hi else 0.5 * (lo + hi))
 
 
-def _equal_split_duals(gs, m, P):
-    # log mu and log v that the dual searches start from: v averages the
-    # rate slopes at the equal split, whose sensing law fixes
-    # mu/v = (P/m)^2; log mu is a sum of logs, as mu itself may underflow
-    v0 = INV_LN2 * sum(g / (1.0 + g * P / m) for g in gs) / m
-    return math.log(v0) + 2.0 * math.log(P / m), math.log(v0)
+def _equal_split_duals(gs, m):
+    # log mu and log v, in units of P, that the dual searches start from: v
+    # averages the rate slopes at the equal split 1/m, whose sensing law
+    # fixes mu/v = 1/m^2
+    x0 = math.log(INV_LN2 * sum(g / (1.0 + g / m) for g in gs) / m)
+    return x0 - 2.0 * math.log(m), x0
 
 
-def _solve_dual(gs, m, gamma_tilde, P):
-    """Dual pair with both constraints tight, by log-scale Newton from the
-    equal split: the scalar form of :func:`_lockstep_dual`.
+def _solve_dual(gs, m, gamma_tilde):
+    """Dual pair with both constraints tight, by log-scale Newton in units of
+    P from the equal split: the scalar form of :func:`_lockstep_dual`.
 
     Each pass evaluates the power map once.  It computes the inner Newton
-    step dx_in in log v on the power budget residual F = log(S / P), and the
+    step dx_in in log v on the power budget residual F = log S, and the
     outer residual on the curve v*(mu) to first order,
     G = log(C / gamma_tilde) + (v C_v / C) dx_in, with dx_in = 0 once the
     inner search has stopped: the Schur complement of the joint 2x2 Newton
     system in (log mu, log v).  Once the inner search has stopped, or
     |F| <= _INNER_FRACTION |G|, the pass takes a step in log mu: G decides
-    the log mu bracket and the stop test, and the predicted trace inverse
-    C exp((v C_v / C) dx_in) the step.  It then moves log v by dx_in plus
-    the tangent d log v* / d log mu and opens a new log v bracket.
-    Otherwise, and whenever the outer search has stopped before the inner
-    one, the pass takes the inner step.  The search has converged when both
-    have stopped.  A math error ends it unconverged.
+    the stop test, and the predicted trace inverse C exp((v C_v / C) dx_in)
+    the step.  Only a measured G, with the inner search stopped, moves the
+    log mu bracket: near p0 a predicted G can have the wrong sign.  It then
+    moves log v by dx_in plus the tangent d log v* / d log mu and opens a
+    new log v bracket.  Otherwise, and whenever the outer search has stopped
+    before the inner one, the pass takes the inner step.  The search has
+    converged when both have stopped.  A math error ends it unconverged.
 
     Returns (mu, v, powers, evaluations, converged); the powers belong to
     the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
     """
-    c_min = m * m / P
-    t, x = _equal_split_duals(gs, m, P)  # log mu, log v
+    c_min = m * m
+    t, x = _equal_split_duals(gs, m)  # log mu, log v
     t_lo = x_lo = -math.inf
     t_hi = x_hi = math.inf
     evals = 0
@@ -260,10 +257,11 @@ def _solve_dual(gs, m, gamma_tilde, P):
             mu, v = math.exp(t), math.exp(x)
             last = (mu, v, _power_map(gs, m, mu, v))
             _, S, C, S_mu, S_v, C_mu, C_v = last[2]
-            # inner search: log(S / P) in log v
-            F = math.log(S / P)
+            # inner search: log S in log v
+            F = math.log(S)
             dx_in = -F * S / (v * S_v)
-            inner_done, x_next, x_lo, x_hi = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
+            x_lo, x_hi = (x, x_hi) if F > 0.0 else (x_lo, x)
+            inner_done, x_next = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
             if inner_done:
                 dx_in = 0.0
             # outer search along v*(mu), on log(C / gamma_tilde) after the
@@ -280,15 +278,16 @@ def _solve_dual(gs, m, gamma_tilde, P):
                 if excess > 0.0:
                     slope = mu * (C_mu + C_v * dv_dmu) / excess
                     step = -math.log(excess / (gamma_tilde - c_min)) / slope
-                outer_done, t_next, t_lo_next, t_hi_next = _newton_step(
-                    t, G, step, t_lo, t_hi, _DUAL_TOL)
+                if inner_done:  # G is measured
+                    t_lo, t_hi = (t, t_hi) if G > 0.0 else (t_lo, t)
+                outer_done, t_next = _newton_step(t, G, step, t_lo, t_hi, _DUAL_TOL)
                 if outer_done and inner_done:
                     converged = True
                     break
                 if not outer_done:
                     x = x + dx_in + mu * dv_dmu / v * (t_next - t)
                     x_lo, x_hi = -math.inf, math.inf
-                    t, t_lo, t_hi = t_next, t_lo_next, t_hi_next
+                    t = t_next
                     continue
             x = x_next
     except (ArithmeticError, ValueError):
@@ -401,21 +400,17 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
 
 
 def _newton_lanes(x, val, step, lo, hi, tol):
-    """:func:`_newton_step` for each lane: returns the lanes that stopped,
-    the next x and the updated bracket."""
-    done = np.abs(val) <= tol
-    up = val > 0.0
-    lo = np.where(up, x, lo)
-    hi = np.where(up, hi, x)
+    """:func:`_newton_step` for each lane: returns the lanes that stopped
+    and the next x."""
     ulps = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
     step = np.where(step * val > 0.0, step, np.copysign(_MAX_LOG_STEP, val))
     step = np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
-    done |= (hi - lo <= ulps) | (np.abs(step) <= ulps)
+    done = (np.abs(val) <= tol) | (hi - lo <= ulps) | (np.abs(step) <= ulps)
     nx = x + step
-    return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi)), lo, hi
+    return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi))
 
 
-def _lockstep_dual(gs, m, gamma_tildes, P):
+def _lockstep_dual(gs, m, gamma_tildes):
     """:func:`_solve_dual` for many budgets of one channel at once.
 
     Each budget is one lane.  All lanes start from the equal split and run
@@ -425,8 +420,9 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
     and the outer step by the rule of :func:`_solve_dual`, and has its own
     budget of _MAX_DUAL_ITERS evaluations.  Both steps are computed for
     every lane and each lane keeps the one it chose, with the arithmetic of
-    the scalar form, so a lane takes exactly the evaluations of that form.
-    A lane whose values turn non-finite stops unconverged.
+    the scalar form but for numpy's exp and log, at times an ulp off math's;
+    so a lane takes the evaluations of that form unless the search is that
+    sensitive, as just above p0.  Non-finite values stop a lane unconverged.
 
     Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
     evaluation, the (n,) evaluation counts and the (n,) converged flags.
@@ -434,8 +430,8 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
     g, k = np.asarray(gs), m - len(gs)
     gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
-    c_min = m * m / P
-    t0, x0 = _equal_split_duals(gs, m, P)
+    c_min = m * m
+    t0, x0 = _equal_split_duals(gs, m)
     t = np.full(n, t0)  # log mu
     x = np.full(n, x0)  # log v
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
@@ -456,11 +452,13 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
             p[i], S, C, S_mu, S_v, C_mu, C_v = _power_map_lanes(g, k, mu_i, v_i)
             mu[i], v[i] = mu_i, v_i
             finite = np.isfinite(S + C + S_mu + S_v + C_mu + C_v)
-            # inner search: log(S / P) in log v
-            F = np.log(S / P)
+            # inner search: log S in log v
+            F = np.log(S)
             dx_in = -F * S / (v_i * S_v)
-            inner_done, x_next, x_lo_i, x_hi_i = _newton_lanes(
-                x_i, F, dx_in, x_lo[i], x_hi[i], _INNER_TOL)
+            up = F > 0.0
+            x_lo_i = np.where(up, x_i, x_lo[i])
+            x_hi_i = np.where(up, x_hi[i], x_i)
+            inner_done, x_next = _newton_lanes(x_i, F, dx_in, x_lo_i, x_hi_i, _INNER_TOL)
             dx_in = np.where(inner_done, 0.0, dx_in)
             # outer search along v*(mu), as in _solve_dual
             c_v = v_i * C_v / C
@@ -469,8 +467,10 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
             excess = C * np.exp(c_v * dx_in) - c_min
             slope = mu_i * (C_mu + C_v * dv_dmu) / excess
             step = np.where(excess > 0.0, -np.log(excess / (gt_i - c_min)) / slope, np.nan)
-            outer_done, t_next, t_lo_i, t_hi_i = _newton_lanes(
-                t_i, G, step, t_lo[i], t_hi[i], _DUAL_TOL)
+            up = G > 0.0  # only a measured G moves the bracket
+            t_lo[i] = np.where(inner_done & up, t_i, t_lo[i])
+            t_hi[i] = np.where(inner_done & ~up, t_i, t_hi[i])
+            outer_done, t_next = _newton_lanes(t_i, G, step, t_lo[i], t_hi[i], _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
             # is small against the outer one while the outer search goes on,
             # takes its outer step: log v moves by the inner step plus the
@@ -478,8 +478,6 @@ def _lockstep_dual(gs, m, gamma_tildes, P):
             # other lane takes its inner step
             outer = inner_done | ((np.abs(F) <= _INNER_FRACTION * np.abs(G)) & ~outer_done)
             t[i] = np.where(outer, t_next, t_i)
-            t_lo[i] = np.where(outer, t_lo_i, t_lo[i])
-            t_hi[i] = np.where(outer, t_hi_i, t_hi[i])
             x[i] = np.where(outer, x_i + dx_in + mu_i * dv_dmu / v_i * (t_next - t_i), x_next)
             x_lo[i] = np.where(outer, -np.inf, x_lo_i)
             x_hi[i] = np.where(outer, np.inf, x_hi_i)
@@ -511,15 +509,17 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     * a full-rank channel whose water-filling already meets the budget ->
       water-filling with a zero CRB multiplier;
     * otherwise both constraints are tight and the dual pair is searched
-      for: by one scalar :func:`_solve_dual` per budget when there are fewer
-      than _LOCKSTEP_MIN_BUDGETS such budgets, else by one
-      :func:`_lockstep_dual` over all of them.
+      for in units of P (gains g P, budgets gamma_tilde P, power 1, mapped
+      back by p = P q, mu = P mu' and v = v' / P): by one scalar
+      :func:`_solve_dual` per budget when there are fewer than
+      _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
+      over all of them.
 
-    One loop then judges every candidate, water-filling and dual alike: one
-    with finite powers gets :func:`_certify`, and it is ``optimal`` if and
-    only if it converged and passed.  A search that spends its
-    _MAX_DUAL_ITERS evaluations, ends on a math error or misses the
-    certificate gives ``iteration_limit``.
+    One loop then judges every candidate, water-filling and dual alike, in
+    the original units: one with finite powers gets :func:`_certify`, and it
+    is ``optimal`` if and only if it converged and passed.  A search that
+    spends its _MAX_DUAL_ITERS evaluations, ends on a math error or misses
+    the certificate gives ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
@@ -569,15 +569,15 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             found.append((j, (0.0, wf.v, wf.p, 0, True)))
         else:
             dual.append(j)
+    gs_P, gts_P = [g * P for g in gs], [gamma_tildes[j] * P for j in dual]
     if len(dual) < _LOCKSTEP_MIN_BUDGETS:
-        found += [(j, _solve_dual(gs, m, gamma_tildes[j], P)) for j in dual]
+        searched = [_solve_dual(gs_P, m, gt) for gt in gts_P]
     else:
-        mu, v, p, evals, converged = _lockstep_dual(gs, m, [gamma_tildes[j] for j in dual], P)
-        found += zip(dual, zip(mu.tolist(), v.tolist(), p, evals.tolist(), converged.tolist()))
+        searched = zip(*(a.tolist() for a in _lockstep_dual(gs_P, m, gts_P)))
+    # a search that evaluated nothing leaves its budget at iteration_limit
+    found += [(j, (P * mu, v / P, P * np.asarray(q), evals, converged))
+              for j, (mu, v, q, evals, converged) in zip(dual, searched) if q is not None]
     for j, (mu, v, p, evals, converged) in found:
-        if p is None:
-            continue  # the search evaluated nothing
-        p = np.asarray(p)
         ok, res, gap = False, math.nan, math.nan
         if np.isfinite(p).all():
             ok, res, gap = _certify(gs, m, p.tolist(), mu, v, gamma_tildes[j], P)

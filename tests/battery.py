@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from isac_pareto.closed_form import crb_min_point, rate_max_point
+from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -105,3 +105,17 @@ def stress_links(trials: int):
         P = float(10.0 ** rng.uniform(-2, 6))
         sc = Scenario(M=M, Nc=Nc, Ns=12, L=max(200, M + 1), P=P, Kc=Kc, seed=trial)
         yield rician_channel(sc), sc
+
+
+def near_p0_links(links: int = 120):
+    """Yield (channel, scenario) for the leading links of the seeded near-p0
+    battery: ``default_rng(7)``, complex Gaussian M x M channels with M in
+    [2, 6], at P = p0 (1 + eps) with eps log-uniform in [1e-8, 1], just above
+    the power :func:`p0_threshold` from which water-filling is full rank."""
+    rng = np.random.default_rng(7)
+    for _ in range(links):
+        M = int(rng.integers(2, 7))
+        H = ChannelMatrix.from_matrix(
+            (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))) / math.sqrt(2.0))
+        P = p0_threshold(H.lambdas2, 1.0) * (1.0 + 10.0 ** rng.uniform(-8, 0))
+        yield H, Scenario(M=M, Nc=M, Ns=12, L=200, P=P)

@@ -299,7 +299,8 @@ def test_power_out_of_range_rejected(tmp_path, capsys, P, command, named):
 
 @pytest.mark.parametrize("P", [6e-307, 1e-300, 1e-250, 1e-200])
 def test_sweep_rejects_power_whose_square_is_subnormal(tmp_path, capsys, P):
-    # the dual search starts from mu = v (P/M)^2, which is not a normal float
+    # the KKT certificate works in the original units, where mu is about
+    # v (P/M)^2, which is not a normal float here
     cfg = dict(SC1, M=4, Nc=3, P=P, seed=1)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

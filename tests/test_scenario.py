@@ -172,8 +172,9 @@ def test_scenario_power_with_overflowing_minimum_crb_rejected(kwargs):
 
 @pytest.mark.parametrize("P", [6e-307, 1e-300, 1e-250, 1e-200, 1e160])
 def test_scenario_power_whose_square_per_antenna_is_not_normal_rejected(P):
-    # the dual search starts from mu = v (P/M)^2; below about 1e-154 M that
-    # square is subnormal or 0, above about 1e154 M it overflows
+    # the KKT certificate works in the original units, where mu is about
+    # v (P/M)^2; below about 1e-154 M that square is subnormal or 0, above
+    # about 1e154 M it overflows
     with pytest.raises(ValueError, match=re.escape(f"P={P}")):
         Scenario(M=4, Nc=3, Ns=12, L=200, P=P, seed=1)
 

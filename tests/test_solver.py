@@ -1,11 +1,12 @@
 import dataclasses
 import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from battery import stress_links
+from battery import near_p0_links, stress_links
 from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
@@ -289,45 +290,54 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
 
 
 def test_scalar_and_lockstep_searches_are_twins():
-    # the two forms run the same iteration with the same arithmetic, so each
-    # lane of a batch takes as many evaluations as the scalar search of its
-    # budget alone, and converges exactly when that does
-    lanes = 0
-    for H, sc in stress_links(60):
+    # the two forms run the same iteration with the same arithmetic, except
+    # that numpy's exp and log round differently from math's in the last
+    # ulp; so each lane of a batch converges exactly when the scalar search
+    # of its budget alone does, and on the stress links takes as many
+    # evaluations.  On the near-p0 links a nearly dry subchannel makes the
+    # search sensitive to those ulps, and the counts may differ there.
+    lanes = {True: 0, False: 0}
+    links = itertools.chain(zip(stress_links(60), itertools.repeat(True)),
+                            zip(near_p0_links(), itertools.repeat(False)))
+    for (H, sc), exact in links:
         _, lo = crb_min_point(H, sc)
         gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) for f in STRESS_FACTORS]
-        dual = [gt for gt, (alloc, _) in zip(gts, _solve_budgets(H, sc, gts))
+        dual = [gt * sc.P for gt, (alloc, _) in zip(gts, _solve_budgets(H, sc, gts))
                 if alloc is not None and alloc.iterations > 0]
         if not dual:
             continue
-        gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
-        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, dual, sc.P)
+        gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, dual)
         for j, gt in enumerate(dual):
-            _, _, _, evals_j, converged_j = _solve_dual(gs, sc.M, gt, sc.P)
-            assert (evals_j, converged_j) == (evals[j], converged[j]), (sc, gt)
-            lanes += 1
-    assert lanes > 300
+            _, _, _, evals_j, converged_j = _solve_dual(gs, sc.M, gt)
+            assert converged_j == converged[j], (sc, gt)
+            assert evals_j == evals[j] or not exact, (sc, gt)
+            lanes[exact] += 1
+    assert lanes[True] > 300 and lanes[False] > 600
 
 
-def test_tiny_power_still_solves():
-    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1e-100, seed=1)
+@pytest.mark.parametrize("f", [1.01, 3.0, 1e3])
+@pytest.mark.parametrize("P", [1e-150, 1e-140, 1e-130, 1e-120, 1e-110, 1e-100])
+def test_tiny_power_still_solves(P, f):
+    # the searches run in units of P, so a power near the (P/M)^2 floor of
+    # Scenario solves like P = 1
+    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=P, seed=1)
     H = rician_channel(sc)
     _, lo = crb_min_point(H, sc)
-    rep = solve_p1(H, sc, 3.0 * lo.crb)
+    rep = solve_p1(H, sc, f * lo.crb)
     assert rep.status == "optimal" and rep.allocation.mu > 0.0
 
 
-def test_dual_searches_start_where_mu_underflows():
-    # with gains near 1e-300, mu = v (P/M)^2 at the equal split underflows to
-    # 0; the searches start from its logarithm instead of raising on log(0)
+def test_dual_searches_survive_gains_near_underflow():
+    # gains near 1e-300 times a power of 1e-15 are subnormal in units of P;
+    # the searches end without raising
     sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1e-15, sigma_c2=1e300, seed=1)
     H = rician_channel(sc)
-    gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
+    gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
     _, lo = crb_min_point(H, sc)
-    gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
-    assert solver_module._equal_split_duals(gs, sc.M, sc.P)[0] < math.log(5e-324)
-    _solve_dual(gs, sc.M, gt, sc.P)
-    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt], sc.P)
+    gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
+    _solve_dual(gs, sc.M, gt)
+    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt])
     assert solve_p1(H, sc, 3.0 * lo.crb).status in ("optimal", "iteration_limit")
     rows = [r for r in sweep(H, sc, 6).rows if r.scheme == "optimal"]
     assert len(rows) == 6
@@ -388,9 +398,9 @@ def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
     batches = []
     search = solver_module._lockstep_dual
 
-    def spy(gs, m, gts, P):
+    def spy(gs, m, gts):
         batches.append(len(gts))
-        return search(gs, m, gts, P)
+        return search(gs, m, gts)
 
     monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
     for H, sc in (scenario1, scenario2):
