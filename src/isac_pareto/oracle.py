@@ -5,9 +5,15 @@ derivative.  The dual is minimized from its values alone by two nested
 log-grid shrinks: h(mu) = min_v D(mu, v) is convex, since partial
 minimization keeps convexity, so a shrink over 16 mu values is exact, and
 each h value comes from an inner shrink over 16 v values.  Inner stationary
-points come from bisection (no cubic formula).  Each bisection and each
-inner shrink starts from a closed-form bracket of its solution, so it
-spends no steps narrowing a generic window.  Tiny instances are
+points come from bisection (no cubic formula).  Each bisection starts from
+a closed-form bracket of its root, so it spends no steps narrowing a
+generic window.  Each inner shrink starts from the closed-form window of
+v*(mu) = argmin_v D(mu, v), narrowed by the v* already found: the
+stationary powers rise with mu and fall with v, and v* is where they sum to
+P, so v* is nondecreasing in mu and lies between the v* of the nearest mu
+evaluated either side.  A narrowed window whose argmin lands on an edge it
+narrowed may have missed v*, and that shrink starts again from the
+closed-form window.  Tiny instances are
 additionally brute-forced on a primal simplex grid, whose best point is
 then zoomed on the tight constraint surface.
 
@@ -97,24 +103,26 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
     there and its error is of the order of the squared relative error of p.
     On the dual grids of the oracle tests, the benchmark and a seeded
     250-draw random probe, the bracket is at most about 2^18 times the
-    root, and 32 halvings give every dual value to within 1e-14 relative of
-    its 200-halving value.  Final powers take 200 halvings.
+    root, and 32 halvings give every dual value to within 2e-14 relative of
+    its 200-halving value.  That is the rounding of the dual value itself
+    where it is worst: there v sum(p) and mu gamma_tilde are 20 times the
+    value and cancel.  Final powers take 200 halvings.
     """
-    G = gs[None, :]
-    A = INV_LN2 * G
+    inv_g = 1.0 / gs[None, :]
     MUc = MU[:, None]
     Vc = V[:, None]
     lo, hi = _root_bracket(gs, MU, V)
+    w = hi - lo
     # a dry channel at mu = 0 has lo = hi = 0, where mu / mid^2 is 0 / 0 and
     # the comparison below is False
     with np.errstate(invalid="ignore"):
         for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            # f(mid) > 0, with f = A / (1 + G mid) + mu / mid^2 - v
-            pos = A / (1.0 + G * mid) + MUc / (mid * mid) > Vc
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
+            w *= 0.5
+            mid = lo + w
+            # f(mid) > 0, with f = (1 / ln2) / (1 / g + mid) + mu / mid^2 - v
+            pos = INV_LN2 / (inv_g + mid) + MUc / (mid * mid) > Vc
+            np.copyto(lo, mid, where=pos)
+    return lo + 0.5 * w
 
 
 def _grid_values(gs, m, MU, V, gamma_tilde, P):
@@ -186,13 +194,18 @@ def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
     problem, to their values; ``lo`` and ``hi`` are the (n,) starting
     windows.  An interior argmin narrows its row's window to one grid step
     either side, which is exact for a unimodal function; an edge argmin
-    re-centres the window on that edge at the same width.  Exact values of a unimodal function never
-    send a re-centred window back to the opposite edge, so such a bounce is
-    rounding noise on a flat stretch and narrows the window instead.  Only a
-    narrowing shrinks the step, so a window that reaches the tolerance
-    brackets the minimum; its argmin, even on an edge, is then within one
-    step of it.  A window whose values are all equal holds no more
-    information and stops too.  Returns the argmin and its value per row.
+    re-centres the window on that edge at the same width.  Exact values of
+    a unimodal function never send a re-centred window back to the opposite
+    edge, so such a bounce is rounding noise on a flat stretch and narrows
+    the window instead.  Only a narrowing shrinks the step, so a window that
+    reaches the tolerance brackets the minimum; its argmin, even on an
+    edge, is then within one step of it.  That needs a starting window wider
+    than the tolerance or holding the minimum: a narrower one stops at its
+    first evaluation, wherever the minimum is.  A window whose values are
+    all equal holds no more information and stops too.  A row that does
+    neither in _SHRINK_STEPS evaluations raises ``RuntimeError``.  Returns
+    the argmin, its value, and -1 / +1 / 0 as it lies on the low edge, the
+    high edge or inside its last window, per row.
     """
     unit = np.linspace(0.0, 1.0, _SHRINK_POINTS)
     t_lo, t_hi = np.log(lo), np.log(hi)
@@ -215,7 +228,10 @@ def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
         tk = t[rows, k]
         t_lo = np.where(done, t_lo, tk - reach)
         t_hi = np.where(done, t_hi, tk + reach)
-    return x[rows, k], vals[rows, k]
+    else:
+        raise RuntimeError(f"{int(np.sum(~done))} of {done.size} log-grid shrinks did not "
+                           f"converge in {_SHRINK_STEPS} steps")
+    return x[rows, k], vals[rows, k], np.where(k == 0, -1, np.where(k == _SHRINK_POINTS - 1, 1, 0))
 
 
 def _v_window(gs: np.ndarray, m: int, P: float, mu: np.ndarray):
@@ -237,6 +253,27 @@ def _v_window(gs: np.ndarray, m: int, P: float, mu: np.ndarray):
     return lo * (1.0 - _BRACKET_RTOL), hi * (1.0 + _BRACKET_RTOL)
 
 
+def _warm_v_window(seen_mu: np.ndarray, seen_v: np.ndarray, mu: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray):
+    """Narrow the closed-form windows [lo, hi] of v*(mu) by the v* already
+    found at the mu values ``seen_mu`` (sorted, with v* ``seen_v``).
+
+    As v*(mu) is nondecreasing in mu, it lies between the v* of the nearest
+    seen mu at or below and at or above it.  Each found v* is within one
+    shrink step of the true one, so each end moves outward by two steps,
+    2 _SHRINK_TOL in log scale.  A row with no seen mu on one side keeps
+    that closed-form end, and one whose ends cross keeps both.
+    """
+    # a v* of 0 below every mu and of inf above it stands for none
+    seen_mu = np.concatenate(([-np.inf], seen_mu, [np.inf]))
+    seen_v = np.concatenate(([0.0], seen_v, [np.inf]))
+    widen = math.exp(2.0 * _SHRINK_TOL)
+    w_lo = np.maximum(lo, seen_v[np.searchsorted(seen_mu, mu, side="right") - 1] / widen)
+    w_hi = np.minimum(hi, seen_v[np.searchsorted(seen_mu, mu, side="left")] * widen)
+    crossed = w_lo >= w_hi
+    return np.where(crossed, lo, w_lo), np.where(crossed, hi, w_hi)
+
+
 def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
                      gamma_tilde: float) -> PowerAllocation:
     """Reference solution of the power allocation by nested dual shrinks.
@@ -245,12 +282,19 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
     D(mu, v); each h value comes from an inner log-grid shrink over 16 v
     values, run for all 16 mu values at once, so each inner step evaluates
     the dual on one 16 x 16 block.  The outer shrink starts from [1e-12,
-    ``_dual_box``], each inner one from the closed-form window of
-    :func:`_v_window`, and both stop at a log step of 1e-6.  The mu = 0
-    face, which a log axis cannot reach, is an explicit candidate compared
-    by h that wins ties.  The powers at the best (mu, v) are repaired onto
-    the feasible set.  A non-finite or infeasible ``gamma_tilde`` raises
-    ``ValueError``.
+    ``_dual_box``] and both stop at a log step of 1e-6.  The stationary
+    powers rise with mu and fall with v, and v*(mu) = argmin_v D(mu, v) is
+    where they sum to P, so v*(mu) is nondecreasing in mu.  Each inner
+    shrink therefore starts from the closed-form window of :func:`_v_window`
+    narrowed by :func:`_warm_v_window` to the v* found at the nearest mu
+    evaluated below and above, so once the mu window is small most inner
+    shrinks take one step.  A row whose argmin
+    lands on an edge that narrowing moved is shrunk again from the
+    closed-form window; it is never accepted.  The mu = 0 face, which a log
+    axis cannot reach, is an explicit candidate compared by h that wins
+    ties, and its window is narrowed by the same rule.  The powers at the
+    best (mu, v) are repaired onto the feasible set.  A non-finite or
+    infeasible ``gamma_tilde`` raises ``ValueError``.
     """
     lam2 = np.asarray(lambdas2, dtype=float)
     r = lam2.size
@@ -261,9 +305,9 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
     gs = lam2 / sigma_c2
     box = _dual_box(gs, P, gamma_tilde)
     evals = 0
+    seen_mu = seen_v = np.empty(0)  # every (mu, v*) found so far, sorted by mu
 
-    def v_shrink(mu):
-        # v*(mu) and h(mu) for each entry of the 1-D array mu
+    def shrink(mu, lo, hi):
         def block(V):
             nonlocal evals
             MU = np.broadcast_to(mu[:, None], V.shape)
@@ -271,10 +315,28 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
             evals += V.size
             return vals.reshape(V.shape)
 
-        return _log_shrink(block, *_v_window(gs, m, P, mu))
+        return _log_shrink(block, lo, hi)
 
-    (mu_best,), _ = _log_shrink(lambda MU: v_shrink(MU[0])[1][None, :],
-                                np.array([1e-12]), np.array([box]))
+    def v_shrink(mu):
+        # v*(mu) and h(mu) for each entry of the 1-D array mu
+        nonlocal seen_mu, seen_v
+        lo, hi = _v_window(gs, m, P, mu)
+        w_lo, w_hi = _warm_v_window(seen_mu, seen_v, mu, lo, hi)
+        v, h, edge = shrink(mu, w_lo, w_hi)
+        # a warm window that misses v* may stop at once with its argmin on
+        # an edge it narrowed; such a row starts again from the closed-form
+        # window, whose own edges bound v*
+        miss = ((edge < 0) & (w_lo != lo)) | ((edge > 0) & (w_hi != hi))
+        if np.any(miss):
+            v[miss], h[miss], _ = shrink(mu[miss], lo[miss], hi[miss])
+        seen_mu = np.concatenate((seen_mu, mu))
+        seen_v = np.concatenate((seen_v, v))
+        order = np.argsort(seen_mu, kind="stable")
+        seen_mu, seen_v = seen_mu[order], seen_v[order]
+        return v, h
+
+    (mu_best,), _, _ = _log_shrink(lambda MU: v_shrink(MU[0])[1][None, :],
+                                   np.array([1e-12]), np.array([box]))
     mus = np.array([0.0, mu_best])
     vs, hs = v_shrink(mus)
     k = int(np.argmin(hs))

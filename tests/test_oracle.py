@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from battery import FIXTURES
 from isac_pareto.closed_form import crb_min_point, waterfill
 from isac_pareto.metrics import (
     rate,
@@ -112,11 +113,15 @@ def test_v_window_holds_the_wide_window_minimizer(m, r):
             MU = np.broadcast_to(mu[:, None], V.shape)
             return _grid_values(gs, m, MU.ravel(), V.ravel(), gamma_tilde, P).reshape(V.shape)
 
-        v_star, _ = _log_shrink(block, np.full(mu.size, 1e-12), np.full(mu.size, box))
+        v_star, _, _ = _log_shrink(block, np.full(mu.size, 1e-12), np.full(mu.size, box))
         lo, hi = _v_window(gs, m, P, mu)
         slack = math.exp(_SHRINK_TOL)
         assert np.all(v_star >= lo / slack)
         assert np.all(v_star <= hi * slack)
+        # v*(mu) is nondecreasing in mu, up to the same resolution: the
+        # premise of the warm-started inner shrinks of oracle_dual_grid
+        rising = v_star[np.argsort(mu)]
+        assert np.all(rising[1:] >= rising[:-1] / slack)
 
 
 def test_log_shrink_edges_and_flat_rows():
@@ -132,13 +137,13 @@ def test_log_shrink_edges_and_flat_rows():
         vals[3] = 1.5
         return vals
 
-    x, val = _log_shrink(values, np.ones(4), np.full(4, 1e6))
+    x, val, edge = _log_shrink(values, np.ones(4), np.full(4, 1e6))
     assert _SHRINK_POINTS == 16
     assert all(shape == (4, _SHRINK_POINTS) for shape in widths)
     assert np.all(np.abs(np.log(x[:3] / centres[:3])) <= _SHRINK_TOL)
     assert np.all(val[:3] <= _SHRINK_TOL ** 2)
-    # the flat row stops at once, on its first point
-    assert (x[3], val[3]) == (1.0, 1.5)
+    # the flat row stops at once, on its first point, the low edge
+    assert (x[3], val[3], edge[3]) == (1.0, 1.5, -1)
 
     calls = []
 
@@ -146,8 +151,33 @@ def test_log_shrink_edges_and_flat_rows():
         calls.append(x.shape)
         return np.zeros(x.shape)
 
-    x, val = _log_shrink(flat, np.array([2.0]), np.array([8.0]))
-    assert calls == [(1, _SHRINK_POINTS)] and (x[0], val[0]) == (2.0, 0.0)
+    x, val, edge = _log_shrink(flat, np.array([2.0]), np.array([8.0]))
+    assert calls == [(1, _SHRINK_POINTS)] and (x[0], val[0], edge[0]) == (2.0, 0.0, -1)
+
+
+def test_log_shrink_reports_the_edge_of_a_window_that_misses():
+    # a window narrower than the tolerance stops at its first evaluation;
+    # one that misses the minimum says on which side, one that holds it
+    # says 0
+    def values(x):
+        return (np.log(x) - math.log(10.0)) ** 2
+
+    lo = np.array([20.0, 2.0, 9.99999])
+    x, _, edge = _log_shrink(values, lo, lo * math.exp(4.0 * _SHRINK_TOL))
+    assert edge.tolist() == [-1, 1, 0]
+    assert x[0] == pytest.approx(20.0) and x[1] == pytest.approx(2.0 * math.exp(4.0 * _SHRINK_TOL))
+
+
+def test_log_shrink_raises_when_a_row_exhausts_its_steps():
+    # an edge argmin re-centres the window by half its log width, here
+    # ln(2) / 2, so 60 steps from [1, 2] reach no further than 2^31; a
+    # minimum at 1e100 is out of reach.  The row that converges beside it
+    # does not hide it.
+    def values(x):
+        return (np.log(x) - np.log([[1e100], [1.5]])) ** 2
+
+    with pytest.raises(RuntimeError, match="1 of 2 log-grid shrinks did not converge"):
+        _log_shrink(values, np.ones(2), np.full(2, 2.0))
 
 
 def test_primal_grid_boundary_equal_split():
@@ -332,21 +362,76 @@ def test_primal_grid_bit_identical_to_cube_enumeration(fixtures_dir, case, monke
     assert (got.iterations, got.kkt_residual) == (want.iterations, want.kkt_residual)
 
 
-def test_dual_grid_work_bound_on_pinned_fixtures(fixtures_dir, monkeypatch):
+@pytest.fixture(scope="module")
+def pinned_dual_grids():
+    """Per pinned fixture: the rate deviation of the dual grid from the
+    solver, and every _grid_values call it made, with the values returned."""
+    grid_values = oracle_module._grid_values
+    calls = []
+
+    def recorded(*args):
+        vals = grid_values(*args)
+        calls.append((args, vals))
+        return vals
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_grid_values", recorded)
+        for case in DUAL_REPRODUCERS + PRIMAL_REPRODUCERS + LOOSE_CASES:
+            H, sc, rep = _optimal_solve(FIXTURES, *case)
+            first = len(calls)
+            alloc = oracle_dual_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+            dev = (abs(rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2) - rep.achieved.rate)
+                   / max(1.0, rep.achieved.rate))
+            runs.append((dev, calls[first:]))
+    return runs
+
+
+def test_dual_grid_work_bound_on_pinned_fixtures(pinned_dual_grids):
     # a deterministic count of the dual grid's work: its _grid_values calls,
     # one per shrink step and candidate, summed over every pinned fixture.
-    # With 16-point windows they number 924; 8-point windows took 2148.
-    calls = []
-    grid_values = oracle_module._grid_values
+    # With inner shrinks warm-started from the v*(mu) already found they
+    # number 453; from the closed-form window alone they took 924, and with
+    # 8-point windows 2148.
+    assert max(dev for dev, _ in pinned_dual_grids) <= 1e-5
+    assert sum(len(calls) for _, calls in pinned_dual_grids) <= 453
 
-    def counted(*args):
-        calls.append(args[2].size)
-        return grid_values(*args)
 
-    monkeypatch.setattr(oracle_module, "_grid_values", counted)
-    for case in DUAL_REPRODUCERS + PRIMAL_REPRODUCERS + LOOSE_CASES:
-        H, sc, rep = _optimal_solve(fixtures_dir, *case)
-        alloc = oracle_dual_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
-        assert abs(rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2)
-                   - rep.achieved.rate) <= 1e-5 * max(1.0, rep.achieved.rate)
-    assert len(calls) <= 924
+def test_32_halvings_hold_every_dual_value(pinned_dual_grids, monkeypatch):
+    # the accuracy _bisect_comm_powers claims: on every (mu, v) the dual grid
+    # evaluates for the pinned fixtures, the dual value from 32 halvings is
+    # within 2e-14 relative of its value from 200
+    bisect = oracle_module._bisect_comm_powers
+    monkeypatch.setattr(oracle_module, "_bisect_comm_powers",
+                        lambda gs, MU, V: bisect(gs, MU, V, iters=200))
+    worst = 0.0
+    for _, calls in pinned_dual_grids:
+        (gs, m, _, _, gamma_tilde, P), _ = calls[0]
+        MU = np.concatenate([args[2] for args, _ in calls])
+        V = np.concatenate([args[3] for args, _ in calls])
+        vals = np.concatenate([vals for _, vals in calls])
+        ref = _grid_values(gs, m, MU, V, gamma_tilde, P)
+        worst = max(worst, float(np.max(np.abs(vals - ref) / np.abs(ref))))
+    assert worst <= 2e-14
+
+
+def test_dual_grid_restarts_a_warm_window_that_misses(fixtures_dir, monkeypatch):
+    # warm windows a few shrink steps wide, wholly above or below the
+    # closed-form window, stop at once with the argmin on the edge they
+    # narrowed; every such row starts again from the closed-form window, so
+    # the result is that of a dual grid that is never warm-started
+    H, sc, rep = _optimal_solve(fixtures_dir, *DUAL_REPRODUCERS[0])
+    args = (H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+    monkeypatch.setattr(oracle_module, "_warm_v_window",
+                        lambda seen_mu, seen_v, mu, lo, hi: (lo, hi))
+    cold = oracle_dual_grid(*args)
+
+    def wrong(seen_mu, seen_v, mu, lo, hi):
+        start = np.where(np.arange(mu.size) % 2 == 0, 4.0 * hi, lo / 8.0)
+        return start, start * math.exp(4.0 * _SHRINK_TOL)
+
+    monkeypatch.setattr(oracle_module, "_warm_v_window", wrong)
+    got = oracle_dual_grid(*args)
+    assert got.p.tobytes() == cold.p.tobytes()
+    assert (got.mu, got.v, got.duality_gap) == (cold.mu, cold.v, cold.duality_gap)
+    assert got.iterations > cold.iterations
