@@ -6,16 +6,19 @@ budget between communication and sensing subchannels (EP) or between the
 strongest eigenmode and everything else (SEM).
 
 Both splits allocate power in the channel eigenbasis, Q = Vc diag(p) Vc^H,
-so a sweep builds its powers as one (n_beta, M) array and takes every
-point's CRB and rate from the closed forms :func:`crb_from_powers` and
-:func:`rate_from_powers`; no covariance is assembled or decomposed.
-:func:`best_at_crbs` selects the best point under each of many CRB limits
-with one binary search over the points sorted by CRB.
+so a sweep builds its powers as one (n_beta, M) array and takes the CRB and
+rate arrays of all its points from the closed forms :func:`crb_from_powers`
+and :func:`rate_from_powers`; no covariance is assembled or decomposed, and
+:class:`CRPoint` objects are built only when a caller reads
+:attr:`BetaSweep.points`.  :func:`best_indices` selects the best point under
+each of many CRB limits from those arrays, with one binary search over the
+points sorted by CRB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ __all__ = [
     "power_split_ep",
     "power_split_sem",
     "best_at_crb",
-    "best_at_crbs",
+    "best_indices",
 ]
 
 DEFAULT_BETA_POINTS = 201
@@ -42,10 +45,19 @@ _CRB_LIMIT_RTOL = 1e-12
 
 @dataclass
 class BetaSweep:
-    """All points of one power-splitting sweep, one per beta."""
+    """All points of one power-splitting sweep, one per beta: the (n_beta,)
+    arrays ``crb`` and ``rate``, and as :class:`CRPoint` objects in
+    ``points``, built on first use."""
 
     betas: np.ndarray
-    points: list[CRPoint]
+    crb: np.ndarray
+    rate: np.ndarray
+    scheme: str
+
+    @cached_property
+    def points(self) -> list[CRPoint]:
+        return [CRPoint(crb=c, rate=rt, gamma_target=None, scheme=self.scheme)
+                for c, rt in zip(self.crb.tolist(), self.rate.tolist())]
 
 
 def _beta_grid(extra: float) -> np.ndarray:
@@ -73,11 +85,10 @@ def time_switching(pt_rate_max: CRPoint, pt_crb_min: CRPoint,
 def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, scheme) -> BetaSweep:
     # powers_of_betas maps the beta grid to its (n_beta, M) eigenbasis powers
     p = powers_of_betas(betas)
-    crbs = crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L)
-    rates = rate_from_powers(H.lambdas2, p, scenario.sigma_c2)
-    points = [CRPoint(crb=c, rate=rt, gamma_target=None, scheme=scheme)
-              for c, rt in zip(crbs.tolist(), rates.tolist())]
-    return BetaSweep(betas=betas, points=points)
+    return BetaSweep(betas=betas,
+                     crb=crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L),
+                     rate=rate_from_powers(H.lambdas2, p, scenario.sigma_c2),
+                     scheme=scheme)
 
 
 def power_split_ep(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
@@ -120,25 +131,26 @@ def best_at_crb(points, crb_limit: float) -> CRPoint | None:
 
     Of several points with the highest rate, the first one listed wins.
     """
-    return best_at_crbs(points, [crb_limit])[0]
+    k, = best_indices([pt.crb for pt in points], [pt.rate for pt in points],
+                      [crb_limit]).tolist()
+    return points[k] if k >= 0 else None
 
 
-def best_at_crbs(points, crb_limits) -> list[CRPoint | None]:
-    """For each of ``crb_limits``, the highest-rate point whose CRB does not
-    exceed it, or ``None``; of several with the highest rate, the first one
-    listed wins.
+def best_indices(crb, rate, crb_limits) -> np.ndarray:
+    """For each of ``crb_limits``, the index of the highest-rate point whose
+    CRB does not exceed it, or -1; of several with the highest rate, the
+    lowest index wins.  ``crb`` and ``rate`` hold one value per point.
 
-    The points are sorted by CRB once and ranked by (rate, earlier listed);
-    a running maximum of the rank along the CRB order gives the winner
-    among every CRB prefix, and one binary search finds each limit's prefix.
+    The points are sorted by CRB once and ranked by (rate, lower index); a
+    running maximum of the rank along the CRB order gives the winner among
+    every CRB prefix, and one binary search finds each limit's prefix.
     """
-    n = len(points)
-    crb = np.array([pt.crb for pt in points], dtype=float)
+    crb = np.asarray(crb, dtype=float)
+    n = crb.size
     by_crb = np.argsort(crb, kind="stable")
-    by_rank = np.lexsort((-np.arange(n), [pt.rate for pt in points]))
+    by_rank = np.lexsort((-np.arange(n), np.asarray(rate, dtype=float)))
     rank = np.empty(n, dtype=int)
     rank[by_rank] = np.arange(n)
-    prefix_best = np.maximum.accumulate(rank[by_crb])
+    prefix_best = np.append(-1, by_rank[np.maximum.accumulate(rank[by_crb])])
     limits = np.asarray(crb_limits, dtype=float) * (1.0 + _CRB_LIMIT_RTOL)
-    counts = np.searchsorted(crb[by_crb], limits, side="right")
-    return [points[by_rank[prefix_best[k - 1]]] if k else None for k in counts.tolist()]
+    return prefix_best[np.searchsorted(crb[by_crb], limits, side="right")]

@@ -19,7 +19,6 @@ up to about 1e-4 relative, while their ``crb`` and rate agree within about
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -113,17 +112,23 @@ def load_config(path) -> Scenario:
     return scenario
 
 
-def _csv_row(row: SweepRow) -> list[str]:
-    return [row.scheme, _fmt(row.gamma_target), _fmt(row.crb), _fmt(row.rate),
-            _fmt(row.mu), _fmt(row.v), str(row.iterations), _fmt(row.kkt_residual),
-            row.status]
+# one CSV line per row, each number as _fmt writes it
+_SWEEP_LINE = "%s,%.11e,%.11e,%.11e,%.11e,%.11e,%d,%.11e,%s"
+_SNR_LINE = "%.11e,%.11e,%.11e,%.11e,%.11e,%s"
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_row(row: SweepRow) -> str:
+    return _SWEEP_LINE % (row.scheme, row.gamma_target, row.crb, row.rate, row.mu, row.v,
+                          row.iterations, row.kkt_residual, row.status)
+
+
+def _write_csv(path, header, lines) -> None:
+    """Write the header and the formatted ``lines`` in one go, with the
+    ``\\r\\n`` line ends of :mod:`csv`'s default dialect.  No field needs
+    quoting: numbers are written by ``%.11e`` or ``%d``, and scheme and
+    status names hold no comma, quote or line break."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(header), *lines, ""]))
 
 
 _PLOT_FRONTIER = '''#!/usr/bin/env python3
@@ -316,19 +321,17 @@ def cmd_rate_vs_snr(args) -> int:
         power = scen.P
         rep = solve_p1(H, scen, args.gamma)
         if rep.status == "infeasible":
-            rows.append([_fmt(snr_db), _fmt(power), "nan", "nan", "nan", "infeasible"])
+            rows.append(_SNR_LINE % (snr_db, power, math.nan, math.nan, math.nan, "infeasible"))
             continue
         ep = best_at_crb(power_split_ep(H, scen).points, args.gamma)
         sem = best_at_crb(power_split_sem(H, scen).points, args.gamma)
         rate = math.nan
         if rep.allocation is not None:
             _, rate = _closed_form_point(H, scen, rep.allocation.p)
-        rows.append([
-            _fmt(snr_db), _fmt(power), _fmt(rate),
-            _fmt(ep.rate if ep else math.nan),
-            _fmt(sem.rate if sem else math.nan),
-            "ok" if rep.status == "optimal" else rep.status,
-        ])
+        rows.append(_SNR_LINE % (snr_db, power, rate,
+                                 ep.rate if ep else math.nan,
+                                 sem.rate if sem else math.nan,
+                                 "ok" if rep.status == "optimal" else rep.status))
     header = ["snr_db", "power", "rate_optimal", "rate_ep", "rate_sem", "status"]
     out = Path(args.out)
     _write_csv(out, header, rows)

@@ -424,6 +424,11 @@ def _lockstep_dual(gs, m, gamma_tildes):
     so a lane takes the evaluations of that form unless the search is that
     sensitive, as just above p0.  Non-finite values stop a lane unconverged.
 
+    The state arrays hold the live lanes only: on a pass where some lanes
+    stop, their results are written out and every state array is compacted
+    to the lanes left.  All live lanes have made the same number of
+    evaluations, so one counter serves them all.
+
     Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
     evaluation, the (n,) evaluation counts and the (n,) converged flags.
     """
@@ -432,59 +437,63 @@ def _lockstep_dual(gs, m, gamma_tildes):
     n = gt.size
     c_min = m * m
     t0, x0 = _equal_split_duals(gs, m)
-    t = np.full(n, t0)  # log mu
-    x = np.full(n, x0)  # log v
+    mu_out, v_out = np.full(n, np.nan), np.full(n, np.nan)
+    p_out = np.full((n, m), np.nan)
+    evals_out = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    # state of the live lanes: their indices, log mu, log v and brackets
+    lane = np.arange(n)
+    t = np.full(n, t0)
+    x = np.full(n, x0)
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
     x_lo, x_hi = t_lo.copy(), t_hi.copy()
-    evals = np.zeros(n, dtype=int)
-    live = np.ones(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
-    p = np.full((n, m), np.nan)
-    mu, v = np.full(n, np.nan), np.full(n, np.nan)
+    evals = 0
     with np.errstate(all="ignore"):
-        while True:
-            live &= evals < _MAX_DUAL_ITERS
-            i = np.flatnonzero(live)
-            if i.size == 0:
-                break
-            evals[i] += 1
-            mu_i, v_i, t_i, x_i, gt_i = np.exp(t[i]), np.exp(x[i]), t[i], x[i], gt[i]
-            p[i], S, C, S_mu, S_v, C_mu, C_v = _power_map_lanes(g, k, mu_i, v_i)
-            mu[i], v[i] = mu_i, v_i
+        while lane.size and evals < _MAX_DUAL_ITERS:
+            evals += 1
+            mu, v = np.exp(t), np.exp(x)
+            p, S, C, S_mu, S_v, C_mu, C_v = _power_map_lanes(g, k, mu, v)
             finite = np.isfinite(S + C + S_mu + S_v + C_mu + C_v)
             # inner search: log S in log v
             F = np.log(S)
-            dx_in = -F * S / (v_i * S_v)
+            dx_in = -F * S / (v * S_v)
             up = F > 0.0
-            x_lo_i = np.where(up, x_i, x_lo[i])
-            x_hi_i = np.where(up, x_hi[i], x_i)
-            inner_done, x_next = _newton_lanes(x_i, F, dx_in, x_lo_i, x_hi_i, _INNER_TOL)
+            x_lo = np.where(up, x, x_lo)
+            x_hi = np.where(up, x_hi, x)
+            inner_done, x_next = _newton_lanes(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
             dx_in = np.where(inner_done, 0.0, dx_in)
             # outer search along v*(mu), as in _solve_dual
-            c_v = v_i * C_v / C
-            G = np.log(C / gt_i) + c_v * dx_in
+            c_v = v * C_v / C
+            G = np.log(C / gt) + c_v * dx_in
             dv_dmu = -S_mu / S_v
             excess = C * np.exp(c_v * dx_in) - c_min
-            slope = mu_i * (C_mu + C_v * dv_dmu) / excess
-            step = np.where(excess > 0.0, -np.log(excess / (gt_i - c_min)) / slope, np.nan)
+            slope = mu * (C_mu + C_v * dv_dmu) / excess
+            step = np.where(excess > 0.0, -np.log(excess / (gt - c_min)) / slope, np.nan)
             up = G > 0.0  # only a measured G moves the bracket
-            t_lo[i] = np.where(inner_done & up, t_i, t_lo[i])
-            t_hi[i] = np.where(inner_done & ~up, t_i, t_hi[i])
-            outer_done, t_next = _newton_lanes(t_i, G, step, t_lo[i], t_hi[i], _DUAL_TOL)
+            t_lo = np.where(inner_done & up, t, t_lo)
+            t_hi = np.where(inner_done & ~up, t, t_hi)
+            outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
             # is small against the outer one while the outer search goes on,
             # takes its outer step: log v moves by the inner step plus the
             # tangent d log v* / d log mu and opens a new inner bracket; any
             # other lane takes its inner step
             outer = inner_done | ((np.abs(F) <= _INNER_FRACTION * np.abs(G)) & ~outer_done)
-            t[i] = np.where(outer, t_next, t_i)
-            x[i] = np.where(outer, x_i + dx_in + mu_i * dv_dmu / v_i * (t_next - t_i), x_next)
-            x_lo[i] = np.where(outer, -np.inf, x_lo_i)
-            x_hi[i] = np.where(outer, np.inf, x_hi_i)
+            x = np.where(outer, x + dx_in + mu * dv_dmu / v * (t_next - t), x_next)
+            t = np.where(outer, t_next, t)
+            x_lo = np.where(outer, -np.inf, x_lo)
+            x_hi = np.where(outer, np.inf, x_hi)
             stop = inner_done & outer_done
-            converged[i[stop & finite]] = True
-            live[i[stop | ~finite]] = False
-    return mu, v, p, evals, converged
+            done = stop | ~finite | (evals == _MAX_DUAL_ITERS)
+            if done.any():
+                j = lane[done]
+                mu_out[j], v_out[j], p_out[j] = mu[done], v[done], p[done]
+                evals_out[j] = evals
+                converged[j] = stop[done] & finite[done]
+                keep = ~done
+                lane, gt, t, x = lane[keep], gt[keep], t[keep], x[keep]
+                t_lo, t_hi, x_lo, x_hi = t_lo[keep], t_hi[keep], x_lo[keep], x_hi[keep]
+    return mu_out, v_out, p_out, evals_out, converged
 
 
 def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
@@ -498,7 +507,8 @@ def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
 def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     """Solve the CRB-constrained problem for each trace-inverse budget of one
     channel; returns one (allocation, status) pair per budget, with
-    allocation ``None`` when there is none to report.
+    allocation ``None`` when there is none to report, and whether the
+    lockstep form searched the budgets on the dual path.
 
     Each budget takes one of four paths:
 
@@ -513,7 +523,7 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       back by p = P q, mu = P mu' and v = v' / P): by one scalar
       :func:`_solve_dual` per budget when there are fewer than
       _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
-      over all of them.
+      over all of them, whose output is mapped back over whole arrays.
 
     One loop then judges every candidate, water-filling and dual alike, in
     the original units: one with finite powers gets :func:`_certify`, and it
@@ -526,25 +536,27 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     n scalar searches for large n.  Measured per stress link (mean over the
     first 60 of ``tests/battery.stress_links``), with n budgets log-spaced
     from M^2/P (1 + 1e-6) to the smaller of 1e3 M^2/P and just below the
-    water-filling load, all on the dual path, each the best of three runs
-    (Python 3.11, numpy 2.4, 2 vCPUs; the rows from 16 on are the median of
-    three such measurements, 28 the mean of two):
+    water-filling load, all on the dual path, each the best of nine runs
+    interleaved over n and both forms (Python 3.11, numpy 2.4, 2 vCPUs):
 
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.7           6.7            24.7
-     8        2.4           6.4            25.6
-     12       3.3           6.3            25.6
-     16       4.8           7.2            25.6
-     20       6.2           7.2            25.7
-     24       7.7           7.8            25.6
-     28       8.9           7.6            25.7
-     32       9.2           7.0            25.8
-     50      17.4           9.2            26.0
+     2        0.45          2.85           13.7
+     8        1.64          3.15           14.6
+     12       2.44          3.35           14.7
+     16       3.24          3.49           14.7
+     20       4.02          3.59           14.7
+     24       4.83          3.65           14.7
+     28       5.58          3.75           14.8
+     32       6.39          3.87           14.9
+     50      10.03          4.30           15.0
     ====  ===========  =============  ===============
 
-    So the crossover, _LOCKSTEP_MIN_BUDGETS, is 24 budgets.
+    So the two forms break even between 16 and 20 budgets.
+    _LOCKSTEP_MIN_BUDGETS stays at 24, the crossover measured when a batch
+    took about 25 passes; from 17 to 23 budgets the scalar form costs at
+    most about 1 ms more per channel.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -556,7 +568,9 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             wf_trace_inv = float((1.0 / wf.p).sum())
     # iteration_limit with no allocation until a search evaluates the budget
     out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
-    found = []  # (index, (mu, v, powers, evaluations, converged)) per candidate
+    # one candidate per budget: (index, mu, v, powers, the powers as a list
+    # if all are finite, else None, evaluations, converged)
+    found = []
     dual = []  # indices of the budgets with both constraints tight
     for j, gamma_tilde in enumerate(gamma_tildes):
         if not feasibility_check(m, P, gamma_tilde):
@@ -566,25 +580,37 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                                       iterations=0, kkt_residual=0.0, duality_gap=0.0),
                       "optimal")
         elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
-            found.append((j, (0.0, wf.v, wf.p, 0, True)))
+            found.append((j, 0.0, wf.v, wf.p, _finite_list(wf.p), 0, True))
         else:
             dual.append(j)
     gs_P, gts_P = [g * P for g in gs], [gamma_tildes[j] * P for j in dual]
-    if len(dual) < _LOCKSTEP_MIN_BUDGETS:
-        searched = [_solve_dual(gs_P, m, gt) for gt in gts_P]
+    lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
+    if lockstep:
+        mu, v, q, evals, converged = _lockstep_dual(gs_P, m, gts_P)
+        p = P * q
+        lists = [x if ok else None
+                 for x, ok in zip(p.tolist(), np.isfinite(p).all(axis=1).tolist())]
+        found += zip(dual, (P * mu).tolist(), (v / P).tolist(), p, lists,
+                     evals.tolist(), converged.tolist())
     else:
-        searched = zip(*(a.tolist() for a in _lockstep_dual(gs_P, m, gts_P)))
-    # a search that evaluated nothing leaves its budget at iteration_limit
-    found += [(j, (P * mu, v / P, P * np.asarray(q), evals, converged))
-              for j, (mu, v, q, evals, converged) in zip(dual, searched) if q is not None]
-    for j, (mu, v, p, evals, converged) in found:
+        for j, gt in zip(dual, gts_P):
+            mu, v, q, evals, converged = _solve_dual(gs_P, m, gt)
+            # a search that evaluated nothing leaves its budget at iteration_limit
+            if q is not None:
+                p = P * np.asarray(q)
+                found.append((j, P * mu, v / P, p, _finite_list(p), evals, converged))
+    for j, mu, v, p, p_list, evals, converged in found:
         ok, res, gap = False, math.nan, math.nan
-        if np.isfinite(p).all():
-            ok, res, gap = _certify(gs, m, p.tolist(), mu, v, gamma_tildes[j], P)
+        if p_list is not None:
+            ok, res, gap = _certify(gs, m, p_list, mu, v, gamma_tildes[j], P)
         out[j] = (PowerAllocation(p=p, mu=mu, v=v, iterations=evals,
                                   kkt_residual=res, duality_gap=gap),
                   "optimal" if converged and ok else "iteration_limit")
-    return out
+    return out, lockstep
+
+
+def _finite_list(p: np.ndarray) -> list[float] | None:
+    return p.tolist() if np.isfinite(p).all() else None
 
 
 def solve_p1(
@@ -627,7 +653,7 @@ def solve_p1(
         raise ValueError(f"{name} = {given} leaves the CRB unbounded on a rank-{H.r} channel "
                          f"with M = {m}, where the sensing subchannels then have no optimal power")
 
-    (alloc, status), = _solve_budgets(H, scenario, [gamma_tilde])
+    ((alloc, status),), _ = _solve_budgets(H, scenario, [gamma_tilde])
     if alloc is None:
         return SolveReport(None, None, None, status, gamma_tilde=gamma_tilde)
     return _finish(alloc, H, scenario, gamma, gamma_tilde, status)

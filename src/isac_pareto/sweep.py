@@ -6,11 +6,13 @@ The optimal rows of all thresholds are solved together by
 :func:`solve_p1`: it gives each threshold its path (the equal-split
 boundary, water-filling or the dual search), runs one lockstep dual search
 over every threshold whose solution has both constraints tight, and
-certifies each result.  A row left at ``iteration_limit`` gets a second
-opinion from :func:`solve_p1`'s scalar search.  Every row's CRB and rate
-come in closed form from its eigenbasis powers, over one array of all rows.
-The EP/SEM rows come from closed-form metrics of the split powers and one
-batched selection per scheme (:func:`best_at_crbs`).  Whether the grid is
+certifies each result.  A lane of the lockstep search left at
+``iteration_limit`` gets a second opinion from :func:`solve_p1`'s scalar
+search; a budget that the scalar search already ran gets none.  Every row's
+CRB and rate come in closed form from its eigenbasis powers, over one array
+of all rows.  The EP/SEM rows come from the CRB and rate arrays of the split
+sweep, with one batched selection of each threshold's best index per scheme
+(:func:`best_indices`); no point objects are built.  Whether the grid is
 capped is read from :func:`rate_max_point`, the one place that calls a
 water-filled subchannel dry; a capped sweep has no time-switching segment.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import best_at_crbs, power_split_ep, power_split_sem, time_switching
+from .benchmarks import best_indices, power_split_ep, power_split_sem, time_switching
 from .closed_form import crb_min_point, rate_max_point
 from .metrics import crb_from_powers, rate_from_powers, trace_budget
 from .scenario import ChannelMatrix, Scenario
@@ -41,9 +43,10 @@ AUTO_CAP_FACTOR = 100.0
 @dataclass
 class SweepRow:
     """One row of a sweep.  On an ``optimal``-scheme row, ``iterations``
-    counts power-map evaluations: those of the threshold's lockstep lane,
-    plus those of its :func:`solve_p1` second opinion if it had one; ``crb``
-    and ``rate`` are the closed forms of the row's eigenbasis powers.
+    counts power-map evaluations: those of the threshold's dual search,
+    plus, for a lockstep lane left at ``iteration_limit``, those of its
+    :func:`solve_p1` second opinion; ``crb`` and ``rate`` are the closed
+    forms of the row's eigenbasis powers.
 
     ``mu`` and ``v`` are certified multipliers, but their trailing digits
     are not determined on full-rank high-power links: a cold
@@ -77,10 +80,11 @@ class SweepResult:
 def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
     gamma_tildes = [trace_budget(g, scenario.sigma_s2, scenario.Ns, scenario.L)
                     for g in gammas]
+    results, lockstep = _solve_budgets(H, scenario, gamma_tildes)
     solved = []
-    for g, (a, status) in zip(gammas, _solve_budgets(H, scenario, gamma_tildes)):
+    for g, (a, status) in zip(gammas, results):
         spent = 0
-        if status == "iteration_limit":
+        if lockstep and status == "iteration_limit":
             # the scalar search of solve_p1 certifies some lanes that the
             # lockstep search leaves near the equal-split boundary
             spent = 0 if a is None else a.iterations
@@ -147,12 +151,13 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
         if scheme not in schemes:
             continue
         bench = maker(H, scenario)
-        for g, pt in zip(gammas, best_at_crbs(bench.points, gammas)):
-            if pt is None:
+        crbs, rates = bench.crb.tolist(), bench.rate.tolist()
+        for g, k in zip(gammas, best_indices(bench.crb, bench.rate, gammas).tolist()):
+            if k < 0:
                 rows.append(SweepRow(scheme, g, math.nan, math.nan,
                                      status="no_feasible_point"))
             else:
-                rows.append(SweepRow(scheme, g, pt.crb, pt.rate))
+                rows.append(SweepRow(scheme, g, crbs[k], rates[k]))
 
     if "time_switch" in schemes:
         if capped:

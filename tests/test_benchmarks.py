@@ -5,7 +5,7 @@ import pytest
 
 from isac_pareto.benchmarks import (
     best_at_crb,
-    best_at_crbs,
+    best_indices,
     power_split_ep,
     power_split_sem,
     time_switching,
@@ -182,9 +182,9 @@ def test_best_at_crb_batched_selection_matches_brute_force(rng):
         points += [CRPoint(crb=pt.crb, rate=pt.rate) for pt in points[: int(rng.integers(0, 4))]]
         rng.shuffle(points)
         limits = crb_values + [0.05, 0.3, 0.5 * (1.0 + 1e-13), 0.5 * (1.0 + 1e-11), 1e9]
-        batched = best_at_crbs(points, limits)
-        assert len(batched) == len(limits)
-        for limit, got in zip(limits, batched):
+        idx = best_indices([pt.crb for pt in points], [pt.rate for pt in points], limits)
+        assert idx.size == len(limits)
+        for limit, k in zip(limits, idx.tolist()):
             ref = _brute_force_best(points, limit)
-            assert got is ref
+            assert (points[k] if k >= 0 else None) is ref
             assert best_at_crb(points, limit) is ref

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import importlib
+import io
 import json
 import math
 import re
@@ -8,11 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isac_pareto.cli import ConfigError, _fmt, load_config, main
+from isac_pareto.benchmarks import best_at_crb, power_split_ep, power_split_sem
+from isac_pareto.cli import CSV_HEADER, ConfigError, _csv_row, _fmt, _write_csv, load_config, main
 from isac_pareto.closed_form import crb_min_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers
 from isac_pareto.scenario import Scenario, load_fixture, rician_channel, save_fixture
 from isac_pareto.solver import solve_p1
+from isac_pareto.sweep import DEFAULT_SCHEMES, SweepRow, sweep
+
+solver_module = importlib.import_module("isac_pareto.solver")
 
 SC1 = {
     "M": 8, "Nc": 6, "Ns": 12, "L": 200,
@@ -387,3 +393,99 @@ def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, caps
     again = [run(argv) for argv in reversed(calls)]
     assert first == again[::-1]
     assert [code for code, _, _ in first] == [0, 0, 0, 0]
+
+
+# every status a CSV row can carry; none, nor any scheme, needs CSV quoting
+CSV_STATUSES = ("ok", "optimal", "infeasible", "iteration_limit", "no_feasible_point",
+                "not_applicable")
+
+
+def _reference_csv(header, rows) -> bytes:
+    # the csv module's default writer over one list of field strings per row
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _reference_fields(row: SweepRow) -> list[str]:
+    return [row.scheme, _fmt(row.gamma_target), _fmt(row.crb), _fmt(row.rate), _fmt(row.mu),
+            _fmt(row.v), str(row.iterations), _fmt(row.kkt_residual), row.status]
+
+
+def _sorted_rows(rows):
+    return sorted(rows, key=lambda r: (r.scheme, math.isnan(r.crb), r.crb))
+
+
+def test_csv_scheme_and_status_names_need_no_quoting():
+    for name in DEFAULT_SCHEMES + CSV_STATUSES:
+        assert not set(name) & set(',"\r\n'), name
+
+
+@pytest.mark.parametrize("config", ["config1", "config2"])
+def test_csv_bytes_match_the_csv_module(config, tmp_path, request):
+    # sweep, point --out and rate-vs-snr write what csv.writer writes for
+    # the same fields
+    path = request.getfixturevalue(config)
+    sc = load_config(path)
+    H = rician_channel(sc)
+    lo = crb_min_point(H, sc)[1].crb
+
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(path), "--points", "12", "--out", str(out)]) == 0
+    rows = _sorted_rows(sweep(H, sc, 12).rows)
+    assert {r.status for r in rows} <= set(CSV_STATUSES)
+    assert out.read_bytes() == _reference_csv(CSV_HEADER, [_reference_fields(r) for r in rows])
+
+    gamma = 3.0 * lo
+    out = tmp_path / "point.csv"
+    assert main(["point", str(path), "--gamma", repr(gamma), "--out", str(out)]) == 0
+    rep = solve_p1(H, sc, gamma)
+    a = rep.allocation
+    row = SweepRow("optimal", gamma, crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L),
+                   rate_from_powers(H.lambdas2, a.p, sc.sigma_c2), mu=a.mu, v=a.v,
+                   iterations=a.iterations, kkt_residual=a.kkt_residual, status=rep.status)
+    assert out.read_bytes() == _reference_csv(CSV_HEADER, [_reference_fields(row)])
+
+    # at 10 x CRB_min of the configured power, the low SNRs are infeasible
+    gamma = 10.0 * lo
+    snrs = [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0]
+    out = tmp_path / "snr.csv"
+    assert main(["rate-vs-snr", str(path), "--gamma", repr(gamma),
+                 "--snr-list=" + ",".join(f"{x:g}" for x in snrs), "--out", str(out)]) == 0
+    ref = []
+    for snr_db in snrs:
+        scen = dataclasses.replace(sc, P=sc.sigma_c2 * 10.0 ** (snr_db / 10.0))
+        rep = solve_p1(H, scen, gamma)
+        if rep.status == "infeasible":
+            ref.append([_fmt(snr_db), _fmt(scen.P), "nan", "nan", "nan", "infeasible"])
+            continue
+        ep = best_at_crb(power_split_ep(H, scen).points, gamma)
+        sem = best_at_crb(power_split_sem(H, scen).points, gamma)
+        ref.append([_fmt(snr_db), _fmt(scen.P),
+                    _fmt(rate_from_powers(H.lambdas2, rep.allocation.p, scen.sigma_c2)),
+                    _fmt(ep.rate if ep else math.nan), _fmt(sem.rate if sem else math.nan),
+                    "ok" if rep.status == "optimal" else rep.status])
+    assert {r[-1] for r in ref} == {"ok", "infeasible"}
+    header = ["snr_db", "power", "rate_optimal", "rate_ep", "rate_sem", "status"]
+    assert out.read_bytes() == _reference_csv(header, ref)
+
+
+def test_csv_bytes_of_non_finite_unfinished_and_capped_rows(config1, tmp_path, monkeypatch):
+    # non-finite fields of every sign, iteration_limit rows of a sweep cut
+    # short, and the not_applicable time-switch rows of a capped sweep
+    sc = load_config(config1)
+    H = rician_channel(sc)
+    rows = [SweepRow("optimal", 1.0, math.inf, -math.inf, mu=math.nan, v=-0.0,
+                     iterations=0, kkt_residual=math.inf, status="iteration_limit"),
+            SweepRow("ep", -1e-300, math.nan, 5e-324, status="no_feasible_point")]
+    assert sweep(H, sc, 8).capped
+    rows += [r for r in sweep(H, sc, 8).rows if r.scheme == "time_switch"]
+    monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2)
+    rows += sweep(H, sc, 8, schemes=("optimal",)).rows
+    assert {r.status for r in rows} == {"iteration_limit", "optimal", "no_feasible_point",
+                                        "not_applicable"}
+    out = tmp_path / "rows.csv"
+    _write_csv(out, CSV_HEADER, [_csv_row(r) for r in rows])
+    assert out.read_bytes() == _reference_csv(CSV_HEADER, [_reference_fields(r) for r in rows])

@@ -276,7 +276,7 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
                 scalar_evals.append(rep.allocation.iterations)
             gts.append(rep.gamma_tilde)
         lanes = []
-        for f, (alloc, status) in zip(STRESS_FACTORS, _solve_budgets(H, sc, gts)):
+        for f, (alloc, status) in zip(STRESS_FACTORS, _solve_budgets(H, sc, gts)[0]):
             if status != "optimal":
                 failed.append((trial, f, "batch", status))
             if alloc is not None and alloc.iterations > 0:
@@ -302,7 +302,7 @@ def test_scalar_and_lockstep_searches_are_twins():
     for (H, sc), exact in links:
         _, lo = crb_min_point(H, sc)
         gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) for f in STRESS_FACTORS]
-        dual = [gt * sc.P for gt, (alloc, _) in zip(gts, _solve_budgets(H, sc, gts))
+        dual = [gt * sc.P for gt, (alloc, _) in zip(gts, _solve_budgets(H, sc, gts)[0])
                 if alloc is not None and alloc.iterations > 0]
         if not dual:
             continue
@@ -314,6 +314,64 @@ def test_scalar_and_lockstep_searches_are_twins():
             assert evals_j == evals[j] or not exact, (sc, gt)
             lanes[exact] += 1
     assert lanes[True] > 300 and lanes[False] > 600
+
+
+def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
+    # one batch whose lanes stop on four different passes: one lane is
+    # stopped on its 2nd evaluation by a non-finite power map, some converge
+    # on passes 8 and 9, and the rest spend a lowered budget of 10
+    # evaluations, converged or not.  The state arrays are compacted each
+    # time lanes stop; every lane must still equal the same lane run alone,
+    # bit for bit, and its scalar twin: the same evaluations and converged
+    # flag, and mu, v and powers to rounding.  The scalar twin of the
+    # poisoned lane is its search cut at 2 evaluations.
+    H, sc = list(stress_links(2))[1]
+    _, lo = crb_min_point(H, sc)
+    gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P for f in STRESS_FACTORS]
+    cap = 10
+    monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
+    power_map = solver_module._power_map_lanes
+    passes = []
+    poison = {}  # pass -> (output, lane position, value)
+
+    def poisoned(g, k, mu, v):
+        out = power_map(g, k, mu, v)
+        passes.append(mu.size)
+        if len(passes) in poison:
+            i, pos, value = poison[len(passes)]
+            out[i][pos] = value
+        return out
+
+    monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned)
+    nan_s = {2: (1, 0, math.nan)}  # S of the first lane on the 2nd pass
+    poison.update(nan_s)
+    batch = _lockstep_dual(gs, sc.M, gts)
+    _, _, _, evals, converged = batch
+    assert evals.tolist() == [2, 9, 10, 8, 10, 10, 9, 8]
+    assert not converged[0] and converged[1] and converged[3]
+    assert not converged[2] and converged[4]  # both spent the budget
+    assert passes == [8, 8, 7, 7, 7, 7, 7, 7, 5, 3]
+    for j, gt in enumerate(gts):
+        passes.clear()
+        poison = nan_s if j == 0 else {}
+        alone = _lockstep_dual(gs, sc.M, [gt])
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[j], want[0]), j
+        monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2 if j == 0 else cap)
+        mu, v, p, evals_j, converged_j = _solve_dual(gs, sc.M, gt)
+        monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
+        assert (evals_j, converged_j) == (evals[j], converged[j]), j
+        for got, want in ((batch[0][j], mu), (batch[1][j], v)):
+            assert got == pytest.approx(want, rel=1e-12), j
+        assert batch[2][j] == pytest.approx(np.array(p), rel=1e-12), j
+
+    # the first lane alone converges on its 10th pass, but not when a
+    # derivative is non-finite there
+    for poison, ok in (({}, True), ({10: (5, 0, math.inf)}, False)):  # C_mu
+        passes.clear()
+        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, gts[:1])
+        assert evals.tolist() == [10] and converged.tolist() == [ok]
 
 
 @pytest.mark.parametrize("f", [1.01, 3.0, 1e3])
@@ -377,11 +435,11 @@ def test_dispatch_rows_agree_on_both_sides_of_the_crossover(monkeypatch):
         if not gts:
             continue
         forms.clear()
-        batch = _solve_budgets(H, sc, gts)
-        assert forms == ["_lockstep_dual"]
+        batch, lockstep = _solve_budgets(H, sc, gts)
+        assert forms == ["_lockstep_dual"] and lockstep
         forms.clear()
-        alone = _solve_budgets(H, sc, gts[:-1])
-        assert forms == ["_solve_dual"] * (n - 1)
+        alone, lockstep_alone = _solve_budgets(H, sc, gts[:-1])
+        assert forms == ["_solve_dual"] * (n - 1) and not lockstep_alone
         for (a, status), (b, status_b) in zip(batch, alone):
             assert status == status_b == "optimal", (sc, status, status_b)
             assert a.iterations == b.iterations > 0

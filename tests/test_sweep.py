@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from battery import near_p0_links, stress_links
+from isac_pareto.benchmarks import BetaSweep, best_at_crb, power_split_ep, power_split_sem
 from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
@@ -13,6 +14,7 @@ from isac_pareto.solver import _certify, solve_p1
 from isac_pareto.sweep import sweep
 
 solver_module = importlib.import_module("isac_pareto.solver")
+sweep_module = importlib.import_module("isac_pareto.sweep")
 
 # the two channels whose default grids used to return non-optimal rows
 FORMER_FAILURES = [
@@ -278,3 +280,75 @@ def test_unfinished_lanes_fall_back_to_scalar_rows(monkeypatch):
         rate_from_powers(H.lambdas2, a.p, sc.sigma_c2), a.mu, a.v)
     assert first.iterations == 1 + a.iterations
     assert calls[1] == calls[0] - 1
+
+
+def test_scalar_searched_rows_get_no_second_opinion(monkeypatch):
+    # a 10-point sweep has fewer dual budgets than _LOCKSTEP_MIN_BUDGETS, so
+    # each runs the scalar search of solve_p1 once; an iteration_limit row
+    # is not searched again, and counts the evaluations of its one search
+    H, sc = next(stress_links(1))
+    monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 3)
+    search = solver_module._solve_dual
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(solver_module, "_solve_dual", spy)
+    opt = [r for r in sweep(H, sc, 10).rows if r.scheme == "optimal"]
+    limited = [r for r in opt if r.status == "iteration_limit"]
+    assert len(limited) == 9 and len(calls) == 9
+    assert all(r.iterations == 3 for r in limited)
+
+
+def _assert_split_rows_are_best_at_crb(res, benches):
+    for scheme, bench in benches.items():
+        rows = [r for r in res.rows if r.scheme == scheme]
+        assert len(rows) == len(res.rows) // 4
+        for row in rows:
+            pt = best_at_crb(bench.points, row.gamma_target)
+            if pt is None:
+                assert row.status == "no_feasible_point"
+                assert math.isnan(row.crb) and math.isnan(row.rate)
+            else:
+                assert row.status == "ok"
+                assert (row.crb, row.rate) == (pt.crb, pt.rate), (scheme, row, pt)
+
+
+@pytest.mark.parametrize("P", [8.0, 80.0, 800.0])
+@pytest.mark.parametrize("case", ["scenario1", "scenario2"])
+def test_split_rows_equal_best_at_crb(case, P, request):
+    # the EP/SEM rows are selected on the split's CRB and rate arrays; each
+    # must be the point best_at_crb picks from the split's points
+    H, sc = request.getfixturevalue(case)
+    sc = dataclasses.replace(sc, P=P)
+    res = sweep(H, sc, 50)
+    benches = {"ep": power_split_ep(H, sc), "sem": power_split_sem(H, sc)}
+    assert any(math.isinf(c) for b in benches.values() for c in b.crb.tolist())
+    _assert_split_rows_are_best_at_crb(res, benches)
+
+
+def test_split_rows_on_ties_infinite_crbs_and_no_feasible_point(scenario2, monkeypatch):
+    # hand-made splits: tied rates (the first listed wins), equal CRBs,
+    # infinite CRBs, and a first threshold that no point fits under
+    H, sc = scenario2
+    lo = crb_min_point(H, sc)[1].crb
+    crb = np.array([math.inf, 2.0, 1.5, 2.0, 1.0 + 1e-9, math.inf, 5.0, 2.0]) * lo
+    rate = np.array([9.0, 3.0, 3.0, 3.0, 1.0, 9.0, 4.0, 2.0])
+    benches = {}
+
+    def split(scheme, order):
+        def maker(H, sc):
+            benches[scheme] = BetaSweep(betas=np.linspace(0.0, 1.0, crb.size),
+                                        crb=crb[order], rate=rate[order], scheme=scheme)
+            return benches[scheme]
+        return maker
+
+    monkeypatch.setattr(sweep_module, "power_split_ep", split("ep", np.arange(crb.size)))
+    monkeypatch.setattr(sweep_module, "power_split_sem", split("sem", np.arange(crb.size)[::-1]))
+    res = sweep(H, sc, 40, crb_cap=10.0 * lo)
+    _assert_split_rows_are_best_at_crb(res, benches)
+    statuses = {(r.scheme, r.status) for r in res.rows}
+    assert {("ep", "no_feasible_point"), ("ep", "ok"),
+            ("sem", "no_feasible_point"), ("sem", "ok")} <= statuses
