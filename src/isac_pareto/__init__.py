@@ -31,7 +31,6 @@ from .metrics import (
     crb_trace,
     rate,
     rate_from_powers,
-    rotate_from_eigenbasis,
     trace_budget,
 )
 from .oracle import oracle_dual_grid, oracle_primal_grid, sample_feasible_covariance

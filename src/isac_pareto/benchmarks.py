@@ -52,12 +52,10 @@ class BetaSweep:
     betas: np.ndarray
     crb: np.ndarray
     rate: np.ndarray
-    scheme: str
 
     @cached_property
     def points(self) -> list[CRPoint]:
-        return [CRPoint(crb=c, rate=rt, gamma_target=None, scheme=self.scheme)
-                for c, rt in zip(self.crb.tolist(), self.rate.tolist())]
+        return [CRPoint(crb=c, rate=rt) for c, rt in zip(self.crb.tolist(), self.rate.tolist())]
 
 
 def _beta_grid(extra: float) -> np.ndarray:
@@ -82,13 +80,11 @@ def time_switching(pt_rate_max: CRPoint, pt_crb_min: CRPoint,
             tau * pt_rate_max.rate + (1.0 - tau) * pt_crb_min.rate)
 
 
-def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, powers_of_betas, scheme) -> BetaSweep:
-    # powers_of_betas maps the beta grid to its (n_beta, M) eigenbasis powers
-    p = powers_of_betas(betas)
+def _split_sweep(H: ChannelMatrix, scenario: Scenario, betas, p) -> BetaSweep:
+    # p holds the (n_beta, M) eigenbasis powers of the beta grid
     return BetaSweep(betas=betas,
                      crb=crb_from_powers(p, scenario.sigma_s2, scenario.Ns, scenario.L),
-                     rate=rate_from_powers(H.lambdas2, p, scenario.sigma_c2),
-                     scheme=scheme)
+                     rate=rate_from_powers(H.lambdas2, p, scenario.sigma_c2))
 
 
 def power_split_ep(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
@@ -100,15 +96,11 @@ def power_split_ep(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
     """
     r, m, P = H.r, scenario.M, scenario.P
     betas = np.array([1.0]) if r == m else _beta_grid(extra=r / m)
-
-    def powers(beta):
-        p = np.empty((beta.size, m))
-        p[:, :r] = (beta * P / r)[:, None]
-        if m > r:
-            p[:, r:] = ((1.0 - beta) * P / (m - r))[:, None]
-        return p
-
-    return _split_sweep(H, scenario, betas, powers, "ep")
+    p = np.empty((betas.size, m))
+    p[:, :r] = (betas * P / r)[:, None]
+    if m > r:
+        p[:, r:] = ((1.0 - betas) * P / (m - r))[:, None]
+    return _split_sweep(H, scenario, betas, p)
 
 
 def power_split_sem(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
@@ -116,14 +108,10 @@ def power_split_sem(H: ChannelMatrix, scenario: Scenario) -> BetaSweep:
     the rest spread equally over the other M-1."""
     m, P = scenario.M, scenario.P
     betas = _beta_grid(extra=1.0 / m)
-
-    def powers(beta):
-        p = np.empty((beta.size, m))
-        p[:, 0] = beta * P
-        p[:, 1:] = ((1.0 - beta) * P / (m - 1))[:, None]
-        return p
-
-    return _split_sweep(H, scenario, betas, powers, "sem")
+    p = np.empty((betas.size, m))
+    p[:, 0] = betas * P
+    p[:, 1:] = ((1.0 - betas) * P / (m - 1))[:, None]
+    return _split_sweep(H, scenario, betas, p)
 
 
 def best_at_crb(points, crb_limit: float) -> CRPoint | None:

@@ -6,8 +6,9 @@ optional "fixture_path"; unknown keys are rejected, with their values, to
 catch typos and retired settings.  So are a boolean value, a non-integral
 count or seed and a non-string fixture path, which JSON can carry but no
 Scenario field takes.  Malformed numbers on the command line (a non-finite
-threshold or cap, fewer than two grid points) exit with status 1, as bad
-configs do.
+threshold or cap, fewer than two grid points), a threshold or cap whose
+trace budget overflows and an output path that cannot be written exit with
+status 1, as bad configs do.
 
 The ``mu`` and ``v`` that ``sweep`` and ``point`` print are certified KKT
 multipliers, but their trailing digits are not determined on full-rank
@@ -26,7 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-from .benchmarks import best_at_crb, power_split_ep, power_split_sem
+from .benchmarks import best_indices, power_split_ep, power_split_sem
 from .closed_form import crb_min_point
 from .metrics import crb_from_powers, rate_from_powers
 from .scenario import (
@@ -65,6 +66,12 @@ def _parse_kc(value):
             return math.inf
         raise ConfigError(f"Kc must be a number or 'inf', got {value!r}")
     return float(value)
+
+
+def _error(message) -> int:
+    """Print ``message`` as one ``error:`` line on stderr; returns exit status 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _finite(name: str, value: float) -> float:
@@ -194,7 +201,10 @@ plt.show()
 '''
 
 
-def _emit_plot_script(out_path: Path, template: str) -> Path:
+def _write_table(out_path: Path, header, lines, template: str) -> Path:
+    """Write the CSV and, beside it, the plot script made from ``template``;
+    returns the script's path."""
+    _write_csv(out_path, header, lines)
     script = out_path.with_name(out_path.stem + "_plot.py")
     script.write_text(template.format(csv_name=out_path.name))
     return script
@@ -205,23 +215,18 @@ def cmd_sweep(args) -> int:
         scenario = load_config(args.config)
         H = rician_channel(scenario)
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip()) or DEFAULT_SCHEMES
     bad = set(schemes) - set(DEFAULT_SCHEMES)
     if bad:
-        print(f"error: unknown schemes {sorted(bad)}", file=sys.stderr)
-        return 1
-    cap = "auto" if args.crb_cap is None else args.crb_cap
-    try:
-        result = sweep(H, scenario, args.points, crb_cap=cap, schemes=schemes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = sorted(result.rows, key=lambda r: (r.scheme, math.isnan(r.crb), r.crb))
+        return _error(f"unknown schemes {sorted(bad)}")
     out = Path(args.out)
-    _write_csv(out, CSV_HEADER, [_csv_row(r) for r in rows])
-    script = _emit_plot_script(out, _PLOT_FRONTIER)
+    try:
+        result = sweep(H, scenario, args.points, crb_cap=args.crb_cap, schemes=schemes)
+        rows = sorted(result.rows, key=lambda r: (r.scheme, math.isnan(r.crb), r.crb))
+        script = _write_table(out, CSV_HEADER, [_csv_row(r) for r in rows], _PLOT_FRONTIER)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     print(f"wrote {out} and {script}")
     optimal_rows = [r for r in result.rows if r.scheme == "optimal"]
     if optimal_rows and all(r.status == "infeasible" for r in optimal_rows):
@@ -264,9 +269,11 @@ def cmd_point(args) -> int:
         scenario = load_config(args.config)
         H = rician_channel(scenario)
     except (ConfigError, FixtureFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rep = solve_p1(H, scenario, args.gamma)
+        return _error(exc)
+    try:
+        rep = solve_p1(H, scenario, args.gamma)
+    except ValueError as exc:
+        return _error(exc)
     if rep.status == "infeasible":
         _, pt_min = crb_min_point(H, scenario)
         print(
@@ -297,8 +304,29 @@ def cmd_point(args) -> int:
         row = SweepRow("optimal", args.gamma, crb, rate,
                        mu=a.mu, v=a.v, iterations=a.iterations,
                        kkt_residual=a.kkt_residual, status=rep.status)
-        _write_csv(Path(args.out), CSV_HEADER, [_csv_row(row)])
+        try:
+            _write_csv(Path(args.out), CSV_HEADER, [_csv_row(row)])
+        except OSError as exc:
+            return _error(exc)
     return 0 if rep.status == "optimal" else 3
+
+
+def _snr_line(H, scen, gamma, snr_db) -> str:
+    """The ``rate-vs-snr`` CSV line of one SNR: the optimal rate and the best
+    EP and SEM rates whose CRB fits under ``gamma``."""
+    rep = solve_p1(H, scen, gamma)
+    if rep.status == "infeasible":
+        return _SNR_LINE % (snr_db, scen.P, math.nan, math.nan, math.nan, "infeasible")
+    split_rates = []
+    for maker in (power_split_ep, power_split_sem):
+        bench = maker(H, scen)
+        k, = best_indices(bench.crb, bench.rate, [gamma]).tolist()
+        split_rates.append(bench.rate[k] if k >= 0 else math.nan)
+    rate = math.nan
+    if rep.allocation is not None:
+        _, rate = _closed_form_point(H, scen, rep.allocation.p)
+    return _SNR_LINE % (snr_db, scen.P, rate, *split_rates,
+                        "ok" if rep.status == "optimal" else rep.status)
 
 
 def cmd_rate_vs_snr(args) -> int:
@@ -311,31 +339,16 @@ def cmd_rate_vs_snr(args) -> int:
         scens = [dataclasses.replace(scenario, P=scenario.sigma_c2 * 10.0 ** (snr_db / 10.0))
                  for snr_db in snrs]
     except (ConfigError, FixtureFormatError, OSError, ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     if not snrs:
-        print("error: empty --snr-list", file=sys.stderr)
-        return 1
-    rows = []
-    for snr_db, scen in zip(snrs, scens):
-        power = scen.P
-        rep = solve_p1(H, scen, args.gamma)
-        if rep.status == "infeasible":
-            rows.append(_SNR_LINE % (snr_db, power, math.nan, math.nan, math.nan, "infeasible"))
-            continue
-        ep = best_at_crb(power_split_ep(H, scen).points, args.gamma)
-        sem = best_at_crb(power_split_sem(H, scen).points, args.gamma)
-        rate = math.nan
-        if rep.allocation is not None:
-            _, rate = _closed_form_point(H, scen, rep.allocation.p)
-        rows.append(_SNR_LINE % (snr_db, power, rate,
-                                 ep.rate if ep else math.nan,
-                                 sem.rate if sem else math.nan,
-                                 "ok" if rep.status == "optimal" else rep.status))
+        return _error("empty --snr-list")
     header = ["snr_db", "power", "rate_optimal", "rate_ep", "rate_sem", "status"]
     out = Path(args.out)
-    _write_csv(out, header, rows)
-    script = _emit_plot_script(out, _PLOT_SNR)
+    try:
+        rows = [_snr_line(H, scen, args.gamma, snr_db) for snr_db, scen in zip(snrs, scens)]
+        script = _write_table(out, header, rows, _PLOT_SNR)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     print(f"wrote {out} and {script}")
     return 0
 
@@ -346,8 +359,7 @@ def cmd_fixture(args) -> int:
         H = rician_channel(scenario)
         save_fixture(H, args.out)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(f"wrote {args.out}: {H.shape[0]}x{H.shape[1]} channel, rank {H.r}")
     print("singular values: " + " ".join(_fmt(s) for s in H.lambdas))
     return 0

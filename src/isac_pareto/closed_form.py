@@ -31,13 +31,11 @@ class PowerAllocation:
 
     ``mu`` and ``v`` are the multipliers of the CRB-budget and power
     constraints (``nan`` when a producer has no meaningful duals).
-    ``water_level`` is set by :func:`waterfill` only.
     """
 
     p: np.ndarray
     mu: float = math.nan
     v: float = math.nan
-    water_level: float | None = None
     iterations: int = 0
     kkt_residual: float = math.nan
     duality_gap: float = math.nan
@@ -57,8 +55,9 @@ def waterfill(lambdas2, sigma_c2: float, P: float, m: int | None = None) -> Powe
     P : total power.
     m : optional length to zero-pad the returned vector to.
 
-    Returns a :class:`PowerAllocation` with ``water_level`` = nu, ``mu`` = 0
-    and ``v`` = 1/(nu ln 2) (the multiplier of the power constraint).
+    Returns a :class:`PowerAllocation` with ``mu`` = 0 and ``v`` =
+    1/(nu ln 2), the multiplier of the power constraint, from which the
+    water level is nu = 1/(v ln 2).
     """
     lam2 = np.asarray(lambdas2, dtype=float)
     if lam2.size == 0:
@@ -88,7 +87,6 @@ def waterfill(lambdas2, sigma_c2: float, P: float, m: int | None = None) -> Powe
         p=p,
         mu=0.0,
         v=1.0 / (nu * LN2),
-        water_level=float(nu),
         iterations=0,
         kkt_residual=residual,
         duality_gap=0.0,
@@ -126,7 +124,7 @@ def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocatio
     else:
         crb = crb_from_powers(wf.p, scenario.sigma_s2, scenario.Ns, scenario.L)
     rate_val = rate_from_powers(H.lambdas2, wf.p, scenario.sigma_c2)
-    return wf, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="waterfill")
+    return wf, CRPoint(crb=crb, rate=rate_val)
 
 
 def crb_min_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation, CRPoint]:
@@ -139,7 +137,7 @@ def crb_min_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation
     uniform = PowerAllocation(p=np.full(m, P / m))
     crb = scenario.sigma_s2 * scenario.Ns * m * m / (P * scenario.L)
     rate_val = rate_from_powers(H.lambdas2, uniform.p, scenario.sigma_c2)
-    return uniform, CRPoint(crb=crb, rate=rate_val, gamma_target=None, scheme="crbmin")
+    return uniform, CRPoint(crb=crb, rate=rate_val)
 
 
 def asymptotic_allocation(r: int, m: int, P: float, gamma_tilde: float) -> PowerAllocation:

@@ -4,9 +4,9 @@ Every allocation the library produces is diagonal in the channel
 eigenbasis, Q = Vc diag(p) Vc^H, so both metrics come in closed form from
 the powers p (:func:`rate_from_powers`, :func:`crb_from_powers`); the
 closed-form CRB is exact, infinite only at an exact zero power.  The
-matrix forms (:func:`rate`, :func:`crb_trace`), the covariance type, its
-assembly from a power vector and the rotation into the antenna basis serve
-the solver's report and the tests that check the closed forms against them.
+matrix forms (:func:`rate`, :func:`crb_trace`), the covariance type and
+its assembly from a power vector serve the solver's report and the tests
+that check the closed forms against them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "crb_from_powers",
     "trace_budget",
     "crb_from_trace_budget",
-    "rotate_from_eigenbasis",
     "assemble_covariance",
 ]
 
@@ -41,24 +40,9 @@ EIG_FLOOR_REL = 1e-9
 
 @dataclass
 class TransmitCovariance:
-    """Hermitian PSD transmit covariance with its trace budget."""
+    """Hermitian PSD transmit covariance."""
 
     Q: np.ndarray
-    budget: float
-
-    def validate(self) -> None:
-        """Check Hermitian symmetry, positive semidefiniteness and the trace
-        budget; raise ``ValueError`` on violation."""
-        Q = self.Q
-        scale = max(1.0, float(np.linalg.norm(Q)))
-        if np.linalg.norm(Q - Q.conj().T) > 1e-12 * scale:
-            raise ValueError("covariance is not Hermitian")
-        eigs = np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))
-        tr = float(eigs.sum())
-        if eigs.min() < -1e-10 * max(tr, 1e-300):
-            raise ValueError("covariance has a negative eigenvalue")
-        if tr > self.budget + 1e-8:
-            raise ValueError(f"trace {tr} exceeds budget {self.budget}")
 
 
 @dataclass
@@ -66,57 +50,35 @@ class CRPoint:
     """One point of the CRB-rate region.
 
     ``crb`` may be ``math.inf`` when the covariance is rank deficient.
-    ``gamma_target`` is the CRB threshold the point was solved for, or
-    ``None`` for endpoint/benchmark points that have no target.
     """
 
     crb: float
     rate: float
-    gamma_target: float | None = None
-    scheme: str = ""
 
 
-def _as_matrix(Q) -> np.ndarray:
-    if isinstance(Q, TransmitCovariance):
-        return Q.Q
-    return np.asarray(Q, dtype=complex)
-
-
-def _as_channel(H) -> np.ndarray:
-    H_attr = getattr(H, "H", None)
-    if H_attr is not None and isinstance(H_attr, np.ndarray):
-        return H_attr
-    return np.asarray(H, dtype=complex)
-
-
-def rate(Q, H, sigma_c2: float) -> float:
-    """Achievable rate log2 det(I + H Q H^H / sigma_c2) in bps/Hz.
-
-    ``Q`` may be a :class:`TransmitCovariance` or a plain matrix, ``H`` a
-    :class:`~isac_pareto.scenario.ChannelMatrix` or a plain matrix.
-    """
-    Qm = _as_matrix(Q)
-    Hm = _as_channel(H)
-    if Hm.shape[1] != Qm.shape[0] or Qm.shape[0] != Qm.shape[1]:
-        raise ValueError(f"dimension mismatch: H {Hm.shape}, Q {Qm.shape}")
-    W = Hm @ Qm @ Hm.conj().T / sigma_c2
+def rate(Q: np.ndarray, H: np.ndarray, sigma_c2: float) -> float:
+    """Achievable rate log2 det(I + H Q H^H / sigma_c2) in bps/Hz, for the
+    M x M covariance matrix ``Q`` and the Nc x M channel matrix ``H``."""
+    if H.shape[1] != Q.shape[0] or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"dimension mismatch: H {H.shape}, Q {Q.shape}")
+    W = H @ Q @ H.conj().T / sigma_c2
     eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
     # tiny negative eigenvalues are rounding noise from the PSD product
     eigs = np.clip(eigs, -0.5, None)
     return max(0.0, float(np.log1p(eigs).sum() / LN2))
 
 
-def crb_trace(Q, sigma_s2: float, Ns: int, L: int) -> float:
-    """Estimation CRB (sigma_s2 * Ns / L) * tr(Q^-1), or ``inf``.
+def crb_trace(Q: np.ndarray, sigma_s2: float, Ns: int, L: int) -> float:
+    """Estimation CRB (sigma_s2 * Ns / L) * tr(Q^-1), or ``inf``, for the
+    covariance matrix ``Q``.
 
     Computed from the eigenvalues of Q rather than an explicit inverse.
     Returns ``math.inf`` as soon as any eigenvalue falls at or below the
     relative floor ``EIG_FLOOR_REL * trace/M``: a rank-deficient covariance
     leaves the target response unidentifiable.
     """
-    Qm = _as_matrix(Q)
-    m = Qm.shape[0]
-    eigs = np.linalg.eigvalsh(0.5 * (Qm + Qm.conj().T))
+    m = Q.shape[0]
+    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))
     tr = float(eigs.sum())
     floor = EIG_FLOOR_REL * max(tr, 0.0) / m
     if eigs.min() <= floor:
@@ -161,22 +123,11 @@ def crb_from_trace_budget(gamma_tilde: float, sigma_s2: float, Ns: int, L: int) 
     return sigma_s2 * Ns * gamma_tilde / L
 
 
-def rotate_from_eigenbasis(Qt, Vc: np.ndarray) -> np.ndarray:
-    """Express an eigenbasis covariance in the antenna basis: Vc Qt Vc^H.
-
-    With ``Vc.conj().T`` in place of ``Vc`` it maps the other way, Vc^H Q Vc.
-    """
-    Qm = _as_matrix(Qt)
-    return Vc @ Qm @ Vc.conj().T
-
-
-def assemble_covariance(Vc: np.ndarray, p, budget: float | None = None) -> TransmitCovariance:
+def assemble_covariance(Vc: np.ndarray, p) -> TransmitCovariance:
     """Build Q = Vc diag(p) Vc^H from a per-subchannel power vector."""
     pw = np.asarray(p, dtype=float)
     if Vc.shape[0] != Vc.shape[1] or Vc.shape[0] != pw.size:
         raise ValueError(f"dimension mismatch: Vc {Vc.shape}, p length {pw.size}")
     Q = (Vc * pw[None, :]) @ Vc.conj().T
     Q = 0.5 * (Q + Q.conj().T)
-    if budget is None:
-        budget = float(pw.sum())
-    return TransmitCovariance(Q=Q, budget=budget)
+    return TransmitCovariance(Q=Q)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .closed_form import PowerAllocation
 from .metrics import LN2
-from .solver import feasibility_check
+from .solver import at_equal_split, feasibility_check
 
 __all__ = [
     "oracle_dual_grid",
@@ -299,7 +299,7 @@ def oracle_dual_grid(lambdas2, m: int, sigma_c2: float, P: float,
     lam2 = np.asarray(lambdas2, dtype=float)
     r = lam2.size
     _check_instance(r, m, P, gamma_tilde)
-    if gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
+    if at_equal_split(m, P, gamma_tilde):
         return PowerAllocation(p=np.full(m, P / m), iterations=0,
                                kkt_residual=0.0, duality_gap=0.0)
     gs = lam2 / sigma_c2

@@ -42,7 +42,6 @@ from .metrics import (
     CRPoint,
     TransmitCovariance,
     assemble_covariance,
-    crb_from_trace_budget,
     crb_trace,
     rate,
     trace_budget,
@@ -52,6 +51,7 @@ from .scenario import ChannelMatrix, Scenario
 __all__ = [
     "SolveReport",
     "feasibility_check",
+    "at_equal_split",
     "cubic_stationary_root",
     "stationarity_residual",
     "solve_p1",
@@ -73,7 +73,8 @@ _MAX_LOG_STEP = 7.0
 # of one dual search.
 _KKT_TOL = 1e-9
 _MAX_DUAL_ITERS = 2000
-# Relative slack below M^2/P that still counts as a feasible budget.
+# Relative slack below M^2/P that still counts as a feasible budget, and on
+# either side of M^2/P that counts as the equal-split budget.
 _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets that _solve_budgets hands to the lockstep search
 # (see its docstring for the measurement).
@@ -112,6 +113,14 @@ def feasibility_check(m: int, P: float, gamma_tilde: float) -> bool:
     if m < 1 or P <= 0.0:
         raise ValueError("need m >= 1 and P > 0")
     return gamma_tilde >= (m * m / P) * (1.0 - _FEASIBILITY_RTOL)
+
+
+def at_equal_split(m: int, P: float, gamma_tilde: float) -> bool:
+    """True iff the trace-inverse budget is the minimum M^2/P to within
+    _FEASIBILITY_RTOL relative on either side, where the equal split P/M is
+    the only feasible point."""
+    c_min = m * m / P
+    return c_min * (1.0 - _FEASIBILITY_RTOL) <= gamma_tilde <= c_min * (1.0 + _FEASIBILITY_RTOL)
 
 
 def stationarity_residual(p: float, lambda2_over_sigma2: float, mu: float, v: float) -> float:
@@ -575,7 +584,7 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     for j, gamma_tilde in enumerate(gamma_tildes):
         if not feasibility_check(m, P, gamma_tilde):
             out[j] = (None, "infeasible")
-        elif gamma_tilde <= (m * m / P) * (1.0 + 1e-12):
+        elif at_equal_split(m, P, gamma_tilde):
             out[j] = (PowerAllocation(p=np.full(m, P / m), mu=math.nan, v=math.nan,
                                       iterations=0, kkt_residual=0.0, duality_gap=0.0),
                       "optimal")
@@ -613,20 +622,15 @@ def _finite_list(p: np.ndarray) -> list[float] | None:
     return p.tolist() if np.isfinite(p).all() else None
 
 
-def solve_p1(
-    H: ChannelMatrix,
-    scenario: Scenario,
-    gamma: float | None = None,
-    *,
-    gamma_tilde: float | None = None,
-) -> SolveReport:
+def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     """Maximize the rate subject to CRB(Q) <= gamma and tr(Q) <= P.
 
-    Exactly one of ``gamma`` (a CRB threshold) or ``gamma_tilde`` (the
-    equivalent budget on tr(Q^-1)) must be given.  The channel rank and
-    gains are those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose
-    shape is not Nc x M, a rank-0 channel, a NaN budget, and an infinite
-    budget on a rank-deficient channel raise ``ValueError``.
+    ``gamma`` is a CRB threshold; :func:`~isac_pareto.metrics.crb_from_trace_budget`
+    converts a budget on tr(Q^-1) into one.  The channel rank and gains are
+    those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose shape is
+    not Nc x M, a rank-0 channel, a NaN threshold, and a threshold whose
+    trace budget is infinite on a rank-deficient channel raise
+    ``ValueError``.
 
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;
@@ -638,35 +642,25 @@ def solve_p1(
     and a search that spends its _MAX_DUAL_ITERS power-map evaluations
     gives ``iteration_limit``.
     """
-    if (gamma is None) == (gamma_tilde is None):
-        raise ValueError("give exactly one of gamma or gamma_tilde")
     _check_channel(H, scenario)
     m = scenario.M
-    name, given = ("gamma", gamma) if gamma_tilde is None else ("gamma_tilde", gamma_tilde)
-    if gamma_tilde is None:
-        gamma_tilde = trace_budget(gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
-    else:
-        gamma = crb_from_trace_budget(gamma_tilde, scenario.sigma_s2, scenario.Ns, scenario.L)
+    gamma_tilde = trace_budget(gamma, scenario.sigma_s2, scenario.Ns, scenario.L)
     if math.isnan(gamma_tilde):
-        raise ValueError(f"{name} is NaN")
+        raise ValueError("gamma is NaN")
     if gamma_tilde == math.inf and H.r < m:
-        raise ValueError(f"{name} = {given} leaves the CRB unbounded on a rank-{H.r} channel "
+        raise ValueError(f"gamma = {gamma} leaves the CRB unbounded on a rank-{H.r} channel "
                          f"with M = {m}, where the sensing subchannels then have no optimal power")
 
     ((alloc, status),), _ = _solve_budgets(H, scenario, [gamma_tilde])
     if alloc is None:
         return SolveReport(None, None, None, status, gamma_tilde=gamma_tilde)
-    return _finish(alloc, H, scenario, gamma, gamma_tilde, status)
+    return _finish(alloc, H, scenario, gamma_tilde, status)
 
 
 def _finish(alloc: PowerAllocation, H: ChannelMatrix, scenario: Scenario,
-            gamma: float, gamma_tilde: float, status: str) -> SolveReport:
-    Q = assemble_covariance(H.Vc, alloc.p, budget=scenario.P)
-    achieved = CRPoint(
-        crb=crb_trace(Q, scenario.sigma_s2, scenario.Ns, scenario.L),
-        rate=rate(Q, H, scenario.sigma_c2),
-        gamma_target=gamma,
-        scheme="optimal",
-    )
+            gamma_tilde: float, status: str) -> SolveReport:
+    Q = assemble_covariance(H.Vc, alloc.p)
+    achieved = CRPoint(crb=crb_trace(Q.Q, scenario.sigma_s2, scenario.Ns, scenario.L),
+                       rate=rate(Q.Q, H.H, scenario.sigma_c2))
     return SolveReport(allocation=alloc, Q=Q, achieved=achieved, status=status,
                        gamma_tilde=gamma_tilde)

@@ -107,36 +107,37 @@ def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
 
 
 def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
-          crb_cap: float | str = "auto",
+          crb_cap: float | None = None,
           schemes=DEFAULT_SCHEMES) -> SweepResult:
     """Trace the frontier and benchmark curves over a geometric CRB grid.
 
     The grid runs from the minimum CRB to the rate-maximization endpoint
     when :func:`rate_max_point` gives it a finite CRB, else to ``crb_cap``
-    (``"auto"`` = 100x the minimum) with ``capped`` set; a numeric
-    ``crb_cap`` also caps a finite endpoint and must be positive and
-    finite.  Time-switching rows lie on the segment between the two
-    endpoints, or are ``not_applicable`` when capped.  Benchmark rows
-    report, for each grid threshold, the best sweep point whose CRB fits
-    under it.  A channel that is not Nc x M, or has rank 0, raises
-    ``ValueError``.
+    (``None`` = 100x the minimum) with ``capped`` set; a given ``crb_cap``
+    also caps a finite endpoint, and must be positive and small enough
+    that its trace budget is finite.  Time-switching rows lie on the
+    segment between the two endpoints, or are ``not_applicable`` when
+    capped.  Benchmark rows report, for each grid threshold, the best sweep
+    point whose CRB fits under it.  A channel that is not Nc x M, or has
+    rank 0, raises ``ValueError``.
     """
     _check_channel(H, scenario)
     if n_points < 2:
         raise ValueError(f"need at least two grid points, got {n_points}")
-    if crb_cap != "auto":
+    if crb_cap is not None:
         crb_cap = float(crb_cap)
-        if not (math.isfinite(crb_cap) and crb_cap > 0.0):
-            raise ValueError(
-                f"crb_cap must be 'auto' or a positive finite number, got {crb_cap}")
+        budget = trace_budget(crb_cap, scenario.sigma_s2, scenario.Ns, scenario.L)
+        if not (crb_cap > 0.0 and math.isfinite(budget)):
+            raise ValueError(f"crb_cap must be None or a positive number with a finite "
+                             f"trace budget, got {crb_cap}")
     _, pt_min = crb_min_point(H, scenario)
     _, pt_max = rate_max_point(H, scenario)
     lo = pt_min.crb
     capped = not math.isfinite(pt_max.crb)
     if capped:
-        hi = AUTO_CAP_FACTOR * lo if crb_cap == "auto" else crb_cap
+        hi = AUTO_CAP_FACTOR * lo if crb_cap is None else crb_cap
     else:
-        hi = pt_max.crb if crb_cap == "auto" else min(pt_max.crb, crb_cap)
+        hi = pt_max.crb if crb_cap is None else min(pt_max.crb, crb_cap)
     hi = max(hi, lo)
     if hi > lo:
         gammas = np.geomspace(lo, hi, n_points)

@@ -21,9 +21,9 @@ from isac_pareto.closed_form import (
     waterfill,
 )
 from isac_pareto.metrics import (
+    crb_from_trace_budget,
     rate,
     rate_from_powers,
-    rotate_from_eigenbasis,
     trace_budget,
 )
 from isac_pareto.oracle import (
@@ -78,7 +78,7 @@ def test_criterion_02_waterfilling_kkt_and_optimality():
         p_tot = float(rng.uniform(0.5, 50.0))
         s2 = float(rng.uniform(0.5, 2.0))
         wf = waterfill(lam2, s2, p_tot)
-        nu = wf.water_level
+        nu = INV_LN2 / wf.v  # the water level, from v = 1/(nu ln 2)
         worst_kkt = max(worst_kkt, abs(wf.p.sum() - p_tot) / max(1.0, p_tot))
         for li, pi in zip(lam2, wf.p):
             if pi > 0.0:
@@ -105,7 +105,7 @@ def test_criterion_03_boundary_solve():
         H = load_channel(case)
         sc = case.scenario
         gt = sc.M * sc.M / sc.P
-        rep = solve_p1(H, sc, gamma_tilde=gt)
+        rep = solve_p1(H, sc, crb_from_trace_budget(gt, sc.sigma_s2, sc.Ns, sc.L))
         _, pt_min = crb_min_point(H, sc)
         worst_p = max(worst_p, float(np.abs(rep.allocation.p - sc.P / sc.M).max()))
         worst_rate = max(worst_rate, abs(rep.achieved.rate - pt_min.rate))
@@ -247,7 +247,8 @@ def test_criterion_09_diagonal_restriction_suite(battery_solves):
         for _ in range(1000):
             q = sample_feasible_covariance(sc.M, sc.P, gt, rng)
             diag = np.diagonal(q).real
-            r_full = rate(rotate_from_eigenbasis(q, H.Vc), H, sc.sigma_c2)
+            # q is an eigenbasis covariance: Vc q Vc^H is in the antenna basis
+            r_full = rate(H.Vc @ q @ H.Vc.conj().T, H.H, sc.sigma_c2)
             r_diag = rate_from_powers(H.lambdas2, diag, sc.sigma_c2)
             ti_full = float((1.0 / np.linalg.eigvalsh(q)).sum())
             ti_diag = float((1.0 / diag).sum())

@@ -115,8 +115,8 @@ def _covariance_path(H, sc, bench, powers):
     # H Q H^H for the rate
     out = []
     for beta in bench.betas:
-        Q = assemble_covariance(H.Vc, powers(H.r, sc.M, sc.P, beta), budget=sc.P)
-        out.append((crb_trace(Q, sc.sigma_s2, sc.Ns, sc.L), rate(Q, H, sc.sigma_c2)))
+        Q = assemble_covariance(H.Vc, powers(H.r, sc.M, sc.P, beta)).Q
+        out.append((crb_trace(Q, sc.sigma_s2, sc.Ns, sc.L), rate(Q, H.H, sc.sigma_c2)))
     return out
 
 
@@ -154,7 +154,7 @@ def test_split_sweep_eigenvalue_floor_matches_covariance_path(case, powers, requ
     for beta in [0.0, 1e-13, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0]:
         p = powers(H.r, sc.M, sc.P, beta)
         closed = crb_from_powers(p, sc.sigma_s2, sc.Ns, sc.L)
-        ref = crb_trace(assemble_covariance(H.Vc, p), sc.sigma_s2, sc.Ns, sc.L)
+        ref = crb_trace(assemble_covariance(H.Vc, p).Q, sc.sigma_s2, sc.Ns, sc.L)
         assert math.isinf(closed) == (p.min() == 0.0), beta
         if p.min() > EIG_FLOOR_REL * p.sum() / sc.M:
             assert closed == pytest.approx(ref, rel=1e-8), beta

@@ -4,12 +4,16 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isac_pareto
 from isac_pareto.benchmarks import best_at_crb, power_split_ep, power_split_sem
 from isac_pareto.cli import CSV_HEADER, ConfigError, _csv_row, _fmt, _write_csv, load_config, main
 from isac_pareto.closed_form import crb_min_point
@@ -276,14 +280,52 @@ def test_zero_channel_fixture_rejected(tmp_path, capsys, command):
     (["sweep", "--points", "1"], "two grid points"),
     (["sweep", "--crb-cap", "nan"], "crb_cap"),
     (["sweep", "--crb-cap", "inf"], "crb_cap"),
+    # finite, but its trace budget L gamma / (sigma_s2 Ns) overflows
+    (["sweep", "--crb-cap", "1e307"], "crb_cap"),
     (["point", "--gamma", "nan"], "--gamma"),
     (["rate-vs-snr", "--gamma", "nan", "--snr-list", "10,20"], "--gamma"),
-], ids=["points_1", "crb_cap_nan", "crb_cap_inf", "point_gamma_nan", "snr_gamma_nan"])
+    (["point", "--gamma", "1e307"], "gamma = 1e+307"),
+    (["rate-vs-snr", "--gamma", "1e307", "--snr-list", "10,20"], "gamma = 1e+307"),
+], ids=["points_1", "crb_cap_nan", "crb_cap_inf", "crb_cap_overflow", "point_gamma_nan",
+        "snr_gamma_nan", "point_gamma_overflow", "snr_gamma_overflow"])
 def test_malformed_number_rejected(config1, tmp_path, capsys, command, named):
     out = ["--out", str(tmp_path / "o.csv")] if command[0] != "point" else []
     assert main([command[0], str(config1), *command[1:], *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--points", "4"],
+    ["point", "--gamma", "0.01"],
+    ["rate-vs-snr", "--gamma", "0.01", "--snr-list", "10,20"],
+], ids=["sweep", "point", "rate_vs_snr"])
+def test_unwritable_out_rejected(config1, tmp_path, capsys, command):
+    out = tmp_path / "no_such_dir" / "o.csv"
+    assert main([command[0], str(config1), *command[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err, err
+    assert not out.parent.exists()
+
+
+def test_module_entry_point(tmp_path):
+    # python -m isac_pareto runs main() and exits with its status
+    env = dict(os.environ, PYTHONPATH=str(Path(isac_pareto.__file__).parent.parent))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "isac_pareto", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("fixture", "--emit", "scenario1", "--out", "fx.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(SC1, fixture_path="fx.csv")))
+    done = run("sweep", "cfg.json", "--points", "12", "--out", "sweep.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(_read_csv(tmp_path / "sweep.csv")) == 4 * 12
+    done = run("sweep", "cfg.json", "--points", "12", "--out", "no_such_dir/sweep.csv")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("P, command, named", [

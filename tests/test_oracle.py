@@ -6,11 +6,7 @@ import pytest
 
 from battery import FIXTURES
 from isac_pareto.closed_form import crb_min_point, waterfill
-from isac_pareto.metrics import (
-    rate,
-    rate_from_powers,
-    rotate_from_eigenbasis,
-)
+from isac_pareto.metrics import crb_from_trace_budget, rate, rate_from_powers
 from isac_pareto.oracle import (
     _SHRINK_POINTS,
     _SHRINK_TOL,
@@ -47,7 +43,7 @@ def test_dual_grid_agrees_with_solver_on_hand_instance():
     alloc = oracle_dual_grid(lam2, 2, 1.0, 4.0, 2.0)
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=4.0)
     H = ChannelMatrix.from_matrix(np.diag([1.0, 0.0]))
-    rep = solve_p1(H, sc, gamma_tilde=2.0)
+    rep = solve_p1(H, sc, crb_from_trace_budget(2.0, sc.sigma_s2, sc.Ns, sc.L))
     assert rep.status == "optimal"
     np.testing.assert_allclose(alloc.p, rep.allocation.p, atol=1e-5)
 
@@ -194,7 +190,7 @@ def test_primal_grid_vs_solver_hand_instance():
     lam2 = np.array([2.0, 1.0])
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=2.0)
     H = ChannelMatrix.from_matrix(np.diag(np.sqrt(lam2)))
-    rep = solve_p1(H, sc, gamma_tilde=2.5)
+    rep = solve_p1(H, sc, crb_from_trace_budget(2.5, sc.sigma_s2, sc.Ns, sc.L))
     alloc = oracle_primal_grid(lam2, 2, 1.0, 2.0, 2.5, steps=1000)
     grid_rate = rate_from_powers(lam2, alloc.p, 1.0)
     assert abs(grid_rate - rep.achieved.rate) <= 1e-4
@@ -245,8 +241,9 @@ def test_diagonal_restriction_properties(rng, scenario1):
     for _ in range(300):
         q = sample_feasible_covariance(m, P, gt, rng)
         q_diag = np.diag(np.diagonal(q))
-        r_full = rate(rotate_from_eigenbasis(q, H.Vc), H, sc.sigma_c2)
-        r_diag = rate(rotate_from_eigenbasis(q_diag, H.Vc), H, sc.sigma_c2)
+        # q and q_diag are eigenbasis covariances: Vc q Vc^H is in the antenna basis
+        r_full = rate(H.Vc @ q @ H.Vc.conj().T, H.H, sc.sigma_c2)
+        r_diag = rate(H.Vc @ q_diag @ H.Vc.conj().T, H.H, sc.sigma_c2)
         ti_full = np.trace(np.linalg.inv(q)).real
         ti_diag = float((1.0 / np.diagonal(q).real).sum())
         if r_diag < r_full - 1e-8:

@@ -2,13 +2,19 @@ import dataclasses
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from battery import near_p0_links, stress_links
 from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
-from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
+from isac_pareto.metrics import (
+    crb_from_powers,
+    crb_from_trace_budget,
+    rate_from_powers,
+    trace_budget,
+)
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
     _lockstep_dual,
@@ -16,6 +22,7 @@ from isac_pareto.solver import (
     _power_map_lanes,
     _solve_budgets,
     _solve_dual,
+    at_equal_split,
     cubic_stationary_root,
     feasibility_check,
     solve_p1,
@@ -146,10 +153,25 @@ def test_solve_boundary_budget_gives_uniform():
     assert rep.achieved.rate == pytest.approx(expect, abs=1e-10)
 
 
+def test_equal_split_band_edges():
+    # the band of budgets that count as the minimum M^2/P is closed at both
+    # edges; the float below its lower edge is infeasible, the float above
+    # its upper edge is an ordinary feasible budget
+    m, P = 3, 7.0
+    c_min = m * m / P
+    lo = c_min * (1.0 - solver_module._FEASIBILITY_RTOL)
+    hi = c_min * (1.0 + solver_module._FEASIBILITY_RTOL)
+    assert at_equal_split(m, P, lo) and at_equal_split(m, P, c_min) and at_equal_split(m, P, hi)
+    below, above = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+    assert not at_equal_split(m, P, below) and not at_equal_split(m, P, above)
+    assert feasibility_check(m, P, lo) and not feasibility_check(m, P, below)
+    assert feasibility_check(m, P, above)
+
+
 def test_solve_infeasible_budget():
     H = ChannelMatrix.from_matrix(np.diag([2.0, 1.0]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=8.0)
-    rep = solve_p1(H, sc, gamma_tilde=0.4)
+    rep = solve_p1(H, sc, crb_from_trace_budget(0.4, sc.sigma_s2, sc.Ns, sc.L))
     assert rep.status == "infeasible"
     assert rep.allocation is None
 
@@ -158,22 +180,23 @@ def test_solve_rank_zero_channel_rejected():
     H = ChannelMatrix.from_matrix(np.zeros((2, 2)))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=8.0)
     with pytest.raises(ValueError, match="rank 0"):
-        solve_p1(H, sc, gamma_tilde=2.0)
+        solve_p1(H, sc, crb_from_trace_budget(2.0, sc.sigma_s2, sc.Ns, sc.L))
 
 
 @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
 def test_solve_non_finite_budgets(preset, request):
     # a NaN budget is an error; so is an infinite one on a rank-deficient
-    # channel, while a full-rank channel water-fills
+    # channel, while a full-rank channel water-fills; a finite threshold
+    # whose trace budget overflows is an infinite budget
     H, sc = request.getfixturevalue(preset)
-    for name in ("gamma", "gamma_tilde"):
-        with pytest.raises(ValueError, match=f"{name} is NaN"):
-            solve_p1(H, sc, **{name: math.nan})
+    with pytest.raises(ValueError, match="gamma is NaN"):
+        solve_p1(H, sc, math.nan)
+    for gamma in (math.inf, 1e307):
         if H.r < sc.M:
-            with pytest.raises(ValueError, match=f"{name} = inf"):
-                solve_p1(H, sc, **{name: math.inf})
+            with pytest.raises(ValueError, match=re.escape(f"gamma = {gamma} leaves the CRB unbounded")):
+                solve_p1(H, sc, gamma)
         else:
-            rep = solve_p1(H, sc, **{name: math.inf})
+            rep = solve_p1(H, sc, gamma)
             assert rep.status == "optimal"
             assert rep.allocation.mu == 0.0
             np.testing.assert_array_equal(rep.allocation.p,
@@ -184,7 +207,7 @@ def test_solve_slack_budget_recovers_waterfilling(scenario2):
     H, sc = scenario2
     wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
     gt_wf = float((1.0 / wf.p).sum())
-    rep = solve_p1(H, sc, gamma_tilde=2.0 * gt_wf)
+    rep = solve_p1(H, sc, crb_from_trace_budget(2.0 * gt_wf, sc.sigma_s2, sc.Ns, sc.L))
     assert rep.status == "optimal"
     assert rep.allocation.mu == 0.0
     np.testing.assert_allclose(rep.allocation.p, wf.p, atol=1e-6)
@@ -245,7 +268,7 @@ def test_solve_iteration_limit_reported(monkeypatch):
     monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 3)
     # water-filling has a trace-inverse load of 2.1333, so a budget of 2.05
     # makes the CRB constraint genuinely tight
-    rep = solve_p1(H, sc, gamma_tilde=2.05)
+    rep = solve_p1(H, sc, crb_from_trace_budget(2.05, sc.sigma_s2, sc.Ns, sc.L))
     assert rep.status == "iteration_limit"
 
 

@@ -341,7 +341,7 @@ def test_split_rows_on_ties_infinite_crbs_and_no_feasible_point(scenario2, monke
     def split(scheme, order):
         def maker(H, sc):
             benches[scheme] = BetaSweep(betas=np.linspace(0.0, 1.0, crb.size),
-                                        crb=crb[order], rate=rate[order], scheme=scheme)
+                                        crb=crb[order], rate=rate[order])
             return benches[scheme]
         return maker
 
