@@ -42,6 +42,7 @@ from .metrics import (
     CRPoint,
     TransmitCovariance,
     assemble_covariance,
+    crb_from_trace_budget,
     crb_trace,
     rate,
     trace_budget,
@@ -533,6 +534,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       :func:`_solve_dual` per budget when there are fewer than
       _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
       over all of them, whose output is mapped back over whole arrays.
+      A budget whose value in units of P overflows raises ``ValueError``
+      naming its CRB threshold: no search runs for any budget then.
 
     One loop then judges every candidate, water-filling and dual alike, in
     the original units: one with finite powers gets :func:`_certify`, and it
@@ -551,21 +554,26 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.45          2.85           13.7
-     8        1.64          3.15           14.6
-     12       2.44          3.35           14.7
-     16       3.24          3.49           14.7
-     20       4.02          3.59           14.7
-     24       4.83          3.65           14.7
-     28       5.58          3.75           14.8
-     32       6.39          3.87           14.9
-     50      10.03          4.30           15.0
+     2        0.36          2.18           14.6
+     8        1.32          2.65           14.6
+     12       1.96          2.65           14.7
+     16       2.49          2.80           14.7
+     18       3.05          2.81           14.7
+     20       3.23          2.94           14.7
+     24       3.88          3.08           14.7
+     32       5.11          3.09           14.9
+     50       7.94          3.44           15.0
     ====  ===========  =============  ===============
 
-    So the two forms break even between 16 and 20 budgets.
-    _LOCKSTEP_MIN_BUDGETS stays at 24, the crossover measured when a batch
-    took about 25 passes; from 17 to 23 budgets the scalar form costs at
-    most about 1 ms more per channel.
+    So the two forms break even between 16 and 18 budgets; a second run
+    at every n from 16 to 20 put the scalar form ahead at 16 and 17 (3.23
+    against 3.41 ms) and the lockstep form from 18 on (3.16 against
+    3.27 ms).  _LOCKSTEP_MIN_BUDGETS stays at 24 all the same: the forms
+    are twins only up to numpy's row sums at r >= 8 and its exp and log,
+    at times an ulp off math's, and at 18 budgets one lane of stress link 5
+    (M = 10, r = 8) takes 10 lockstep evaluations against 9 scalar ones,
+    which the dispatch test, run at the crossover, rejects.  From 18 to 23
+    budgets the scalar form costs at most about 0.8 ms more per channel.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -592,7 +600,16 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             found.append((j, 0.0, wf.v, wf.p, _finite_list(wf.p), 0, True))
         else:
             dual.append(j)
-    gs_P, gts_P = [g * P for g in gs], [gamma_tildes[j] * P for j in dual]
+    gs_P, gts_P = [g * P for g in gs], [float(gamma_tildes[j]) * P for j in dual]
+    for j, gt in zip(dual, gts_P):
+        if gt == math.inf:
+            crb = crb_from_trace_budget(gamma_tildes[j], scenario.sigma_s2, scenario.Ns,
+                                        scenario.L)
+            limit = crb_from_trace_budget(sys.float_info.max / P, scenario.sigma_s2,
+                                          scenario.Ns, scenario.L)
+            raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
+                             f"its trace budget times P overflows; thresholds above "
+                             f"{limit:.6g} cannot be searched")
     lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if lockstep:
         mu, v, q, evals, converged = _lockstep_dual(gs_P, m, gts_P)
@@ -628,9 +645,9 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     ``gamma`` is a CRB threshold; :func:`~isac_pareto.metrics.crb_from_trace_budget`
     converts a budget on tr(Q^-1) into one.  The channel rank and gains are
     those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose shape is
-    not Nc x M, a rank-0 channel, a NaN threshold, and a threshold whose
-    trace budget is infinite on a rank-deficient channel raise
-    ``ValueError``.
+    not Nc x M, a rank-0 channel, a NaN threshold, a threshold whose trace
+    budget is infinite on a rank-deficient channel, and one on the dual
+    path whose trace budget times P overflows raise ``ValueError``.
 
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;

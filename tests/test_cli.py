@@ -296,6 +296,22 @@ def test_malformed_number_rejected(config1, tmp_path, capsys, command, named):
 
 
 @pytest.mark.parametrize("command", [
+    ["sweep", "--crb-cap", "1e305"],
+    ["point", "--gamma", "1e305"],
+], ids=["sweep", "point"])
+def test_threshold_too_loose_for_the_dual_search_rejected(config1, tmp_path, capsys, command):
+    # scenario1 at P = 800: the trace budget of 1e305 is finite, but that
+    # budget times P, in whose units the dual search runs, overflows.  Both
+    # commands used to exit 0 with iteration_limit rows, the sweep after a
+    # RuntimeWarning.
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] != "point" else []
+    assert main([command[0], str(config1), *command[1:], *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CRB threshold 1e+305") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
     ["sweep", "--points", "4"],
     ["point", "--gamma", "0.01"],
     ["rate-vs-snr", "--gamma", "0.01", "--snr-list", "10,20"],

@@ -10,6 +10,7 @@ from isac_pareto.metrics import crb_from_trace_budget, rate, rate_from_powers
 from isac_pareto.oracle import (
     _SHRINK_POINTS,
     _SHRINK_TOL,
+    _bisect_comm_powers,
     _dual_box,
     _grid_values,
     _log_shrink,
@@ -105,8 +106,8 @@ def test_v_window_holds_the_wide_window_minimizer(m, r):
         box = _dual_box(gs, P, gamma_tilde)
         mu = np.concatenate([[0.0], 10.0 ** rng.uniform(-10, math.log10(box), 7)])
 
-        def block(V):
-            MU = np.broadcast_to(mu[:, None], V.shape)
+        def block(V, rows):
+            MU = np.broadcast_to(mu[rows, None], V.shape)
             return _grid_values(gs, m, MU.ravel(), V.ravel(), gamma_tilde, P).reshape(V.shape)
 
         v_star, _, _ = _log_shrink(block, np.full(mu.size, 1e-12), np.full(mu.size, box))
@@ -122,20 +123,25 @@ def test_v_window_holds_the_wide_window_minimizer(m, r):
 
 def test_log_shrink_edges_and_flat_rows():
     # four rows at once, one window [1, 1e6] each: a minimum inside it, one
-    # far beyond each edge, and a flat function; every call evaluates a
-    # _SHRINK_POINTS-wide row of points per problem
+    # far beyond each edge, and a flat function.  Each call gets only the
+    # rows still running: a row that has stopped is never evaluated again,
+    # so the batch shrinks as rows stop.
     centres = np.array([3.7e2, 4.2e11, 2.5e-9, np.nan])
-    widths = []
+    batches = []
 
-    def values(x):
-        widths.append(x.shape)
-        vals = (np.log(x) - np.log(centres)[:, None]) ** 2
-        vals[3] = 1.5
+    def values(x, rows):
+        assert x.shape == (rows.size, _SHRINK_POINTS)
+        batches.append(rows.tolist())
+        vals = (np.log(x) - np.log(centres[rows])[:, None]) ** 2
+        vals[rows == 3] = 1.5
         return vals
 
     x, val, edge = _log_shrink(values, np.ones(4), np.full(4, 1e6))
     assert _SHRINK_POINTS == 16
-    assert all(shape == (4, _SHRINK_POINTS) for shape in widths)
+    assert batches[0] == [0, 1, 2, 3]
+    for before, after in zip(batches, batches[1:]):
+        assert set(after) <= set(before)
+    assert batches[1] == [0, 1, 2] and len(batches[-1]) < 3
     assert np.all(np.abs(np.log(x[:3] / centres[:3])) <= _SHRINK_TOL)
     assert np.all(val[:3] <= _SHRINK_TOL ** 2)
     # the flat row stops at once, on its first point, the low edge
@@ -143,7 +149,7 @@ def test_log_shrink_edges_and_flat_rows():
 
     calls = []
 
-    def flat(x):
+    def flat(x, rows):
         calls.append(x.shape)
         return np.zeros(x.shape)
 
@@ -155,7 +161,7 @@ def test_log_shrink_reports_the_edge_of_a_window_that_misses():
     # a window narrower than the tolerance stops at its first evaluation;
     # one that misses the minimum says on which side, one that holds it
     # says 0
-    def values(x):
+    def values(x, rows):
         return (np.log(x) - math.log(10.0)) ** 2
 
     lo = np.array([20.0, 2.0, 9.99999])
@@ -169,8 +175,8 @@ def test_log_shrink_raises_when_a_row_exhausts_its_steps():
     # ln(2) / 2, so 60 steps from [1, 2] reach no further than 2^31; a
     # minimum at 1e100 is out of reach.  The row that converges beside it
     # does not hide it.
-    def values(x):
-        return (np.log(x) - np.log([[1e100], [1.5]])) ** 2
+    def values(x, rows):
+        return (np.log(x) - np.log(np.array([[1e100], [1.5]])[rows])) ** 2
 
     with pytest.raises(RuntimeError, match="1 of 2 log-grid shrinks did not converge"):
         _log_shrink(values, np.ones(2), np.full(2, 2.0))
@@ -362,7 +368,8 @@ def test_primal_grid_bit_identical_to_cube_enumeration(fixtures_dir, case, monke
 @pytest.fixture(scope="module")
 def pinned_dual_grids():
     """Per pinned fixture: the rate deviation of the dual grid from the
-    solver, and every _grid_values call it made, with the values returned."""
+    solver, every _grid_values call it made, with the values returned, the
+    arguments of the dual grid and its result."""
     grid_values = oracle_module._grid_values
     calls = []
 
@@ -377,10 +384,11 @@ def pinned_dual_grids():
         for case in DUAL_REPRODUCERS + PRIMAL_REPRODUCERS + LOOSE_CASES:
             H, sc, rep = _optimal_solve(FIXTURES, *case)
             first = len(calls)
-            alloc = oracle_dual_grid(H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+            args = (H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde)
+            alloc = oracle_dual_grid(*args)
             dev = (abs(rate_from_powers(H.lambdas2, alloc.p, sc.sigma_c2) - rep.achieved.rate)
                    / max(1.0, rep.achieved.rate))
-            runs.append((dev, calls[first:]))
+            runs.append((dev, calls[first:], args, alloc))
     return runs
 
 
@@ -389,9 +397,12 @@ def test_dual_grid_work_bound_on_pinned_fixtures(pinned_dual_grids):
     # one per shrink step and candidate, summed over every pinned fixture.
     # With inner shrinks warm-started from the v*(mu) already found they
     # number 453; from the closed-form window alone they took 924, and with
-    # 8-point windows 2148.
-    assert max(dev for dev, _ in pinned_dual_grids) <= 1e-5
-    assert sum(len(calls) for _, calls in pinned_dual_grids) <= 453
+    # 8-point windows 2148.  Those calls evaluate 85,504 (mu, v) points;
+    # they evaluated 99,232 when every row of a shrink ran until its last
+    # row stopped.
+    assert max(dev for dev, *_ in pinned_dual_grids) <= 1e-5
+    assert sum(len(calls) for _, calls, *_ in pinned_dual_grids) <= 453
+    assert sum(alloc.iterations for *_, alloc in pinned_dual_grids) <= 85504
 
 
 def test_32_halvings_hold_every_dual_value(pinned_dual_grids, monkeypatch):
@@ -402,7 +413,7 @@ def test_32_halvings_hold_every_dual_value(pinned_dual_grids, monkeypatch):
     monkeypatch.setattr(oracle_module, "_bisect_comm_powers",
                         lambda gs, MU, V: bisect(gs, MU, V, iters=200))
     worst = 0.0
-    for _, calls in pinned_dual_grids:
+    for _, calls, *_ in pinned_dual_grids:
         (gs, m, _, _, gamma_tilde, P), _ = calls[0]
         MU = np.concatenate([args[2] for args, _ in calls])
         V = np.concatenate([args[3] for args, _ in calls])
@@ -432,3 +443,80 @@ def test_dual_grid_restarts_a_warm_window_that_misses(fixtures_dir, monkeypatch)
     assert got.p.tobytes() == cold.p.tobytes()
     assert (got.mu, got.v, got.duality_gap) == (cold.mu, cold.v, cold.duality_gap)
     assert got.iterations > cold.iterations
+
+
+def _all_rows_log_shrink(values, lo, hi):
+    # the log-grid shrink that evaluates every row until the last one stops,
+    # a stopped row's window frozen
+    unit = np.linspace(0.0, 1.0, _SHRINK_POINTS)
+    t_lo, t_hi = np.log(lo), np.log(hi)
+    rows = np.arange(t_lo.size)
+    done = np.zeros(t_lo.size, dtype=bool)
+    side = np.zeros(t_lo.size)
+    for _ in range(60):
+        t = t_lo[:, None] + (t_hi - t_lo)[:, None] * unit
+        x = np.exp(t)
+        vals = values(x, rows)
+        k = np.argmin(vals, axis=1)
+        step = (t_hi - t_lo) / (_SHRINK_POINTS - 1)
+        done |= (step <= _SHRINK_TOL) | (vals.min(axis=1) == vals.max(axis=1))
+        if np.all(done):
+            break
+        edge = np.where(k == 0, -1.0, np.where(k == _SHRINK_POINTS - 1, 1.0, 0.0))
+        narrow = (edge == 0.0) | (edge * side < 0.0)
+        side = np.where(narrow, 0.0, edge)
+        reach = np.where(narrow, step, 0.5 * (t_hi - t_lo))
+        tk = t[rows, k]
+        t_lo = np.where(done, t_lo, tk - reach)
+        t_hi = np.where(done, t_hi, tk + reach)
+    else:
+        raise RuntimeError("log-grid shrink did not converge")
+    return x[rows, k], vals[rows, k], np.where(k == 0, -1, np.where(k == _SHRINK_POINTS - 1, 1, 0))
+
+
+def _broadcast_bisect(gs, MU, V, iters=32):
+    # the bisection on (n, 1) and (1, r) operands broadcast against (n, r)
+    inv_g = 1.0 / gs[None, :]
+    MUc = MU[:, None]
+    Vc = V[:, None]
+    lo, hi = _root_bracket(gs, MU, V)
+    w = hi - lo
+    with np.errstate(invalid="ignore"):
+        for _ in range(iters):
+            w *= 0.5
+            mid = lo + w
+            pos = oracle_module.INV_LN2 / (inv_g + mid) + MUc / (mid * mid) > Vc
+            np.copyto(lo, mid, where=pos)
+    return lo + 0.5 * w
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_same_shape_bisection_matches_broadcasting(r):
+    # the same-shape halvings give the broadcast form's powers bit for bit,
+    # dry channels at mu = 0 (powers of exactly 0) included
+    rng = np.random.default_rng(700 + r)
+    n = 400
+    gs = 10.0 ** rng.uniform(-3, 3, r)
+    V = 10.0 ** rng.uniform(-3, 3, n)
+    MU = np.where(rng.uniform(size=n) < 0.3, 0.0, 10.0 ** rng.uniform(-12, 3, n))
+    dry = (MU[:, None] == 0.0) & (V[:, None] > gs[None, :] / math.log(2.0))
+    assert np.any(dry)
+    for iters in (32, 200):
+        got = _bisect_comm_powers(gs, MU, V, iters)
+        want = _broadcast_bisect(gs, MU, V, iters)
+        assert got.shape == (n, r) and got.tobytes() == want.tobytes()
+    assert np.all(got[dry] == 0.0)
+
+
+def test_dual_grid_bit_identical_to_all_rows_shrink(pinned_dual_grids, monkeypatch):
+    # evaluating only the running rows, and halving on same-shape operands,
+    # change no output of the dual grid on the pinned fixtures: only its
+    # count of evaluated points, which falls
+    monkeypatch.setattr(oracle_module, "_log_shrink", _all_rows_log_shrink)
+    monkeypatch.setattr(oracle_module, "_bisect_comm_powers", _broadcast_bisect)
+    for *_, args, got in pinned_dual_grids:
+        want = oracle_dual_grid(*args)
+        assert got.p.tobytes() == want.p.tobytes()
+        assert ((got.mu, got.v, got.kkt_residual, got.duality_gap)
+                == (want.mu, want.v, want.kkt_residual, want.duality_gap))
+        assert got.iterations < want.iterations

@@ -203,6 +203,23 @@ def test_solve_non_finite_budgets(preset, request):
                                           waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M).p)
 
 
+@pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
+def test_solve_budget_that_overflows_in_units_of_P(preset, request):
+    # gamma = 1e305 at P = 800: the trace budget, 1.7e306, is finite, but it
+    # overflows times P.  On the rank-deficient channel the budget is on the
+    # dual path, which searches in units of P, so it is an error naming the
+    # threshold (it used to give iteration_limit); the full-rank channel
+    # water-fills and searches nothing.
+    H, sc = request.getfixturevalue(preset)
+    if H.r < sc.M:
+        with pytest.raises(ValueError, match=r"CRB threshold 1e\+305 is too loose to search "
+                                             r"at P = 800: .* above 1\.34827e\+304"):
+            solve_p1(H, sc, 1e305)
+    else:
+        rep = solve_p1(H, sc, 1e305)
+        assert rep.status == "optimal" and rep.allocation.mu == 0.0
+
+
 def test_solve_slack_budget_recovers_waterfilling(scenario2):
     H, sc = scenario2
     wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
