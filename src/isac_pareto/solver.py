@@ -9,13 +9,17 @@ and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
 found by one search on a log scale in units of P, started from the equal
 split: for fixed mu the power budget fixes v*(mu), and mu is then set by
-the CRB budget along v*(mu).  Each pass evaluates the powers once and takes
-one safeguarded Newton step of the joint 2x2 system in (log mu, log v), in
-its Schur form: the CRB residual is predicted to first order at the end of
-the inner Newton step in log v, and once the power-budget residual is small
-against that prediction (an inexact Newton step) the pass moves log mu on
-it and log v by the inner step plus the tangent of v*(mu); until then it
-takes the inner step alone.  Only measured residuals move the brackets.
+the CRB budget along v*(mu).  Each pass evaluates once the powers, their
+sum and trace inverse, and those two's log-derivatives (mu d/dmu and
+v d/dv), the only derivatives the search uses.  It takes one safeguarded
+Newton step of the joint 2x2 system in (log mu, log v), in its Schur form:
+the CRB residual is predicted to first order at the end of the inner Newton
+step in log v, and once the power-budget residual is small against that
+prediction (an inexact Newton step) the pass moves log mu on it and log v
+by the inner step plus the tangent of v*(mu); until then it takes the inner
+step alone.  Only measured residuals move the brackets.  A budget so loose
+that the CRB multiplier in units of P would leave the normal float range
+is rejected before any search (:func:`_searchable_budget`).
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
@@ -89,9 +93,10 @@ class SolveReport:
     ``status`` is one of ``optimal``, ``infeasible`` or ``iteration_limit``.
     ``optimal`` always carries a passing KKT certificate;
     ``iteration_limit`` means the dual search spent its _MAX_DUAL_ITERS
-    power-map evaluations, ended on a math error, or stopped short of the
-    certificate.  On non-optimal statuses the remaining fields carry the
-    best-effort iterate (or ``None`` when infeasible).
+    power-map evaluations, ended on a math error or a non-finite
+    evaluation, or stopped short of the certificate.  On non-optimal
+    statuses the remaining fields carry the best-effort iterate (or
+    ``None`` when infeasible).
     ``allocation.iterations`` counts the evaluations of the inner power
     map.
     """
@@ -169,39 +174,40 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
 
 def _power_map(gs, m, mu, v):
     """Inner powers at (mu, v) > 0, their sum S and trace inverse C, and the
-    partial derivatives of S and C in mu and v.
+    derivatives of S and C in t = log mu and x = log v that the searches
+    step on: S_t = mu dS/dmu, S_x = v dS/dv, and likewise C_t and C_x.
 
     Each communication subchannel takes its stationary root
     (:func:`cubic_stationary_root`) and each of the m - r sensing
     subchannels sqrt(mu/v).  The derivatives follow from the stationarity
-    equations by implicit differentiation: dp/dv = 1/f'(p) and
-    dp/dmu = -1/(p^2 f'(p)).
+    equations by implicit differentiation: with d = -f'(p),
+    mu dp/dmu = (mu/p^2)/d and v dp/dv = -v/d.
     """
     p = [cubic_stationary_root(g, mu, v) for g in gs]
-    S = C = S_mu = S_v = C_mu = C_v = 0.0
+    S = C = S_t = S_x = C_t = C_x = 0.0
     for g, x in zip(gs, p):
         gx1 = 1.0 + g * x
         inv2 = 1.0 / (x * x)
-        fp = -INV_LN2 * g * g / (gx1 * gx1) - 2.0 * mu * inv2 / x
-        dp_dv = 1.0 / fp
-        dp_dmu = -inv2 * dp_dv
+        d = INV_LN2 * g * g / (gx1 * gx1) + 2.0 * mu * inv2 / x
+        dp_dt = mu * inv2 / d
+        dp_dx = -v / d
         S += x
         C += 1.0 / x
-        S_mu += dp_dmu
-        S_v += dp_dv
-        C_mu -= inv2 * dp_dmu
-        C_v -= inv2 * dp_dv
+        S_t += dp_dt
+        S_x += dp_dx
+        C_t -= inv2 * dp_dt
+        C_x -= inv2 * dp_dx
     k = m - len(gs)
     if k:
         ps = math.sqrt(mu / v)
         p += [ps] * k
         S += k * ps
         C += k / ps
-        S_mu += 0.5 * k * ps / mu
-        S_v -= 0.5 * k * ps / v
-        C_mu -= 0.5 * k / (mu * ps)
-        C_v += 0.5 * k / (v * ps)
-    return p, S, C, S_mu, S_v, C_mu, C_v
+        S_t += 0.5 * k * ps
+        S_x -= 0.5 * k * ps
+        C_t -= 0.5 * k / ps
+        C_x += 0.5 * k / ps
+    return p, S, C, S_t, S_x, C_t, C_x
 
 
 def _newton_step(x, val, step, lo, hi, tol):
@@ -232,6 +238,45 @@ def _equal_split_duals(gs, m):
     return x0 - 2.0 * math.log(m), x0
 
 
+def _searchable_budget(gs, m):
+    """Largest trace-inverse budget, in units of P (gains gs, power 1), up
+    to which the dual search needs no CRB multiplier mu' below the normal
+    float range, or the largest float if no budget does.
+
+    As the budget grows mu' falls to 0 and the powers tend to water-filling
+    at the level 1/(v' ln 2).  On a subchannel that water-filling leaves
+    dry, of gain g (0 on a sensing subchannel), the power p tends to 0, and
+    its stationarity equation gives, to first order in p,
+    mu' = p^2 (e + g^2 p / ln 2) with e = v' - g / ln 2: the sensing law
+    mu' = v' p^2 at g = 0.  At the smallest normal mu' each dry 1/p is thus
+    at least max(sqrt(e / mu'), (g^2 / (mu' ln 2))^(1/3)), and the trace
+    inverse at least the sum of these; no budget up to that sum needs a
+    subnormal mu'.  A full-rank channel that water-fills every subchannel
+    has no dry one: its budgets above the water-filling load take that path
+    instead.  A zero gain, or a strongest gain whose inverse overflows,
+    leaves the bound undefined, and the largest float stands then too.
+    """
+    big = sys.float_info.max
+    if not min(gs) > 0.0:
+        return big
+    # water-fill power 1 by the sorted-threshold procedure of waterfill, over
+    # the floors 1/g from the lowest: the n lowest are wet
+    floors = sorted(1.0 / g for g in gs)
+    n, total = 1, 1.0 + floors[0]
+    while n < len(floors) and total > n * floors[n]:
+        total += floors[n]
+        n += 1
+    v = INV_LN2 * n / total
+    # the square and cube roots of the smallest normal float, taken apart so
+    # that no ratio to it overflows
+    root2, root3 = math.sqrt(sys.float_info.min), sys.float_info.min ** (1.0 / 3.0)
+    limit = (m - len(gs)) * math.sqrt(v) / root2
+    for x in floors[n:]:
+        limit += max(math.sqrt(max(v - INV_LN2 / x, 0.0)) / root2,
+                     (INV_LN2 / (x * x)) ** (1.0 / 3.0) / root3)
+    return limit if 0.0 < limit < big else big
+
+
 def _solve_dual(gs, m, gamma_tilde):
     """Dual pair with both constraints tight, by log-scale Newton in units of
     P from the equal split: the scalar form of :func:`_lockstep_dual`.
@@ -239,17 +284,19 @@ def _solve_dual(gs, m, gamma_tilde):
     Each pass evaluates the power map once.  It computes the inner Newton
     step dx_in in log v on the power budget residual F = log S, and the
     outer residual on the curve v*(mu) to first order,
-    G = log(C / gamma_tilde) + (v C_v / C) dx_in, with dx_in = 0 once the
+    G = log(C / gamma_tilde) + (C_x / C) dx_in, with dx_in = 0 once the
     inner search has stopped: the Schur complement of the joint 2x2 Newton
-    system in (log mu, log v).  Once the inner search has stopped, or
+    system in (log mu, log v), whose entries are the log-derivatives that
+    :func:`_power_map` returns.  Once the inner search has stopped, or
     |F| <= _INNER_FRACTION |G|, the pass takes a step in log mu: G decides
-    the stop test, and the predicted trace inverse C exp((v C_v / C) dx_in)
+    the stop test, and the predicted trace inverse C exp((C_x / C) dx_in)
     the step.  Only a measured G, with the inner search stopped, moves the
     log mu bracket: near p0 a predicted G can have the wrong sign.  It then
     moves log v by dx_in plus the tangent d log v* / d log mu and opens a
     new log v bracket.  Otherwise, and whenever the outer search has stopped
     before the inner one, the pass takes the inner step.  The search has
-    converged when both have stopped.  A math error ends it unconverged.
+    converged when both have stopped.  A math error, or a non-finite S, C
+    or derivative, ends it unconverged.
 
     Returns (mu, v, powers, evaluations, converged); the powers belong to
     the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
@@ -266,10 +313,12 @@ def _solve_dual(gs, m, gamma_tilde):
             evals += 1
             mu, v = math.exp(t), math.exp(x)
             last = (mu, v, _power_map(gs, m, mu, v))
-            _, S, C, S_mu, S_v, C_mu, C_v = last[2]
+            _, S, C, S_t, S_x, C_t, C_x = last[2]
+            if not math.isfinite(S + C + S_t + S_x + C_t + C_x):
+                break  # unconverged, like a lockstep lane
             # inner search: log S in log v
             F = math.log(S)
-            dx_in = -F * S / (v * S_v)
+            dx_in = -F * S / S_x
             x_lo, x_hi = (x, x_hi) if F > 0.0 else (x_lo, x)
             inner_done, x_next = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
             if inner_done:
@@ -279,14 +328,14 @@ def _solve_dual(gs, m, gamma_tilde):
             # log((C - c_min) / (gamma_tilde - c_min)) instead, which is close
             # to linear in log mu both for loose CRB budgets and near the
             # equal-split boundary
-            c_v = v * C_v / C
+            c_v = C_x / C
             G = math.log(C / gamma_tilde) + c_v * dx_in
             if inner_done or abs(F) <= _INNER_FRACTION * abs(G):
-                dv_dmu = -S_mu / S_v
+                dx_dt = -S_t / S_x  # d log v* / d log mu
                 excess = C * math.exp(c_v * dx_in) - c_min
                 step = math.nan
                 if excess > 0.0:
-                    slope = mu * (C_mu + C_v * dv_dmu) / excess
+                    slope = (C_t + C_x * dx_dt) / excess
                     step = -math.log(excess / (gamma_tilde - c_min)) / slope
                 if inner_done:  # G is measured
                     t_lo, t_hi = (t, t_hi) if G > 0.0 else (t_lo, t)
@@ -295,7 +344,7 @@ def _solve_dual(gs, m, gamma_tilde):
                     converged = True
                     break
                 if not outer_done:
-                    x = x + dx_in + mu * dv_dmu / v * (t_next - t)
+                    x = x + dx_in + dx_dt * (t_next - t)
                     x_lo, x_hi = -math.inf, math.inf
                     t = t_next
                     continue
@@ -364,8 +413,8 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     Each stationary root is the monotone Newton iteration of
     :func:`cubic_stationary_root`, run for all lanes and subchannels at once
     until no iterate rises any more; a root that has stopped rising stays
-    put.  Returns the (n, m) powers and the (n,) arrays S, C, S_mu, S_v,
-    C_mu, C_v.
+    put.  Returns the (n, m) powers and the (n,) arrays S, C and the
+    log-derivatives S_t, S_x, C_t and C_x.
     """
     # (n, r) operands throughout: same-shape arithmetic is faster than
     # broadcasting at these sizes
@@ -394,19 +443,20 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
         p = np.maximum(p, f)
     gx1 = 1.0 + G * p
     inv2 = 1.0 / (p * p)
-    dp_dv = 1.0 / (-A * G / (gx1 * gx1) - 2.0 * MU * inv2 / p)
-    dp_dmu = -inv2 * dp_dv
+    d = A * G / (gx1 * gx1) + 2.0 * MU * inv2 / p
+    dp_dt = MU * inv2 / d
+    dp_dx = -V / d
     ps = np.sqrt(mu / v)
     powers = np.empty((n, r + k))
     powers[:, :r] = p
     powers[:, r:] = ps[:, None]
     S = p.sum(axis=1) + k * ps
     C = (1.0 / p).sum(axis=1) + k / ps
-    S_mu = dp_dmu.sum(axis=1) + 0.5 * k * ps / mu
-    S_v = dp_dv.sum(axis=1) - 0.5 * k * ps / v
-    C_mu = -(inv2 * dp_dmu).sum(axis=1) - 0.5 * k / (mu * ps)
-    C_v = -(inv2 * dp_dv).sum(axis=1) + 0.5 * k / (v * ps)
-    return powers, S, C, S_mu, S_v, C_mu, C_v
+    S_t = dp_dt.sum(axis=1) + 0.5 * k * ps
+    S_x = dp_dx.sum(axis=1) - 0.5 * k * ps
+    C_t = -(inv2 * dp_dt).sum(axis=1) - 0.5 * k / ps
+    C_x = -(inv2 * dp_dx).sum(axis=1) + 0.5 * k / ps
+    return powers, S, C, S_t, S_x, C_t, C_x
 
 
 def _newton_lanes(x, val, step, lo, hi, tol):
@@ -462,22 +512,22 @@ def _lockstep_dual(gs, m, gamma_tildes):
         while lane.size and evals < _MAX_DUAL_ITERS:
             evals += 1
             mu, v = np.exp(t), np.exp(x)
-            p, S, C, S_mu, S_v, C_mu, C_v = _power_map_lanes(g, k, mu, v)
-            finite = np.isfinite(S + C + S_mu + S_v + C_mu + C_v)
+            p, S, C, S_t, S_x, C_t, C_x = _power_map_lanes(g, k, mu, v)
+            finite = np.isfinite(S + C + S_t + S_x + C_t + C_x)
             # inner search: log S in log v
             F = np.log(S)
-            dx_in = -F * S / (v * S_v)
+            dx_in = -F * S / S_x
             up = F > 0.0
             x_lo = np.where(up, x, x_lo)
             x_hi = np.where(up, x_hi, x)
             inner_done, x_next = _newton_lanes(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
             dx_in = np.where(inner_done, 0.0, dx_in)
             # outer search along v*(mu), as in _solve_dual
-            c_v = v * C_v / C
+            c_v = C_x / C
             G = np.log(C / gt) + c_v * dx_in
-            dv_dmu = -S_mu / S_v
+            dx_dt = -S_t / S_x  # d log v* / d log mu
             excess = C * np.exp(c_v * dx_in) - c_min
-            slope = mu * (C_mu + C_v * dv_dmu) / excess
+            slope = (C_t + C_x * dx_dt) / excess
             step = np.where(excess > 0.0, -np.log(excess / (gt - c_min)) / slope, np.nan)
             up = G > 0.0  # only a measured G moves the bracket
             t_lo = np.where(inner_done & up, t, t_lo)
@@ -489,7 +539,7 @@ def _lockstep_dual(gs, m, gamma_tildes):
             # tangent d log v* / d log mu and opens a new inner bracket; any
             # other lane takes its inner step
             outer = inner_done | ((np.abs(F) <= _INNER_FRACTION * np.abs(G)) & ~outer_done)
-            x = np.where(outer, x + dx_in + mu * dv_dmu / v * (t_next - t), x_next)
+            x = np.where(outer, x + dx_in + dx_dt * (t_next - t), x_next)
             t = np.where(outer, t_next, t)
             x_lo = np.where(outer, -np.inf, x_lo)
             x_hi = np.where(outer, np.inf, x_hi)
@@ -534,14 +584,17 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       :func:`_solve_dual` per budget when there are fewer than
       _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
       over all of them, whose output is mapped back over whole arrays.
-      A budget whose value in units of P overflows raises ``ValueError``
-      naming its CRB threshold: no search runs for any budget then.
+      A budget above :func:`_searchable_budget` in units of P, where the
+      search would need a subnormal mu', or whose value in units of P
+      overflows, raises ``ValueError`` naming the loosest CRB threshold and
+      the largest searchable one: no search runs for any budget then.
 
     One loop then judges every candidate, water-filling and dual alike, in
     the original units: one with finite powers gets :func:`_certify`, and it
     is ``optimal`` if and only if it converged and passed.  A search that
-    spends its _MAX_DUAL_ITERS evaluations, ends on a math error or misses
-    the certificate gives ``iteration_limit``.
+    spends its _MAX_DUAL_ITERS evaluations, ends on a math error or a
+    non-finite evaluation, or misses the certificate gives
+    ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
@@ -601,15 +654,13 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
         else:
             dual.append(j)
     gs_P, gts_P = [g * P for g in gs], [float(gamma_tildes[j]) * P for j in dual]
-    for j, gt in zip(dual, gts_P):
-        if gt == math.inf:
-            crb = crb_from_trace_budget(gamma_tildes[j], scenario.sigma_s2, scenario.Ns,
-                                        scenario.L)
-            limit = crb_from_trace_budget(sys.float_info.max / P, scenario.sigma_s2,
-                                          scenario.Ns, scenario.L)
+    if dual:
+        limit = _searchable_budget(gs_P, m)
+        if max(gts_P) > limit:
+            crb, crb_limit = (crb_from_trace_budget(x, scenario.sigma_s2, scenario.Ns, scenario.L)
+                              for x in (max(gamma_tildes[j] for j in dual), limit / P))
             raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
-                             f"its trace budget times P overflows; thresholds above "
-                             f"{limit:.6g} cannot be searched")
+                             f"thresholds above {crb_limit:.6g} cannot be searched")
     lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if lockstep:
         mu, v, q, evals, converged = _lockstep_dual(gs_P, m, gts_P)
@@ -647,7 +698,8 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose shape is
     not Nc x M, a rank-0 channel, a NaN threshold, a threshold whose trace
     budget is infinite on a rank-deficient channel, and one on the dual
-    path whose trace budget times P overflows raise ``ValueError``.
+    path too loose to search (see :func:`_solve_budgets`) raise
+    ``ValueError``.
 
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;

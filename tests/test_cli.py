@@ -428,6 +428,35 @@ def test_point_reports_a_search_that_evaluated_nothing(tmp_path, capsys):
     assert err.startswith("error:") and "iteration_limit" in err, err
 
 
+def test_point_past_the_searchable_limit_rejected(config1, capsys):
+    # scenario1 at P = 800 can be searched up to a CRB threshold of
+    # 2.65263e+150, where the dual search's CRB multiplier in units of P
+    # reaches the bottom of the normal float range; 1e160 used to give
+    # iteration_limit (exit 3)
+    assert main(["point", str(config1), "--gamma", "1e160"]) == 1
+    assert capsys.readouterr().err == (
+        "error: CRB threshold 1e+160 is too loose to search at P = 800: "
+        "thresholds above 2.65263e+150 cannot be searched\n")
+
+
+def test_gains_whose_square_overflows_give_iteration_limit(tmp_path, capsys):
+    # gains of about 1e160 make the first evaluation's derivatives NaN; the
+    # search stops there, so point reports iteration_limit and sweep writes
+    # its rows.  Both used to exit 1 with "error: Eigenvalues did not
+    # converge", from a covariance of NaN powers
+    cfg = dict(SC1, M=4, Nc=3, P=1.0, sigma_c2=1e-160, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sc = Scenario(**cfg)
+    gamma = repr(3.0 * crb_min_point(rician_channel(sc), sc)[1].crb)
+    assert main(["point", str(path), "--gamma", gamma]) == 3
+    assert "status: iteration_limit" in capsys.readouterr().out
+    out = tmp_path / "o.csv"
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    rows = [r for r in _read_csv(out) if r["scheme"] == "optimal"]
+    assert len(rows) == 50 and any(r["status"] == "iteration_limit" for r in rows)
+
+
 def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, capsys):
     # the argument parser is built once and shared by every call, a failed
     # parse included

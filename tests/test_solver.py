@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,31 @@ def test_inner_allocation_equal_duals_sensing_power_one():
     np.testing.assert_allclose(p[2:], 1.0, atol=1e-14)
 
 
+def test_power_map_log_derivatives_match_central_differences():
+    # both maps return mu dS/dmu, v dS/dv, mu dC/dmu and v dC/dv, the
+    # derivatives in (log mu, log v) that the searches step on; check them
+    # against central differences at each link's dual pairs of a few budgets
+    h = 1e-5
+    points = 0
+    for H, sc in stress_links(12):
+        gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+        k = sc.M - len(gs)
+        for gt in _dual_budgets(H, sc, 3):
+            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P)
+            _, S, C, *logd = _power_map(gs, sc.M, mu, v)
+            lanes = _power_map_lanes(np.array(gs), k, np.array([mu]), np.array([v]))
+            assert [x[0] for x in lanes[1:]] == pytest.approx([S, C, *logd], rel=1e-12)
+            S_t, S_x, C_t, C_x = logd
+            for (up, dn), dS, dC in ((((mu * math.exp(h), v), (mu * math.exp(-h), v)), S_t, C_t),
+                                     (((mu, v * math.exp(h)), (mu, v * math.exp(-h))), S_x, C_x)):
+                a, b = _power_map(gs, sc.M, *up), _power_map(gs, sc.M, *dn)
+                for i, d, value in ((1, dS, S), (2, dC, C)):
+                    fd = (a[i] - b[i]) / (2.0 * h)
+                    assert abs(fd - d) <= 1e-7 * abs(d) + 1e-9 * value, (sc, gt, i, fd, d)
+            points += 1
+    assert points > 20
+
+
 def test_solve_boundary_budget_gives_uniform():
     H = ChannelMatrix.from_matrix(np.diag([2.0, 1.5, 1.0, 0.5]))
     sc = Scenario(M=4, Nc=4, Ns=12, L=200, P=8.0)
@@ -203,17 +229,47 @@ def test_solve_non_finite_budgets(preset, request):
                                           waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M).p)
 
 
+@pytest.mark.parametrize("case", ["scenario1", "diag_below_p0"])
+def test_loosest_searchable_threshold(case, scenario1):
+    # the dual search's CRB multiplier in units of P, mu', falls to 0 as the
+    # budget loosens; the largest searchable budget puts it at the bottom of
+    # the normal float range.  scenario1 has two sensing subchannels; the
+    # full-rank diag(1, sqrt(0.5)) at P = 0.5, below p0 = 1, has one dry
+    # communication subchannel.  Past the limit their searches ended at
+    # iteration_limit with a subnormal mu': scenario1 at 1e160 after 107
+    # evaluations, the diagonal channel at 1e200 x CRB_min after all 2000
+    if case == "scenario1":
+        H, sc = scenario1
+    else:
+        H = ChannelMatrix.from_matrix(np.diag([1.0, math.sqrt(0.5)]))
+        sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=0.5)
+    gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    limit = crb_from_trace_budget(solver_module._searchable_budget(gs, sc.M) / sc.P,
+                                  sc.sigma_s2, sc.Ns, sc.L)
+    _, lo = crb_min_point(H, sc)
+    assert 1e152 < limit / lo.crb < 1e153
+    rep = solve_p1(H, sc, limit * (1.0 - 1e-9))
+    assert rep.status == "optimal"
+    assert 1.0 <= rep.allocation.mu / sc.P / sys.float_info.min <= 1.0 + 1e-6
+    for gamma in (limit * (1.0 + 1e-9), 1e200 * lo.crb):
+        with pytest.raises(ValueError, match=re.escape(
+                f"CRB threshold {gamma:.6g} is too loose to search at P = {sc.P:g}: "
+                f"thresholds above {limit:.6g} cannot be searched")):
+            solve_p1(H, sc, gamma)
+
+
 @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
 def test_solve_budget_that_overflows_in_units_of_P(preset, request):
     # gamma = 1e305 at P = 800: the trace budget, 1.7e306, is finite, but it
     # overflows times P.  On the rank-deficient channel the budget is on the
     # dual path, which searches in units of P, so it is an error naming the
-    # threshold (it used to give iteration_limit); the full-rank channel
-    # water-fills and searches nothing.
+    # threshold and the largest searchable one (it used to give
+    # iteration_limit); the full-rank channel water-fills and searches
+    # nothing.
     H, sc = request.getfixturevalue(preset)
     if H.r < sc.M:
         with pytest.raises(ValueError, match=r"CRB threshold 1e\+305 is too loose to search "
-                                             r"at P = 800: .* above 1\.34827e\+304"):
+                                             r"at P = 800: .* above 2\.65263e\+150"):
             solve_p1(H, sc, 1e305)
     else:
         rep = solve_p1(H, sc, 1e305)
@@ -408,7 +464,7 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
 
     # the first lane alone converges on its 10th pass, but not when a
     # derivative is non-finite there
-    for poison, ok in (({}, True), ({10: (5, 0, math.inf)}, False)):  # C_mu
+    for poison, ok in (({}, True), ({10: (5, 0, math.inf)}, False)):  # C_t
         passes.clear()
         _, _, _, evals, converged = _lockstep_dual(gs, sc.M, gts[:1])
         assert evals.tolist() == [10] and converged.tolist() == [ok]
@@ -424,6 +480,27 @@ def test_tiny_power_still_solves(P, f):
     _, lo = crb_min_point(H, sc)
     rep = solve_p1(H, sc, f * lo.crb)
     assert rep.status == "optimal" and rep.allocation.mu > 0.0
+
+
+def test_scalar_search_stops_on_a_non_finite_evaluation():
+    # gains of about 1e160 overflow g^2 in the derivatives of the first
+    # evaluation, at finite powers.  The scalar search stops there
+    # unconverged, as a lockstep lane does; it used to spend its 2000
+    # evaluations on NaN powers, on whose covariance _finish's eigvalsh then
+    # raised LinAlgError
+    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1, sigma_c2=1e-160, seed=1)
+    H = rician_channel(sc)
+    gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    _, lo = crb_min_point(H, sc)
+    gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
+    mu, v, p, evals, converged = _solve_dual(gs, sc.M, gt)
+    mu_l, v_l, p_l, evals_l, converged_l = _lockstep_dual(gs, sc.M, [gt])
+    assert (evals, converged) == (evals_l[0], converged_l[0]) == (1, False)
+    assert (mu, v) == pytest.approx((mu_l[0], v_l[0]), rel=1e-15)
+    assert np.isfinite(p).all() and np.array(p) == pytest.approx(p_l[0], rel=1e-15)
+    rep = solve_p1(H, sc, 3.0 * lo.crb)
+    assert rep.status == "iteration_limit" and rep.allocation.iterations == 1
+    assert np.isfinite(rep.allocation.p).all()
 
 
 def test_dual_searches_survive_gains_near_underflow():
@@ -509,8 +586,11 @@ def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
 
 
 def test_mu_positive_when_rank_deficient(scenario1):
+    # at 1e120 and 1e150 mu is about 1e-244 and 1e-304: the searches step
+    # on log-derivatives, so nothing multiplies mu back into a product that
+    # underflows
     H, sc = scenario1
-    for gamma in (0.01, 0.1, 0.4):
+    for gamma in (0.01, 0.1, 0.4, 1e120, 1e150):
         rep = solve_p1(H, sc, gamma)
         assert rep.status == "optimal"
         assert rep.allocation.mu > 0

@@ -160,9 +160,12 @@ def test_sweep_rejects_channel_that_does_not_fit(scenario2):
 def test_sweep_rejects_a_threshold_too_loose_for_the_dual_search(scenario1):
     # scenario1 (rank 6, M = 8, P = 800) capped at 1e305: the cap's trace
     # budget, 1.7e306, is finite, but in the dual search's units of P it
-    # overflows.  The sweep used to warn and report 33 iteration_limit rows.
+    # overflows, and far below that the search would need a subnormal CRB
+    # multiplier.  The error names the loosest threshold and the largest
+    # searchable one.  The sweep used to warn and report 33 iteration_limit
+    # rows.
     H, sc = scenario1
-    with pytest.raises(ValueError, match=r"CRB threshold 1e\+305 is too loose .* above 1\.34827e\+304"):
+    with pytest.raises(ValueError, match=r"CRB threshold 1e\+305 is too loose .* above 2\.65263e\+150"):
         sweep(H, sc, 50, crb_cap=1e305)
 
 
