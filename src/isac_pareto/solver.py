@@ -7,11 +7,14 @@ subchannel takes the unique positive root of its stationarity equation,
 found by a monotone Newton iteration (see :func:`cubic_stationary_root`),
 and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
-found by one search on a log scale in units of P, started from the equal
-split: for fixed mu the power budget fixes v*(mu), and mu is then set by
-the CRB budget along v*(mu).  Each pass evaluates once the powers, their
-sum and trace inverse, and those two's log-derivatives (mu d/dmu and
-v d/dv), the only derivatives the search uses.  It takes one safeguarded
+found by one search on a log scale in units of P: for fixed mu the power
+budget fixes v*(mu), and mu is then set by the CRB budget along v*(mu).
+Each budget's search starts from a blend of the dual pair's asymptotes at
+the two ends of the C-R boundary, the equal split (the CRB minimizer) and
+water-filling (:func:`_ends`, :func:`_dual_start`).  Each pass evaluates
+once the powers, their sum and trace inverse, and those two's
+log-derivatives (mu d/dmu and v d/dv), the only derivatives the search
+uses.  It takes one safeguarded
 Newton step of the joint 2x2 system in (log mu, log v), in its Schur form:
 the CRB residual is predicted to first order at the end of the inner Newton
 step in log v, and once the power-budget residual is small against that
@@ -19,7 +22,9 @@ prediction (an inexact Newton step) the pass moves log mu on it and log v
 by the inner step plus the tangent of v*(mu); until then it takes the inner
 step alone.  Only measured residuals move the brackets.  A budget so loose
 that the CRB multiplier in units of P would leave the normal float range
-is rejected before any search (:func:`_searchable_budget`).
+is rejected before any search (:func:`_ends`).  A search that converges
+onto a point over the CRB budget, as just above p0, is finished on the
+measured feasible end of its log mu bracket.
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +80,10 @@ _INNER_TOL = 1e-14
 _INNER_FRACTION = 0.1
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
+# Most Newton steps, and the step in log s that ends them, of the scalar
+# solve for the start of a dual search (_dual_start).
+_START_STEPS = 8
+_START_TOL = 1e-3
 # Tolerance of the KKT certificate, and the budget of power-map evaluations
 # of one dual search.
 _KKT_TOL = 1e-9
@@ -165,7 +175,7 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
         comm = INV_LN2 * g / gp1
         sens = mu / (p * p)
         f = comm + sens - v
-        q = f / (comm * g / gp1 + sens * 2.0 / p) + p  # the Newton iterate
+        q = f / (comm * (g / gp1) + sens * 2.0 / p) + p  # the Newton iterate
         if not q > p:
             break
         p = q
@@ -186,9 +196,9 @@ def _power_map(gs, m, mu, v):
     p = [cubic_stationary_root(g, mu, v) for g in gs]
     S = C = S_t = S_x = C_t = C_x = 0.0
     for g, x in zip(gs, p):
-        gx1 = 1.0 + g * x
+        h = g / (1.0 + g * x)
         inv2 = 1.0 / (x * x)
-        d = INV_LN2 * g * g / (gx1 * gx1) + 2.0 * mu * inv2 / x
+        d = INV_LN2 * h * h + 2.0 * mu * inv2 / x
         dp_dt = mu * inv2 / d
         dp_dx = -v / d
         S += x
@@ -217,9 +227,10 @@ def _newton_step(x, val, step, lo, hi, tol):
     The caller keeps the bracket [lo, hi] of measured sign changes.  A step
     that points away from the root is replaced by a full capped step
     towards it, steps are capped at _MAX_LOG_STEP, and a next x outside the
-    bracket is replaced by the bracket's midpoint.  Returns whether the
-    search stopped (|val| <= tol, or the bracket or the step has shrunk to a
-    few ulps of x) and the next x.
+    bracket is replaced by the bracket's midpoint, with an infinite end
+    taken at _MAX_LOG_STEP from x.  Returns whether the search stopped
+    (|val| <= tol, or the bracket or the step has shrunk to a few ulps of
+    x) and the next x.
     """
     ulps = 4.0 * _EPS * max(1.0, abs(x))
     if not step * val > 0.0:
@@ -227,38 +238,62 @@ def _newton_step(x, val, step, lo, hi, tol):
     step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
     done = abs(val) <= tol or hi - lo <= ulps or abs(step) <= ulps
     nx = x + step
-    return done, (nx if lo < nx < hi else 0.5 * (lo + hi))
+    if not lo < nx < hi:
+        nx = 0.5 * ((x - _MAX_LOG_STEP if lo == -math.inf else lo)
+                    + (x + _MAX_LOG_STEP if hi == math.inf else hi))
+    return done, nx
 
 
-def _equal_split_duals(gs, m):
-    # log mu and log v, in units of P, that the dual searches start from: v
-    # averages the rate slopes at the equal split 1/m, whose sensing law
-    # fixes mu/v = 1/m^2
-    x0 = math.log(INV_LN2 * sum(g / (1.0 + g / m) for g in gs) / m)
-    return x0 - 2.0 * math.log(m), x0
+class _Ends(NamedTuple):
+    """What the dual search's start and its searchable limit need to know of
+    one channel, in units of P (gains gs, power 1); see :func:`_ends`."""
+
+    a: float  # near the equal split the excess C - m^2 is about a / mu^2
+    b_bar: float  # and v about mu m^2 + b_bar
+    v_wf: float  # for loose budgets v tends to the water level v_wf
+    c_wet: float  # and C is about c_wet + d / sqrt(mu)
+    d: float
+    limit: float  # largest searchable budget
 
 
-def _searchable_budget(gs, m):
-    """Largest trace-inverse budget, in units of P (gains gs, power 1), up
-    to which the dual search needs no CRB multiplier mu' below the normal
-    float range, or the largest float if no budget does.
+def _ends(gs, m):
+    """The asymptotes of the dual pair at both ends of the C-R boundary, and
+    the largest trace-inverse budget up to which the dual search needs no CRB
+    multiplier mu' below the normal float range, all in units of P (gains
+    gs, power 1).
 
-    As the budget grows mu' falls to 0 and the powers tend to water-filling
-    at the level 1/(v' ln 2).  On a subchannel that water-filling leaves
-    dry, of gain g (0 on a sensing subchannel), the power p tends to 0, and
-    its stationarity equation gives, to first order in p,
-    mu' = p^2 (e + g^2 p / ln 2) with e = v' - g / ln 2: the sensing law
-    mu' = v' p^2 at g = 0.  At the smallest normal mu' each dry 1/p is thus
-    at least max(sqrt(e / mu'), (g^2 / (mu' ln 2))^(1/3)), and the trace
-    inverse at least the sum of these; no budget up to that sum needs a
-    subnormal mu'.  A full-rank channel that water-fills every subchannel
-    has no dry one: its budgets above the water-filling load take that path
-    instead.  A zero gain, or a strongest gain whose inverse overflows,
-    leaves the bound undefined, and the largest float stands then too.
+    The tight end: about the equal split 1/m the stationarity equations give
+    p_i - 1/m = (b_i - b_bar) / (2 mu' m^3) to first order in 1/mu', with
+    b_i = g_i / ((1 + g_i/m) ln 2) the rate slope at 1/m (0 on a sensing
+    subchannel) and b_bar their mean, so v' = mu' m^2 + b_bar and the
+    excess C - m^2 = m^3 sum (p_i - 1/m)^2 = a / mu'^2, with
+    a = sum (b_i - b_bar)^2 / (4 m^3).
+
+    The loose end: as the budget grows mu' falls to 0 and the powers tend to
+    water-filling of power 1 at the level 1/(v' ln 2).  A wet subchannel
+    keeps its water-filling power.  On a dry one, of gain g (0 on a sensing
+    subchannel), the power p tends to 0, and its stationarity equation
+    gives, to first order in p, mu' = p^2 (e + g^2 p / ln 2) with
+    e = v' - g / ln 2: the sensing law mu' = v' p^2 at g = 0.  So p is
+    about sqrt(mu'/e), and C about c_wet + d / sqrt(mu'), with c_wet the
+    wet subchannels' sum 1/p and d the dry ones' sum sqrt(e).
+
+    The limit: at the smallest normal mu' each dry 1/p is at least
+    max(sqrt(e / mu'), (g^2 / (mu' ln 2))^(1/3)), and the trace inverse at
+    least the sum of these; no budget up to that sum needs a subnormal mu'.
+    A full-rank channel that water-fills every subchannel has no dry one:
+    its budgets above the water-filling load take that path instead.  A
+    zero gain, or a strongest gain whose inverse overflows, leaves the bound
+    undefined, and the largest float stands then too; a zero gain also
+    leaves the loose end undefined (NaN).
     """
     big = sys.float_info.max
+    b = [INV_LN2 * g / (1.0 + g / m) for g in gs]
+    b_bar = sum(b) / m
+    a = sum([(x - b_bar) * (x - b_bar) for x in b]) + (m - len(gs)) * b_bar * b_bar
+    a /= 4.0 * m ** 3
     if not min(gs) > 0.0:
-        return big
+        return _Ends(a, b_bar, math.nan, math.nan, math.nan, big)
     # water-fill power 1 by the sorted-threshold procedure of waterfill, over
     # the floors 1/g from the lowest: the n lowest are wet
     floors = sorted(1.0 / g for g in gs)
@@ -267,19 +302,84 @@ def _searchable_budget(gs, m):
         total += floors[n]
         n += 1
     v = INV_LN2 * n / total
+    # the wet powers, from the floors' offsets to the lowest so that the
+    # power 1 is not lost against floors far above it; a power that cancels
+    # to 0 leaves the loose end infinite
+    offsets = [x - floors[0] for x in floors[:n]]
+    level = (1.0 + sum(offsets)) / n
+    wet = [level - x for x in offsets]
+    c_wet = sum([1.0 / x for x in wet]) if min(wet) > 0.0 else math.inf
     # the square and cube roots of the smallest normal float, taken apart so
     # that no ratio to it overflows
     root2, root3 = math.sqrt(sys.float_info.min), sys.float_info.min ** (1.0 / 3.0)
-    limit = (m - len(gs)) * math.sqrt(v) / root2
+    d = (m - len(gs)) * math.sqrt(v)
+    limit = d / root2
     for x in floors[n:]:
-        limit += max(math.sqrt(max(v - INV_LN2 / x, 0.0)) / root2,
-                     (INV_LN2 / (x * x)) ** (1.0 / 3.0) / root3)
-    return limit if 0.0 < limit < big else big
+        sqrt_e = math.sqrt(max(v - INV_LN2 / x, 0.0))
+        d += sqrt_e
+        limit += max(sqrt_e / root2, (INV_LN2 / (x * x)) ** (1.0 / 3.0) / root3)
+    return _Ends(a, b_bar, v, c_wet, d, limit if 0.0 < limit < big else big)
 
 
-def _solve_dual(gs, m, gamma_tilde):
+def _dual_start(ends, m, gamma_tilde):
+    """log mu and log v, in units of P, that both dual searches start from for
+    the budget gamma_tilde > m^2, from the asymptotes of :func:`_ends`.
+
+    In s = mu^(-1/2) the excess C - m^2 is a s^4 at the tight end and
+    c_wet - m^2 + d s at the loose one.  Their blend
+    1/excess = 1/(a s^4) + 1/(c_wet - m^2 + d s) lies below both forms, so
+    its root for the budget's excess lies above both of theirs; it is solved
+    from the larger of the two by Newton steps in log s, and log v is the
+    mix of the two ends' log v, mu m^2 + b_bar and the water level, weighted
+    as the blend weights their excesses.  When every subchannel is wet
+    (d = 0) the excess tends to c_wet - m^2 linearly in mu, which no blend
+    with a constant loose form follows; the tight form shifted to meet it at
+    mu = 0, a / (mu + mu_c)^2 with a / mu_c^2 = c_wet - m^2, is solved in
+    closed form instead, with the tight end's v.  When the loose form is not
+    positive at the tight root, where it does not apply, the tight root
+    stands alone.  If anything is not finite, the search starts from the
+    equal split instead: v averages the rate slopes there and the sensing
+    law fixes mu/v = 1/m^2.
+    """
+    c_min = m * m
+    a, b_bar, v_wf, c_wet, d, _ = ends
+    try:
+        excess = gamma_tilde - c_min
+        wet = c_wet - c_min  # the loose form at s = 0
+        w = 0.25 * math.log(excess / a)  # log s at the tight root
+        tight = 1.0  # the tight end's weight
+        if wet + d * math.exp(w) > 0.0:
+            if d == 0.0:
+                w = -0.5 * math.log(math.sqrt(a / excess) - math.sqrt(a / wet))
+            else:
+                w_tight = w
+                if excess > wet:
+                    w = max(w, math.log((excess - wet) / d))
+                for _ in range(_START_STEPS):
+                    s = math.exp(w)
+                    inv_t, inv_l = math.exp(-4.0 * w) / a, 1.0 / (wet + d * s)
+                    r = inv_t + inv_l
+                    step = math.log(r * excess) * r / (4.0 * inv_t + d * s * inv_l * inv_l)
+                    w = max(w + step, w_tight)
+                    if abs(step) <= _START_TOL:
+                        break
+                tight = math.exp(-4.0 * w) / a * excess
+        t = -2.0 * w
+        x = math.log(math.exp(t) * c_min + b_bar)
+        if tight < 1.0:
+            x = tight * x + (1.0 - tight) * math.log(v_wf)
+        if math.isfinite(t + x):
+            return t, x
+    except (ArithmeticError, ValueError):
+        pass
+    x = math.log(b_bar)
+    return x - 2.0 * math.log(m), x
+
+
+def _solve_dual(gs, m, gamma_tilde, ends):
     """Dual pair with both constraints tight, by log-scale Newton in units of
-    P from the equal split: the scalar form of :func:`_lockstep_dual`.
+    P from the start :func:`_dual_start` gives with the channel's
+    :func:`_ends`: the scalar form of :func:`_lockstep_dual`.
 
     Each pass evaluates the power map once.  It computes the inner Newton
     step dx_in in log v on the power budget residual F = log S, and the
@@ -298,13 +398,17 @@ def _solve_dual(gs, m, gamma_tilde):
     converged when both have stopped.  A math error, or a non-finite S, C
     or derivative, ends it unconverged.
 
-    Returns (mu, v, powers, evaluations, converged); the powers belong to
-    the last evaluated (mu, v), or are ``None`` if nothing was evaluated.
+    Returns (mu, v, powers, evaluations, converged, feasible); the powers
+    belong to the last evaluated (mu, v), or are ``None`` if nothing was
+    evaluated, and ``feasible`` is the (log mu, log v) of the log mu
+    bracket's measured feasible end, where C <= gamma_tilde, or
+    (inf, nan) if no evaluation measured one.
     """
     c_min = m * m
-    t, x = _equal_split_duals(gs, m)  # log mu, log v
+    t, x = _dual_start(ends, m, gamma_tilde)  # log mu, log v
     t_lo = x_lo = -math.inf
     t_hi = x_hi = math.inf
+    x_at_t_hi = math.nan
     evals = 0
     last = None  # (mu, v, _power_map output) of the latest evaluation
     converged = False
@@ -338,7 +442,10 @@ def _solve_dual(gs, m, gamma_tilde):
                     slope = (C_t + C_x * dx_dt) / excess
                     step = -math.log(excess / (gamma_tilde - c_min)) / slope
                 if inner_done:  # G is measured
-                    t_lo, t_hi = (t, t_hi) if G > 0.0 else (t_lo, t)
+                    if G > 0.0:
+                        t_lo = t
+                    else:
+                        t_hi, x_at_t_hi = t, x
                 outer_done, t_next = _newton_step(t, G, step, t_lo, t_hi, _DUAL_TOL)
                 if outer_done and inner_done:
                     converged = True
@@ -351,10 +458,11 @@ def _solve_dual(gs, m, gamma_tilde):
             x = x_next
     except (ArithmeticError, ValueError):
         pass  # unconverged, with the last completed evaluation
+    feasible = (t_hi, x_at_t_hi)
     if last is None:
-        return math.nan, math.nan, None, evals, False
+        return math.nan, math.nan, None, evals, False, feasible
     mu, v, (p, *_) = last
-    return mu, v, p, evals, converged
+    return mu, v, p, evals, converged, feasible
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P):
@@ -431,8 +539,7 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
         sens = MU / (p * p)
         f = comm + sens
         f -= V
-        comm *= G
-        comm /= gp1
+        comm *= G / gp1
         sens *= 2.0
         sens /= p
         comm += sens  # -f'(p)
@@ -441,9 +548,9 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
         if not (f > p).any():
             break
         p = np.maximum(p, f)
-    gx1 = 1.0 + G * p
+    h = G / (1.0 + G * p)
     inv2 = 1.0 / (p * p)
-    d = A * G / (gx1 * gx1) + 2.0 * MU * inv2 / p
+    d = INV_LN2 * h * h + 2.0 * MU * inv2 / p
     dp_dt = MU * inv2 / d
     dp_dx = -V / d
     ps = np.sqrt(mu / v)
@@ -467,14 +574,20 @@ def _newton_lanes(x, val, step, lo, hi, tol):
     step = np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
     done = (np.abs(val) <= tol) | (hi - lo <= ulps) | (np.abs(step) <= ulps)
     nx = x + step
-    return done, np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi))
+    inside = (lo < nx) & (nx < hi)
+    if inside.all():
+        return done, nx
+    mid = 0.5 * (np.where(lo == -np.inf, x - _MAX_LOG_STEP, lo)
+                 + np.where(hi == np.inf, x + _MAX_LOG_STEP, hi))
+    return done, np.where(inside, nx, mid)
 
 
-def _lockstep_dual(gs, m, gamma_tildes):
+def _lockstep_dual(gs, m, gamma_tildes, ends):
     """:func:`_solve_dual` for many budgets of one channel at once.
 
-    Each budget is one lane.  All lanes start from the equal split and run
-    the passes of :func:`_solve_dual` in lockstep over numpy arrays: each
+    Each budget is one lane.  Each lane starts where :func:`_solve_dual`
+    starts for its budget, from the same scalar :func:`_dual_start`, and all
+    run the passes of :func:`_solve_dual` in lockstep over numpy arrays: each
     pass evaluates the power map once for every live lane, and each lane
     keeps its own brackets on log mu and log v, chooses between the inner
     and the outer step by the rule of :func:`_solve_dual`, and has its own
@@ -490,23 +603,26 @@ def _lockstep_dual(gs, m, gamma_tildes):
     evaluations, so one counter serves them all.
 
     Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
-    evaluation, the (n,) evaluation counts and the (n,) converged flags.
+    evaluation, the (n,) evaluation counts, the (n,) converged flags and the
+    (n, 2) log mu and log v of each lane's measured feasible end, as
+    :func:`_solve_dual` returns them.
     """
     g, k = np.asarray(gs), m - len(gs)
     gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
     c_min = m * m
-    t0, x0 = _equal_split_duals(gs, m)
     mu_out, v_out = np.full(n, np.nan), np.full(n, np.nan)
     p_out = np.full((n, m), np.nan)
     evals_out = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    # state of the live lanes: their indices, log mu, log v and brackets
+    feasible = np.empty((n, 2))
+    # state of the live lanes: their indices, log mu, log v and brackets, and
+    # the log v at the feasible end of the log mu bracket
     lane = np.arange(n)
-    t = np.full(n, t0)
-    x = np.full(n, x0)
+    t, x = np.array([_dual_start(ends, m, b) for b in gamma_tildes]).reshape(n, 2).T.copy()
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
     x_lo, x_hi = t_lo.copy(), t_hi.copy()
+    x_at_t_hi = np.full(n, np.nan)
     evals = 0
     with np.errstate(all="ignore"):
         while lane.size and evals < _MAX_DUAL_ITERS:
@@ -531,7 +647,9 @@ def _lockstep_dual(gs, m, gamma_tildes):
             step = np.where(excess > 0.0, -np.log(excess / (gt - c_min)) / slope, np.nan)
             up = G > 0.0  # only a measured G moves the bracket
             t_lo = np.where(inner_done & up, t, t_lo)
-            t_hi = np.where(inner_done & ~up, t, t_hi)
+            feasible_end = inner_done & ~up
+            t_hi = np.where(feasible_end, t, t_hi)
+            x_at_t_hi = np.where(feasible_end, x, x_at_t_hi)
             outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
             # is small against the outer one while the outer search goes on,
@@ -550,10 +668,12 @@ def _lockstep_dual(gs, m, gamma_tildes):
                 mu_out[j], v_out[j], p_out[j] = mu[done], v[done], p[done]
                 evals_out[j] = evals
                 converged[j] = stop[done] & finite[done]
+                feasible[j, 0], feasible[j, 1] = t_hi[done], x_at_t_hi[done]
                 keep = ~done
                 lane, gt, t, x = lane[keep], gt[keep], t[keep], x[keep]
                 t_lo, t_hi, x_lo, x_hi = t_lo[keep], t_hi[keep], x_lo[keep], x_hi[keep]
-    return mu_out, v_out, p_out, evals_out, converged
+                x_at_t_hi = x_at_t_hi[keep]
+    return mu_out, v_out, p_out, evals_out, converged, feasible
 
 
 def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
@@ -584,14 +704,18 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       :func:`_solve_dual` per budget when there are fewer than
       _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
       over all of them, whose output is mapped back over whole arrays.
-      A budget above :func:`_searchable_budget` in units of P, where the
-      search would need a subnormal mu', or whose value in units of P
-      overflows, raises ``ValueError`` naming the loosest CRB threshold and
-      the largest searchable one: no search runs for any budget then.
+      A budget above the searchable limit of :func:`_ends` in units of P,
+      where the search would need a subnormal mu', or whose value in units
+      of P overflows, raises ``ValueError`` naming the loosest CRB threshold
+      and the largest searchable one, and gains that all underflow to 0 in
+      units of P raise one naming P: no search runs for any budget then.
 
     One loop then judges every candidate, water-filling and dual alike, in
     the original units: one with finite powers gets :func:`_certify`, and it
-    is ``optimal`` if and only if it converged and passed.  A search that
+    is ``optimal`` if and only if it converged and passed.  A converged
+    search whose candidate fails with the trace inverse over its budget is
+    evaluated once more at the measured feasible end of its log mu bracket,
+    and that point is judged instead.  A search that
     spends its _MAX_DUAL_ITERS evaluations, ends on a math error or a
     non-finite evaluation, or misses the certificate gives
     ``iteration_limit``.
@@ -607,26 +731,21 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.36          2.18           14.6
-     8        1.32          2.65           14.6
-     12       1.96          2.65           14.7
-     16       2.49          2.80           14.7
-     18       3.05          2.81           14.7
-     20       3.23          2.94           14.7
-     24       3.88          3.08           14.7
-     32       5.11          3.09           14.9
-     50       7.94          3.44           15.0
+     2        0.21          1.04            5.6
+     8        0.80          1.82            8.9
+     12       1.29          2.31            9.8
+     16       1.57          2.11            9.8
+     18       1.90          2.17            9.8
+     20       2.10          2.27            9.9
+     24       2.40          2.29            9.9
+     32       3.16          2.44           10.1
+     50       5.04          2.84           10.1
     ====  ===========  =============  ===============
 
-    So the two forms break even between 16 and 18 budgets; a second run
-    at every n from 16 to 20 put the scalar form ahead at 16 and 17 (3.23
-    against 3.41 ms) and the lockstep form from 18 on (3.16 against
-    3.27 ms).  _LOCKSTEP_MIN_BUDGETS stays at 24 all the same: the forms
-    are twins only up to numpy's row sums at r >= 8 and its exp and log,
-    at times an ulp off math's, and at 18 budgets one lane of stress link 5
-    (M = 10, r = 8) takes 10 lockstep evaluations against 9 scalar ones,
-    which the dispatch test, run at the crossover, rejects.  From 18 to 23
-    budgets the scalar form costs at most about 0.8 ms more per channel.
+    So the two forms break even between 20 and 24 budgets; a second run at
+    16 to 28 budgets put the scalar form ahead up to 24 (2.36 against
+    2.50 ms) and the lockstep form from 26 on (2.45 against 2.61 ms), so
+    _LOCKSTEP_MIN_BUDGETS = 24 sits at the crossover.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -639,7 +758,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     # iteration_limit with no allocation until a search evaluates the budget
     out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
     # one candidate per budget: (index, mu, v, powers, the powers as a list
-    # if all are finite, else None, evaluations, converged)
+    # if all are finite, else None, evaluations, converged, the search's
+    # feasible end or None)
     found = []
     dual = []  # indices of the budgets with both constraints tight
     for j, gamma_tilde in enumerate(gamma_tildes):
@@ -650,36 +770,49 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                                       iterations=0, kkt_residual=0.0, duality_gap=0.0),
                       "optimal")
         elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
-            found.append((j, 0.0, wf.v, wf.p, _finite_list(wf.p), 0, True))
+            found.append((j, 0.0, wf.v, wf.p, _finite_list(wf.p), 0, True, None))
         else:
             dual.append(j)
     gs_P, gts_P = [g * P for g in gs], [float(gamma_tildes[j]) * P for j in dual]
     if dual:
-        limit = _searchable_budget(gs_P, m)
-        if max(gts_P) > limit:
+        if not max(gs_P) > 0.0:
+            raise ValueError(f"every channel gain times P = {P:g} underflows to 0, "
+                             f"so no CRB threshold above the minimum can be searched")
+        ends = _ends(gs_P, m)
+        if max(gts_P) > ends.limit:
             crb, crb_limit = (crb_from_trace_budget(x, scenario.sigma_s2, scenario.Ns, scenario.L)
-                              for x in (max(gamma_tildes[j] for j in dual), limit / P))
+                              for x in (max(gamma_tildes[j] for j in dual), ends.limit / P))
             raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
                              f"thresholds above {crb_limit:.6g} cannot be searched")
     lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if lockstep:
-        mu, v, q, evals, converged = _lockstep_dual(gs_P, m, gts_P)
+        mu, v, q, evals, converged, feasible = _lockstep_dual(gs_P, m, gts_P, ends)
         p = P * q
         lists = [x if ok else None
                  for x, ok in zip(p.tolist(), np.isfinite(p).all(axis=1).tolist())]
         found += zip(dual, (P * mu).tolist(), (v / P).tolist(), p, lists,
-                     evals.tolist(), converged.tolist())
+                     evals.tolist(), converged.tolist(), feasible.tolist())
     else:
         for j, gt in zip(dual, gts_P):
-            mu, v, q, evals, converged = _solve_dual(gs_P, m, gt)
+            mu, v, q, evals, converged, feasible = _solve_dual(gs_P, m, gt, ends)
             # a search that evaluated nothing leaves its budget at iteration_limit
             if q is not None:
                 p = P * np.asarray(q)
-                found.append((j, P * mu, v / P, p, _finite_list(p), evals, converged))
-    for j, mu, v, p, p_list, evals, converged in found:
+                found.append((j, P * mu, v / P, p, _finite_list(p), evals, converged, feasible))
+    for j, mu, v, p, p_list, evals, converged, feasible in found:
         ok, res, gap = False, math.nan, math.nan
         if p_list is not None:
             ok, res, gap = _certify(gs, m, p_list, mu, v, gamma_tildes[j], P)
+            if (converged and not ok and sum(1.0 / x for x in p_list) > gamma_tildes[j]
+                    and feasible[0] < math.inf):
+                # just above p0, C can move by more than _KKT_TOL between
+                # neighbouring floats of log mu, so the converged point may
+                # sit over the budget; the measured feasible end of the log
+                # mu bracket, evaluated once more, is then the candidate
+                mu, v = math.exp(feasible[0]), math.exp(feasible[1])
+                p = P * np.asarray(_power_map(gs_P, m, mu, v)[0])
+                mu, v, p_list, evals = P * mu, v / P, p.tolist(), evals + 1
+                ok, res, gap = _certify(gs, m, p_list, mu, v, gamma_tildes[j], P)
         out[j] = (PowerAllocation(p=p, mu=mu, v=v, iterations=evals,
                                   kkt_residual=res, duality_gap=gap),
                   "optimal" if converged and ok else "iteration_limit")
@@ -698,16 +831,16 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose shape is
     not Nc x M, a rank-0 channel, a NaN threshold, a threshold whose trace
     budget is infinite on a rank-deficient channel, and one on the dual
-    path too loose to search (see :func:`_solve_budgets`) raise
-    ``ValueError``.
+    path too loose to search or on a channel whose gains all underflow in
+    units of P (see :func:`_solve_budgets`) raise ``ValueError``.
 
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;
     water-filling with a zero CRB multiplier when that already meets the
     budget; and otherwise the scalar dual search :func:`_solve_dual`,
     Newton steps in log v on the power budget and in log mu on the CRB
-    budget from the equal split, each kept in a sign-change bracket and
-    capped.  ``optimal`` is only reported with a passing KKT certificate,
+    budget from the asymptotes of the boundary's two ends, each kept in a
+    sign-change bracket and capped.  ``optimal`` is only reported with a passing KKT certificate,
     and a search that spends its _MAX_DUAL_ITERS power-map evaluations
     gives ``iteration_limit``.
     """

@@ -439,22 +439,38 @@ def test_point_past_the_searchable_limit_rejected(config1, capsys):
         "thresholds above 2.65263e+150 cannot be searched\n")
 
 
-def test_gains_whose_square_overflows_give_iteration_limit(tmp_path, capsys):
-    # gains of about 1e160 make the first evaluation's derivatives NaN; the
-    # search stops there, so point reports iteration_limit and sweep writes
-    # its rows.  Both used to exit 1 with "error: Eigenvalues did not
-    # converge", from a covariance of NaN powers
+def test_gains_whose_square_overflows_still_solve(tmp_path, capsys):
+    # gains of about 1e160 overflowed g^2 in the derivatives of the first
+    # evaluation, so point reported iteration_limit (exit 3) and sweep wrote
+    # iteration_limit rows; the maps now square g / (1 + g p) instead
     cfg = dict(SC1, M=4, Nc=3, P=1.0, sigma_c2=1e-160, seed=1)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     sc = Scenario(**cfg)
     gamma = repr(3.0 * crb_min_point(rician_channel(sc), sc)[1].crb)
-    assert main(["point", str(path), "--gamma", gamma]) == 3
-    assert "status: iteration_limit" in capsys.readouterr().out
+    assert main(["point", str(path), "--gamma", gamma]) == 0
+    assert "status: optimal" in capsys.readouterr().out
     out = tmp_path / "o.csv"
     assert main(["sweep", str(path), "--out", str(out)]) == 0
     rows = [r for r in _read_csv(out) if r["scheme"] == "optimal"]
-    assert len(rows) == 50 and any(r["status"] == "iteration_limit" for r in rows)
+    assert len(rows) == 50 and all(r["status"] == "optimal" for r in rows)
+
+
+def test_gains_that_underflow_in_units_of_P_rejected(tmp_path, capsys):
+    # gains near 1e-300 times P = 1e-100 are all 0 in units of P, where the
+    # dual search has no rate slope to start from; point and sweep used to
+    # exit 1 with "error: math domain error"
+    cfg = dict(SC1, M=2, Nc=3, P=1e-100, sigma_c2=1e300, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sc = Scenario(**cfg)
+    gamma = repr(3.0 * crb_min_point(rician_channel(sc), sc)[1].crb)
+    want = ("error: every channel gain times P = 1e-100 underflows to 0, "
+            "so no CRB threshold above the minimum can be searched\n")
+    for argv in (["point", str(path), "--gamma", gamma],
+                 ["sweep", str(path), "--out", str(tmp_path / "o.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == want, argv
 
 
 def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, capsys):

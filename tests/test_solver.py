@@ -18,6 +18,8 @@ from isac_pareto.metrics import (
 )
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
+    _dual_start,
+    _ends,
     _lockstep_dual,
     _power_map,
     _power_map_lanes,
@@ -153,7 +155,7 @@ def test_power_map_log_derivatives_match_central_differences():
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         k = sc.M - len(gs)
         for gt in _dual_budgets(H, sc, 3):
-            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P)
+            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P, _ends(gs, sc.M))
             _, S, C, *logd = _power_map(gs, sc.M, mu, v)
             lanes = _power_map_lanes(np.array(gs), k, np.array([mu]), np.array([v]))
             assert [x[0] for x in lanes[1:]] == pytest.approx([S, C, *logd], rel=1e-12)
@@ -244,7 +246,7 @@ def test_loosest_searchable_threshold(case, scenario1):
         H = ChannelMatrix.from_matrix(np.diag([1.0, math.sqrt(0.5)]))
         sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=0.5)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-    limit = crb_from_trace_budget(solver_module._searchable_budget(gs, sc.M) / sc.P,
+    limit = crb_from_trace_budget(_ends(gs, sc.M).limit / sc.P,
                                   sc.sigma_s2, sc.Ns, sc.L)
     _, lo = crb_min_point(H, sc)
     assert 1e152 < limit / lo.crb < 1e153
@@ -356,7 +358,9 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
     # to take for so few budgets), which must certify every lane on its
     # own, near-boundary ones included.  A dual-path result is the one with
     # evaluations; a batch costs as many passes as its slowest lane takes
-    # evaluations.
+    # evaluations.  From the equal split the searches took 10.5 evaluations
+    # on average, and a batch 12.4 passes; from the asymptotes of both ends
+    # of the boundary, 5.6 and 9.2.
     monkeypatch.setattr(solver_module, "_LOCKSTEP_MIN_BUDGETS", 2)
     failed = []
     scalar_evals = []
@@ -381,8 +385,46 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
             batch_passes.append(max(lanes))
     assert failed == []
     assert len(scalar_evals) > 2600 and len(batch_passes) > 380
-    assert np.mean(scalar_evals) <= 12.0
-    assert np.mean(batch_passes) <= 14.0
+    assert np.mean(scalar_evals) <= 7.0
+    assert np.mean(batch_passes) <= 10.0
+
+
+def test_search_starts_near_the_solved_duals():
+    # the start solves the asymptotes of the boundary's two ends: next to
+    # the equal split it is within 0.1 of the solved log mu on every link,
+    # and for loose budgets on every rank-deficient one, where the sensing
+    # subchannels' powers fall as sqrt(mu)
+    starts = {1 + 1e-6: 0, 1e3: 0}
+    for H, sc in stress_links(400):
+        gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+        ends = _ends(gs, sc.M)
+        _, lo = crb_min_point(H, sc)
+        for f in starts:
+            if f == 1e3 and H.r == sc.M:
+                continue
+            rep = solve_p1(H, sc, f * lo.crb)
+            assert rep.status == "optimal"
+            if rep.allocation.iterations == 0:
+                continue  # water-filling meets the budget
+            t0, _ = _dual_start(ends, sc.M, rep.gamma_tilde * sc.P)
+            assert abs(t0 - math.log(rep.allocation.mu / sc.P)) <= 0.1, (sc, f)
+            starts[f] += 1
+    assert starts[1 + 1e-6] > 350 and starts[1e3] > 200
+
+
+def test_newton_step_past_the_finite_end_of_a_one_sided_bracket():
+    # a step past the bracket's finite end is replaced by the bracket's
+    # midpoint, with the infinite end taken _MAX_LOG_STEP from x; that
+    # midpoint used to be -inf or +inf, and the search stepped there
+    tol = solver_module._DUAL_TOL
+    cases = [(0.0, 1.0, 5.0, -math.inf, 2.0, -2.5), (0.0, -1.0, -5.0, -2.0, math.inf, 2.5),
+             (1.0, 1.0, 0.5, 0.0, 3.0, 1.5), (1.0, 1.0, 5.0, 0.0, 3.0, 1.5)]
+    for x, val, step, lo, hi, want in cases:
+        done, nx = solver_module._newton_step(x, val, step, lo, hi, tol)
+        assert not done and nx == want
+    *args, want = (np.array(c) for c in zip(*cases))
+    done, nx = solver_module._newton_lanes(*args, tol)
+    assert not done.any() and nx.tolist() == want.tolist()
 
 
 def test_scalar_and_lockstep_searches_are_twins():
@@ -403,9 +445,10 @@ def test_scalar_and_lockstep_searches_are_twins():
         if not dual:
             continue
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, dual)
+        ends = _ends(gs, sc.M)
+        _, _, _, evals, converged, _ = _lockstep_dual(gs, sc.M, dual, ends)
         for j, gt in enumerate(dual):
-            _, _, _, evals_j, converged_j = _solve_dual(gs, sc.M, gt)
+            _, _, _, evals_j, converged_j, _ = _solve_dual(gs, sc.M, gt, ends)
             assert converged_j == converged[j], (sc, gt)
             assert evals_j == evals[j] or not exact, (sc, gt)
             lanes[exact] += 1
@@ -413,19 +456,21 @@ def test_scalar_and_lockstep_searches_are_twins():
 
 
 def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
-    # one batch whose lanes stop on four different passes: one lane is
-    # stopped on its 2nd evaluation by a non-finite power map, some converge
-    # on passes 8 and 9, and the rest spend a lowered budget of 10
-    # evaluations, converged or not.  The state arrays are compacted each
-    # time lanes stop; every lane must still equal the same lane run alone,
-    # bit for bit, and its scalar twin: the same evaluations and converged
-    # flag, and mu, v and powers to rounding.  The scalar twin of the
-    # poisoned lane is its search cut at 2 evaluations.
+    # one batch whose lanes stop on six different passes: the lane of
+    # 1.5 x CRB_min is stopped on its 2nd evaluation by a non-finite power
+    # map, others converge on passes 2 to 7, and the lane of 3 x CRB_min
+    # spends a lowered budget of 7 evaluations.  The state arrays are
+    # compacted each time lanes stop; every lane must still equal the same
+    # lane run alone, bit for bit, and its scalar twin: the same evaluations
+    # and converged flag, and mu, v, powers and feasible end to rounding.
+    # The scalar twin of the poisoned lane is its search cut at 2
+    # evaluations.
     H, sc = list(stress_links(2))[1]
     _, lo = crb_min_point(H, sc)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    ends = _ends(gs, sc.M)
     gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P for f in STRESS_FACTORS]
-    cap = 10
+    cap, poisoned_lane = 7, 3
     monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
     power_map = solver_module._power_map_lanes
     passes = []
@@ -440,33 +485,33 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
         return out
 
     monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned)
-    nan_s = {2: (1, 0, math.nan)}  # S of the first lane on the 2nd pass
-    poison.update(nan_s)
-    batch = _lockstep_dual(gs, sc.M, gts)
-    _, _, _, evals, converged = batch
-    assert evals.tolist() == [2, 9, 10, 8, 10, 10, 9, 8]
-    assert not converged[0] and converged[1] and converged[3]
-    assert not converged[2] and converged[4]  # both spent the budget
-    assert passes == [8, 8, 7, 7, 7, 7, 7, 7, 5, 3]
+    poison = {2: (1, poisoned_lane, math.nan)}  # S of that lane on the 2nd pass
+    batch = _lockstep_dual(gs, sc.M, gts, ends)
+    _, _, _, evals, converged, _ = batch
+    assert evals.tolist() == [2, 4, 7, 2, 7, 6, 5, 3]
+    assert converged.tolist() == [True, True, True, False, False, True, True, True]
+    assert passes == [8, 8, 6, 5, 4, 3, 2]
     for j, gt in enumerate(gts):
         passes.clear()
-        poison = nan_s if j == 0 else {}
-        alone = _lockstep_dual(gs, sc.M, [gt])
+        poison = {2: (1, 0, math.nan)} if j == poisoned_lane else {}
+        alone = _lockstep_dual(gs, sc.M, [gt], ends)
         for got, want in zip(batch, alone):
-            assert np.array_equal(got[j], want[0]), j
-        monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2 if j == 0 else cap)
-        mu, v, p, evals_j, converged_j = _solve_dual(gs, sc.M, gt)
+            assert np.array_equal(got[j], want[0], equal_nan=True), j
+        monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2 if j == poisoned_lane else cap)
+        mu, v, p, evals_j, converged_j, feasible = _solve_dual(gs, sc.M, gt, ends)
         monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
         assert (evals_j, converged_j) == (evals[j], converged[j]), j
         for got, want in ((batch[0][j], mu), (batch[1][j], v)):
             assert got == pytest.approx(want, rel=1e-12), j
         assert batch[2][j] == pytest.approx(np.array(p), rel=1e-12), j
+        assert batch[5][j] == pytest.approx(np.array(feasible), rel=1e-12, nan_ok=True), j
 
-    # the first lane alone converges on its 10th pass, but not when a
+    # the poisoned lane alone converges on its 10th pass, but not when a
     # derivative is non-finite there
+    monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2000)
     for poison, ok in (({}, True), ({10: (5, 0, math.inf)}, False)):  # C_t
         passes.clear()
-        _, _, _, evals, converged = _lockstep_dual(gs, sc.M, gts[:1])
+        _, _, _, evals, converged, _ = _lockstep_dual(gs, sc.M, [gts[poisoned_lane]], ends)
         assert evals.tolist() == [10] and converged.tolist() == [ok]
 
 
@@ -482,25 +527,67 @@ def test_tiny_power_still_solves(P, f):
     assert rep.status == "optimal" and rep.allocation.mu > 0.0
 
 
-def test_scalar_search_stops_on_a_non_finite_evaluation():
-    # gains of about 1e160 overflow g^2 in the derivatives of the first
-    # evaluation, at finite powers.  The scalar search stops there
-    # unconverged, as a lockstep lane does; it used to spend its 2000
-    # evaluations on NaN powers, on whose covariance _finish's eigvalsh then
-    # raised LinAlgError
+@pytest.mark.parametrize("f", [1.01, 3.0, 1e3])
+def test_gains_whose_square_overflows_still_solve(f):
+    # gains of about 1e160 in units of P overflowed g^2 in the derivatives of
+    # the first evaluation, so the search stopped there at iteration_limit;
+    # the maps and roots now square g / (1 + g p) instead
     sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=1, sigma_c2=1e-160, seed=1)
     H = rician_channel(sc)
+    _, lo = crb_min_point(H, sc)
+    rep = solve_p1(H, sc, f * lo.crb)
+    assert rep.status == "optimal" and rep.allocation.mu > 0.0
+
+
+def test_scalar_search_stops_on_a_non_finite_evaluation(monkeypatch):
+    # a first evaluation with finite powers but a non-finite derivative stops
+    # the scalar search there unconverged, as it stops a lockstep lane; it
+    # used to spend its 2000 evaluations on NaN powers, on whose covariance
+    # _finish's eigvalsh then raised LinAlgError
+    H, sc = list(stress_links(2))[1]
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    ends = _ends(gs, sc.M)
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
-    mu, v, p, evals, converged = _solve_dual(gs, sc.M, gt)
-    mu_l, v_l, p_l, evals_l, converged_l = _lockstep_dual(gs, sc.M, [gt])
+    power_map, power_map_lanes = _power_map, _power_map_lanes
+
+    def poisoned(*args):
+        p, S, C, S_t, S_x, C_t, C_x = power_map(*args)
+        return p, S, C, S_t, S_x, math.nan, C_x
+
+    def poisoned_lanes(*args):
+        out = power_map_lanes(*args)
+        out[5][:] = math.nan
+        return out
+
+    monkeypatch.setattr(solver_module, "_power_map", poisoned)
+    monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned_lanes)
+    mu, v, p, evals, converged, _ = _solve_dual(gs, sc.M, gt, ends)
+    mu_l, v_l, p_l, evals_l, converged_l, _ = _lockstep_dual(gs, sc.M, [gt], ends)
     assert (evals, converged) == (evals_l[0], converged_l[0]) == (1, False)
     assert (mu, v) == pytest.approx((mu_l[0], v_l[0]), rel=1e-15)
     assert np.isfinite(p).all() and np.array(p) == pytest.approx(p_l[0], rel=1e-15)
     rep = solve_p1(H, sc, 3.0 * lo.crb)
     assert rep.status == "iteration_limit" and rep.allocation.iterations == 1
     assert np.isfinite(rep.allocation.p).all()
+
+
+def test_gains_that_underflow_in_units_of_P_rejected():
+    # gains near 1e-300 times P = 1e-100 are all 0 in units of P, where the
+    # dual search has no rate slope to start from; solve_p1 and sweep used
+    # to raise "math domain error"
+    sc = Scenario(M=2, Nc=3, Ns=12, L=200, P=1e-100, sigma_c2=1e300, seed=1)
+    H = rician_channel(sc)
+    _, lo = crb_min_point(H, sc)
+    msg = re.escape("every channel gain times P = 1e-100 underflows to 0, "
+                    "so no CRB threshold above the minimum can be searched")
+    for f in (1.01, 3.0, 1e3):
+        with pytest.raises(ValueError, match=msg):
+            solve_p1(H, sc, f * lo.crb)
+    with pytest.raises(ValueError, match=msg):
+        sweep(H, sc, 6)
+    # the minimum itself needs no search
+    assert solve_p1(H, sc, lo.crb).status == "optimal"
 
 
 def test_dual_searches_survive_gains_near_underflow():
@@ -511,8 +598,9 @@ def test_dual_searches_survive_gains_near_underflow():
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
-    _solve_dual(gs, sc.M, gt)
-    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt])
+    ends = _ends(gs, sc.M)
+    _solve_dual(gs, sc.M, gt, ends)
+    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt], ends)
     assert solve_p1(H, sc, 3.0 * lo.crb).status in ("optimal", "iteration_limit")
     rows = [r for r in sweep(H, sc, 6).rows if r.scheme == "optimal"]
     assert len(rows) == 6
@@ -573,9 +661,9 @@ def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
     batches = []
     search = solver_module._lockstep_dual
 
-    def spy(gs, m, gts):
+    def spy(gs, m, gts, ends):
         batches.append(len(gts))
-        return search(gs, m, gts)
+        return search(gs, m, gts, ends)
 
     monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
     for H, sc in (scenario1, scenario2):
