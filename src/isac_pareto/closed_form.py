@@ -1,8 +1,9 @@
 """Closed-form endpoint solutions of the CRB-rate region.
 
-Water-filling rate maximization, isotropic CRB minimization, the power
-threshold below which the rate-maximizing covariance loses full rank, and
-the large-power two-block power split.
+Water-filling rate maximization, solved in units of P by the one
+water-filling routine that the solver shares, isotropic CRB minimization,
+the power threshold below which the rate-maximizing covariance loses full
+rank, and the large-power two-block power split.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EIG_FLOOR_REL, LN2, CRPoint, crb_from_powers, rate_from_powers
+from .metrics import EIG_FLOOR_REL, INV_LN2, CRPoint, crb_from_powers, rate_from_powers
 from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
@@ -41,11 +42,33 @@ class PowerAllocation:
     duality_gap: float = math.nan
 
 
+def _waterfill_unit(gs, P: float):
+    """Water-filling of power 1 over the gains ``gs`` in units of P
+    (lambda^2 P / sigma_c2), strongest first: the powers, v with the level at
+    1/(v ln 2), and the number n of wet subchannels, the first n.  Wet powers
+    come from the floors 1/g as offsets to the lowest, so that the power 1 is
+    not lost against floors far above it.  A gain of 0 is dry; all 0, as
+    when every gain times ``P`` underflows, raises ``ValueError``.
+    """
+    if not gs[0] > 0.0:
+        raise ValueError(f"every channel gain times P = {P:g} underflows to 0, "
+                         f"so no CRB threshold above the minimum can be searched")
+    floors = [1.0 / g if g > 0.0 else math.inf for g in gs]
+    n, total = 1, 1.0 + floors[0]
+    while n < len(floors) and total > n * floors[n]:
+        total += floors[n]
+        n += 1
+    offsets = [x - floors[0] for x in floors[1:n]]
+    level = (1.0 + sum(offsets)) / n
+    q = [level] + [level - x for x in offsets] + [0.0] * (len(gs) - n)
+    return q, INV_LN2 * n / total, n
+
+
 def waterfill(lambdas2, sigma_c2: float, P: float, m: int | None = None) -> PowerAllocation:
     """Rate-maximizing power allocation over parallel channels.
 
     Solves max sum log2(1 + lambda_i^2 p_i / sigma_c2) s.t. sum p_i = P by
-    the exact sorted-threshold procedure: p_i = max(nu - sigma_c2/lambda_i^2, 0)
+    :func:`_waterfill_unit` in units of P: p_i = max(nu - sigma_c2/lambda_i^2, 0)
     with the water level nu chosen so the powers sum to P.
 
     Parameters
@@ -66,27 +89,17 @@ def waterfill(lambdas2, sigma_c2: float, P: float, m: int | None = None) -> Powe
         raise ValueError("waterfill requires strictly positive channel gains")
     if P <= 0.0:
         raise ValueError(f"total power must be positive, got {P}")
-    order = np.argsort(lam2)[::-1]
-    noise = sigma_c2 / lam2[order]        # ascending since lam2 is descending
-    prefix = np.cumsum(noise)
-    k_active = 1
-    for k in range(1, noise.size + 1):
-        if (P + prefix[k - 1]) / k > noise[k - 1]:
-            k_active = k
-    nu = (P + prefix[k_active - 1]) / k_active
-    p_sorted = np.zeros_like(noise)
-    p_sorted[:k_active] = nu - noise[:k_active]
-    p = np.zeros(lam2.size)
-    p[order] = p_sorted
-    if m is not None:
-        if m < lam2.size:
-            raise ValueError(f"m={m} is shorter than the channel vector")
-        p = np.concatenate([p, np.zeros(m - lam2.size)])
+    if m is not None and m < lam2.size:
+        raise ValueError(f"m={m} is shorter than the channel vector")
+    order = np.argsort(-lam2)
+    q, v, _ = _waterfill_unit((lam2[order] / sigma_c2 * P).tolist(), P)
+    p = np.zeros(lam2.size if m is None else m)
+    p[order] = P * np.asarray(q)
     residual = abs(float(p.sum()) - P)
     return PowerAllocation(
         p=p,
         mu=0.0,
-        v=1.0 / (nu * LN2),
+        v=v / P,
         iterations=0,
         kkt_residual=residual,
         duality_gap=0.0,

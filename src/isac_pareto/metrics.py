@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+INV_LN2 = 1.0 / LN2
 
 # An eigenvalue of Q at or below EIG_FLOOR_REL * (trace/M) counts as zero,
 # which makes the CRB infinite (the target response is not estimable).  It

@@ -215,8 +215,8 @@ def save_fixture(channel, path) -> None:
 def load_fixture(path) -> ChannelMatrix:
     """Load a channel previously stored with :func:`save_fixture`.
 
-    A rank-0 (all-zero) channel carries no communication subchannel and is
-    rejected like a malformed file.
+    A non-finite field, and a rank-0 (all-zero) channel, which carries no
+    communication subchannel, are rejected like a malformed file.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
@@ -242,6 +242,8 @@ def load_fixture(path) -> ChannelMatrix:
             vals = [float(c) for c in cells]
         except ValueError as exc:
             raise FixtureFormatError(f"{path}: row {i} has a non-numeric field") from exc
+        if not all(map(math.isfinite, vals)):
+            raise FixtureFormatError(f"{path}: row {i} has a non-finite field")
         H[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
     channel = ChannelMatrix.from_matrix(H)
     if channel.r == 0:

@@ -11,7 +11,9 @@ found by one search on a log scale in units of P: for fixed mu the power
 budget fixes v*(mu), and mu is then set by the CRB budget along v*(mu).
 Each budget's search starts from a blend of the dual pair's asymptotes at
 the two ends of the C-R boundary, the equal split (the CRB minimizer) and
-water-filling (:func:`_ends`, :func:`_dual_start`).  Each pass evaluates
+water-filling (:func:`_ends`, :func:`_dual_start`), the latter from the
+channel's one water-filling in units of P, which the water-filling path
+shares.  Each pass evaluates
 once the powers, their sum and trace inverse, and those two's
 log-derivatives (mu d/dmu and v d/dv), the only derivatives the search
 uses.  It takes one safeguarded
@@ -46,9 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import PowerAllocation, waterfill
+from .closed_form import PowerAllocation, _waterfill_unit
 from .metrics import (
-    LN2,
+    INV_LN2,
     CRPoint,
     TransmitCovariance,
     assemble_covariance,
@@ -68,7 +70,6 @@ __all__ = [
     "solve_p1",
 ]
 
-INV_LN2 = 1.0 / LN2
 _EPS = sys.float_info.epsilon
 
 # The dual search stops once |log(sum 1/p / gamma_tilde)| is at most this;
@@ -256,7 +257,7 @@ class _Ends(NamedTuple):
     limit: float  # largest searchable budget
 
 
-def _ends(gs, m):
+def _ends(gs, m, wf):
     """The asymptotes of the dual pair at both ends of the C-R boundary, and
     the largest trace-inverse budget up to which the dual search needs no CRB
     multiplier mu' below the normal float range, all in units of P (gains
@@ -276,7 +277,8 @@ def _ends(gs, m):
     gives, to first order in p, mu' = p^2 (e + g^2 p / ln 2) with
     e = v' - g / ln 2: the sensing law mu' = v' p^2 at g = 0.  So p is
     about sqrt(mu'/e), and C about c_wet + d / sqrt(mu'), with c_wet the
-    wet subchannels' sum 1/p and d the dry ones' sum sqrt(e).
+    wet subchannels' sum 1/p in ``wf``, the :func:`~.closed_form._waterfill_unit`
+    of gs, and d the dry ones' sum sqrt(e).
 
     The limit: at the smallest normal mu' each dry 1/p is at least
     max(sqrt(e / mu'), (g^2 / (mu' ln 2))^(1/3)), and the trace inverse at
@@ -285,7 +287,7 @@ def _ends(gs, m):
     its budgets above the water-filling load take that path instead.  A
     zero gain, or a strongest gain whose inverse overflows, leaves the bound
     undefined, and the largest float stands then too; a zero gain also
-    leaves the loose end undefined (NaN).
+    leaves the loose end undefined (NaN), and a wet power of 0 an infinite one.
     """
     big = sys.float_info.max
     b = [INV_LN2 * g / (1.0 + g / m) for g in gs]
@@ -294,27 +296,14 @@ def _ends(gs, m):
     a /= 4.0 * m ** 3
     if not min(gs) > 0.0:
         return _Ends(a, b_bar, math.nan, math.nan, math.nan, big)
-    # water-fill power 1 by the sorted-threshold procedure of waterfill, over
-    # the floors 1/g from the lowest: the n lowest are wet
-    floors = sorted(1.0 / g for g in gs)
-    n, total = 1, 1.0 + floors[0]
-    while n < len(floors) and total > n * floors[n]:
-        total += floors[n]
-        n += 1
-    v = INV_LN2 * n / total
-    # the wet powers, from the floors' offsets to the lowest so that the
-    # power 1 is not lost against floors far above it; a power that cancels
-    # to 0 leaves the loose end infinite
-    offsets = [x - floors[0] for x in floors[:n]]
-    level = (1.0 + sum(offsets)) / n
-    wet = [level - x for x in offsets]
-    c_wet = sum([1.0 / x for x in wet]) if min(wet) > 0.0 else math.inf
+    q, v, n = wf
+    c_wet = sum([1.0 / x for x in q[:n]]) if min(q[:n]) > 0.0 else math.inf
     # the square and cube roots of the smallest normal float, taken apart so
     # that no ratio to it overflows
     root2, root3 = math.sqrt(sys.float_info.min), sys.float_info.min ** (1.0 / 3.0)
     d = (m - len(gs)) * math.sqrt(v)
     limit = d / root2
-    for x in floors[n:]:
+    for x in [1.0 / g for g in gs[n:]]:
         sqrt_e = math.sqrt(max(v - INV_LN2 / x, 0.0))
         d += sqrt_e
         limit += max(sqrt_e / root2, (INV_LN2 / (x * x)) ** (1.0 / 3.0) / root3)
@@ -677,11 +666,15 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
 
 
 def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
-    """Raise ``ValueError`` unless ``H`` is an Nc x M channel of positive rank."""
+    """Raise ``ValueError`` unless ``H`` is an Nc x M channel of positive rank
+    whose gains in units of P, lambda^2 P / sigma_c2, are finite."""
     if H.shape != (scenario.Nc, scenario.M):
         raise ValueError(f"channel shape {H.shape} does not match scenario")
     if H.r == 0:
         raise ValueError("channel has rank 0: there is no communication subchannel")
+    if not math.isfinite(float(H.lambdas2[0]) / scenario.sigma_c2 * scenario.P):
+        raise ValueError(f"channel gains times P / sigma_c2 overflow at P = {scenario.P:g}, "
+                         f"sigma_c2 = {scenario.sigma_c2:g}")
 
 
 def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
@@ -697,7 +690,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       by the AM-HM equality condition (the dual is degenerate there, so no
       multipliers are reported);
     * a full-rank channel whose water-filling already meets the budget ->
-      water-filling with a zero CRB multiplier;
+      water-filling with a zero CRB multiplier, from the channel's one
+      :func:`~.closed_form._waterfill_unit`, which :func:`_ends` shares;
     * otherwise both constraints are tight and the dual pair is searched
       for in units of P (gains g P, budgets gamma_tilde P, power 1, mapped
       back by p = P q, mu = P mu' and v = v' / P): by one scalar
@@ -707,8 +701,9 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       A budget above the searchable limit of :func:`_ends` in units of P,
       where the search would need a subnormal mu', or whose value in units
       of P overflows, raises ``ValueError`` naming the loosest CRB threshold
-      and the largest searchable one, and gains that all underflow to 0 in
-      units of P raise one naming P: no search runs for any budget then.
+      and the largest searchable one, and the water-filling raises one
+      naming P if the gains all underflow to 0 in units of P: no search
+      runs for any budget then.
 
     One loop then judges every candidate, water-filling and dual alike, in
     the original units: one with finite powers gets :func:`_certify`, and it
@@ -749,12 +744,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
-    wf = None
-    wf_trace_inv = math.inf
-    if H.r == m:
-        wf = waterfill(H.lambdas2, scenario.sigma_c2, P, m=m)
-        if np.all(wf.p > 0.0):
-            wf_trace_inv = float((1.0 / wf.p).sum())
+    gs_P = [g * P for g in gs]
+    wf = None  # the channel's water-filling, made by the first budget that needs it
     # iteration_limit with no allocation until a search evaluates the budget
     out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
     # one candidate per budget: (index, mu, v, powers, the powers as a list
@@ -769,16 +760,18 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             out[j] = (PowerAllocation(p=np.full(m, P / m), mu=math.nan, v=math.nan,
                                       iterations=0, kkt_residual=0.0, duality_gap=0.0),
                       "optimal")
-        elif wf is not None and wf_trace_inv <= gamma_tilde * (1.0 + 4e-12):
-            found.append((j, 0.0, wf.v, wf.p, _finite_list(wf.p), 0, True, None))
         else:
-            dual.append(j)
-    gs_P, gts_P = [g * P for g in gs], [float(gamma_tildes[j]) * P for j in dual]
+            if wf is None:
+                wf = _waterfill_unit(gs_P, P)
+                p_wf = P * np.asarray(wf[0])
+                wf_load = float((1.0 / p_wf).sum()) if H.r == m and np.all(p_wf > 0.0) else math.inf
+            if wf_load <= gamma_tilde * (1.0 + 4e-12):
+                found.append((j, 0.0, wf[1] / P, p_wf, _finite_list(p_wf), 0, True, None))
+            else:
+                dual.append(j)
+    gts_P = [float(gamma_tildes[j]) * P for j in dual]
     if dual:
-        if not max(gs_P) > 0.0:
-            raise ValueError(f"every channel gain times P = {P:g} underflows to 0, "
-                             f"so no CRB threshold above the minimum can be searched")
-        ends = _ends(gs_P, m)
+        ends = _ends(gs_P, m, wf)
         if max(gts_P) > ends.limit:
             crb, crb_limit = (crb_from_trace_budget(x, scenario.sigma_s2, scenario.Ns, scenario.L)
                               for x in (max(gamma_tildes[j] for j in dual), ends.limit / P))
@@ -829,7 +822,8 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     ``gamma`` is a CRB threshold; :func:`~isac_pareto.metrics.crb_from_trace_budget`
     converts a budget on tr(Q^-1) into one.  The channel rank and gains are
     those of ``H`` (``H.r`` and ``H.lambdas2``).  A channel whose shape is
-    not Nc x M, a rank-0 channel, a NaN threshold, a threshold whose trace
+    not Nc x M, a rank-0 channel, one whose gains overflow in units of P
+    (lambda^2 P / sigma_c2), a NaN threshold, a threshold whose trace
     budget is infinite on a rank-deficient channel, and one on the dual
     path too loose to search or on a channel whose gains all underflow in
     units of P (see :func:`_solve_budgets`) raise ``ValueError``.

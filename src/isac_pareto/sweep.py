@@ -118,9 +118,10 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     that its trace budget is finite.  Time-switching rows lie on the
     segment between the two endpoints, or are ``not_applicable`` when
     capped.  Benchmark rows report, for each grid threshold, the best sweep
-    point whose CRB fits under it.  A channel that is not Nc x M, or has
-    rank 0, raises ``ValueError``, and so does a grid threshold too loose
-    for the dual search (see :func:`solver._solve_budgets`).
+    point whose CRB fits under it.  A channel that is not Nc x M, has
+    rank 0 or has gains that overflow in units of P raises ``ValueError``,
+    and so does a grid threshold too loose for the dual search (see
+    :func:`solver._solve_budgets`).
     """
     _check_channel(H, scenario)
     if n_points < 2:

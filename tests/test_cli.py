@@ -473,6 +473,22 @@ def test_gains_that_underflow_in_units_of_P_rejected(tmp_path, capsys):
         assert capsys.readouterr().err == want, argv
 
 
+def test_gains_that_overflow_in_units_of_P_rejected(tmp_path, capsys):
+    # gains near 1e251 times P = 1e100 overflow in units of P; point used to
+    # exit 1 with "error: Eigenvalues did not converge" after numpy's overflow
+    # warnings, and sweep to exit 0 with rates of inf and nan.  Any warning
+    # is an error under this suite's settings.
+    cfg = dict(SC1, M=2, Nc=3, P=1e100, sigma_c2=1e-250, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    want = "error: channel gains times P / sigma_c2 overflow at P = 1e+100, sigma_c2 = 1e-250\n"
+    for argv in (["point", str(path), "--gamma", "1"],
+                 ["sweep", str(path), "--out", str(tmp_path / "o.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == want, argv
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, capsys):
     # the argument parser is built once and shared by every call, a failed
     # parse included

@@ -54,11 +54,16 @@ def test_waterfill_rejects_bad_input():
 
 
 def test_waterfill_kkt_and_beats_random(rng):
-    for trial in range(30):
+    # 30 random channels, then 6 whose noise floors sigma_c2/lambda^2 are
+    # 1e16 to 1e20 times the power, against which the power used to be lost:
+    # the powers came back all 0
+    for trial in range(36):
         r = int(rng.integers(1, 8))
         lam2 = rng.uniform(0.05, 5.0, r)
         p_tot = float(rng.uniform(0.5, 20.0))
         s2 = float(rng.uniform(0.5, 2.0))
+        if trial >= 30:
+            s2 = 10.0 ** (16 + (trial - 30) % 3) * p_tot * float(lam2.max())
         wf = waterfill(lam2, s2, p_tot)
         nu = _water_level(wf)
         assert abs(wf.p.sum() - p_tot) <= 1e-10 * max(1.0, p_tot)
@@ -116,6 +121,17 @@ def test_rate_max_finite_crb_above_threshold():
     # CRB from the water-filled powers matches the matrix metric
     expected = sc.sigma_s2 * sc.Ns / sc.L * (1.0 / wf.p).sum()
     assert pt.crb == pytest.approx(expected, rel=1e-12)
+
+
+def test_rate_max_point_at_low_snr():
+    # noise floors about 1e20 times P: water-filling used to lose the power
+    # against them and report rate 0, below the equal split's 1.72e-20
+    sc = Scenario(M=2, Nc=3, Ns=12, L=200, P=1.0, sigma_c2=1e20, seed=1)
+    H = rician_channel(sc)
+    wf, pt_max = rate_max_point(H, sc)
+    _, pt_min = crb_min_point(H, sc)
+    assert wf.p.sum() == pytest.approx(sc.P, rel=1e-15)
+    assert pt_max.rate >= pt_min.rate > 0.0
 
 
 def test_crb_min_scenario_values(scenario1, scenario2):

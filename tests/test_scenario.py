@@ -119,6 +119,16 @@ def test_fixture_bad_field_rejected(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize("field", ["inf", "-inf", "nan"])
+def test_fixture_non_finite_field_rejected(tmp_path, field):
+    # an infinite field used to be reported as a rank-0 channel, and a NaN
+    # one as an SVD that did not converge
+    path = tmp_path / "bad.csv"
+    path.write_text(f"2,2\n1,0,0,0\n0,0,1,{field}\n")
+    with pytest.raises(FixtureFormatError, match=re.escape(f"{path}: row 1 has a non-finite field")):
+        load_fixture(path)
+
+
 def test_fixture_dimension_mismatch_rejected(tmp_path):
     path = tmp_path / "small.csv"
     save_fixture(np.eye(2, dtype=complex), path)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from battery import near_p0_links, stress_links
-from isac_pareto.closed_form import asymptotic_allocation, crb_min_point, waterfill
+from isac_pareto.closed_form import (
+    _waterfill_unit,
+    asymptotic_allocation,
+    crb_min_point,
+    rate_max_point,
+    waterfill,
+)
 from isac_pareto.metrics import (
     crb_from_powers,
     crb_from_trace_budget,
@@ -155,7 +161,7 @@ def test_power_map_log_derivatives_match_central_differences():
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         k = sc.M - len(gs)
         for gt in _dual_budgets(H, sc, 3):
-            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P, _ends(gs, sc.M))
+            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P, _ends(gs, sc.M, _waterfill_unit(gs, sc.P)))
             _, S, C, *logd = _power_map(gs, sc.M, mu, v)
             lanes = _power_map_lanes(np.array(gs), k, np.array([mu]), np.array([v]))
             assert [x[0] for x in lanes[1:]] == pytest.approx([S, C, *logd], rel=1e-12)
@@ -246,7 +252,7 @@ def test_loosest_searchable_threshold(case, scenario1):
         H = ChannelMatrix.from_matrix(np.diag([1.0, math.sqrt(0.5)]))
         sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=0.5)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-    limit = crb_from_trace_budget(_ends(gs, sc.M).limit / sc.P,
+    limit = crb_from_trace_budget(_ends(gs, sc.M, _waterfill_unit(gs, sc.P)).limit / sc.P,
                                   sc.sigma_s2, sc.Ns, sc.L)
     _, lo = crb_min_point(H, sc)
     assert 1e152 < limit / lo.crb < 1e153
@@ -397,7 +403,7 @@ def test_search_starts_near_the_solved_duals():
     starts = {1 + 1e-6: 0, 1e3: 0}
     for H, sc in stress_links(400):
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-        ends = _ends(gs, sc.M)
+        ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
         _, lo = crb_min_point(H, sc)
         for f in starts:
             if f == 1e3 and H.r == sc.M:
@@ -445,7 +451,7 @@ def test_scalar_and_lockstep_searches_are_twins():
         if not dual:
             continue
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-        ends = _ends(gs, sc.M)
+        ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
         _, _, _, evals, converged, _ = _lockstep_dual(gs, sc.M, dual, ends)
         for j, gt in enumerate(dual):
             _, _, _, evals_j, converged_j, _ = _solve_dual(gs, sc.M, gt, ends)
@@ -468,7 +474,7 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
     H, sc = list(stress_links(2))[1]
     _, lo = crb_min_point(H, sc)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-    ends = _ends(gs, sc.M)
+    ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
     gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P for f in STRESS_FACTORS]
     cap, poisoned_lane = 7, 3
     monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
@@ -546,7 +552,7 @@ def test_scalar_search_stops_on_a_non_finite_evaluation(monkeypatch):
     # _finish's eigvalsh then raised LinAlgError
     H, sc = list(stress_links(2))[1]
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
-    ends = _ends(gs, sc.M)
+    ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
     power_map, power_map_lanes = _power_map, _power_map_lanes
@@ -590,6 +596,56 @@ def test_gains_that_underflow_in_units_of_P_rejected():
     assert solve_p1(H, sc, lo.crb).status == "optimal"
 
 
+def test_gains_that_overflow_in_units_of_P_rejected():
+    # gains near 1e251 times P = 1e100 overflow in units of P; solve_p1 used
+    # to raise LinAlgError from the eigenvalues of its covariance's metrics,
+    # and sweep to give rates of inf and nan
+    sc = Scenario(M=2, Nc=3, Ns=12, L=200, P=1e100, sigma_c2=1e-250, seed=1)
+    H = rician_channel(sc)
+    crb_min = sc.sigma_s2 * sc.Ns * sc.M * sc.M / (sc.P * sc.L)
+    msg = re.escape("channel gains times P / sigma_c2 overflow at P = 1e+100, sigma_c2 = 1e-250")
+    for f in (1.0, 3.0):
+        with pytest.raises(ValueError, match=msg):
+            solve_p1(H, sc, f * crb_min)
+    with pytest.raises(ValueError, match=msg):
+        sweep(H, sc, 6)
+
+
+def test_one_water_filling_per_channel(monkeypatch, scenario2):
+    # _solve_budgets water-fills the channel once, in units of P, for the
+    # water-filling path and the dual search's loose end alike, and only
+    # when a budget lies above the minimum; the water-filling path is
+    # waterfill's allocation, bit for bit
+    calls = []
+    waterfill_unit = solver_module._waterfill_unit
+    monkeypatch.setattr(solver_module, "_waterfill_unit",
+                        lambda *args: calls.append(args) or waterfill_unit(*args))
+    H, sc = scenario2
+    _, lo = crb_min_point(H, sc)
+    _, hi = rate_max_point(H, sc)
+    gammas = [lo.crb, lo.crb ** 0.7 * hi.crb ** 0.3, lo.crb ** 0.3 * hi.crb ** 0.7, 2.0 * hi.crb]
+    gts = [trace_budget(g, sc.sigma_s2, sc.Ns, sc.L) for g in gammas]
+    results, _ = _solve_budgets(H, sc, gts)
+    assert len(calls) == 1
+    assert [status for _, status in results] == ["optimal"] * 4
+    assert [a.iterations > 0 for a, _ in results] == [False, True, True, False]
+    alloc = results[-1][0]
+    assert alloc.mu == 0.0
+    np.testing.assert_array_equal(alloc.p, waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M).p)
+    calls.clear()
+    _solve_budgets(H, sc, gts[:1])
+    assert calls == []
+
+
+def test_a_gain_of_zero_in_units_of_P_is_dry():
+    # a gain that underflows to 0 in units of P is a dry subchannel, whose
+    # loose end the dual search's start leaves undefined
+    wf = _waterfill_unit([2.0, 0.0], 1.0)
+    assert wf[0] == [1.0, 0.0] and wf[2] == 1
+    ends = _ends([2.0, 0.0], 2, wf)
+    assert math.isnan(ends.v_wf) and ends.limit == sys.float_info.max
+
+
 def test_dual_searches_survive_gains_near_underflow():
     # gains near 1e-300 times a power of 1e-15 are subnormal in units of P;
     # the searches end without raising
@@ -598,7 +654,7 @@ def test_dual_searches_survive_gains_near_underflow():
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
-    ends = _ends(gs, sc.M)
+    ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
     _solve_dual(gs, sc.M, gt, ends)
     _lockstep_dual(gs, sc.M, [gt, 2.0 * gt], ends)
     assert solve_p1(H, sc, 3.0 * lo.crb).status in ("optimal", "iteration_limit")
