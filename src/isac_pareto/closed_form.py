@@ -122,6 +122,14 @@ def p0_threshold(lambdas2, sigma_c2: float) -> float:
     return float(np.sum(sigma_c2 / worst - sigma_c2 / lam2))
 
 
+def _check_gains(H: ChannelMatrix, scenario: Scenario) -> None:
+    """Raise ``ValueError`` if the gains of ``H`` in units of P,
+    lambda^2 P / sigma_c2, overflow."""
+    if H.r and not math.isfinite(float(H.lambdas2[0]) / scenario.sigma_c2 * scenario.P):
+        raise ValueError(f"channel gains times P / sigma_c2 overflow at P = {scenario.P:g}, "
+                         f"sigma_c2 = {scenario.sigma_c2:g}")
+
+
 def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation, CRPoint]:
     """Rate-maximization endpoint: the water-filling allocation and its C-R pair.
 
@@ -129,8 +137,10 @@ def rate_max_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocatio
     i.e. its power is at or below ``EIG_FLOOR_REL * P/M``, as when the
     channel rank is below M or P does not clear :func:`p0_threshold`.  This
     is the one rule that decides whether a sweep's grid is capped;
-    elsewhere the closed-form CRB is exact.
+    elsewhere the closed-form CRB is exact.  Gains that overflow in units of
+    P raise ``ValueError`` (:func:`_check_gains`).
     """
+    _check_gains(H, scenario)
     wf = waterfill(H.lambdas2, scenario.sigma_c2, scenario.P, m=scenario.M)
     if wf.p.min() <= EIG_FLOOR_REL * scenario.P / scenario.M:
         crb = math.inf
@@ -144,8 +154,10 @@ def crb_min_point(H: ChannelMatrix, scenario: Scenario) -> tuple[PowerAllocation
     """CRB-minimization endpoint: the equal split P/M and its C-R pair.
 
     Its covariance is (P/M) I in any basis.  The minimum CRB has the closed
-    form sigma_s2*Ns*M^2/(P*L).
+    form sigma_s2*Ns*M^2/(P*L).  Gains that overflow in units of P raise
+    ``ValueError`` (:func:`_check_gains`).
     """
+    _check_gains(H, scenario)
     m, P = scenario.M, scenario.P
     uniform = PowerAllocation(p=np.full(m, P / m))
     crb = scenario.sigma_s2 * scenario.Ns * m * m / (P * scenario.L)

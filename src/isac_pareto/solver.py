@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import PowerAllocation, _waterfill_unit
+from .closed_form import PowerAllocation, _check_gains, _waterfill_unit
 from .metrics import (
     INV_LN2,
     CRPoint,
@@ -672,9 +672,7 @@ def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
         raise ValueError(f"channel shape {H.shape} does not match scenario")
     if H.r == 0:
         raise ValueError("channel has rank 0: there is no communication subchannel")
-    if not math.isfinite(float(H.lambdas2[0]) / scenario.sigma_c2 * scenario.P):
-        raise ValueError(f"channel gains times P / sigma_c2 overflow at P = {scenario.P:g}, "
-                         f"sigma_c2 = {scenario.sigma_c2:g}")
+    _check_gains(H, scenario)
 
 
 def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):

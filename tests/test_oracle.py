@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,22 +348,58 @@ def test_simplex_grid_is_the_masked_cube(m):
         for _ in range(2):
             P = float(10.0 ** rng.uniform(-3, 5))
             gamma_tilde = m * m / P * float(10.0 ** rng.uniform(0.0, 3.0))
-            pts, evaluated = _simplex_grid(P, m, steps, gamma_tilde)
+            blocks = list(_simplex_grid(P, m, steps, gamma_tilde))
+            pts = np.concatenate([np.empty((0, m))] + [b for b, _ in blocks])
+            evaluated = sum(n for _, n in blocks)
             want, want_evaluated = _cube_grid(P, m, steps, gamma_tilde)
             assert evaluated == want_evaluated
             assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", [PRIMAL_REPRODUCERS[0], LOOSE_CASES[0]],
+# (name, oracle_primal_grid arguments), beside the fixture cases
+PRIMAL_GRID_CASES = [
+    # the grid's centre (2, 2) ties the equal split exactly and comes first
+    ("symmetric", (np.array([1.5, 1.5]), 2, 1.0, 4.0, 1.5, 400)),
+    # spans 4 blocks of _simplex_grid
+    ("m3-blocks", (np.array([3.0, 2.0, 1.0]), 3, 1.0, 3.0, 3.5, 90)),
+    # an odd step count leaves the centre off the grid, so the equal split
+    # beats every grid point ...
+    ("equal-split-wins", (np.array([1.0, 1.0]), 2, 1.0, 4.0, 1.5, 401)),
+    # ... and a budget this tight admits none of them
+    ("equal-split-only", (np.array([2.0, 1.0]), 2, 1.0, 4.0, 1.0 + 1e-6, 401)),
+]
+
+
+def _primal_grid_args(fixtures_dir, case):
+    if len(case) == 2:
+        return case[1]
+    H, sc, rep = _optimal_solve(fixtures_dir, *case)
+    return (H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde, 1000 if sc.M == 2 else 120)
+
+
+@pytest.mark.parametrize("case", [PRIMAL_REPRODUCERS[0], LOOSE_CASES[0]] + PRIMAL_GRID_CASES,
                          ids=lambda c: c[0])
 def test_primal_grid_bit_identical_to_cube_enumeration(fixtures_dir, case, monkeypatch):
-    H, sc, rep = _optimal_solve(fixtures_dir, *case)
-    args = (H.lambdas2, sc.M, sc.sigma_c2, sc.P, rep.gamma_tilde, 1000 if sc.M == 2 else 120)
+    args = _primal_grid_args(fixtures_dir, case)
     got = oracle_primal_grid(*args)
-    monkeypatch.setattr(oracle_module, "_simplex_grid", _cube_grid)
+    monkeypatch.setattr(oracle_module, "_simplex_grid", lambda *a: [_cube_grid(*a)])
     want = oracle_primal_grid(*args)
     assert got.p.tobytes() == want.p.tobytes()
     assert (got.iterations, got.kkt_residual) == (want.iterations, want.kkt_residual)
+
+
+@pytest.mark.parametrize("case", [PRIMAL_REPRODUCERS[0], LOOSE_CASES[0]], ids=lambda c: c[0])
+def test_primal_grid_memory_bounded_by_its_blocks(fixtures_dir, case):
+    # m = 3 at 120 steps and m = 2 at 1000; built whole, the grid peaked at
+    # 16.0 and 23.2 MB (Python 3.11, numpy 2.4)
+    args = _primal_grid_args(fixtures_dir, case)
+    tracemalloc.start()
+    try:
+        oracle_primal_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.fixture(scope="module")

@@ -599,7 +599,8 @@ def test_gains_that_underflow_in_units_of_P_rejected():
 def test_gains_that_overflow_in_units_of_P_rejected():
     # gains near 1e251 times P = 1e100 overflow in units of P; solve_p1 used
     # to raise LinAlgError from the eigenvalues of its covariance's metrics,
-    # and sweep to give rates of inf and nan
+    # sweep to give rates of inf and nan, and both endpoints rate inf after
+    # numpy overflow warnings
     sc = Scenario(M=2, Nc=3, Ns=12, L=200, P=1e100, sigma_c2=1e-250, seed=1)
     H = rician_channel(sc)
     crb_min = sc.sigma_s2 * sc.Ns * sc.M * sc.M / (sc.P * sc.L)
@@ -609,6 +610,9 @@ def test_gains_that_overflow_in_units_of_P_rejected():
             solve_p1(H, sc, f * crb_min)
     with pytest.raises(ValueError, match=msg):
         sweep(H, sc, 6)
+    for endpoint in (crb_min_point, rate_max_point):
+        with pytest.raises(ValueError, match=msg):
+            endpoint(H, sc)
 
 
 def test_one_water_filling_per_channel(monkeypatch, scenario2):
