@@ -59,10 +59,15 @@ class CRPoint:
 
 def rate(Q: np.ndarray, H: np.ndarray, sigma_c2: float) -> float:
     """Achievable rate log2 det(I + H Q H^H / sigma_c2) in bps/Hz, for the
-    M x M covariance matrix ``Q`` and the Nc x M channel matrix ``H``."""
+    M x M covariance matrix ``Q`` and the Nc x M channel matrix ``H``.
+
+    H is divided by sqrt(sigma_c2) before the product, so that the product
+    stays finite wherever the gains in units of P, lambda^2 P / sigma_c2,
+    do, even when lambda^2 P alone overflows."""
     if H.shape[1] != Q.shape[0] or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: H {H.shape}, Q {Q.shape}")
-    W = H @ Q @ H.conj().T / sigma_c2
+    Hn = H / math.sqrt(sigma_c2)
+    W = Hn @ Q @ Hn.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
     # tiny negative eigenvalues are rounding noise from the PSD product
     eigs = np.clip(eigs, -0.5, None)
@@ -92,11 +97,13 @@ def rate_from_powers(lambdas2, p, sigma_c2: float):
 
     ``p`` may be longer than ``lambdas2``; the extra (sensing) entries do not
     contribute to the rate.  A 2-D ``p`` holds one allocation per row and
-    gives an array with one rate per row; a 1-D ``p`` gives a float.
+    gives an array with one rate per row; a 1-D ``p`` gives a float.  The
+    gains are divided by sigma_c2 before they multiply the powers, so that
+    lambda^2 p alone may overflow.
     """
     lam2 = np.asarray(lambdas2, dtype=float)
     pw = np.asarray(p, dtype=float)[..., : lam2.size]
-    out = np.log1p(lam2 * pw / sigma_c2).sum(axis=-1) / LN2
+    out = np.log1p(lam2 / sigma_c2 * pw).sum(axis=-1) / LN2
     return float(out) if pw.ndim == 1 else out
 
 

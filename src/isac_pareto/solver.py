@@ -9,11 +9,11 @@ and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
 found by one search on a log scale in units of P: for fixed mu the power
 budget fixes v*(mu), and mu is then set by the CRB budget along v*(mu).
-Each budget's search starts from a blend of the dual pair's asymptotes at
-the two ends of the C-R boundary, the equal split (the CRB minimizer) and
-water-filling (:func:`_ends`, :func:`_dual_start`), the latter from the
-channel's one water-filling in units of P, which the water-filling path
-shares.  Each pass evaluates
+Each budget's search starts on the C-R boundary of a two-group surrogate
+of the channel, which is explicit: two groups of equal subchannels, fitted
+in closed form to the channel's one water-filling in units of P, which the
+water-filling path shares, and scaled to the dual pair's asymptote at the
+equal split (:func:`_ends`, :func:`_dual_start`).  Each pass evaluates
 once the powers, their sum and trace inverse, and those two's
 log-derivatives (mu d/dmu and v d/dv), the only derivatives the search
 uses.  It takes one safeguarded
@@ -81,10 +81,6 @@ _INNER_TOL = 1e-14
 _INNER_FRACTION = 0.1
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
-# Most Newton steps, and the step in log s that ends them, of the scalar
-# solve for the start of a dual search (_dual_start).
-_START_STEPS = 8
-_START_TOL = 1e-3
 # Tolerance of the KKT certificate, and the budget of power-map evaluations
 # of one dual search.
 _KKT_TOL = 1e-9
@@ -94,7 +90,7 @@ _MAX_DUAL_ITERS = 2000
 _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets that _solve_budgets hands to the lockstep search
 # (see its docstring for the measurement).
-_LOCKSTEP_MIN_BUDGETS = 24
+_LOCKSTEP_MIN_BUDGETS = 20
 
 
 @dataclass
@@ -252,33 +248,65 @@ class _Ends(NamedTuple):
     a: float  # near the equal split the excess C - m^2 is about a / mu^2
     b_bar: float  # and v about mu m^2 + b_bar
     v_wf: float  # for loose budgets v tends to the water level v_wf
-    c_wet: float  # and C is about c_wet + d / sqrt(mu)
-    d: float
+    groups: tuple[int, float, int, float] | None  # the surrogate (n_a, f_a, n_b, f_b)
+    lam: float  # its mu times lam, and its excess times eta, are the channel's
+    eta: float
     limit: float  # largest searchable budget
 
 
+def _slope(p, f):
+    """Rate slope 1/((p + f) ln 2) at power p of a subchannel of floor f = 1/g
+    (0 for a sensing subchannel, f = inf)."""
+    return 0.0 if f == math.inf else INV_LN2 / (p + f)
+
+
+def _two_groups(n_a, n_b, excess):
+    """Powers p_a >= p_b of n_a and n_b subchannels that share power 1 with
+    trace inverse (n_a + n_b)^2 + excess, and their gap p_a - p_b: the
+    smaller root of n_a^2 / (1 - n_b p_b) + n_b / p_b = (n_a + n_b)^2 +
+    excess, written without cancellation near the equal split or overflow
+    for loose budgets."""
+    root = math.sqrt(excess) * math.sqrt(4.0 * n_a * n_b + excess)
+    den = 2.0 * n_b * (n_a + n_b) + excess + root
+    p_b = 2.0 * n_b / den
+    gap = (excess + root) / (n_a * den)
+    return p_b + gap, p_b, gap
+
+
 def _ends(gs, m, wf):
-    """The asymptotes of the dual pair at both ends of the C-R boundary, and
-    the largest trace-inverse budget up to which the dual search needs no CRB
+    """The asymptote of the dual pair at the tight end of the C-R boundary, a
+    two-group surrogate of the channel that the dual search starts from, and
+    the largest trace-inverse budget up to which the search needs no CRB
     multiplier mu' below the normal float range, all in units of P (gains
-    gs, power 1).
+    gs, power 1), from ``wf``, the :func:`~.closed_form._waterfill_unit` of
+    gs.
 
     The tight end: about the equal split 1/m the stationarity equations give
     p_i - 1/m = (b_i - b_bar) / (2 mu' m^3) to first order in 1/mu', with
     b_i = g_i / ((1 + g_i/m) ln 2) the rate slope at 1/m (0 on a sensing
     subchannel) and b_bar their mean, so v' = mu' m^2 + b_bar and the
     excess C - m^2 = m^3 sum (p_i - 1/m)^2 = a / mu'^2, with
-    a = sum (b_i - b_bar)^2 / (4 m^3).
+    a = sum (b_i - b_bar)^2 / (4 m^3).  The series holds only close to the
+    equal split: at 1.5 x CRB_min a / mu'^2 is 5 to 200 times the excess.
 
-    The loose end: as the budget grows mu' falls to 0 and the powers tend to
-    water-filling of power 1 at the level 1/(v' ln 2).  A wet subchannel
-    keeps its water-filling power.  On a dry one, of gain g (0 on a sensing
-    subchannel), the power p tends to 0, and its stationarity equation
-    gives, to first order in p, mu' = p^2 (e + g^2 p / ln 2) with
-    e = v' - g / ln 2: the sensing law mu' = v' p^2 at g = 0.  So p is
-    about sqrt(mu'/e), and C about c_wet + d / sqrt(mu'), with c_wet the
-    wet subchannels' sum 1/p in ``wf``, the :func:`~.closed_form._waterfill_unit`
-    of gs, and d the dry ones' sum sqrt(e).
+    The surrogate: on two groups of equal subchannels the boundary is
+    explicit (see :func:`_dual_start`).  Group a has the n wet subchannels
+    of the water-filling, and their mean floor 1/g as its floor, so that its
+    water level is the channel's, v_wf.  If some subchannels are dry, group
+    b has them, with the floor that gives it the dry ones' mean sqrt(e),
+    e = v_wf - g / ln 2 (e = v_wf on a sensing subchannel): for loose
+    budgets both trace inverses then grow as d / sqrt(mu'), d the dry ones'
+    sum sqrt(e).  Dry subchannels near the water level give group b a
+    finite floor, and with it the cube-root law
+    1/p = (g^2 / (mu' ln 2))^(1/3) of a just-dry subchannel, which holds
+    long before the sensing law 1/p = sqrt(e / mu').  If every subchannel
+    is wet, the excess tends to the finite c_wet - m^2 as mu' falls to 0,
+    c_wet the water-filling's trace inverse; group b is then the weakest
+    subchannel alone, group a the others with their mean floor, and group
+    b's floor the one at which the surrogate water-fills to trace inverse
+    c_wet.  The channel's mu' is lam times the surrogate's and its excess
+    eta times the surrogate's: lam gives the surrogate the tight constant a,
+    and eta keeps its d (eta = lam^(-1/2)) or its c_wet (eta = 1).
 
     The limit: at the smallest normal mu' each dry 1/p is at least
     max(sqrt(e / mu'), (g^2 / (mu' ln 2))^(1/3)), and the trace inverse at
@@ -287,7 +315,8 @@ def _ends(gs, m, wf):
     its budgets above the water-filling load take that path instead.  A
     zero gain, or a strongest gain whose inverse overflows, leaves the bound
     undefined, and the largest float stands then too; a zero gain also
-    leaves the loose end undefined (NaN), and a wet power of 0 an infinite one.
+    leaves the surrogate undefined (``None``, with v_wf NaN), and so does
+    any non-finite step of its fit.
     """
     big = sys.float_info.max
     b = [INV_LN2 * g / (1.0 + g / m) for g in gs]
@@ -295,68 +324,75 @@ def _ends(gs, m, wf):
     a = sum([(x - b_bar) * (x - b_bar) for x in b]) + (m - len(gs)) * b_bar * b_bar
     a /= 4.0 * m ** 3
     if not min(gs) > 0.0:
-        return _Ends(a, b_bar, math.nan, math.nan, math.nan, big)
+        return _Ends(a, b_bar, math.nan, None, math.nan, math.nan, big)
     q, v, n = wf
-    c_wet = sum([1.0 / x for x in q[:n]]) if min(q[:n]) > 0.0 else math.inf
+    floors = [1.0 / g for g in gs]
     # the square and cube roots of the smallest normal float, taken apart so
     # that no ratio to it overflows
     root2, root3 = math.sqrt(sys.float_info.min), sys.float_info.min ** (1.0 / 3.0)
     d = (m - len(gs)) * math.sqrt(v)
     limit = d / root2
-    for x in [1.0 / g for g in gs[n:]]:
+    for x in floors[n:]:
         sqrt_e = math.sqrt(max(v - INV_LN2 / x, 0.0))
         d += sqrt_e
         limit += max(sqrt_e / root2, (INV_LN2 / (x * x)) ** (1.0 / 3.0) / root3)
-    return _Ends(a, b_bar, v, c_wet, d, limit if 0.0 < limit < big else big)
+    limit = limit if 0.0 < limit < big else big
+    groups, lam, eta = None, math.nan, math.nan
+    try:
+        if n < m:
+            n_a, n_b = n, m - n
+            f_a = sum(floors[:n]) / n_a
+            e_b = (d / n_b) ** 2
+            f_b = INV_LN2 / (v - e_b) if v > e_b else math.inf
+        else:
+            n_a, n_b = m - 1, 1
+            f_a = sum(floors[:-1]) / n_a
+            q_a, q_b, _ = _two_groups(n_a, n_b, sum([1.0 / x for x in q]) - m * m)
+            f_b = q_a + f_a - q_b
+        a_s = n_a * n_b * (_slope(1.0 / m, f_a) - _slope(1.0 / m, f_b)) ** 2 / (4.0 * m ** 4)
+        lam = (a / a_s) ** (2.0 / 3.0 if n < m else 0.5)
+        eta = lam ** -0.5 if n < m else 1.0
+        if math.isfinite(f_a + lam + eta):
+            groups = (n_a, f_a, n_b, f_b)
+    except (ArithmeticError, ValueError):
+        pass
+    return _Ends(a, b_bar, v, groups, lam, eta, limit)
 
 
 def _dual_start(ends, m, gamma_tilde):
     """log mu and log v, in units of P, that both dual searches start from for
-    the budget gamma_tilde > m^2, from the asymptotes of :func:`_ends`.
+    the budget gamma_tilde > m^2, from the two-group surrogate of
+    :func:`_ends`.
 
-    In s = mu^(-1/2) the excess C - m^2 is a s^4 at the tight end and
-    c_wet - m^2 + d s at the loose one.  Their blend
-    1/excess = 1/(a s^4) + 1/(c_wet - m^2 + d s) lies below both forms, so
-    its root for the budget's excess lies above both of theirs; it is solved
-    from the larger of the two by Newton steps in log s, and log v is the
-    mix of the two ends' log v, mu m^2 + b_bar and the water level, weighted
-    as the blend weights their excesses.  When every subchannel is wet
-    (d = 0) the excess tends to c_wet - m^2 linearly in mu, which no blend
-    with a constant loose form follows; the tight form shifted to meet it at
-    mu = 0, a / (mu + mu_c)^2 with a / mu_c^2 = c_wet - m^2, is solved in
-    closed form instead, with the tight end's v.  When the loose form is not
-    positive at the tight root, where it does not apply, the tight root
-    stands alone.  If anything is not finite, the search starts from the
-    equal split instead: v averages the rate slopes there and the sensing
-    law fixes mu/v = 1/m^2.
+    On n_a and n_b subchannels of floors f_a and f_b with powers p_a and p_b,
+    n_a p_a + n_b p_b = 1, the trace inverse n_a / p_a + n_b / p_b fixes the
+    powers by a quadratic (:func:`_two_groups`), and the two stationarity
+    equations b(p) p^2 + mu = v p^2 are then linear in (mu, v):
+    v = (b_a p_a^2 - b_b p_b^2) / (p_a^2 - p_b^2) and mu = (v - b_b) p_b^2.
+    The surrogate is solved for the budget's excess over m^2 divided by eta,
+    and its mu times lam is the start.  log v is that of
+    mu m^2 + s b_bar + (1 - s) v_wf, with s = p_b / p_a, which runs from 1 at
+    the equal split, where v is about mu m^2 + b_bar, to 0 where group b
+    runs dry.  Without a surrogate the search starts from the tight
+    asymptote, and if anything is not finite, from the equal split: v
+    averages the rate slopes there and the sensing law fixes
+    mu/v = 1/m^2.
     """
     c_min = m * m
-    a, b_bar, v_wf, c_wet, d, _ = ends
+    a, b_bar, v_wf, groups, lam, eta, _ = ends
     try:
         excess = gamma_tilde - c_min
-        wet = c_wet - c_min  # the loose form at s = 0
-        w = 0.25 * math.log(excess / a)  # log s at the tight root
-        tight = 1.0  # the tight end's weight
-        if wet + d * math.exp(w) > 0.0:
-            if d == 0.0:
-                w = -0.5 * math.log(math.sqrt(a / excess) - math.sqrt(a / wet))
-            else:
-                w_tight = w
-                if excess > wet:
-                    w = max(w, math.log((excess - wet) / d))
-                for _ in range(_START_STEPS):
-                    s = math.exp(w)
-                    inv_t, inv_l = math.exp(-4.0 * w) / a, 1.0 / (wet + d * s)
-                    r = inv_t + inv_l
-                    step = math.log(r * excess) * r / (4.0 * inv_t + d * s * inv_l * inv_l)
-                    w = max(w + step, w_tight)
-                    if abs(step) <= _START_TOL:
-                        break
-                tight = math.exp(-4.0 * w) / a * excess
-        t = -2.0 * w
-        x = math.log(math.exp(t) * c_min + b_bar)
-        if tight < 1.0:
-            x = tight * x + (1.0 - tight) * math.log(v_wf)
+        if groups is None:
+            t = 0.5 * math.log(a / excess)
+            x = math.log(math.exp(t) * c_min + b_bar)
+        else:
+            n_a, f_a, n_b, f_b = groups
+            p_a, p_b, gap = _two_groups(n_a, n_b, excess / eta)
+            b_a, b_b = _slope(p_a, f_a), _slope(p_b, f_b)
+            v = (b_a * p_a * p_a - b_b * p_b * p_b) / (gap * (p_a + p_b))
+            t = math.log(lam * (v - b_b)) + 2.0 * math.log(p_b)
+            s = p_b / p_a
+            x = math.log(math.exp(t) * c_min + s * b_bar + (1.0 - s) * v_wf)
         if math.isfinite(t + x):
             return t, x
     except (ArithmeticError, ValueError):
@@ -716,29 +752,30 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
     n scalar searches for large n.  Measured per stress link (mean over the
-    first 60 of ``tests/battery.stress_links``), with n budgets log-spaced
-    from M^2/P (1 + 1e-6) to the smaller of 1e3 M^2/P and just below the
-    water-filling load, all on the dual path, each the best of nine runs
-    interleaved over n and both forms (Python 3.11, numpy 2.4, 2 vCPUs):
+    54 of the first 60 of ``tests/battery.stress_links`` that have such
+    budgets), with n budgets log-spaced from M^2/P (1 + 1e-6) to the smaller
+    of 1e3 M^2/P and just below the water-filling load, all on the dual
+    path, each the best of nine runs interleaved over n and both forms
+    (Python 3.11, numpy 2.4, 2 vCPUs):
 
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.21          1.04            5.6
-     8        0.80          1.82            8.9
-     12       1.29          2.31            9.8
-     16       1.57          2.11            9.8
-     18       1.90          2.17            9.8
-     20       2.10          2.27            9.9
-     24       2.40          2.29            9.9
-     32       3.16          2.44           10.1
-     50       5.04          2.84           10.1
+     2        0.16          0.76            4.3
+     8        0.60          1.13            5.8
+     12       0.89          1.25            6.0
+     16       1.18          1.40            6.1
+     18       1.37          1.39            6.1
+     20       1.59          1.42            6.1
+     24       1.91          1.59            6.1
+     32       2.57          1.70            6.1
+     50       3.97          1.94            6.1
     ====  ===========  =============  ===============
 
-    So the two forms break even between 20 and 24 budgets; a second run at
-    16 to 28 budgets put the scalar form ahead up to 24 (2.36 against
-    2.50 ms) and the lockstep form from 26 on (2.45 against 2.61 ms), so
-    _LOCKSTEP_MIN_BUDGETS = 24 sits at the crossover.
+    So the two forms break even between 18 and 20 budgets; two more runs at
+    14 to 24 budgets put the scalar form ahead up to 17 or 18 and the
+    lockstep form from 19 or 20 on (at 20: 1.45 and 1.53 against 1.44 and
+    1.40 ms), so _LOCKSTEP_MIN_BUDGETS = 20 sits at the crossover.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -831,8 +868,8 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     water-filling with a zero CRB multiplier when that already meets the
     budget; and otherwise the scalar dual search :func:`_solve_dual`,
     Newton steps in log v on the power budget and in log mu on the CRB
-    budget from the asymptotes of the boundary's two ends, each kept in a
-    sign-change bracket and capped.  ``optimal`` is only reported with a passing KKT certificate,
+    budget from the boundary of the channel's two-group surrogate, each kept
+    in a sign-change bracket and capped.  ``optimal`` is only reported with a passing KKT certificate,
     and a search that spends its _MAX_DUAL_ITERS power-map evaluations
     gives ``iteration_limit``.
     """
