@@ -228,9 +228,6 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         return _error(exc)
     print(f"wrote {out} and {script}")
-    optimal_rows = [r for r in result.rows if r.scheme == "optimal"]
-    if optimal_rows and all(r.status == "infeasible" for r in optimal_rows):
-        return 2
     return 0
 
 

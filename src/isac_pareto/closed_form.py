@@ -47,10 +47,10 @@ def _waterfill_unit(gs, P: float):
     (lambda^2 P / sigma_c2), strongest first: the powers, v with the level at
     1/(v ln 2), and the number n of wet subchannels, the first n.  Wet powers
     come from the floors 1/g as offsets to the lowest, so that the power 1 is
-    not lost against floors far above it.  A gain of 0 is dry; all 0, as
-    when every gain times ``P`` underflows, raises ``ValueError``.
+    not lost against floors far above it.  A gain of 0 is dry; no gain, or
+    all 0, as when every gain times ``P`` underflows, raises ``ValueError``.
     """
-    if not gs[0] > 0.0:
+    if not (gs and gs[0] > 0.0):
         raise ValueError(f"every channel gain times P = {P:g} underflows to 0, "
                          f"so no CRB threshold above the minimum can be searched")
     floors = [1.0 / g if g > 0.0 else math.inf for g in gs]

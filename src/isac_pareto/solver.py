@@ -32,10 +32,13 @@ One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
 and judges every candidate, water-filling and dual, by the same KKT
 certificate in one loop; :func:`solve_p1` calls it for one budget and a
-frontier sweep for all of its budgets.  The search has two forms with the
-same iteration and arithmetic, chosen by the number of budgets on the
-dual path: scalar Python, one budget at a time (:func:`_solve_dual`),
-below a measured crossover, and all budgets at once over numpy arrays
+frontier sweep for all of its budgets.  It converts into units of P once,
+on entry, where a subchannel whose gain underflows to 0 is searched as a
+dedicated sensing subchannel, and every candidate back once, just before
+its certificate.  The search has two forms with the same iteration and
+arithmetic, chosen by the number of budgets on the dual path: scalar
+Python, one budget at a time (:func:`_solve_dual`), below a measured
+crossover, and all budgets at once over numpy arrays
 (:func:`_lockstep_dual`) from it on.
 """
 
@@ -243,10 +246,10 @@ def _newton_step(x, val, step, lo, hi, tol):
 
 class _Ends(NamedTuple):
     """What the dual search's start and its searchable limit need to know of
-    one channel, in units of P (gains gs, power 1); see :func:`_ends`."""
+    one channel, in units of P (positive gains gs, power 1); see
+    :func:`_ends`."""
 
-    a: float  # near the equal split the excess C - m^2 is about a / mu^2
-    b_bar: float  # and v about mu m^2 + b_bar
+    b_bar: float  # near the equal split v is about mu m^2 + b_bar
     v_wf: float  # for loose budgets v tends to the water level v_wf
     groups: tuple[int, float, int, float] | None  # the surrogate (n_a, f_a, n_b, f_b)
     lam: float  # its mu times lam, and its excess times eta, are the channel's
@@ -274,12 +277,13 @@ def _two_groups(n_a, n_b, excess):
 
 
 def _ends(gs, m, wf):
-    """The asymptote of the dual pair at the tight end of the C-R boundary, a
-    two-group surrogate of the channel that the dual search starts from, and
-    the largest trace-inverse budget up to which the search needs no CRB
-    multiplier mu' below the normal float range, all in units of P (gains
-    gs, power 1), from ``wf``, the :func:`~.closed_form._waterfill_unit` of
-    gs.
+    """The two-group surrogate of the channel that the dual search starts
+    from, and the largest trace-inverse budget up to which the search needs
+    no CRB multiplier mu' below the normal float range, all in units of P
+    (positive gains gs, power 1, and m - len(gs) sensing subchannels), from
+    ``wf``, the :func:`~.closed_form._waterfill_unit` of gs.  The surrogate
+    is scaled to the asymptote of the dual pair at the tight end of the C-R
+    boundary.
 
     The tight end: about the equal split 1/m the stationarity equations give
     p_i - 1/m = (b_i - b_bar) / (2 mu' m^3) to first order in 1/mu', with
@@ -313,18 +317,15 @@ def _ends(gs, m, wf):
     least the sum of these; no budget up to that sum needs a subnormal mu'.
     A full-rank channel that water-fills every subchannel has no dry one:
     its budgets above the water-filling load take that path instead.  A
-    zero gain, or a strongest gain whose inverse overflows, leaves the bound
-    undefined, and the largest float stands then too; a zero gain also
-    leaves the surrogate undefined (``None``, with v_wf NaN), and so does
-    any non-finite step of its fit.
+    strongest gain whose inverse overflows leaves the bound undefined, and
+    the largest float stands then too.  A non-finite step of the fit leaves
+    the surrogate undefined (``None``).
     """
     big = sys.float_info.max
     b = [INV_LN2 * g / (1.0 + g / m) for g in gs]
     b_bar = sum(b) / m
     a = sum([(x - b_bar) * (x - b_bar) for x in b]) + (m - len(gs)) * b_bar * b_bar
     a /= 4.0 * m ** 3
-    if not min(gs) > 0.0:
-        return _Ends(a, b_bar, math.nan, None, math.nan, math.nan, big)
     q, v, n = wf
     floors = [1.0 / g for g in gs]
     # the square and cube roots of the smallest normal float, taken apart so
@@ -356,7 +357,7 @@ def _ends(gs, m, wf):
             groups = (n_a, f_a, n_b, f_b)
     except (ArithmeticError, ValueError):
         pass
-    return _Ends(a, b_bar, v, groups, lam, eta, limit)
+    return _Ends(b_bar, v, groups, lam, eta, limit)
 
 
 def _dual_start(ends, m, gamma_tilde):
@@ -373,28 +374,24 @@ def _dual_start(ends, m, gamma_tilde):
     and its mu times lam is the start.  log v is that of
     mu m^2 + s b_bar + (1 - s) v_wf, with s = p_b / p_a, which runs from 1 at
     the equal split, where v is about mu m^2 + b_bar, to 0 where group b
-    runs dry.  Without a surrogate the search starts from the tight
-    asymptote, and if anything is not finite, from the equal split: v
-    averages the rate slopes there and the sensing law fixes
+    runs dry.  This is the one start.  Without a surrogate, or if its
+    arithmetic is not finite, the search starts from the equal split
+    instead: v averages the rate slopes there and the sensing law fixes
     mu/v = 1/m^2.
     """
     c_min = m * m
-    a, b_bar, v_wf, groups, lam, eta, _ = ends
+    b_bar, v_wf, groups, lam, eta, _ = ends
     try:
-        excess = gamma_tilde - c_min
-        if groups is None:
-            t = 0.5 * math.log(a / excess)
-            x = math.log(math.exp(t) * c_min + b_bar)
-        else:
+        if groups is not None:
             n_a, f_a, n_b, f_b = groups
-            p_a, p_b, gap = _two_groups(n_a, n_b, excess / eta)
+            p_a, p_b, gap = _two_groups(n_a, n_b, (gamma_tilde - c_min) / eta)
             b_a, b_b = _slope(p_a, f_a), _slope(p_b, f_b)
             v = (b_a * p_a * p_a - b_b * p_b * p_b) / (gap * (p_a + p_b))
             t = math.log(lam * (v - b_b)) + 2.0 * math.log(p_b)
             s = p_b / p_a
             x = math.log(math.exp(t) * c_min + s * b_bar + (1.0 - s) * v_wf)
-        if math.isfinite(t + x):
-            return t, x
+            if math.isfinite(t + x):
+                return t, x
     except (ArithmeticError, ValueError):
         pass
     x = math.log(b_bar)
@@ -717,37 +714,39 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     allocation ``None`` when there is none to report, and whether the
     lockstep form searched the budgets on the dual path.
 
+    Everything above the minimum is decided and searched in units of P:
+    the gains g P that stay positive there (any other subchannel is searched
+    as a dedicated sensing subchannel), budgets gamma_tilde P and power 1.
     Each budget takes one of four paths:
 
     * below the minimum M^2/P -> ``infeasible``;
     * at the minimum -> the unique feasible point, the equal split, optimal
       by the AM-HM equality condition (the dual is degenerate there, so no
       multipliers are reported);
-    * a full-rank channel whose water-filling already meets the budget ->
-      water-filling with a zero CRB multiplier, from the channel's one
-      :func:`~.closed_form._waterfill_unit`, which :func:`_ends` shares;
+    * a channel with M positive gains in units of P whose water-filling
+      already meets the budget -> water-filling with a zero CRB multiplier,
+      from the channel's one :func:`~.closed_form._waterfill_unit`, which
+      :func:`_ends` shares;
     * otherwise both constraints are tight and the dual pair is searched
-      for in units of P (gains g P, budgets gamma_tilde P, power 1, mapped
-      back by p = P q, mu = P mu' and v = v' / P): by one scalar
-      :func:`_solve_dual` per budget when there are fewer than
-      _LOCKSTEP_MIN_BUDGETS such budgets, else by one :func:`_lockstep_dual`
-      over all of them, whose output is mapped back over whole arrays.
-      A budget above the searchable limit of :func:`_ends` in units of P,
-      where the search would need a subnormal mu', or whose value in units
-      of P overflows, raises ``ValueError`` naming the loosest CRB threshold
-      and the largest searchable one, and the water-filling raises one
-      naming P if the gains all underflow to 0 in units of P: no search
-      runs for any budget then.
+      for: by one scalar :func:`_solve_dual` per budget when there are fewer
+      than _LOCKSTEP_MIN_BUDGETS such budgets, else by one
+      :func:`_lockstep_dual` over all of them.  A budget above the
+      searchable limit of :func:`_ends`, where the search would need a
+      subnormal mu', or whose value in units of P overflows, raises
+      ``ValueError`` naming the loosest CRB threshold and the largest
+      searchable one, and the water-filling raises one naming P if no gain
+      stays positive in units of P: no search runs for any budget then.
 
-    One loop then judges every candidate, water-filling and dual alike, in
-    the original units: one with finite powers gets :func:`_certify`, and it
-    is ``optimal`` if and only if it converged and passed.  A converged
-    search whose candidate fails with the trace inverse over its budget is
-    evaluated once more at the measured feasible end of its log mu bracket,
-    and that point is judged instead.  A search that
-    spends its _MAX_DUAL_ITERS evaluations, ends on a math error or a
-    non-finite evaluation, or misses the certificate gives
-    ``iteration_limit``.
+    One loop then judges every candidate, water-filling and dual alike.
+    Each is mapped back by the one conversion p = P q, mu = P mu' and
+    v = v' / P, and judged in the original units: one with finite powers
+    gets :func:`_certify`, and it is ``optimal`` if and only if it converged
+    and passed.  A converged search whose candidate fails with the trace
+    inverse over its budget is evaluated once more at the measured feasible
+    end of its log mu bracket, and that point is converted and judged
+    instead.  A search that spends its _MAX_DUAL_ITERS evaluations, ends on
+    a math error or a non-finite evaluation, or misses the certificate
+    gives ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
@@ -779,15 +778,17 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
-    gs_P = [g * P for g in gs]
+    # the gains that stay positive in units of P; any other subchannel is
+    # searched as a dedicated sensing subchannel
+    gs_P = [x for x in (g * P for g in gs) if x > 0.0]
     wf = None  # the channel's water-filling, made by the first budget that needs it
     # iteration_limit with no allocation until a search evaluates the budget
     out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
-    # one candidate per budget: (index, mu, v, powers, the powers as a list
-    # if all are finite, else None, evaluations, converged, the search's
-    # feasible end or None)
+    # one candidate per budget, in units of P: (index, mu', v', powers,
+    # evaluations, converged, the (log mu', log v') of the search's measured
+    # feasible end, log mu' infinite if it has none)
     found = []
-    dual = []  # indices of the budgets with both constraints tight
+    dual, gts_P = [], []  # the budgets with both constraints tight
     for j, gamma_tilde in enumerate(gamma_tildes):
         if not feasibility_check(m, P, gamma_tilde):
             out[j] = (None, "infeasible")
@@ -798,13 +799,16 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
         else:
             if wf is None:
                 wf = _waterfill_unit(gs_P, P)
-                p_wf = P * np.asarray(wf[0])
-                wf_load = float((1.0 / p_wf).sum()) if H.r == m and np.all(p_wf > 0.0) else math.inf
-            if wf_load <= gamma_tilde * (1.0 + 4e-12):
-                found.append((j, 0.0, wf[1] / P, p_wf, _finite_list(p_wf), 0, True, None))
+                # its trace inverse, NaN where it leaves a subchannel dry, so
+                # that no budget takes the path, not even one that overflows
+                wf_load = (sum([1.0 / x for x in wf[0]]) if len(gs_P) == m and min(wf[0]) > 0.0
+                           else math.nan)
+            gt_P = float(gamma_tilde) * P
+            if wf_load <= gt_P * (1.0 + 4e-12):
+                found.append((j, 0.0, wf[1], wf[0], 0, True, (math.inf, math.nan)))
             else:
                 dual.append(j)
-    gts_P = [float(gamma_tildes[j]) * P for j in dual]
+                gts_P.append(gt_P)
     if dual:
         ends = _ends(gs_P, m, wf)
         if max(gts_P) > ends.limit:
@@ -814,41 +818,33 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                              f"thresholds above {crb_limit:.6g} cannot be searched")
     lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if lockstep:
-        mu, v, q, evals, converged, feasible = _lockstep_dual(gs_P, m, gts_P, ends)
-        p = P * q
-        lists = [x if ok else None
-                 for x, ok in zip(p.tolist(), np.isfinite(p).all(axis=1).tolist())]
-        found += zip(dual, (P * mu).tolist(), (v / P).tolist(), p, lists,
-                     evals.tolist(), converged.tolist(), feasible.tolist())
+        found += zip(dual, *(x.tolist() for x in _lockstep_dual(gs_P, m, gts_P, ends)))
     else:
-        for j, gt in zip(dual, gts_P):
-            mu, v, q, evals, converged, feasible = _solve_dual(gs_P, m, gt, ends)
-            # a search that evaluated nothing leaves its budget at iteration_limit
-            if q is not None:
-                p = P * np.asarray(q)
-                found.append((j, P * mu, v / P, p, _finite_list(p), evals, converged, feasible))
-    for j, mu, v, p, p_list, evals, converged, feasible in found:
-        ok, res, gap = False, math.nan, math.nan
-        if p_list is not None:
-            ok, res, gap = _certify(gs, m, p_list, mu, v, gamma_tildes[j], P)
-            if (converged and not ok and sum(1.0 / x for x in p_list) > gamma_tildes[j]
-                    and feasible[0] < math.inf):
-                # just above p0, C can move by more than _KKT_TOL between
-                # neighbouring floats of log mu, so the converged point may
-                # sit over the budget; the measured feasible end of the log
-                # mu bracket, evaluated once more, is then the candidate
-                mu, v = math.exp(feasible[0]), math.exp(feasible[1])
-                p = P * np.asarray(_power_map(gs_P, m, mu, v)[0])
-                mu, v, p_list, evals = P * mu, v / P, p.tolist(), evals + 1
-                ok, res, gap = _certify(gs, m, p_list, mu, v, gamma_tildes[j], P)
-        out[j] = (PowerAllocation(p=p, mu=mu, v=v, iterations=evals,
+        found += [(j, *_solve_dual(gs_P, m, gt, ends)) for j, gt in zip(dual, gts_P)]
+    for j, mu, v, q, evals, converged, feasible in found:
+        if q is None:
+            continue  # a search that evaluated nothing leaves its budget at iteration_limit
+        gamma_tilde = gamma_tildes[j]
+        while True:
+            # the one conversion out of units of P, into budget j's candidate
+            p, mu_j, v_j = [P * x for x in q], P * mu, v / P
+            ok, res, gap = False, math.nan, math.nan
+            if all(map(math.isfinite, p)):
+                ok, res, gap = _certify(gs, m, p, mu_j, v_j, gamma_tilde, P)
+            if not (converged and not ok and feasible[0] < math.inf
+                    and sum(1.0 / x for x in p) > gamma_tilde):
+                break
+            # just above p0, C can move by more than _KKT_TOL between
+            # neighbouring floats of log mu, so the converged point may sit
+            # over the budget; the measured feasible end of the log mu
+            # bracket, evaluated once more, is then the candidate, and has
+            # no feasible end of its own, so this runs at most once
+            mu, v = math.exp(feasible[0]), math.exp(feasible[1])
+            q, evals, feasible = _power_map(gs_P, m, mu, v)[0], evals + 1, (math.inf, math.nan)
+        out[j] = (PowerAllocation(p=np.array(p), mu=mu_j, v=v_j, iterations=evals,
                                   kkt_residual=res, duality_gap=gap),
                   "optimal" if converged and ok else "iteration_limit")
     return out, lockstep
-
-
-def _finite_list(p: np.ndarray) -> list[float] | None:
-    return p.tolist() if np.isfinite(p).all() else None
 
 
 def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:

@@ -698,12 +698,32 @@ def test_one_water_filling_per_channel(monkeypatch, scenario2):
 
 
 def test_a_gain_of_zero_in_units_of_P_is_dry():
-    # a gain that underflows to 0 in units of P is a dry subchannel, whose
-    # loose end the dual search's start leaves undefined
+    # the water-filling takes a gain of 0 in units of P as a dry subchannel,
+    # and no gain at all as every gain underflowing to 0
     wf = _waterfill_unit([2.0, 0.0], 1.0)
     assert wf[0] == [1.0, 0.0] and wf[2] == 1
-    ends = _ends([2.0, 0.0], 2, wf)
-    assert math.isnan(ends.v_wf) and ends.limit == sys.float_info.max
+    with pytest.raises(ValueError, match="every channel gain times P = 1 underflows to 0"):
+        _waterfill_unit([], 1.0)
+
+
+def test_only_gains_positive_in_units_of_P_are_searched(monkeypatch):
+    # a rank-2 channel whose weaker gain underflows to 0 in units of P
+    # (1e-154 and 4e-172 times P = 5e-153): the dual search's start and both
+    # search forms see only the positive gain, and search the other
+    # subchannel as a dedicated sensing one
+    H = ChannelMatrix.from_matrix(np.diag([1.0, 2e-9]))
+    sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=5e-153, sigma_c2=1e154)
+    assert H.r == 2
+    seen = []
+    for name in ("_ends", "_solve_dual", "_lockstep_dual"):
+        monkeypatch.setattr(solver_module, name,
+                            lambda gs, *args, f=getattr(solver_module, name), name=name:
+                            seen.append((name, gs)) or f(gs, *args))
+    _, lo = crb_min_point(H, sc)
+    solve_p1(H, sc, 1.01 * lo.crb)
+    sweep(H, sc, 30, crb_cap=1.2 * lo.crb, schemes=("optimal",))
+    assert {name for name, _ in seen} == {"_ends", "_solve_dual", "_lockstep_dual"}
+    assert all(gs == [5e-307] for _, gs in seen)
 
 
 def test_dual_searches_survive_gains_near_underflow():

@@ -26,14 +26,22 @@ FORMER_FAILURES = [
 FORMER_FAILURE_IDS = ["low_power_los", "scenario2_seed1993161966"]
 
 
-def test_sweep_first_point_is_isotropic(scenario1):
-    H, sc = scenario1
-    res = sweep(H, sc, 12)
-    _, pt_min = crb_min_point(H, sc)
-    first = [r for r in res.rows if r.scheme == "optimal"][0]
-    assert first.status == "optimal"
-    assert first.crb == pytest.approx(pt_min.crb, rel=1e-8)
-    assert first.rate == pytest.approx(pt_min.rate, abs=1e-8)
+def test_sweep_first_point_is_isotropic(scenario1, scenario2):
+    # the grid starts at the minimum CRB, whose row is the equal split and
+    # optimal, on every channel and under any cap, a cap at or below the
+    # minimum included; so no sweep has only infeasible optimal rows
+    stress = next(stress_links(1))
+    for (H, sc), cap in ((scenario1, None), (scenario2, None), (stress, None),
+                         (scenario1, 1.0), (scenario2, 0.5)):
+        _, pt_min = crb_min_point(H, sc)
+        res = sweep(H, sc, 12, crb_cap=None if cap is None else cap * pt_min.crb)
+        rows = [r for r in res.rows if r.scheme == "optimal"]
+        first = rows[0]
+        assert first.status == "optimal"
+        assert first.crb == pytest.approx(pt_min.crb, rel=1e-8)
+        assert first.rate == pytest.approx(pt_min.rate, abs=1e-8)
+        if cap is not None:
+            assert [r.status for r in rows] == ["optimal"] * 12
 
 
 def test_sweep_last_point_hits_rate_max_when_finite(scenario2):
