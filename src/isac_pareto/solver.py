@@ -18,13 +18,15 @@ once the powers, their sum and trace inverse, and those two's
 log-derivatives (mu d/dmu and v d/dv), the only derivatives the search
 uses.  It takes one safeguarded
 Newton step of the joint 2x2 system in (log mu, log v), in its Schur form:
-the CRB residual is predicted to first order at the end of the inner Newton
-step in log v, and once the power-budget residual is small against that
-prediction (an inexact Newton step) the pass moves log mu on it and log v
-by the inner step plus the tangent of v*(mu); until then it takes the inner
-step alone.  Only measured residuals move the brackets.  A budget so loose
-that the CRB multiplier in units of P would leave the normal float range
-is rejected before any search (:func:`_ends`).  A search that converges
+the CRB residual G is predicted to first order at the end of the inner
+Newton step in log v, and once the power-budget residual F is small against
+that prediction, |F| min(1, |F|) <= _INNER_FRACTION |G| (an inexact Newton
+step, whose forcing test is on F^2 near the root, as the prediction is off
+by O(F^2) there), the pass moves log mu on it and log v by the inner step
+plus the tangent of v*(mu); until then it takes the inner step alone.  Only
+measured residuals move the brackets.  A budget so loose that the CRB
+multiplier in units of P would leave the normal float range is rejected
+before any search (:func:`_ends`).  A search that converges
 onto a point over the CRB budget, as just above p0, is finished on the
 measured feasible end of its log mu bracket.
 
@@ -80,7 +82,10 @@ _EPS = sys.float_info.epsilon
 _DUAL_TOL = 1e-13
 _INNER_TOL = 1e-14
 # A pass steps in log mu before the inner search has stopped once
-# |log(sum p / P)| is at most this fraction of the outer residual.
+# |F| min(1, |F|) is at most this fraction of |G|, with F = log(sum p / P)
+# and G the outer residual predicted at the end of the inner step.  G is
+# exact to first order in that step, which is about F in size, so near the
+# root the test is on F^2; from |F| = 1 on it is a fixed ratio.
 _INNER_FRACTION = 0.1
 # Largest Newton step in log mu or log v.
 _MAX_LOG_STEP = 7.0
@@ -410,15 +415,21 @@ def _solve_dual(gs, m, gamma_tilde, ends):
     inner search has stopped: the Schur complement of the joint 2x2 Newton
     system in (log mu, log v), whose entries are the log-derivatives that
     :func:`_power_map` returns.  Once the inner search has stopped, or
-    |F| <= _INNER_FRACTION |G|, the pass takes a step in log mu: G decides
-    the stop test, and the predicted trace inverse C exp((C_x / C) dx_in)
-    the step.  Only a measured G, with the inner search stopped, moves the
-    log mu bracket: near p0 a predicted G can have the wrong sign.  It then
-    moves log v by dx_in plus the tangent d log v* / d log mu and opens a
-    new log v bracket.  Otherwise, and whenever the outer search has stopped
-    before the inner one, the pass takes the inner step.  The search has
-    converged when both have stopped.  A math error, or a non-finite S, C
-    or derivative, ends it unconverged.
+    |F| min(1, |F|) <= _INNER_FRACTION |G|, the pass takes a step in log mu:
+    G decides the stop test, and the predicted trace inverse
+    C exp((C_x / C) dx_in) the step.  The forcing test of an inexact Newton
+    step (Dembo, Eisenstat & Steihaug, 1982) would compare |F| itself with
+    |G|; but G is exact to first order in dx_in, which is about F in size,
+    so its error is O(F^2), and once |F| < 1 the test is on F^2.  Far from
+    the root it is the fixed ratio.  So the pass after an outer step, where
+    |F| is still most of |G| but both are small, need not spend an
+    evaluation on the inner step alone.  Only a measured G, with the inner
+    search stopped, moves the log mu bracket: near p0 a predicted G can have
+    the wrong sign.  The outer step moves log v by dx_in plus the tangent
+    d log v* / d log mu and opens a new log v bracket.  Otherwise, and
+    whenever the outer search has stopped before the inner one, the pass
+    takes the inner step.  The search has converged when both have stopped.
+    A math error, or a non-finite S, C or derivative, ends it unconverged.
 
     Returns (mu, v, powers, evaluations, converged, feasible); the powers
     belong to the last evaluated (mu, v), or are ``None`` if nothing was
@@ -456,7 +467,7 @@ def _solve_dual(gs, m, gamma_tilde, ends):
             # equal-split boundary
             c_v = C_x / C
             G = math.log(C / gamma_tilde) + c_v * dx_in
-            if inner_done or abs(F) <= _INNER_FRACTION * abs(G):
+            if inner_done or abs(F) * min(1.0, abs(F)) <= _INNER_FRACTION * abs(G):
                 dx_dt = -S_t / S_x  # d log v* / d log mu
                 excess = C * math.exp(c_v * dx_in) - c_min
                 step = math.nan
@@ -674,11 +685,14 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
             x_at_t_hi = np.where(feasible_end, x, x_at_t_hi)
             outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
-            # is small against the outer one while the outer search goes on,
-            # takes its outer step: log v moves by the inner step plus the
-            # tangent d log v* / d log mu and opens a new inner bracket; any
-            # other lane takes its inner step
-            outer = inner_done | ((np.abs(F) <= _INNER_FRACTION * np.abs(G)) & ~outer_done)
+            # is small against the outer one while the outer search goes on
+            # (|F| min(1, |F|) <= _INNER_FRACTION |G|: G is off by O(F^2), as
+            # in _solve_dual), takes its outer step: log v moves by the inner
+            # step plus the tangent d log v* / d log mu and opens a new inner
+            # bracket; any other lane takes its inner step
+            abs_F = np.abs(F)
+            outer = inner_done | ((abs_F * np.minimum(1.0, abs_F) <= _INNER_FRACTION * np.abs(G))
+                                  & ~outer_done)
             x = np.where(outer, x + dx_in + dx_dt * (t_next - t), x_next)
             t = np.where(outer, t_next, t)
             x_lo = np.where(outer, -np.inf, x_lo)
@@ -760,21 +774,21 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.16          0.76            4.3
-     8        0.60          1.13            5.8
-     12       0.89          1.25            6.0
-     16       1.18          1.40            6.1
-     18       1.37          1.39            6.1
-     20       1.59          1.42            6.1
-     24       1.91          1.59            6.1
-     32       2.57          1.70            6.1
-     50       3.97          1.94            6.1
+     2        0.15          0.64            3.4
+     8        0.52          0.99            4.5
+     12       0.76          1.04            4.6
+     16       1.03          1.16            4.6
+     18       1.15          1.19            4.6
+     20       1.27          1.22            4.6
+     24       1.51          1.30            4.6
+     32       2.02          1.40            4.6
+     50       3.10          1.67            4.6
     ====  ===========  =============  ===============
 
     So the two forms break even between 18 and 20 budgets; two more runs at
-    14 to 24 budgets put the scalar form ahead up to 17 or 18 and the
-    lockstep form from 19 or 20 on (at 20: 1.45 and 1.53 against 1.44 and
-    1.40 ms), so _LOCKSTEP_MIN_BUDGETS = 20 sits at the crossover.
+    16 to 22 budgets put the scalar form ahead up to 18, the two even at 19
+    and the lockstep form ahead from 20 on (at 20: 1.37 and 1.29 against
+    1.32 and 1.23 ms), so _LOCKSTEP_MIN_BUDGETS = 20 sits at the crossover.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]

@@ -3,9 +3,19 @@
 Thresholds are placed log-uniformly between the minimum CRB and the smaller
 of the finite rate-max CRB and 50x the minimum, strictly inside both ends so
 every solve is an interior (both-constraints-tight) instance.
+
+The seeded probe batteries (stress links, near-p0 links, the scale ladder,
+tiny powers and the sigma_c2/P grid) are here too, and
+
+    PYTHONPATH=src python tests/battery.py census
+
+prints one line per battery with its status counts and total evaluations,
+so that a change's effect on all of them can be compared before and after.
 """
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +23,8 @@ import numpy as np
 
 from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
+from isac_pareto.solver import solve_p1
+from isac_pareto.sweep import sweep
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,6 +104,12 @@ def iter_instances():
             yield case, channel, gamma
 
 
+# thresholds of the stress battery and of the scale ladder, as multiples of
+# the minimum CRB
+STRESS_FACTORS = (1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 3.0, 30.0, 1e3, 1e6)
+LADDER_FACTORS = (1.01, 3.0, 1e3)
+
+
 def stress_links(trials: int):
     """Yield (channel, scenario) for the leading trials of the seeded stress
     battery: ``default_rng(1)``, M and Nc in [2, 16], a Rician factor from
@@ -119,3 +137,65 @@ def near_p0_links(links: int = 120):
             (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))) / math.sqrt(2.0))
         P = p0_threshold(H.lambdas2, 1.0) * (1.0 + 10.0 ** rng.uniform(-8, 0))
         yield H, Scenario(M=M, Nc=M, Ns=12, L=200, P=P)
+
+
+def scale_ladder():
+    """Yield (channel, scenario) for the rungs of the scale ladder: one
+    channel (M = 4, Nc = 3, seed 1) at P from 1e-60 to 1e60 in steps of
+    x1e10, with sigma_c2 = 1e10 P, so that its gains in units of P are the
+    same on every rung."""
+    for k in range(-60, 61, 10):
+        P = float(f"1e{k}")
+        sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=P, sigma_c2=1e10 * P, seed=1)
+        yield rician_channel(sc), sc
+
+
+def _solves(links, factors):
+    """One (label, status, evaluations) record per link and factor: those of
+    ``solve_p1`` at that factor times the minimum CRB, with the name of the
+    exception in place of the status where one is raised."""
+    out = []
+    for i, (H, sc) in enumerate(links):
+        try:
+            crb_min = crb_min_point(H, sc)[1].crb
+        except Exception as exc:  # a census counts what raises, too
+            out += [((i, f), type(exc).__name__, 0) for f in factors]
+            continue
+        for f in factors:
+            try:
+                rep = solve_p1(H, sc, f * crb_min)
+            except Exception as exc:
+                out.append(((i, f), type(exc).__name__, 0))
+            else:
+                out.append(((i, f), rep.status, rep.allocation.iterations if rep.allocation else 0))
+    return out
+
+
+def census():
+    """Yield (battery name, records) for each census battery, one
+    (label, status, evaluations) record per solve or sweep row."""
+    yield "stress (400 x 8)", _solves(stress_links(400), STRESS_FACTORS)
+    yield "near-p0 sweeps (120 x 10 and 50 points)", [
+        ((i, points, j), r.status, r.iterations)
+        for i, (H, sc) in enumerate(near_p0_links()) for points in (10, 50)
+        for j, r in enumerate(sweep(H, sc, points, schemes=("optimal",)).rows)]
+    yield "scale ladder (13 x 3)", _solves(scale_ladder(), LADDER_FACTORS)
+    # every decade of P from 1e-150 to 1e6
+    tiny = [Scenario(M=4, Nc=3, Ns=12, L=200, P=float(f"1e{k}"), seed=1) for k in range(-150, 7)]
+    yield "tiny power (157 x 6)", _solves(((rician_channel(sc), sc) for sc in tiny),
+                                          (1.01, 1.5, 3.0, 30.0, 1e3, 1e6))
+    # sigma_c2 from 1e-300 to 1e300 in steps of x1e75, P from 1e-100 to 1e100
+    # in steps of x1e50
+    grid = [Scenario(M=M, Nc=3, Ns=12, L=200, P=float(f"1e{k}"), sigma_c2=float(f"1e{s}"), seed=1)
+            for M in (2, 4) for s in range(-300, 301, 75) for k in range(-100, 101, 50)]
+    yield "sigma_c2/P grid (90 x 3)", _solves(((rician_channel(sc), sc) for sc in grid),
+                                              LADDER_FACTORS)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["census"]:
+        sys.exit("usage: python tests/battery.py census")
+    for name, records in census():
+        counts = Counter(status for _, status, _ in records)
+        evals = sum(n for _, _, n in records)
+        print(f"{name}: {len(records)} cases, {dict(sorted(counts.items()))}, {evals} evaluations")
