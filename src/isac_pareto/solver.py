@@ -9,6 +9,9 @@ and each sensing subchannel takes sqrt(mu/v); these powers form a family of
 water-filling solutions, monotone in both multipliers.  The dual pair is
 found by one search on a log scale in units of P: for fixed mu the power
 budget fixes v*(mu), and mu is then set by the CRB budget along v*(mu).
+The search carries the multipliers and the communication powers only; the
+sensing subchannels enter its sums through sqrt(mu/v), and their powers are
+formed once, from the multipliers in the original units.
 Each budget's search starts on the C-R boundary of a two-group surrogate
 of the channel, which is explicit: two groups of equal subchannels, fitted
 in closed form to the channel's one water-filling in units of P, which the
@@ -37,11 +40,12 @@ certificate in one loop; :func:`solve_p1` calls it for one budget and a
 frontier sweep for all of its budgets.  It converts into units of P once,
 on entry, where a subchannel whose gain underflows to 0 is searched as a
 dedicated sensing subchannel, and every candidate back once, just before
-its certificate.  The search has two forms with the same iteration and
-arithmetic, chosen by the number of budgets on the dual path: scalar
-Python, one budget at a time (:func:`_solve_dual`), below a measured
-crossover, and all budgets at once over numpy arrays
-(:func:`_lockstep_dual`) from it on.
+its certificate; that conversion gives each dedicated sensing subchannel
+the power sqrt(mu/v) that the certificate checks.  The search has two
+forms with the same iteration and arithmetic, chosen by the number of
+budgets on the dual path: scalar Python, one budget at a time
+(:func:`_solve_dual`), below a measured crossover, and all budgets at once
+over numpy arrays (:func:`_lockstep_dual`) from it on.
 """
 
 from __future__ import annotations
@@ -188,15 +192,18 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
 
 
 def _power_map(gs, m, mu, v):
-    """Inner powers at (mu, v) > 0, their sum S and trace inverse C, and the
-    derivatives of S and C in t = log mu and x = log v that the searches
-    step on: S_t = mu dS/dmu, S_x = v dS/dv, and likewise C_t and C_x.
+    """Powers of the r = len(gs) communication subchannels at (mu, v) > 0,
+    the sum S and trace inverse C of all m powers, and the derivatives of S
+    and C in t = log mu and x = log v that the searches step on:
+    S_t = mu dS/dmu, S_x = v dS/dv, and likewise C_t and C_x.
 
     Each communication subchannel takes its stationary root
-    (:func:`cubic_stationary_root`) and each of the m - r sensing
-    subchannels sqrt(mu/v).  The derivatives follow from the stationarity
-    equations by implicit differentiation: with d = -f'(p),
-    mu dp/dmu = (mu/p^2)/d and v dp/dv = -v/d.
+    (:func:`cubic_stationary_root`).  Each of the m - r sensing subchannels
+    takes sqrt(mu/v), which enters S, C and their derivatives but is not
+    returned: :func:`_solve_budgets` forms it once, in the original units.
+    The derivatives follow from the stationarity equations by implicit
+    differentiation: with d = -f'(p), mu dp/dmu = (mu/p^2)/d and
+    v dp/dv = -v/d.
     """
     p = [cubic_stationary_root(g, mu, v) for g in gs]
     S = C = S_t = S_x = C_t = C_x = 0.0
@@ -215,7 +222,6 @@ def _power_map(gs, m, mu, v):
     k = m - len(gs)
     if k:
         ps = math.sqrt(mu / v)
-        p += [ps] * k
         S += k * ps
         C += k / ps
         S_t += 0.5 * k * ps
@@ -432,10 +438,10 @@ def _solve_dual(gs, m, gamma_tilde, ends):
     A math error, or a non-finite S, C or derivative, ends it unconverged.
 
     Returns (mu, v, powers, evaluations, converged, feasible); the powers
-    belong to the last evaluated (mu, v), or are ``None`` if nothing was
-    evaluated, and ``feasible`` is the (log mu, log v) of the log mu
-    bracket's measured feasible end, where C <= gamma_tilde, or
-    (inf, nan) if no evaluation measured one.
+    are the len(gs) communication powers of the last evaluated (mu, v), or
+    ``None`` if nothing was evaluated, and ``feasible`` is the
+    (log mu, log v) of the log mu bracket's measured feasible end, where
+    C <= gamma_tilde, or (inf, nan) if no evaluation measured one.
     """
     c_min = m * m
     t, x = _dual_start(ends, m, gamma_tilde)  # log mu, log v
@@ -554,8 +560,9 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     Each stationary root is the monotone Newton iteration of
     :func:`cubic_stationary_root`, run for all lanes and subchannels at once
     until no iterate rises any more; a root that has stopped rising stays
-    put.  Returns the (n, m) powers and the (n,) arrays S, C and the
-    log-derivatives S_t, S_x, C_t and C_x.
+    put.  Returns the (n, r) communication powers and the (n,) arrays S, C
+    and the log-derivatives S_t, S_x, C_t and C_x, whose sums include the k
+    sensing subchannels' sqrt(mu/v).
     """
     # (n, r) operands throughout: same-shape arithmetic is faster than
     # broadcasting at these sizes
@@ -587,16 +594,13 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     dp_dt = MU * inv2 / d
     dp_dx = -V / d
     ps = np.sqrt(mu / v)
-    powers = np.empty((n, r + k))
-    powers[:, :r] = p
-    powers[:, r:] = ps[:, None]
     S = p.sum(axis=1) + k * ps
     C = (1.0 / p).sum(axis=1) + k / ps
     S_t = dp_dt.sum(axis=1) + 0.5 * k * ps
     S_x = dp_dx.sum(axis=1) - 0.5 * k * ps
     C_t = -(inv2 * dp_dt).sum(axis=1) - 0.5 * k / ps
     C_x = -(inv2 * dp_dx).sum(axis=1) + 0.5 * k / ps
-    return powers, S, C, S_t, S_x, C_t, C_x
+    return p, S, C, S_t, S_x, C_t, C_x
 
 
 def _newton_lanes(x, val, step, lo, hi, tol):
@@ -635,17 +639,17 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
     to the lanes left.  All live lanes have made the same number of
     evaluations, so one counter serves them all.
 
-    Returns the (n,) arrays mu and v, the (n, m) powers of each lane's last
-    evaluation, the (n,) evaluation counts, the (n,) converged flags and the
-    (n, 2) log mu and log v of each lane's measured feasible end, as
-    :func:`_solve_dual` returns them.
+    Returns the (n,) arrays mu and v, the (n, len(gs)) communication powers
+    of each lane's last evaluation, the (n,) evaluation counts, the (n,)
+    converged flags and the (n, 2) log mu and log v of each lane's measured
+    feasible end, as :func:`_solve_dual` returns them.
     """
     g, k = np.asarray(gs), m - len(gs)
     gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
     c_min = m * m
     mu_out, v_out = np.full(n, np.nan), np.full(n, np.nan)
-    p_out = np.full((n, m), np.nan)
+    p_out = np.full((n, g.size), np.nan)
     evals_out = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     feasible = np.empty((n, 2))
@@ -753,7 +757,11 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
 
     One loop then judges every candidate, water-filling and dual alike.
     Each is mapped back by the one conversion p = P q, mu = P mu' and
-    v = v' / P, and judged in the original units: one with finite powers
+    v = v' / P.  The same conversion gives each dedicated sensing
+    subchannel sqrt(mu / v) of the converted multipliers, the very
+    expression the certificate checks, or inf where v is not positive, as a
+    lane stopped by a non-finite evaluation can leave v' = 0.  Each
+    candidate is judged in the original units: one with finite powers
     gets :func:`_certify`, and it is ``optimal`` if and only if it converged
     and passed.  A converged search whose candidate fails with the trace
     inverse over its budget is evaluated once more at the measured feasible
@@ -840,8 +848,10 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             continue  # a search that evaluated nothing leaves its budget at iteration_limit
         gamma_tilde = gamma_tildes[j]
         while True:
-            # the one conversion out of units of P, into budget j's candidate
+            # the one conversion out of units of P, into budget j's candidate,
+            # where each dedicated sensing subchannel takes sqrt(mu / v)
             p, mu_j, v_j = [P * x for x in q], P * mu, v / P
+            p += [math.sqrt(mu_j / v_j) if v_j > 0.0 else math.inf] * (m - len(q))
             ok, res, gap = False, math.nan, math.nan
             if all(map(math.isfinite, p)):
                 ok, res, gap = _certify(gs, m, p, mu_j, v_j, gamma_tilde, P)

@@ -10,7 +10,12 @@ tiny powers and the sigma_c2/P grid) are here too, and
     PYTHONPATH=src python tests/battery.py census
 
 prints one line per battery with its status counts and total evaluations,
-so that a change's effect on all of them can be compared before and after.
+so that a change's effect on all of them can be compared before and after;
+
+    PYTHONPATH=src python tests/battery.py cases
+
+prints one line per case instead (battery, label, status and evaluations),
+so that a ``diff`` of two runs lists every case whose status or count moved.
 """
 
 import math
@@ -193,9 +198,13 @@ def census():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["census"]:
-        sys.exit("usage: python tests/battery.py census")
+    if sys.argv[1:] not in (["census"], ["cases"]):
+        sys.exit("usage: python tests/battery.py census|cases")
     for name, records in census():
+        if sys.argv[1] == "cases":
+            for label, status, evals in records:
+                print(f"{name} | {label} | {status} | {evals}")
+            continue
         counts = Counter(status for _, status, _ in records)
         evals = sum(n for _, _, n in records)
         print(f"{name}: {len(records)} cases, {dict(sorted(counts.items()))}, {evals} evaluations")

@@ -140,15 +140,19 @@ def test_cubic_log_uniform_sweep_vs_bisection():
 
 
 def test_inner_allocation_hand_instance():
+    # the map returns one power per communication gain; each of the m - r
+    # sensing subchannels adds sqrt(mu / v) to S and its inverse to C, and
+    # its power itself is formed once, at the conversion out of units of P
+    # (test_sensing_powers_are_formed_once_at_the_conversion)
     p = _power_map([1.0], 2, 1.0, 1.0)[0]
-    np.testing.assert_allclose(p, [1.5267188046546143, 1.0], atol=1e-9)
-    # each sensing subchannel takes sqrt(mu / v)
-    assert _power_map([1.0], 3, 4.0, 1.0)[0][1:] == pytest.approx([2.0, 2.0], abs=1e-15)
+    np.testing.assert_allclose(p, [1.5267188046546143], atol=1e-9)
+    p, S, C, *_ = _power_map([1.0], 3, 4.0, 1.0)
+    assert len(p) == 1 and S == p[0] + 2.0 * 2.0 and C == 1.0 / p[0] + 2.0 / 2.0
 
 
 def test_inner_allocation_equal_duals_sensing_power_one():
-    p = _power_map([1.0, 0.5], 4, 0.7, 0.7)[0]
-    np.testing.assert_allclose(p[2:], 1.0, atol=1e-14)
+    p, S, C, *_ = _power_map([1.0, 0.5], 4, 0.7, 0.7)
+    assert len(p) == 2 and S == p[0] + p[1] + 2.0 and C == 1.0 / p[0] + 1.0 / p[1] + 2.0
 
 
 def test_power_map_log_derivatives_match_central_differences():
@@ -365,11 +369,21 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
     # on average, and a batch 12.4 passes; from the asymptotes of both ends
     # of the boundary, 5.6 and 9.2; from the two-group surrogate of the
     # channel, 4.04 and 5.65; with the outer step taken once the square of
-    # the inner residual is small, 3.30 and 4.33.
+    # the inner residual is small, 3.30 and 4.33.  Every dedicated sensing
+    # power of an optimal rank-deficient result with mu > 0 is sqrt(mu / v)
+    # of its reported multipliers, bit for bit; as P sqrt(mu' / v'), in units
+    # of P, 629 of the 1808 scalar solves were an ulp or more off.
     monkeypatch.setattr(solver_module, "_LOCKSTEP_MIN_BUDGETS", 2)
     failed = []
     scalar_evals = []
     batch_passes = []
+    sensing = []  # (scalar, sensing powers equal to sqrt(mu / v))
+
+    def check_sensing(alloc, scalar):
+        if H.r < sc.M and alloc.mu > 0.0:
+            sensing.append((scalar, all(x == math.sqrt(alloc.mu / alloc.v)
+                                        for x in alloc.p[H.r:].tolist())))
+
     for trial, (H, sc) in enumerate(stress_links(400)):
         _, lo = crb_min_point(H, sc)
         gts = []
@@ -377,6 +391,8 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
             rep = solve_p1(H, sc, f * lo.crb)
             if rep.status != "optimal":
                 failed.append((trial, f, rep.status))
+            else:
+                check_sensing(rep.allocation, True)
             if rep.allocation is not None and rep.allocation.iterations > 0:
                 scalar_evals.append(rep.allocation.iterations)
             gts.append(rep.gamma_tilde)
@@ -384,14 +400,77 @@ def test_stress_battery_every_solve_optimal(monkeypatch):
         for f, (alloc, status) in zip(STRESS_FACTORS, _solve_budgets(H, sc, gts)[0]):
             if status != "optimal":
                 failed.append((trial, f, "batch", status))
+            else:
+                check_sensing(alloc, False)
             if alloc is not None and alloc.iterations > 0:
                 lanes.append(alloc.iterations)
         if lanes:
             batch_passes.append(max(lanes))
     assert failed == []
+    assert sensing.count((True, True)) == 1808 and sensing.count((False, True)) == 1808
     assert len(scalar_evals) > 2600 and len(batch_passes) > 380
     assert np.mean(scalar_evals) <= 3.45
     assert np.mean(batch_passes) <= 4.5
+
+
+@pytest.mark.parametrize("P, sigma_c2, f", [
+    (1e10, 1e20, 3.0), (1e20, 1e30, 3.0), (1e40, 1e50, 3.0),
+    (1e100, 1.0, 1.01), (1e100, 1.0, 3.0), (1e100, 1.0, 1e3)])
+def test_large_sensing_powers_are_certified(P, sigma_c2, f):
+    # rank-deficient solves whose sensing powers are 1e8 or more: three rungs
+    # of the scale ladder (sigma_c2 = 1e10 P) and P = 1e100 at sigma_c2 = 1.
+    # An ulp of such a power exceeds the certificate's absolute 1e-9 bound
+    # on the sensing law, and P sqrt(mu' / v') in units of P was an ulp off
+    # the certificate's sqrt(mu / v), so each was iteration_limit
+    sc = Scenario(M=4, Nc=3, Ns=12, L=200, P=P, sigma_c2=sigma_c2, seed=1)
+    H = rician_channel(sc)
+    _, lo = crb_min_point(H, sc)
+    rep = solve_p1(H, sc, f * lo.crb)
+    a = rep.allocation
+    assert H.r == 3 and rep.status == "optimal" and a.mu > 0.0
+    assert a.p[3] == math.sqrt(a.mu / a.v) and a.p[3] > 1e8
+
+
+def test_sensing_powers_are_formed_once_at_the_conversion(monkeypatch):
+    # both search forms carry the r' communication powers only, and
+    # _solve_budgets gives each dedicated sensing subchannel sqrt(mu / v) of
+    # the converted multipliers mu = P mu' and v = v' / P.  A rank-1 link at
+    # P = 1 with gain 1, whose scalar search is made to end at mu' = v' = 1,
+    # gets the sensing power sqrt(1 / 1) = 1
+    H = ChannelMatrix.from_matrix(np.diag([1.0, 0.0]))
+    sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=1.0)
+    assert H.r == 1
+    _, lo = crb_min_point(H, sc)
+    gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
+    ends = _ends([1.0], 2, _waterfill_unit([1.0], 1.0))
+    assert len(_solve_dual([1.0], 2, gt, ends)[2]) == 1
+    monkeypatch.setattr(solver_module, "_solve_dual", lambda gs, m, gt, ends: (
+        1.0, 1.0, _power_map(gs, m, 1.0, 1.0)[0], 7, True, (math.inf, math.nan)))
+    (alloc, status), = _solve_budgets(H, sc, [gt])[0]
+    assert (alloc.mu, alloc.v, alloc.iterations, status) == (1.0, 1.0, 7, "iteration_limit")
+    assert alloc.p[0] == pytest.approx(1.5267188046546143, abs=1e-9) and alloc.p[1] == 1.0
+    monkeypatch.undo()
+
+    # a lockstep lane stopped by a non-finite evaluation can carry v' = 0:
+    # its sensing power is inf, not a ZeroDivisionError, and the lane stays
+    # uncertified while the others are certified
+    search = solver_module._lockstep_dual
+
+    def spy(gs, m, gts, ends):
+        mu, v, p, *rest = search(gs, m, gts, ends)
+        assert p.shape == (len(gts), len(gs))
+        v[0], p[0] = 0.0, math.nan
+        return (mu, v, p, *rest)
+
+    monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
+    H, sc = next((H, sc) for H, sc in stress_links(20) if H.r < sc.M)
+    gts = _dual_budgets(H, sc, solver_module._LOCKSTEP_MIN_BUDGETS)
+    results, lockstep = _solve_budgets(H, sc, gts)
+    assert lockstep and results[0][1] == "iteration_limit"
+    assert np.isnan(results[0][0].p[:H.r]).all() and (results[0][0].p[H.r:] == math.inf).all()
+    assert [status for _, status in results[1:]] == ["optimal"] * (len(gts) - 1)
+    for alloc, _ in results[1:]:
+        assert (alloc.p[H.r:] == math.sqrt(alloc.mu / alloc.v)).all(), sc
 
 
 def test_search_starts_near_the_solved_duals():
