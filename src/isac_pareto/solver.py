@@ -31,17 +31,19 @@ measured residuals move the brackets.  A budget so loose that the CRB
 multiplier in units of P would leave the normal float range is rejected
 before any search (:func:`_ends`).  A search that converges
 onto a point over the CRB budget, as just above p0, is finished on the
-measured feasible end of its log mu bracket.
+feasible end of its log mu bracket: the search's own evaluation there.
 
 One routine, :func:`_solve_budgets`, decides each budget's path
 (infeasible, the equal-split boundary, water-filling or the dual search)
 and judges every candidate, water-filling and dual, by the same KKT
-certificate in one loop; :func:`solve_p1` calls it for one budget and a
-frontier sweep for all of its budgets.  It converts into units of P once,
-on entry, where a subchannel whose gain underflows to 0 is searched as a
-dedicated sensing subchannel, and every candidate back once, just before
-its certificate; that conversion gives each dedicated sensing subchannel
-the power sqrt(mu/v) that the certificate checks.  The search has two
+certificate in one loop, each dual candidate an evaluation that its
+search handed back, and evaluates nothing itself; :func:`solve_p1` calls
+it for one budget and a frontier sweep for all of its budgets.  It
+converts into units of P once, on entry, where a subchannel whose gain
+underflows to 0 is searched as a dedicated sensing subchannel, and every
+candidate back once, just before its certificate; that conversion gives
+each dedicated sensing subchannel the power sqrt(mu/v) that the
+certificate checks.  The search has two
 forms with the same iteration and arithmetic, chosen by the number of
 budgets on the dual path: scalar Python, one budget at a time
 (:func:`_solve_dual`), below a measured crossover, and all budgets at once
@@ -437,26 +439,26 @@ def _solve_dual(gs, m, gamma_tilde, ends):
     takes the inner step.  The search has converged when both have stopped.
     A math error, or a non-finite S, C or derivative, ends it unconverged.
 
-    Returns (mu, v, powers, evaluations, converged, feasible); the powers
-    are the len(gs) communication powers of the last evaluated (mu, v), or
-    ``None`` if nothing was evaluated, and ``feasible`` is the
-    (log mu, log v) of the log mu bracket's measured feasible end, where
-    C <= gamma_tilde, or (inf, nan) if no evaluation measured one.
+    Returns (candidates, evaluations, converged).  The candidates are up to
+    two evaluations, each (mu, v, powers) with the len(gs) communication
+    powers just as :func:`_power_map` returned them: the last one and, if
+    the search measured one, the one at the feasible end of its log mu
+    bracket, where C <= gamma_tilde.  There is none if nothing was
+    evaluated.
     """
     c_min = m * m
     t, x = _dual_start(ends, m, gamma_tilde)  # log mu, log v
     t_lo = x_lo = -math.inf
     t_hi = x_hi = math.inf
-    x_at_t_hi = math.nan
     evals = 0
-    last = None  # (mu, v, _power_map output) of the latest evaluation
+    last = at_t_hi = None  # (mu, v, powers) of the latest and the feasible-end evaluation
     converged = False
     try:
         while evals < _MAX_DUAL_ITERS:
             evals += 1
             mu, v = math.exp(t), math.exp(x)
-            last = (mu, v, _power_map(gs, m, mu, v))
-            _, S, C, S_t, S_x, C_t, C_x = last[2]
+            p, S, C, S_t, S_x, C_t, C_x = _power_map(gs, m, mu, v)
+            last = (mu, v, p)
             if not math.isfinite(S + C + S_t + S_x + C_t + C_x):
                 break  # unconverged, like a lockstep lane
             # inner search: log S in log v
@@ -484,7 +486,7 @@ def _solve_dual(gs, m, gamma_tilde, ends):
                     if G > 0.0:
                         t_lo = t
                     else:
-                        t_hi, x_at_t_hi = t, x
+                        t_hi, at_t_hi = t, last
                 outer_done, t_next = _newton_step(t, G, step, t_lo, t_hi, _DUAL_TOL)
                 if outer_done and inner_done:
                     converged = True
@@ -497,11 +499,7 @@ def _solve_dual(gs, m, gamma_tilde, ends):
             x = x_next
     except (ArithmeticError, ValueError):
         pass  # unconverged, with the last completed evaluation
-    feasible = (t_hi, x_at_t_hi)
-    if last is None:
-        return math.nan, math.nan, None, evals, False, feasible
-    mu, v, (p, *_) = last
-    return mu, v, p, evals, converged, feasible
+    return [c for c in (last, at_t_hi) if c is not None], evals, converged
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P):
@@ -639,27 +637,22 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
     to the lanes left.  All live lanes have made the same number of
     evaluations, so one counter serves them all.
 
-    Returns the (n,) arrays mu and v, the (n, len(gs)) communication powers
-    of each lane's last evaluation, the (n,) evaluation counts, the (n,)
-    converged flags and the (n, 2) log mu and log v of each lane's measured
-    feasible end, as :func:`_solve_dual` returns them.
+    Returns a list of one (candidates, evaluations, converged) per lane, as
+    :func:`_solve_dual` returns them for its budget, each candidate with the
+    values that :func:`_power_map_lanes` returned for that lane.
     """
     g, k = np.asarray(gs), m - len(gs)
     gt = np.asarray(gamma_tildes, dtype=float)
     n = gt.size
     c_min = m * m
-    mu_out, v_out = np.full(n, np.nan), np.full(n, np.nan)
-    p_out = np.full((n, g.size), np.nan)
-    evals_out = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    feasible = np.empty((n, 2))
+    out = [None] * n
     # state of the live lanes: their indices, log mu, log v and brackets, and
-    # the log v at the feasible end of the log mu bracket
+    # mu, v and the powers evaluated at the feasible end of the log mu bracket
     lane = np.arange(n)
     t, x = np.array([_dual_start(ends, m, b) for b in gamma_tildes]).reshape(n, 2).T.copy()
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
     x_lo, x_hi = t_lo.copy(), t_hi.copy()
-    x_at_t_hi = np.full(n, np.nan)
+    mu_hi, v_hi, p_hi = np.full(n, np.nan), np.full(n, np.nan), np.full((n, g.size), np.nan)
     evals = 0
     with np.errstate(all="ignore"):
         while lane.size and evals < _MAX_DUAL_ITERS:
@@ -684,9 +677,11 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
             step = np.where(excess > 0.0, -np.log(excess / (gt - c_min)) / slope, np.nan)
             up = G > 0.0  # only a measured G moves the bracket
             t_lo = np.where(inner_done & up, t, t_lo)
-            feasible_end = inner_done & ~up
+            # a non-finite evaluation measures no feasible end, as in _solve_dual
+            feasible_end = inner_done & ~up & finite
             t_hi = np.where(feasible_end, t, t_hi)
-            x_at_t_hi = np.where(feasible_end, x, x_at_t_hi)
+            mu_hi, v_hi = np.where(feasible_end, mu, mu_hi), np.where(feasible_end, v, v_hi)
+            p_hi = np.where(feasible_end[:, None], p, p_hi)
             outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
             # is small against the outer one while the outer search goes on
@@ -704,16 +699,18 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
             stop = inner_done & outer_done
             done = stop | ~finite | (evals == _MAX_DUAL_ITERS)
             if done.any():
-                j = lane[done]
-                mu_out[j], v_out[j], p_out[j] = mu[done], v[done], p[done]
-                evals_out[j] = evals
-                converged[j] = stop[done] & finite[done]
-                feasible[j, 0], feasible[j, 1] = t_hi[done], x_at_t_hi[done]
+                stopped = zip(lane[done].tolist(), (stop & finite)[done].tolist(),
+                              zip(mu[done].tolist(), v[done].tolist(), p[done].tolist()),
+                              zip(mu_hi[done].tolist(), v_hi[done].tolist(), p_hi[done].tolist()))
+                for j, converged, last, at_t_hi in stopped:
+                    # mu_hi stays NaN until the lane measures a feasible end
+                    candidates = [last] if math.isnan(at_t_hi[0]) else [last, at_t_hi]
+                    out[j] = (candidates, evals, converged)
                 keep = ~done
                 lane, gt, t, x = lane[keep], gt[keep], t[keep], x[keep]
                 t_lo, t_hi, x_lo, x_hi = t_lo[keep], t_hi[keep], x_lo[keep], x_hi[keep]
-                x_at_t_hi = x_at_t_hi[keep]
-    return mu_out, v_out, p_out, evals_out, converged, feasible
+                mu_hi, v_hi, p_hi = mu_hi[keep], v_hi[keep], p_hi[keep]
+    return out
 
 
 def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
@@ -752,10 +749,14 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       searchable limit of :func:`_ends`, where the search would need a
       subnormal mu', or whose value in units of P overflows, raises
       ``ValueError`` naming the loosest CRB threshold and the largest
-      searchable one, and the water-filling raises one naming P if no gain
-      stays positive in units of P: no search runs for any budget then.
+      searchable one, or, if that limit is at or below the minimum M^2,
+      naming P and sigma_c2, at which no threshold above the minimum can be
+      searched; the water-filling raises one naming P if no gain stays
+      positive in units of P.  No search runs for any budget then.
 
-    One loop then judges every candidate, water-filling and dual alike.
+    One loop then judges every candidate, water-filling and dual alike,
+    and evaluates nothing: the water-filling is one candidate, and each
+    search hands back the evaluations it ends on (see :func:`_solve_dual`).
     Each is mapped back by the one conversion p = P q, mu = P mu' and
     v = v' / P.  The same conversion gives each dedicated sensing
     subchannel sqrt(mu / v) of the converted multipliers, the very
@@ -763,12 +764,12 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     lane stopped by a non-finite evaluation can leave v' = 0.  Each
     candidate is judged in the original units: one with finite powers
     gets :func:`_certify`, and it is ``optimal`` if and only if it converged
-    and passed.  A converged search whose candidate fails with the trace
-    inverse over its budget is evaluated once more at the measured feasible
-    end of its log mu bracket, and that point is converted and judged
-    instead.  A search that spends its _MAX_DUAL_ITERS evaluations, ends on
-    a math error or a non-finite evaluation, or misses the certificate
-    gives ``iteration_limit``.
+    and passed.  A converged search whose last evaluation fails with the
+    trace inverse over its budget has its evaluation at the feasible end of
+    its log mu bracket, if it measured one, converted and judged instead,
+    with no evaluation added.  A search that spends its _MAX_DUAL_ITERS
+    evaluations, ends on a math error or a non-finite evaluation, or misses
+    the certificate gives ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
     evaluations, and each pass has a fixed numpy overhead, so it only beats
@@ -806,9 +807,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     wf = None  # the channel's water-filling, made by the first budget that needs it
     # iteration_limit with no allocation until a search evaluates the budget
     out: list[tuple[PowerAllocation | None, str]] = [(None, "iteration_limit")] * len(gamma_tildes)
-    # one candidate per budget, in units of P: (index, mu', v', powers,
-    # evaluations, converged, the (log mu', log v') of the search's measured
-    # feasible end, log mu' infinite if it has none)
+    # each searched budget, in units of P: (index, (the candidates its path
+    # evaluated as (mu', v', powers), evaluations, converged))
     found = []
     dual, gts_P = [], []  # the budgets with both constraints tight
     for j, gamma_tilde in enumerate(gamma_tildes):
@@ -827,27 +827,30 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                            else math.nan)
             gt_P = float(gamma_tilde) * P
             if wf_load <= gt_P * (1.0 + 4e-12):
-                found.append((j, 0.0, wf[1], wf[0], 0, True, (math.inf, math.nan)))
+                found.append((j, ([(0.0, wf[1], wf[0])], 0, True)))
             else:
                 dual.append(j)
                 gts_P.append(gt_P)
     if dual:
         ends = _ends(gs_P, m, wf)
         if max(gts_P) > ends.limit:
+            if ends.limit <= m * m:
+                raise ValueError(f"no CRB threshold above the minimum can be searched at "
+                                 f"P = {P:g} and sigma_c2 = {scenario.sigma_c2:g}")
             crb, crb_limit = (crb_from_trace_budget(x, scenario.sigma_s2, scenario.Ns, scenario.L)
                               for x in (max(gamma_tildes[j] for j in dual), ends.limit / P))
             raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
                              f"thresholds above {crb_limit:.6g} cannot be searched")
     lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if lockstep:
-        found += zip(dual, *(x.tolist() for x in _lockstep_dual(gs_P, m, gts_P, ends)))
+        found += zip(dual, _lockstep_dual(gs_P, m, gts_P, ends))
     else:
-        found += [(j, *_solve_dual(gs_P, m, gt, ends)) for j, gt in zip(dual, gts_P)]
-    for j, mu, v, q, evals, converged, feasible in found:
-        if q is None:
-            continue  # a search that evaluated nothing leaves its budget at iteration_limit
+        found += [(j, _solve_dual(gs_P, m, gt, ends)) for j, gt in zip(dual, gts_P)]
+    # a search that evaluated nothing has no candidate, and leaves its budget
+    # at iteration_limit
+    for j, (candidates, evals, converged) in found:
         gamma_tilde = gamma_tildes[j]
-        while True:
+        for mu, v, q in candidates:
             # the one conversion out of units of P, into budget j's candidate,
             # where each dedicated sensing subchannel takes sqrt(mu / v)
             p, mu_j, v_j = [P * x for x in q], P * mu, v / P
@@ -855,19 +858,15 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             ok, res, gap = False, math.nan, math.nan
             if all(map(math.isfinite, p)):
                 ok, res, gap = _certify(gs, m, p, mu_j, v_j, gamma_tilde, P)
-            if not (converged and not ok and feasible[0] < math.inf
-                    and sum(1.0 / x for x in p) > gamma_tilde):
-                break
+            out[j] = (PowerAllocation(p=np.array(p), mu=mu_j, v=v_j, iterations=evals,
+                                      kkt_residual=res, duality_gap=gap),
+                      "optimal" if converged and ok else "iteration_limit")
             # just above p0, C can move by more than _KKT_TOL between
-            # neighbouring floats of log mu, so the converged point may sit
-            # over the budget; the measured feasible end of the log mu
-            # bracket, evaluated once more, is then the candidate, and has
-            # no feasible end of its own, so this runs at most once
-            mu, v = math.exp(feasible[0]), math.exp(feasible[1])
-            q, evals, feasible = _power_map(gs_P, m, mu, v)[0], evals + 1, (math.inf, math.nan)
-        out[j] = (PowerAllocation(p=np.array(p), mu=mu_j, v=v_j, iterations=evals,
-                                  kkt_residual=res, duality_gap=gap),
-                  "optimal" if converged and ok else "iteration_limit")
+            # neighbouring floats of log mu, so a converged last evaluation
+            # may sit over the budget; the search's own evaluation at the
+            # feasible end of its log mu bracket is then the candidate
+            if not (converged and not ok and sum(1.0 / x for x in p) > gamma_tilde):
+                break
     return out, lockstep
 
 

@@ -165,7 +165,8 @@ def test_power_map_log_derivatives_match_central_differences():
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         k = sc.M - len(gs)
         for gt in _dual_budgets(H, sc, 3):
-            mu, v, *_ = _solve_dual(gs, sc.M, gt * sc.P, _ends(gs, sc.M, _waterfill_unit(gs, sc.P)))
+            ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
+            (mu, v, _), *_ = _solve_dual(gs, sc.M, gt * sc.P, ends)[0]
             _, S, C, *logd = _power_map(gs, sc.M, mu, v)
             lanes = _power_map_lanes(np.array(gs), k, np.array([mu]), np.array([v]))
             assert [x[0] for x in lanes[1:]] == pytest.approx([S, C, *logd], rel=1e-12)
@@ -286,6 +287,24 @@ def test_solve_budget_that_overflows_in_units_of_P(preset, request):
     else:
         rep = solve_p1(H, sc, 1e305)
         assert rep.status == "optimal" and rep.allocation.mu == 0.0
+
+
+def test_no_searchable_threshold_above_the_minimum_is_named():
+    # the strongest gain, 1e-154 times P = 1e-153, is near 1e-307 in units of
+    # P, and the searchable limit, 2.55 there, is below the minimum M^2 = 4:
+    # the error used to name the limit as a CRB threshold of 1.5278e+152,
+    # below the minimum CRB of 2.4e+152 itself
+    H = ChannelMatrix.from_matrix(np.diag([1.0, 2e-9]))
+    sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=1e-153, sigma_c2=1e154)
+    _, lo = crb_min_point(H, sc)
+    msg = re.escape("no CRB threshold above the minimum can be searched at "
+                    "P = 1e-153 and sigma_c2 = 1e+154")
+    for f in (1.01, 3.0):
+        with pytest.raises(ValueError, match=msg):
+            solve_p1(H, sc, f * lo.crb)
+    with pytest.raises(ValueError, match=msg):
+        sweep(H, sc, 6)
+    assert solve_p1(H, sc, lo.crb).status == "optimal"
 
 
 def test_solve_slack_budget_recovers_waterfilling(scenario2):
@@ -443,9 +462,9 @@ def test_sensing_powers_are_formed_once_at_the_conversion(monkeypatch):
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
     ends = _ends([1.0], 2, _waterfill_unit([1.0], 1.0))
-    assert len(_solve_dual([1.0], 2, gt, ends)[2]) == 1
+    assert {len(q) for _, _, q in _solve_dual([1.0], 2, gt, ends)[0]} == {1}
     monkeypatch.setattr(solver_module, "_solve_dual", lambda gs, m, gt, ends: (
-        1.0, 1.0, _power_map(gs, m, 1.0, 1.0)[0], 7, True, (math.inf, math.nan)))
+        [(1.0, 1.0, _power_map(gs, m, 1.0, 1.0)[0])], 7, True))
     (alloc, status), = _solve_budgets(H, sc, [gt])[0]
     assert (alloc.mu, alloc.v, alloc.iterations, status) == (1.0, 1.0, 7, "iteration_limit")
     assert alloc.p[0] == pytest.approx(1.5267188046546143, abs=1e-9) and alloc.p[1] == 1.0
@@ -457,10 +476,12 @@ def test_sensing_powers_are_formed_once_at_the_conversion(monkeypatch):
     search = solver_module._lockstep_dual
 
     def spy(gs, m, gts, ends):
-        mu, v, p, *rest = search(gs, m, gts, ends)
-        assert p.shape == (len(gts), len(gs))
-        v[0], p[0] = 0.0, math.nan
-        return (mu, v, p, *rest)
+        out = search(gs, m, gts, ends)
+        assert len(out) == len(gts)
+        assert all(len(q) == len(gs) for candidates, _, _ in out for _, _, q in candidates)
+        mu, _, q = out[0][0][0]
+        out[0][0][0] = (mu, 0.0, [math.nan] * len(q))
+        return out
 
     monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
     H, sc = next((H, sc) for H, sc in stress_links(20) if H.r < sc.M)
@@ -568,11 +589,11 @@ def test_scalar_and_lockstep_searches_are_twins():
             continue
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
-        _, _, _, evals, converged, _ = _lockstep_dual(gs, sc.M, dual, ends)
-        for j, gt in enumerate(dual):
-            _, _, _, evals_j, converged_j, _ = _solve_dual(gs, sc.M, gt, ends)
-            assert converged_j == converged[j], (sc, gt)
-            assert evals_j == evals[j] or not exact, (sc, gt)
+        batch = _lockstep_dual(gs, sc.M, dual, ends)
+        for (_, evals, converged), gt in zip(batch, dual):
+            _, evals_j, converged_j = _solve_dual(gs, sc.M, gt, ends)
+            assert converged_j == converged, (sc, gt)
+            assert evals_j == evals or not exact, (sc, gt)
             lanes[exact] += 1
     assert lanes[True] > 300 and lanes[False] > 600
 
@@ -584,9 +605,9 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
     # spends a lowered budget of 5 evaluations.  The state arrays are
     # compacted each time lanes stop; every lane must still equal the same
     # lane run alone, bit for bit, and its scalar twin: the same evaluations
-    # and converged flag, and mu, v, powers and feasible end to rounding.
-    # The scalar twin of the poisoned lane is its search cut at 2
-    # evaluations.
+    # and converged flag, and the same candidates, the last evaluation and
+    # the feasible end's, with mu, v and powers to rounding.  The scalar
+    # twin of the poisoned lane is its search cut at 2 evaluations.
     H, sc = list(stress_links(36))[35]
     _, lo = crb_min_point(H, sc)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
@@ -609,32 +630,53 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
     monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned)
     poison = {2: (1, poisoned_lane, math.nan)}  # S of that lane on the 2nd pass
     batch = _lockstep_dual(gs, sc.M, gts, ends)
-    _, _, _, evals, converged, _ = batch
-    assert evals.tolist() == [2, 3, 4, 5, 2, 4, 3, 3]
-    assert converged.tolist() == [True, True, True, False, False, True, True, True]
+    assert [evals for _, evals, _ in batch] == [2, 3, 4, 5, 2, 4, 3, 3]
+    assert [converged for _, _, converged in batch] == [True, True, True, False, False,
+                                                        True, True, True]
     assert passes == [8, 8, 6, 3, 1]
+
+    def rows(candidates):  # one (mu, v, *powers) row per candidate
+        return np.array([[mu, v, *q] for mu, v, q in candidates])
+
     for j, gt in enumerate(gts):
         passes.clear()
         poison = {2: (1, 0, math.nan)} if j == poisoned_lane else {}
-        alone = _lockstep_dual(gs, sc.M, [gt], ends)
-        for got, want in zip(batch, alone):
-            assert np.array_equal(got[j], want[0], equal_nan=True), j
+        (alone, *rest), = _lockstep_dual(gs, sc.M, [gt], ends)
+        assert np.array_equal(rows(batch[j][0]), rows(alone), equal_nan=True), j
+        assert batch[j][1:] == tuple(rest), j
         monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2 if j == poisoned_lane else cap)
-        mu, v, p, evals_j, converged_j, feasible = _solve_dual(gs, sc.M, gt, ends)
+        candidates, evals_j, converged_j = _solve_dual(gs, sc.M, gt, ends)
         monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
-        assert (evals_j, converged_j) == (evals[j], converged[j]), j
-        for got, want in ((batch[0][j], mu), (batch[1][j], v)):
-            assert got == pytest.approx(want, rel=1e-12), j
-        assert batch[2][j] == pytest.approx(np.array(p), rel=1e-12), j
-        assert batch[5][j] == pytest.approx(np.array(feasible), rel=1e-12, nan_ok=True), j
+        assert (evals_j, converged_j) == batch[j][1:], j
+        assert rows(batch[j][0]).shape == rows(candidates).shape, j
+        assert rows(batch[j][0]) == pytest.approx(rows(candidates), rel=1e-12), j
 
     # the poisoned lane alone converges on its 5th pass, but not when a
-    # derivative is non-finite there
+    # derivative is non-finite there; that evaluation then measures no
+    # feasible end, as in the scalar form, poisoned alike, so both hand back
+    # the same candidates
     monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2000)
+    scalar_map = solver_module._power_map
+
+    def poisoned_scalar(*args):
+        out = list(scalar_map(*args))
+        passes.append(1)
+        if len(passes) in poison:
+            i, _, value = poison[len(passes)]
+            out[i] = value
+        return out
+
     for poison, ok in (({}, True), ({5: (5, 0, math.inf)}, False)):  # C_t
         passes.clear()
-        _, _, _, evals, converged, _ = _lockstep_dual(gs, sc.M, [gts[poisoned_lane]], ends)
-        assert evals.tolist() == [5] and converged.tolist() == [ok]
+        (lane, evals, converged), = _lockstep_dual(gs, sc.M, [gts[poisoned_lane]], ends)
+        assert (evals, converged) == (5, ok)
+        passes.clear()
+        monkeypatch.setattr(solver_module, "_power_map", poisoned_scalar)
+        candidates, evals_j, converged_j = _solve_dual(gs, sc.M, gts[poisoned_lane], ends)
+        monkeypatch.setattr(solver_module, "_power_map", scalar_map)
+        assert (evals_j, converged_j) == (5, ok)
+        assert rows(lane).shape == rows(candidates).shape
+        assert rows(lane) == pytest.approx(rows(candidates), rel=1e-12)
 
 
 @pytest.mark.parametrize("f", [1.01, 3.0, 1e3])
@@ -684,11 +726,11 @@ def test_scalar_search_stops_on_a_non_finite_evaluation(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_power_map", poisoned)
     monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned_lanes)
-    mu, v, p, evals, converged, _ = _solve_dual(gs, sc.M, gt, ends)
-    mu_l, v_l, p_l, evals_l, converged_l, _ = _lockstep_dual(gs, sc.M, [gt], ends)
-    assert (evals, converged) == (evals_l[0], converged_l[0]) == (1, False)
-    assert (mu, v) == pytest.approx((mu_l[0], v_l[0]), rel=1e-15)
-    assert np.isfinite(p).all() and np.array(p) == pytest.approx(p_l[0], rel=1e-15)
+    [(mu, v, p)], evals, converged = _solve_dual(gs, sc.M, gt, ends)
+    ([(mu_l, v_l, p_l)], evals_l, converged_l), = _lockstep_dual(gs, sc.M, [gt], ends)
+    assert (evals, converged) == (evals_l, converged_l) == (1, False)
+    assert (mu, v) == pytest.approx((mu_l, v_l), rel=1e-15)
+    assert np.isfinite(p).all() and p == pytest.approx(p_l, rel=1e-15)
     rep = solve_p1(H, sc, 3.0 * lo.crb)
     assert rep.status == "iteration_limit" and rep.allocation.iterations == 1
     assert np.isfinite(rep.allocation.p).all()
@@ -877,7 +919,7 @@ def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
     def spy(gs, m, gts, ends):
         batches.append(len(gts))
         out = search(gs, m, gts, ends)
-        passes.append(int(out[3].max()))
+        passes.append(max(evals for _, evals, _ in out))
         return out
 
     monkeypatch.setattr(solver_module, "_lockstep_dual", spy)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -242,20 +243,47 @@ def test_lockstep_rows_match_cold_solves_on_stress_links():
     assert lanes > 1000
 
 
-def test_near_p0_sweeps_stay_optimal():
+def test_near_p0_sweeps_stay_optimal(monkeypatch):
     # just above p0_threshold the weakest water-filled subchannel is nearly
     # dry, and a first-order prediction of the CRB residual can have the
     # wrong sign; the dual searches move their log-mu bracket only on a
     # measured residual, so such a prediction cannot shut out the root.
     # There C can move by more than the KKT tolerance between neighbouring
-    # floats of log mu, and a converged search whose point is over the
-    # budget is finished on the bracket's measured feasible end.  Every row
-    # is optimal (4 of the 6000 were not before that finish, and 325 when
-    # predictions moved the bracket)
+    # floats of log mu, and a converged search whose last evaluation is over
+    # the budget hands back its own evaluation at the bracket's feasible end
+    # as well, which is certified instead.  Every row is optimal (4 of the
+    # 6000 were not before that second candidate, and 325 when predictions
+    # moved the bracket), and no lane needs sweep's second opinion: link
+    # 117's lane at row 48 measured its feasible end at C 1.3e-9 under the
+    # budget, but the same point evaluated again by the scalar power map
+    # came out 1.5e-8 over it, so that lane got solve_p1's 24 + 25 = 49
+    # evaluations where its own 23 suffice
+    calls = []
+    monkeypatch.setattr(sweep_module, "solve_p1",
+                        lambda *args, f=sweep_module.solve_p1: calls.append(args) or f(*args))
     rows = [r for H, sc in near_p0_links()
             for r in sweep(H, sc, 50, schemes=("optimal",)).rows]
     assert len(rows) == 6000
     assert sum(r.status != "optimal" for r in rows) == 0
+    assert calls == [] and rows[117 * 50 + 48].iterations == 23
+
+
+def test_sweeps_evaluate_power_maps_only_inside_the_searches(monkeypatch):
+    # each search hands back the evaluations it certifies, so nothing after
+    # it evaluates a power map; on the near-p0 battery's 50-point sweeps the
+    # finish of _solve_budgets used to evaluate 12 feasible ends once more
+    outside = []
+    for name in ("_power_map", "_power_map_lanes"):
+        def spy(*args, f=getattr(solver_module, name)):
+            caller = sys._getframe(1).f_code.co_name
+            if caller not in ("_solve_dual", "_lockstep_dual"):
+                outside.append(caller)
+            return f(*args)
+
+        monkeypatch.setattr(solver_module, name, spy)
+    rows = [r for H, sc in near_p0_links()
+            for r in sweep(H, sc, 50, schemes=("optimal",)).rows]
+    assert len(rows) == 6000 and outside == []
 
 
 def test_row_multipliers_are_supergradients_of_the_frontier(scenario1, scenario2):
