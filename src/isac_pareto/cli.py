@@ -11,10 +11,9 @@ trace budget overflows and an output path that cannot be written exit with
 status 1, as bad configs do.
 
 The ``mu`` and ``v`` that ``sweep`` and ``point`` print are certified KKT
-multipliers, but their trailing digits are not determined on full-rank
-high-power links: two certified solves of one threshold can differ there by
-up to about 1e-4 relative, while their ``crb`` and rate agree within about
-1e-14.
+multipliers.  An ``optimal`` ``sweep`` row is the ``point`` of its
+threshold, bit for bit: the same multipliers, iterations, KKT residual,
+``crb`` and rate.
 """
 
 from __future__ import annotations
@@ -239,10 +238,9 @@ def _closed_form_point(H, scenario, p):
 
 
 def _point_payload(rep, gamma, crb, rate):
-    """The ``point`` result as a JSON-ready dict.  ``mu`` and ``v`` are
-    certified multipliers whose trailing digits are not determined on
-    full-rank high-power links (up to about 1e-4 relative between two
-    certified solves, against about 1e-14 for ``crb`` and ``rate_bps_hz``)."""
+    """The ``point`` result as a JSON-ready dict.  Its multipliers,
+    iterations, KKT residual, ``crb`` and ``rate_bps_hz`` are those of an
+    ``optimal`` sweep row of the same threshold, bit for bit."""
     a = rep.allocation
     return {
         "scheme": "optimal",

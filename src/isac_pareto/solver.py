@@ -44,10 +44,12 @@ underflows to 0 is searched as a dedicated sensing subchannel, and every
 candidate back once, just before its certificate; that conversion gives
 each dedicated sensing subchannel the power sqrt(mu/v) that the
 certificate checks.  The search has two
-forms with the same iteration and arithmetic, chosen by the number of
-budgets on the dual path: scalar Python, one budget at a time
-(:func:`_solve_dual`), below a measured crossover, and all budgets at once
-over numpy arrays (:func:`_lockstep_dual`) from it on.
+forms with the same iteration and arithmetic, and the same exp and log
+(:func:`_exp`, :func:`_log`), so that they hand back the same numbers, bit
+for bit: scalar Python, one budget at a time (:func:`_solve_dual`), and
+all budgets at once over numpy arrays (:func:`_lockstep_dual`).  The number
+of budgets on the dual path chooses between them, at a measured crossover,
+for speed alone.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ _MAX_DUAL_ITERS = 2000
 _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets that _solve_budgets hands to the lockstep search
 # (see its docstring for the measurement).
-_LOCKSTEP_MIN_BUDGETS = 20
+_LOCKSTEP_MIN_BUDGETS = 21
 
 
 @dataclass
@@ -231,6 +233,36 @@ def _power_map(gs, m, mu, v):
         C_t -= 0.5 * k / ps
         C_x += 0.5 * k / ps
     return p, S, C, S_t, S_x, C_t, C_x
+
+
+def _exp(x):
+    """math.exp(x) where that is a positive finite float, else NaN.
+
+    Both dual-search forms take every exp and log from this kernel and
+    :func:`_log`, the lockstep form one lane at a time (:func:`_lanes`):
+    IEEE 754 rounds +, -, *, / and sqrt correctly, but not exp and log,
+    whose last digits differ between libm and numpy's own loops.  A NaN
+    multiplier ends a search on its last evaluation, and a NaN in the
+    excess of its outer step leaves it the capped step of
+    :func:`_newton_step`.
+    """
+    try:
+        y = math.exp(x)
+    except OverflowError:
+        return math.nan
+    return y if 0.0 < y < math.inf else math.nan
+
+
+def _log(x):
+    """math.log(x) where x > 0, else NaN; see :func:`_exp`.  A NaN log of
+    the power sum ends a search on that evaluation."""
+    return math.log(x) if x > 0.0 else math.nan
+
+
+def _lanes(f, a):
+    """The kernel ``f`` (:func:`_exp` or :func:`_log`) of each lane of the
+    (n,) array ``a``."""
+    return np.fromiter(map(f, a.tolist()), float, a.size)
 
 
 def _newton_step(x, val, step, lo, hi, tol):
@@ -437,7 +469,9 @@ def _solve_dual(gs, m, gamma_tilde, ends):
     d log v* / d log mu and opens a new log v bracket.  Otherwise, and
     whenever the outer search has stopped before the inner one, the pass
     takes the inner step.  The search has converged when both have stopped.
-    A math error, or a non-finite S, C or derivative, ends it unconverged.
+    It ends unconverged where :func:`_exp` gives a NaN multiplier, on its
+    last evaluation, and where log S (:func:`_log`), C or a derivative is
+    not finite, or a power map divides by zero, on that evaluation.
 
     Returns (candidates, evaluations, converged).  The candidates are up to
     two evaluations, each (mu, v, powers) with the len(gs) communication
@@ -455,14 +489,16 @@ def _solve_dual(gs, m, gamma_tilde, ends):
     converged = False
     try:
         while evals < _MAX_DUAL_ITERS:
+            mu, v = _exp(t), _exp(x)
+            if math.isnan(mu + v):
+                break  # unconverged, on the last evaluation
             evals += 1
-            mu, v = math.exp(t), math.exp(x)
             p, S, C, S_t, S_x, C_t, C_x = _power_map(gs, m, mu, v)
             last = (mu, v, p)
-            if not math.isfinite(S + C + S_t + S_x + C_t + C_x):
-                break  # unconverged, like a lockstep lane
             # inner search: log S in log v
-            F = math.log(S)
+            F = _log(S)
+            if not math.isfinite(F + C + S_t + S_x + C_t + C_x):
+                break  # unconverged, like a lockstep lane
             dx_in = -F * S / S_x
             x_lo, x_hi = (x, x_hi) if F > 0.0 else (x_lo, x)
             inner_done, x_next = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
@@ -474,14 +510,14 @@ def _solve_dual(gs, m, gamma_tilde, ends):
             # to linear in log mu both for loose CRB budgets and near the
             # equal-split boundary
             c_v = C_x / C
-            G = math.log(C / gamma_tilde) + c_v * dx_in
+            G = _log(C / gamma_tilde) + c_v * dx_in
             if inner_done or abs(F) * min(1.0, abs(F)) <= _INNER_FRACTION * abs(G):
                 dx_dt = -S_t / S_x  # d log v* / d log mu
-                excess = C * math.exp(c_v * dx_in) - c_min
+                excess = C * _exp(c_v * dx_in) - c_min
                 step = math.nan
                 if excess > 0.0:
                     slope = (C_t + C_x * dx_dt) / excess
-                    step = -math.log(excess / (gamma_tilde - c_min)) / slope
+                    step = -_log(excess / (gamma_tilde - c_min)) / slope
                 if inner_done:  # G is measured
                     if G > 0.0:
                         t_lo = t
@@ -497,7 +533,7 @@ def _solve_dual(gs, m, gamma_tilde, ends):
                     t = t_next
                     continue
             x = x_next
-    except (ArithmeticError, ValueError):
+    except ZeroDivisionError:
         pass  # unconverged, with the last completed evaluation
     return [c for c in (last, at_t_hi) if c is not None], evals, converged
 
@@ -553,23 +589,29 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
 
 def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     """:func:`_power_map` for each lane of the (n,) arrays mu, v > 0, with
-    g the r communication gains and k = m - r sensing subchannels.
+    g the r communication gains and k = m - r sensing subchannels, with the
+    arithmetic of :func:`_power_map` operation for operation, so that each
+    lane gets that map's values bit for bit.
 
     Each stationary root is the monotone Newton iteration of
-    :func:`cubic_stationary_root`, run for all lanes and subchannels at once
+    :func:`cubic_stationary_root`, run for all subchannels and lanes at once
     until no iterate rises any more; a root that has stopped rising stays
-    put.  Returns the (n, r) communication powers and the (n,) arrays S, C
-    and the log-derivatives S_t, S_x, C_t and C_x, whose sums include the k
-    sensing subchannels' sqrt(mu/v).
+    put.  The sums add the subchannels in their order, as :func:`_power_map`
+    does: a running sum down the first axis, where numpy's ``sum`` would
+    add one lane's terms pairwise.  Returns the (r, n) communication powers
+    and the (n,) arrays S, C and the log-derivatives S_t, S_x, C_t and C_x,
+    whose sums include the k sensing subchannels' sqrt(mu/v).
     """
-    # (n, r) operands throughout: same-shape arithmetic is faster than
+    # (r, n) operands throughout: same-shape arithmetic is faster than
     # broadcasting at these sizes
     n, r = mu.size, g.size
-    G = g[None, :].repeat(n, axis=0)
+    G = g[:, None].repeat(n, axis=1)
     A = INV_LN2 * G
-    MU = mu.repeat(r).reshape(n, r)
-    V = v.repeat(r).reshape(n, r)
-    p = np.maximum(np.sqrt(MU / V), INV_LN2 / V - 1.0 / G)
+    MU = mu[None, :].repeat(r, axis=0)
+    V = v[None, :].repeat(r, axis=0)
+    p = np.sqrt(MU / V)
+    wf = INV_LN2 / V - 1.0 / G
+    p = np.where(wf > p, wf, p)  # max(), as Python takes it
     for _ in range(200):
         gp1 = G * p
         gp1 += 1.0
@@ -583,21 +625,26 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
         comm += sens  # -f'(p)
         f /= comm
         f += p  # the Newton iterate
-        if not (f > p).any():
+        rises = f > p
+        if not rises.any():
             break
-        p = np.maximum(p, f)
+        p = np.where(rises, f, p)
     h = G / (1.0 + G * p)
     inv2 = 1.0 / (p * p)
     d = INV_LN2 * h * h + 2.0 * MU * inv2 / p
     dp_dt = MU * inv2 / d
     dp_dx = -V / d
-    ps = np.sqrt(mu / v)
-    S = p.sum(axis=1) + k * ps
-    C = (1.0 / p).sum(axis=1) + k / ps
-    S_t = dp_dt.sum(axis=1) + 0.5 * k * ps
-    S_x = dp_dx.sum(axis=1) - 0.5 * k * ps
-    C_t = -(inv2 * dp_dt).sum(axis=1) - 0.5 * k / ps
-    C_x = -(inv2 * dp_dx).sum(axis=1) + 0.5 * k / ps
+    S, C, S_t, S_x = (np.add.accumulate(a)[-1] for a in (p, 1.0 / p, dp_dt, dp_dx))
+    # subtracted from 0.0, as _power_map subtracts them, down to a zero's sign
+    C_t, C_x = (0.0 - np.add.accumulate(inv2 * a)[-1] for a in (dp_dt, dp_dx))
+    if k:
+        ps = np.sqrt(mu / v)
+        S = S + k * ps
+        C = C + k / ps
+        S_t = S_t + 0.5 * k * ps
+        S_x = S_x - 0.5 * k * ps
+        C_t = C_t - 0.5 * k / ps
+        C_x = C_x + 0.5 * k / ps
     return p, S, C, S_t, S_x, C_t, C_x
 
 
@@ -628,9 +675,12 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
     and the outer step by the rule of :func:`_solve_dual`, and has its own
     budget of _MAX_DUAL_ITERS evaluations.  Both steps are computed for
     every lane and each lane keeps the one it chose, with the arithmetic of
-    the scalar form but for numpy's exp and log, at times an ulp off math's;
-    so a lane takes the evaluations of that form unless the search is that
-    sensitive, as just above p0.  Non-finite values stop a lane unconverged.
+    the scalar form operation for operation, its exps and logs from the
+    same kernels (:func:`_exp`, :func:`_log`); so each lane hands back what
+    :func:`_solve_dual` hands back for its budget, bit for bit.  Non-finite
+    values stop a lane unconverged, and so does a NaN from the kernels where
+    they stop the scalar form: a pass whose next multipliers are NaN is the
+    lane's last.
 
     The state arrays hold the live lanes only: on a pass where some lanes
     stop, their results are written out and every state array is compacted
@@ -643,25 +693,27 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
     """
     g, k = np.asarray(gs), m - len(gs)
     gt = np.asarray(gamma_tildes, dtype=float)
-    n = gt.size
     c_min = m * m
-    out = [None] * n
-    # state of the live lanes: their indices, log mu, log v and brackets, and
-    # mu, v and the powers evaluated at the feasible end of the log mu bracket
-    lane = np.arange(n)
-    t, x = np.array([_dual_start(ends, m, b) for b in gamma_tildes]).reshape(n, 2).T.copy()
+    out = [([], 0, False) for _ in gamma_tildes]  # a lane whose start's multipliers are NaN
+    # state of the live lanes: their indices, log mu, log v, multipliers and
+    # brackets, and mu, v and the powers evaluated at the feasible end of the
+    # log mu bracket
+    t, x = np.array([_dual_start(ends, m, b) for b in gamma_tildes]).reshape(-1, 2).T
+    mu, v = _lanes(_exp, t), _lanes(_exp, x)
+    lane = np.flatnonzero(~np.isnan(mu + v))
+    gt, t, x, mu, v = gt[lane], t[lane], x[lane], mu[lane], v[lane]
+    n = lane.size
     t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
     x_lo, x_hi = t_lo.copy(), t_hi.copy()
-    mu_hi, v_hi, p_hi = np.full(n, np.nan), np.full(n, np.nan), np.full((n, g.size), np.nan)
+    mu_hi, v_hi, p_hi = np.full(n, np.nan), np.full(n, np.nan), np.full((g.size, n), np.nan)
     evals = 0
     with np.errstate(all="ignore"):
         while lane.size and evals < _MAX_DUAL_ITERS:
             evals += 1
-            mu, v = np.exp(t), np.exp(x)
             p, S, C, S_t, S_x, C_t, C_x = _power_map_lanes(g, k, mu, v)
-            finite = np.isfinite(S + C + S_t + S_x + C_t + C_x)
             # inner search: log S in log v
-            F = np.log(S)
+            F = _lanes(_log, S)
+            finite = np.isfinite(F + C + S_t + S_x + C_t + C_x)
             dx_in = -F * S / S_x
             up = F > 0.0
             x_lo = np.where(up, x, x_lo)
@@ -670,18 +722,19 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
             dx_in = np.where(inner_done, 0.0, dx_in)
             # outer search along v*(mu), as in _solve_dual
             c_v = C_x / C
-            G = np.log(C / gt) + c_v * dx_in
+            G = _lanes(_log, C / gt) + c_v * dx_in
             dx_dt = -S_t / S_x  # d log v* / d log mu
-            excess = C * np.exp(c_v * dx_in) - c_min
+            excess = C * _lanes(_exp, c_v * dx_in) - c_min
             slope = (C_t + C_x * dx_dt) / excess
-            step = np.where(excess > 0.0, -np.log(excess / (gt - c_min)) / slope, np.nan)
+            # NaN where the excess is not positive, as in _solve_dual
+            step = -_lanes(_log, excess / (gt - c_min)) / slope
             up = G > 0.0  # only a measured G moves the bracket
             t_lo = np.where(inner_done & up, t, t_lo)
             # a non-finite evaluation measures no feasible end, as in _solve_dual
             feasible_end = inner_done & ~up & finite
             t_hi = np.where(feasible_end, t, t_hi)
             mu_hi, v_hi = np.where(feasible_end, mu, mu_hi), np.where(feasible_end, v, v_hi)
-            p_hi = np.where(feasible_end[:, None], p, p_hi)
+            p_hi = np.where(feasible_end, p, p_hi)
             outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
             # a lane whose inner search has stopped, or whose inner residual
             # is small against the outer one while the outer search goes on
@@ -697,19 +750,23 @@ def _lockstep_dual(gs, m, gamma_tildes, ends):
             x_lo = np.where(outer, -np.inf, x_lo)
             x_hi = np.where(outer, np.inf, x_hi)
             stop = inner_done & outer_done
-            done = stop | ~finite | (evals == _MAX_DUAL_ITERS)
+            mu_next, v_next = _lanes(_exp, t), _lanes(_exp, x)
+            done = stop | ~finite | (evals == _MAX_DUAL_ITERS) | np.isnan(mu_next + v_next)
             if done.any():
                 stopped = zip(lane[done].tolist(), (stop & finite)[done].tolist(),
-                              zip(mu[done].tolist(), v[done].tolist(), p[done].tolist()),
-                              zip(mu_hi[done].tolist(), v_hi[done].tolist(), p_hi[done].tolist()))
+                              zip(mu[done].tolist(), v[done].tolist(), p[:, done].T.tolist()),
+                              zip(mu_hi[done].tolist(), v_hi[done].tolist(),
+                                  p_hi[:, done].T.tolist()))
                 for j, converged, last, at_t_hi in stopped:
                     # mu_hi stays NaN until the lane measures a feasible end
                     candidates = [last] if math.isnan(at_t_hi[0]) else [last, at_t_hi]
                     out[j] = (candidates, evals, converged)
                 keep = ~done
                 lane, gt, t, x = lane[keep], gt[keep], t[keep], x[keep]
+                mu_next, v_next = mu_next[keep], v_next[keep]
                 t_lo, t_hi, x_lo, x_hi = t_lo[keep], t_hi[keep], x_lo[keep], x_hi[keep]
-                mu_hi, v_hi, p_hi = mu_hi[keep], v_hi[keep], p_hi[keep]
+                mu_hi, v_hi, p_hi = mu_hi[keep], v_hi[keep], p_hi[:, keep]
+            mu, v = mu_next, v_next
     return out
 
 
@@ -783,21 +840,25 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.15          0.64            3.4
-     8        0.52          0.99            4.5
-     12       0.76          1.04            4.6
-     16       1.03          1.16            4.6
-     18       1.15          1.19            4.6
-     20       1.27          1.22            4.6
-     24       1.51          1.30            4.6
-     32       2.02          1.40            4.6
-     50       3.10          1.67            4.6
+     2        0.10          0.57            3.4
+     8        0.40          0.86            4.5
+     12       0.59          0.92            4.6
+     16       0.79          0.97            4.6
+     18       0.90          1.00            4.6
+     20       0.99          1.01            4.6
+     21       1.04          1.02            4.6
+     24       1.20          1.06            4.6
+     32       1.59          1.15            4.6
+     50       2.50          1.33            4.6
     ====  ===========  =============  ===============
 
-    So the two forms break even between 18 and 20 budgets; two more runs at
-    16 to 22 budgets put the scalar form ahead up to 18, the two even at 19
-    and the lockstep form ahead from 20 on (at 20: 1.37 and 1.29 against
-    1.32 and 1.23 ms), so _LOCKSTEP_MIN_BUDGETS = 20 sits at the crossover.
+    So the two forms break even between 20 and 21 budgets; two more runs at
+    16 to 24 budgets put the scalar form ahead up to 20 (at 20: 1.01 and
+    1.00 against 1.03 and 1.02 ms) and the lockstep form ahead from 21 on
+    (at 21: 1.04 and 1.04 against 1.06 and 1.05 ms), so
+    _LOCKSTEP_MIN_BUDGETS = 21 sits at the crossover.  The two forms hand
+    back the same numbers, bit for bit, so the constant chooses a speed and
+    never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]

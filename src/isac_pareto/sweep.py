@@ -6,11 +6,13 @@ The optimal rows of all thresholds are solved together by
 :func:`solve_p1`: it gives each threshold its path (the equal-split
 boundary, water-filling or the dual search), runs one lockstep dual search
 over every threshold whose solution has both constraints tight, and
-certifies each result.  A lane of the lockstep search left at
-``iteration_limit`` gets a second opinion from :func:`solve_p1`'s scalar
-search; a budget that the scalar search already ran gets none.  Every row's
-CRB and rate come in closed form from its eigenbasis powers, over one array
-of all rows.  The EP/SEM rows come from the CRB and rate arrays of the split
+certifies each result.  The lockstep search is the scalar search of
+:func:`solve_p1` run for many thresholds at once, so each row is the
+:func:`solve_p1` of its threshold, bit for bit.  A lane of the lockstep
+search left at ``iteration_limit`` still gets a second opinion from
+:func:`solve_p1`, which repeats that search; a budget that the scalar
+search already ran gets none.  Every row's CRB and rate come in closed
+form from its eigenbasis powers, over one array of all rows.  The EP/SEM rows come from the CRB and rate arrays of the split
 sweep, with one batched selection of each threshold's best index per scheme
 (:func:`best_indices`); no point objects are built.  Whether the grid is
 capped is read from :func:`rate_max_point`, the one place that calls a
@@ -48,10 +50,9 @@ class SweepRow:
     :func:`solve_p1` second opinion; ``crb`` and ``rate`` are the closed
     forms of the row's eigenbasis powers.
 
-    ``mu`` and ``v`` are certified multipliers, but their trailing digits
-    are not determined on full-rank high-power links: a cold
-    :func:`solve_p1` of the same threshold can differ there by up to about
-    1e-4 relative, while ``crb`` and ``rate`` agree within about 1e-14.
+    An ``optimal``-scheme row is the :func:`solve_p1` of its threshold, bit
+    for bit: the same status, powers, ``mu``, ``v`` and ``kkt_residual``,
+    and the same ``iterations`` unless a second opinion added its own.
     """
 
     scheme: str
@@ -85,8 +86,7 @@ def _optimal_rows(H, scenario, gammas) -> list[SweepRow]:
     for g, (a, status) in zip(gammas, results):
         spent = 0
         if lockstep and status == "iteration_limit":
-            # the scalar search of solve_p1 certifies some lanes that the
-            # lockstep search leaves near the equal-split boundary
+            # solve_p1 repeats the lane's search, as its scalar twin
             spent = 0 if a is None else a.iterations
             rep = solve_p1(H, scenario, g)
             a, status = rep.allocation, rep.status

@@ -11,7 +11,7 @@ from isac_pareto.benchmarks import BetaSweep, best_at_crb, power_split_ep, power
 from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
-from isac_pareto.solver import _certify, solve_p1
+from isac_pareto.solver import solve_p1
 from isac_pareto.sweep import sweep
 
 solver_module = importlib.import_module("isac_pareto.solver")
@@ -178,10 +178,18 @@ def test_sweep_rejects_a_threshold_too_loose_for_the_dual_search(scenario1):
         sweep(H, sc, 50, crb_cap=1e305)
 
 
-def _rel(a, b):
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
+def _assert_row_is_cold_solve(H, sc, row):
+    # the row is the cold solve_p1 of its threshold, bit for bit: the same
+    # status, multipliers, evaluations and KKT residual, and its crb and
+    # rate are the closed forms of the cold powers
+    cold = solve_p1(H, sc, row.gamma_target)
+    a = cold.allocation
+    assert row.status == cold.status == "optimal", (sc, row)
+    assert [x.hex() for x in (row.mu, row.v, row.kkt_residual)] == [
+        x.hex() for x in (a.mu, a.v, a.kkt_residual)], (sc, row, a)
+    assert row.iterations == a.iterations, (sc, row, a)
+    assert (row.crb, row.rate) == (crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L),
+                                   rate_from_powers(H.lambdas2, a.p, sc.sigma_c2)), (sc, row, a)
 
 
 def _assert_rows_match_cold_solves(H, sc, n_points):
@@ -189,25 +197,18 @@ def _assert_rows_match_cold_solves(H, sc, n_points):
     opt = [r for r in res.rows if r.scheme == "optimal"]
     assert len(opt) == n_points
     for row in opt:
-        cold = solve_p1(H, sc, row.gamma_target)
-        assert row.status == cold.status
-        if row.status != "optimal":
-            continue
-        a = cold.allocation
-        for got, want in ((row.crb, cold.achieved.crb), (row.rate, cold.achieved.rate),
-                          (row.mu, a.mu), (row.v, a.v)):
-            assert _rel(got, want) <= 1e-9, (row, a)
+        _assert_row_is_cold_solve(H, sc, row)
 
 
 @pytest.mark.parametrize("P", [8.0, 80.0, 800.0])
 @pytest.mark.parametrize("case", ["scenario1", "scenario2"])
-def test_sweep_warm_start_matches_cold_solves(case, P, request):
+def test_sweep_rows_are_cold_solves(case, P, request):
     H, sc = request.getfixturevalue(case)
     _assert_rows_match_cold_solves(H, dataclasses.replace(sc, P=P), 50)
 
 
 @pytest.mark.parametrize("sc", FORMER_FAILURES, ids=FORMER_FAILURE_IDS)
-def test_sweep_warm_start_matches_cold_solves_on_former_failures(sc):
+def test_sweep_rows_are_cold_solves_on_former_failures(sc):
     _assert_rows_match_cold_solves(rician_channel(sc), sc, 50)
 
 
@@ -215,32 +216,19 @@ def test_lockstep_rows_match_cold_solves_on_stress_links():
     # every rank, Rician factor and 8 decades of power on the default grid.
     # A row's crb and rate are the closed forms of its powers, so they are
     # compared with the closed forms of the cold allocation, not with
-    # solve_p1's eigvalsh path.  Rows off the dual path (mu = 0 or nan) come
-    # from the allocation solve_p1 itself returns and must match exactly.
-    # On full-rank links at high power the multipliers are ill-determined:
-    # the stationarity equations v - mu/p_i^2 = g_i/((1 + g_i p_i) ln 2) are
-    # nearly parallel across subchannels, and two certified searches can
-    # differ by 1e-4 in mu and v.  So the multipliers of a dual row must
-    # instead certify the cold allocation.
-    lanes = 0
+    # solve_p1's eigvalsh path.  515 of these 2000 rows were not their cold
+    # solves while the lockstep search summed each lane pairwise and took
+    # numpy's exp and log: on full-rank links at high power the stationarity
+    # equations are nearly parallel across subchannels, and a last-digit
+    # difference moved certified multipliers by up to 1e-4
+    rows = lanes = 0
     for H, sc in stress_links(40):
-        opt = [r for r in sweep(H, sc, 50).rows if r.scheme == "optimal"]
-        gs = [float(x) / sc.sigma_c2 for x in H.lambdas2]
-        for row in opt:
-            cold = solve_p1(H, sc, row.gamma_target)
-            assert row.status == cold.status, (sc, row)
-            a = cold.allocation
-            crb = crb_from_powers(a.p, sc.sigma_s2, sc.Ns, sc.L)
-            rate = rate_from_powers(H.lambdas2, a.p, sc.sigma_c2)
-            if not a.mu > 0.0:
-                assert (row.crb, row.rate, row.iterations) == (crb, rate, a.iterations)
-                assert _rel(row.mu, a.mu) == 0.0 and _rel(row.v, a.v) == 0.0
-                continue
-            lanes += 1
-            assert _rel(row.crb, crb) <= 1e-9 and _rel(row.rate, rate) <= 1e-9, (sc, row, a)
-            ok, _, _ = _certify(gs, sc.M, a.p.tolist(), row.mu, row.v, cold.gamma_tilde, sc.P)
-            assert ok, (sc, row, a)
-    assert lanes > 1000
+        for row in sweep(H, sc, 50).rows:
+            if row.scheme == "optimal":
+                _assert_row_is_cold_solve(H, sc, row)
+                rows += 1
+                lanes += row.mu > 0.0
+    assert rows == 2000 and lanes > 1000
 
 
 def test_near_p0_sweeps_stay_optimal(monkeypatch):
@@ -253,11 +241,10 @@ def test_near_p0_sweeps_stay_optimal(monkeypatch):
     # the budget hands back its own evaluation at the bracket's feasible end
     # as well, which is certified instead.  Every row is optimal (4 of the
     # 6000 were not before that second candidate, and 325 when predictions
-    # moved the bracket), and no lane needs sweep's second opinion: link
-    # 117's lane at row 48 measured its feasible end at C 1.3e-9 under the
-    # budget, but the same point evaluated again by the scalar power map
-    # came out 1.5e-8 over it, so that lane got solve_p1's 24 + 25 = 49
-    # evaluations where its own 23 suffice
+    # moved the bracket), and no lane needs sweep's second opinion.  The
+    # search is sensitive to an ulp here: link 117's lane at row 48 takes
+    # the 24 evaluations of its scalar twin, where numpy's exp and log, an
+    # ulp off libm's, led it to 23
     calls = []
     monkeypatch.setattr(sweep_module, "solve_p1",
                         lambda *args, f=sweep_module.solve_p1: calls.append(args) or f(*args))
@@ -265,7 +252,7 @@ def test_near_p0_sweeps_stay_optimal(monkeypatch):
             for r in sweep(H, sc, 50, schemes=("optimal",)).rows]
     assert len(rows) == 6000
     assert sum(r.status != "optimal" for r in rows) == 0
-    assert calls == [] and rows[117 * 50 + 48].iterations == 23
+    assert calls == [] and rows[117 * 50 + 48].iterations == 24
 
 
 def test_sweeps_evaluate_power_maps_only_inside_the_searches(monkeypatch):
