@@ -43,13 +43,15 @@ converts into units of P once, on entry, where a subchannel whose gain
 underflows to 0 is searched as a dedicated sensing subchannel, and every
 candidate back once, just before its certificate; that conversion gives
 each dedicated sensing subchannel the power sqrt(mu/v) that the
-certificate checks.  The search has two
-forms with the same iteration and arithmetic, and the same exp and log
-(:func:`_exp`, :func:`_log`), so that they hand back the same numbers, bit
-for bit: scalar Python, one budget at a time (:func:`_solve_dual`), and
-all budgets at once over numpy arrays (:func:`_lockstep_dual`).  The number
-of budgets on the dual path chooses between them, at a measured crossover,
-for speed alone.
+certificate checks.  The search is one pass
+step (:meth:`_Search.step`), with every exp and log from :func:`_exp` and
+:func:`_log`, behind two power maps with the same arithmetic: one budget at
+a time in scalar Python (:func:`_solve_dual`, :func:`_power_map`), and all
+budgets at once, one numpy power map per pass over the live budgets, each
+then stepped on its own values (:func:`_lockstep_dual`,
+:func:`_power_map_lanes`).  So the two forms hand back the same numbers,
+bit for bit, and the number of budgets on the dual path chooses between
+them, at a measured crossover, for speed alone.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ _MAX_DUAL_ITERS = 2000
 _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets that _solve_budgets hands to the lockstep search
 # (see its docstring for the measurement).
-_LOCKSTEP_MIN_BUDGETS = 21
+_LOCKSTEP_MIN_BUDGETS = 14
 
 
 @dataclass
@@ -238,8 +240,8 @@ def _power_map(gs, m, mu, v):
 def _exp(x):
     """math.exp(x) where that is a positive finite float, else NaN.
 
-    Both dual-search forms take every exp and log from this kernel and
-    :func:`_log`, the lockstep form one lane at a time (:func:`_lanes`):
+    The dual search takes every exp and log from this kernel and
+    :func:`_log`, in both forms and the lockstep form one lane at a time:
     IEEE 754 rounds +, -, *, / and sqrt correctly, but not exp and log,
     whose last digits differ between libm and numpy's own loops.  A NaN
     multiplier ends a search on its last evaluation, and a NaN in the
@@ -257,12 +259,6 @@ def _log(x):
     """math.log(x) where x > 0, else NaN; see :func:`_exp`.  A NaN log of
     the power sum ends a search on that evaluation."""
     return math.log(x) if x > 0.0 else math.nan
-
-
-def _lanes(f, a):
-    """The kernel ``f`` (:func:`_exp` or :func:`_log`) of each lane of the
-    (n,) array ``a``."""
-    return np.fromiter(map(f, a.tolist()), float, a.size)
 
 
 def _newton_step(x, val, step, lo, hi, tol):
@@ -443,99 +439,144 @@ def _dual_start(ends, m, gamma_tilde):
     return x - 2.0 * math.log(m), x
 
 
+class _Search:
+    """One budget's dual search in units of P, the state that both search
+    forms keep per budget: log mu and log v (t and x) and their brackets,
+    and the latest evaluation and the one at the feasible end of the log mu
+    bracket, each (mu, v, powers).  It starts from :func:`_dual_start`;
+    :meth:`step` is its pass, and a form's driver only evaluates the power
+    map at :meth:`multipliers`."""
+
+    __slots__ = ("gamma_tilde", "c_min", "t", "x", "t_lo", "t_hi", "x_lo", "x_hi",
+                 "last", "at_t_hi", "converged")
+
+    def __init__(self, ends, m, gamma_tilde):
+        self.gamma_tilde, self.c_min = gamma_tilde, m * m
+        self.t, self.x = _dual_start(ends, m, gamma_tilde)
+        self.t_lo = self.x_lo = -math.inf
+        self.t_hi = self.x_hi = math.inf
+        self.last = self.at_t_hi = None
+        self.converged = False
+
+    def multipliers(self):
+        """(mu, v) of the next evaluation, from :func:`_exp`, or ``None`` where
+        either is NaN: the search then ends unconverged, on its last
+        evaluation."""
+        mu, v = _exp(self.t), _exp(self.x)
+        return None if math.isnan(mu + v) else (mu, v)
+
+    def step(self, mu, v, p, S, C, S_t, S_x, C_t, C_x):
+        """One pass on the evaluation of the power map at (mu, v); returns
+        whether the search has stopped, converged or not.
+
+        The pass computes the inner Newton step dx_in in log v on the power
+        budget residual F = log S, and the outer residual on the curve v*(mu)
+        to first order, G = log(C / gamma_tilde) + (C_x / C) dx_in, with
+        dx_in = 0 once the inner search has stopped: the Schur complement of
+        the joint 2x2 Newton system in (log mu, log v), whose entries are the
+        log-derivatives that the power map returns.  Once the inner search
+        has stopped, or |F| min(1, |F|) <= _INNER_FRACTION |G|, the pass
+        takes a step in log mu: G decides the stop test, and the predicted
+        trace inverse C exp((C_x / C) dx_in) the step.  The forcing test of
+        an inexact Newton step (Dembo, Eisenstat & Steihaug, 1982) would
+        compare |F| itself with |G|; but G is exact to first order in dx_in,
+        which is about F in size, so its error is O(F^2), and once |F| < 1
+        the test is on F^2.  Far from the root it is the fixed ratio.  So
+        the pass after an outer step, where |F| is still most of |G| but both
+        are small, need not spend an evaluation on the inner step alone.
+        Only a measured G, with the inner search stopped, moves the log mu
+        bracket: near p0 a predicted G can have the wrong sign.  The outer
+        step moves log v by dx_in plus the tangent d log v* / d log mu and
+        opens a new log v bracket.  Otherwise, and whenever the outer search
+        has stopped before the inner one, the pass takes the inner step.
+        The search has converged when both have stopped.  It stops
+        unconverged where log S (:func:`_log`), C or a derivative is not
+        finite, and a ZeroDivisionError of the pass stops it so in the
+        caller; either way on this evaluation.
+        """
+        self.last = (mu, v, p)
+        # inner search: log S in log v
+        F = _log(S)
+        if not math.isfinite(F + C + S_t + S_x + C_t + C_x):
+            return True
+        x = self.x
+        dx_in = -F * S / S_x
+        if F > 0.0:
+            self.x_lo = x
+        else:
+            self.x_hi = x
+        inner_done, x_next = _newton_step(x, F, dx_in, self.x_lo, self.x_hi, _INNER_TOL)
+        if inner_done:
+            dx_in = 0.0
+        # outer search along v*(mu), on log(C / gamma_tilde) after the inner
+        # step to first order; the step acts on the excess
+        # log((C - c_min) / (gamma_tilde - c_min)) instead, which is close to
+        # linear in log mu both for loose CRB budgets and near the
+        # equal-split boundary
+        c_v = C_x / C
+        G = _log(C / self.gamma_tilde) + c_v * dx_in
+        if inner_done or abs(F) * min(1.0, abs(F)) <= _INNER_FRACTION * abs(G):
+            t = self.t
+            dx_dt = -S_t / S_x  # d log v* / d log mu
+            excess = C * _exp(c_v * dx_in) - self.c_min
+            step = math.nan
+            if excess > 0.0:
+                slope = (C_t + C_x * dx_dt) / excess
+                step = -_log(excess / (self.gamma_tilde - self.c_min)) / slope
+            if inner_done:  # G is measured
+                if G > 0.0:
+                    self.t_lo = t
+                else:
+                    self.t_hi, self.at_t_hi = t, self.last
+            outer_done, t_next = _newton_step(t, G, step, self.t_lo, self.t_hi, _DUAL_TOL)
+            if outer_done and inner_done:
+                self.converged = True
+                return True
+            if not outer_done:
+                self.x = x + dx_in + dx_dt * (t_next - t)
+                self.x_lo, self.x_hi = -math.inf, math.inf
+                self.t = t_next
+                return False
+        self.x = x_next
+        return False
+
+    def result(self, evals):
+        """(candidates, evals, converged), as the search forms hand it back:
+        the candidates are the last evaluation and, if the search measured
+        one, the one at the feasible end of its log mu bracket, where
+        C <= gamma_tilde; there is none if nothing was evaluated."""
+        return [c for c in (self.last, self.at_t_hi) if c is not None], evals, self.converged
+
+
 def _solve_dual(gs, m, gamma_tilde, ends):
     """Dual pair with both constraints tight, by log-scale Newton in units of
     P from the start :func:`_dual_start` gives with the channel's
-    :func:`_ends`: the scalar form of :func:`_lockstep_dual`.
+    :func:`_ends`: the scalar form of the search, which evaluates
+    :func:`_power_map` once per pass and takes the pass :meth:`_Search.step`.
 
-    Each pass evaluates the power map once.  It computes the inner Newton
-    step dx_in in log v on the power budget residual F = log S, and the
-    outer residual on the curve v*(mu) to first order,
-    G = log(C / gamma_tilde) + (C_x / C) dx_in, with dx_in = 0 once the
-    inner search has stopped: the Schur complement of the joint 2x2 Newton
-    system in (log mu, log v), whose entries are the log-derivatives that
-    :func:`_power_map` returns.  Once the inner search has stopped, or
-    |F| min(1, |F|) <= _INNER_FRACTION |G|, the pass takes a step in log mu:
-    G decides the stop test, and the predicted trace inverse
-    C exp((C_x / C) dx_in) the step.  The forcing test of an inexact Newton
-    step (Dembo, Eisenstat & Steihaug, 1982) would compare |F| itself with
-    |G|; but G is exact to first order in dx_in, which is about F in size,
-    so its error is O(F^2), and once |F| < 1 the test is on F^2.  Far from
-    the root it is the fixed ratio.  So the pass after an outer step, where
-    |F| is still most of |G| but both are small, need not spend an
-    evaluation on the inner step alone.  Only a measured G, with the inner
-    search stopped, moves the log mu bracket: near p0 a predicted G can have
-    the wrong sign.  The outer step moves log v by dx_in plus the tangent
-    d log v* / d log mu and opens a new log v bracket.  Otherwise, and
-    whenever the outer search has stopped before the inner one, the pass
-    takes the inner step.  The search has converged when both have stopped.
-    It ends unconverged where :func:`_exp` gives a NaN multiplier, on its
-    last evaluation, and where log S (:func:`_log`), C or a derivative is
-    not finite, or a power map divides by zero, on that evaluation.
+    The search ends unconverged where :func:`_exp` gives a NaN multiplier,
+    on its last evaluation, where the pass stops it unconverged, on that
+    evaluation, and where the power map divides by zero, on the last
+    evaluation it completed.
 
     Returns (candidates, evaluations, converged).  The candidates are up to
     two evaluations, each (mu, v, powers) with the len(gs) communication
-    powers just as :func:`_power_map` returned them: the last one and, if
-    the search measured one, the one at the feasible end of its log mu
-    bracket, where C <= gamma_tilde.  There is none if nothing was
-    evaluated.
+    powers just as :func:`_power_map` returned them (see
+    :meth:`_Search.result`).
     """
-    c_min = m * m
-    t, x = _dual_start(ends, m, gamma_tilde)  # log mu, log v
-    t_lo = x_lo = -math.inf
-    t_hi = x_hi = math.inf
+    search = _Search(ends, m, gamma_tilde)
     evals = 0
-    last = at_t_hi = None  # (mu, v, powers) of the latest and the feasible-end evaluation
-    converged = False
     try:
         while evals < _MAX_DUAL_ITERS:
-            mu, v = _exp(t), _exp(x)
-            if math.isnan(mu + v):
+            mu_v = search.multipliers()
+            if mu_v is None:
                 break  # unconverged, on the last evaluation
             evals += 1
-            p, S, C, S_t, S_x, C_t, C_x = _power_map(gs, m, mu, v)
-            last = (mu, v, p)
-            # inner search: log S in log v
-            F = _log(S)
-            if not math.isfinite(F + C + S_t + S_x + C_t + C_x):
-                break  # unconverged, like a lockstep lane
-            dx_in = -F * S / S_x
-            x_lo, x_hi = (x, x_hi) if F > 0.0 else (x_lo, x)
-            inner_done, x_next = _newton_step(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
-            if inner_done:
-                dx_in = 0.0
-            # outer search along v*(mu), on log(C / gamma_tilde) after the
-            # inner step to first order; the step acts on the excess
-            # log((C - c_min) / (gamma_tilde - c_min)) instead, which is close
-            # to linear in log mu both for loose CRB budgets and near the
-            # equal-split boundary
-            c_v = C_x / C
-            G = _log(C / gamma_tilde) + c_v * dx_in
-            if inner_done or abs(F) * min(1.0, abs(F)) <= _INNER_FRACTION * abs(G):
-                dx_dt = -S_t / S_x  # d log v* / d log mu
-                excess = C * _exp(c_v * dx_in) - c_min
-                step = math.nan
-                if excess > 0.0:
-                    slope = (C_t + C_x * dx_dt) / excess
-                    step = -_log(excess / (gamma_tilde - c_min)) / slope
-                if inner_done:  # G is measured
-                    if G > 0.0:
-                        t_lo = t
-                    else:
-                        t_hi, at_t_hi = t, last
-                outer_done, t_next = _newton_step(t, G, step, t_lo, t_hi, _DUAL_TOL)
-                if outer_done and inner_done:
-                    converged = True
-                    break
-                if not outer_done:
-                    x = x + dx_in + dx_dt * (t_next - t)
-                    x_lo, x_hi = -math.inf, math.inf
-                    t = t_next
-                    continue
-            x = x_next
+            if search.step(*mu_v, *_power_map(gs, m, *mu_v)):
+                break
     except ZeroDivisionError:
         pass  # unconverged, with the last completed evaluation
-    return [c for c in (last, at_t_hi) if c is not None], evals, converged
+    return search.result(evals)
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P):
@@ -648,125 +689,47 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     return p, S, C, S_t, S_x, C_t, C_x
 
 
-def _newton_lanes(x, val, step, lo, hi, tol):
-    """:func:`_newton_step` for each lane: returns the lanes that stopped
-    and the next x."""
-    ulps = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
-    step = np.where(step * val > 0.0, step, np.copysign(_MAX_LOG_STEP, val))
-    step = np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
-    done = (np.abs(val) <= tol) | (hi - lo <= ulps) | (np.abs(step) <= ulps)
-    nx = x + step
-    inside = (lo < nx) & (nx < hi)
-    if inside.all():
-        return done, nx
-    mid = 0.5 * (np.where(lo == -np.inf, x - _MAX_LOG_STEP, lo)
-                 + np.where(hi == np.inf, x + _MAX_LOG_STEP, hi))
-    return done, np.where(inside, nx, mid)
-
-
 def _lockstep_dual(gs, m, gamma_tildes, ends):
     """:func:`_solve_dual` for many budgets of one channel at once.
 
-    Each budget is one lane.  Each lane starts where :func:`_solve_dual`
-    starts for its budget, from the same scalar :func:`_dual_start`, and all
-    run the passes of :func:`_solve_dual` in lockstep over numpy arrays: each
-    pass evaluates the power map once for every live lane, and each lane
-    keeps its own brackets on log mu and log v, chooses between the inner
-    and the outer step by the rule of :func:`_solve_dual`, and has its own
-    budget of _MAX_DUAL_ITERS evaluations.  Both steps are computed for
-    every lane and each lane keeps the one it chose, with the arithmetic of
-    the scalar form operation for operation, its exps and logs from the
-    same kernels (:func:`_exp`, :func:`_log`); so each lane hands back what
-    :func:`_solve_dual` hands back for its budget, bit for bit.  Non-finite
-    values stop a lane unconverged, and so does a NaN from the kernels where
-    they stop the scalar form: a pass whose next multipliers are NaN is the
-    lane's last.
-
-    The state arrays hold the live lanes only: on a pass where some lanes
-    stop, their results are written out and every state array is compacted
-    to the lanes left.  All live lanes have made the same number of
+    Each budget is one lane, a :class:`_Search` of its own, with its own
+    budget of _MAX_DUAL_ITERS evaluations.  Each pass evaluates
+    :func:`_power_map_lanes` once, over the live lanes, and then takes each
+    lane's pass :meth:`_Search.step` on that lane's values, as
+    :func:`_solve_dual` takes it on :func:`_power_map`'s: the two power maps
+    have the same arithmetic, so each lane hands back what
+    :func:`_solve_dual` hands back for its budget, bit for bit.  A lane
+    stops where the scalar search stops: where its pass stops it or raises
+    ZeroDivisionError, where it has spent its evaluations, and where its
+    next multipliers are NaN.  All live lanes have made the same number of
     evaluations, so one counter serves them all.
 
     Returns a list of one (candidates, evaluations, converged) per lane, as
-    :func:`_solve_dual` returns them for its budget, each candidate with the
-    values that :func:`_power_map_lanes` returned for that lane.
+    :func:`_solve_dual` returns them for its budget.
     """
     g, k = np.asarray(gs), m - len(gs)
-    gt = np.asarray(gamma_tildes, dtype=float)
-    c_min = m * m
-    out = [([], 0, False) for _ in gamma_tildes]  # a lane whose start's multipliers are NaN
-    # state of the live lanes: their indices, log mu, log v, multipliers and
-    # brackets, and mu, v and the powers evaluated at the feasible end of the
-    # log mu bracket
-    t, x = np.array([_dual_start(ends, m, b) for b in gamma_tildes]).reshape(-1, 2).T
-    mu, v = _lanes(_exp, t), _lanes(_exp, x)
-    lane = np.flatnonzero(~np.isnan(mu + v))
-    gt, t, x, mu, v = gt[lane], t[lane], x[lane], mu[lane], v[lane]
-    n = lane.size
-    t_lo, t_hi = np.full(n, -np.inf), np.full(n, np.inf)
-    x_lo, x_hi = t_lo.copy(), t_hi.copy()
-    mu_hi, v_hi, p_hi = np.full(n, np.nan), np.full(n, np.nan), np.full((g.size, n), np.nan)
+    searches = [_Search(ends, m, b) for b in gamma_tildes]
+    out = [search.result(0) for search in searches]  # a lane whose start's multipliers are NaN
+    live = [(j, search, search.multipliers()) for j, search in enumerate(searches)]
+    live = [lane for lane in live if lane[2] is not None]
     evals = 0
     with np.errstate(all="ignore"):
-        while lane.size and evals < _MAX_DUAL_ITERS:
+        while live:
             evals += 1
-            p, S, C, S_t, S_x, C_t, C_x = _power_map_lanes(g, k, mu, v)
-            # inner search: log S in log v
-            F = _lanes(_log, S)
-            finite = np.isfinite(F + C + S_t + S_x + C_t + C_x)
-            dx_in = -F * S / S_x
-            up = F > 0.0
-            x_lo = np.where(up, x, x_lo)
-            x_hi = np.where(up, x_hi, x)
-            inner_done, x_next = _newton_lanes(x, F, dx_in, x_lo, x_hi, _INNER_TOL)
-            dx_in = np.where(inner_done, 0.0, dx_in)
-            # outer search along v*(mu), as in _solve_dual
-            c_v = C_x / C
-            G = _lanes(_log, C / gt) + c_v * dx_in
-            dx_dt = -S_t / S_x  # d log v* / d log mu
-            excess = C * _lanes(_exp, c_v * dx_in) - c_min
-            slope = (C_t + C_x * dx_dt) / excess
-            # NaN where the excess is not positive, as in _solve_dual
-            step = -_lanes(_log, excess / (gt - c_min)) / slope
-            up = G > 0.0  # only a measured G moves the bracket
-            t_lo = np.where(inner_done & up, t, t_lo)
-            # a non-finite evaluation measures no feasible end, as in _solve_dual
-            feasible_end = inner_done & ~up & finite
-            t_hi = np.where(feasible_end, t, t_hi)
-            mu_hi, v_hi = np.where(feasible_end, mu, mu_hi), np.where(feasible_end, v, v_hi)
-            p_hi = np.where(feasible_end, p, p_hi)
-            outer_done, t_next = _newton_lanes(t, G, step, t_lo, t_hi, _DUAL_TOL)
-            # a lane whose inner search has stopped, or whose inner residual
-            # is small against the outer one while the outer search goes on
-            # (|F| min(1, |F|) <= _INNER_FRACTION |G|: G is off by O(F^2), as
-            # in _solve_dual), takes its outer step: log v moves by the inner
-            # step plus the tangent d log v* / d log mu and opens a new inner
-            # bracket; any other lane takes its inner step
-            abs_F = np.abs(F)
-            outer = inner_done | ((abs_F * np.minimum(1.0, abs_F) <= _INNER_FRACTION * np.abs(G))
-                                  & ~outer_done)
-            x = np.where(outer, x + dx_in + dx_dt * (t_next - t), x_next)
-            t = np.where(outer, t_next, t)
-            x_lo = np.where(outer, -np.inf, x_lo)
-            x_hi = np.where(outer, np.inf, x_hi)
-            stop = inner_done & outer_done
-            mu_next, v_next = _lanes(_exp, t), _lanes(_exp, x)
-            done = stop | ~finite | (evals == _MAX_DUAL_ITERS) | np.isnan(mu_next + v_next)
-            if done.any():
-                stopped = zip(lane[done].tolist(), (stop & finite)[done].tolist(),
-                              zip(mu[done].tolist(), v[done].tolist(), p[:, done].T.tolist()),
-                              zip(mu_hi[done].tolist(), v_hi[done].tolist(),
-                                  p_hi[:, done].T.tolist()))
-                for j, converged, last, at_t_hi in stopped:
-                    # mu_hi stays NaN until the lane measures a feasible end
-                    candidates = [last] if math.isnan(at_t_hi[0]) else [last, at_t_hi]
-                    out[j] = (candidates, evals, converged)
-                keep = ~done
-                lane, gt, t, x = lane[keep], gt[keep], t[keep], x[keep]
-                mu_next, v_next = mu_next[keep], v_next[keep]
-                t_lo, t_hi, x_lo, x_hi = t_lo[keep], t_hi[keep], x_lo[keep], x_hi[keep]
-                mu_hi, v_hi, p_hi = mu_hi[keep], v_hi[keep], p_hi[:, keep]
-            mu, v = mu_next, v_next
+            mu, v = (np.array(a) for a in zip(*(mu_v for _, _, mu_v in live)))
+            p, *sums = _power_map_lanes(g, k, mu, v)
+            evaluations = zip(p.T.tolist(), *(a.tolist() for a in sums))
+            lanes, live = live, []
+            for (j, search, mu_v), evaluation in zip(lanes, evaluations):
+                try:
+                    done = search.step(*mu_v, *evaluation)
+                except ZeroDivisionError:
+                    done = True
+                mu_v = None if done or evals == _MAX_DUAL_ITERS else search.multipliers()
+                if mu_v is None:
+                    out[j] = search.result(evals)
+                else:
+                    live.append((j, search, mu_v))
     return out
 
 
@@ -829,36 +792,38 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     the certificate gives ``iteration_limit``.
 
     A lockstep batch costs about as many passes as its slowest lane takes
-    evaluations, and each pass has a fixed numpy overhead, so it only beats
-    n scalar searches for large n.  Measured per stress link (mean over the
-    54 of the first 60 of ``tests/battery.stress_links`` that have such
-    budgets), with n budgets log-spaced from M^2/P (1 + 1e-6) to the smaller
-    of 1e3 M^2/P and just below the water-filling load, all on the dual
-    path, each the best of nine runs interleaved over n and both forms
+    evaluations, and each pass has a fixed numpy overhead in its power map,
+    while every lane's pass step costs what a scalar one does, so it only
+    beats n scalar searches for large n.  Measured per stress link (mean
+    over the 54 of the first 60 of ``tests/battery.stress_links`` that have
+    such budgets), with n budgets log-spaced from M^2/P (1 + 1e-6) to the
+    smaller of 1e3 M^2/P and just below the water-filling load, all on the
+    dual path, each the best of nine runs interleaved over n and both forms
     (Python 3.11, numpy 2.4, 2 vCPUs):
 
     ====  ===========  =============  ===============
      n    scalar (ms)  lockstep (ms)  lockstep passes
     ====  ===========  =============  ===============
-     2        0.10          0.57            3.4
-     8        0.40          0.86            4.5
-     12       0.59          0.92            4.6
-     16       0.79          0.97            4.6
-     18       0.90          1.00            4.6
-     20       0.99          1.01            4.6
-     21       1.04          1.02            4.6
-     24       1.20          1.06            4.6
-     32       1.59          1.15            4.6
-     50       2.50          1.33            4.6
+     2        0.10          0.33            3.4
+     8        0.44          0.60            4.5
+     12       0.66          0.70            4.6
+     13       0.72          0.72            4.6
+     14       0.78          0.75            4.6
+     16       0.89          0.79            4.6
+     20       1.11          0.88            4.6
+     21       1.16          0.89            4.6
+     24       1.34          0.97            4.6
+     32       1.80          1.14            4.6
+     50       2.84          1.51            4.6
     ====  ===========  =============  ===============
 
-    So the two forms break even between 20 and 21 budgets; two more runs at
-    16 to 24 budgets put the scalar form ahead up to 20 (at 20: 1.01 and
-    1.00 against 1.03 and 1.02 ms) and the lockstep form ahead from 21 on
-    (at 21: 1.04 and 1.04 against 1.06 and 1.05 ms), so
-    _LOCKSTEP_MIN_BUDGETS = 21 sits at the crossover.  The two forms hand
-    back the same numbers, bit for bit, so the constant chooses a speed and
-    never a result.
+    So the two forms break even at 13 budgets; two more runs at 12 to 16
+    budgets put the scalar form ahead at 12 (0.67 and 0.66 against 0.71 and
+    0.71 ms), even at 13 (0.72 and 0.72 against 0.72 and 0.73 ms) and the
+    lockstep form ahead from 14 on (at 14: 0.78 and 0.78 against 0.75 and
+    0.76 ms), so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two
+    forms hand back the same numbers, bit for bit, so the constant chooses
+    a speed and never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
