@@ -43,21 +43,21 @@ converts into units of P once, on entry, where a subchannel whose gain
 underflows to 0 is searched as a dedicated sensing subchannel, and every
 candidate back once, just before its certificate; that conversion gives
 each dedicated sensing subchannel the power sqrt(mu/v) that the
-certificate checks.  The search is one pass
-step (:meth:`_Search.step`), with every exp and log from :func:`_exp` and
-:func:`_log`, behind two power maps with the same arithmetic: one budget at
-a time in scalar Python (:func:`_solve_dual`, :func:`_power_map`), and all
-budgets at once, one numpy power map per pass over the live budgets, each
-then stepped on its own values (:func:`_lockstep_dual`,
-:func:`_power_map_lanes`).  So the two forms hand back the same numbers,
-bit for bit, and the number of budgets on the dual path chooses between
-them, at a measured crossover, for speed alone.
+certificate checks.  One driver, :func:`_dual_searches`, runs every
+channel's searches together, pass by pass; each search is one pass step
+(:meth:`_Search.step`), with every exp and log from :func:`_exp` and
+:func:`_log`, on the values of one of two power maps with the same
+arithmetic: scalar Python, once per search (:func:`_power_map`), or numpy,
+once per pass over all live searches (:func:`_power_map_lanes`).  So either
+map gives the same numbers, bit for bit, and the number of budgets on the
+dual path chooses between them, at a measured crossover, for speed alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,8 +106,8 @@ _MAX_DUAL_ITERS = 2000
 # Relative slack below M^2/P that still counts as a feasible budget, and on
 # either side of M^2/P that counts as the equal-split budget.
 _FEASIBILITY_RTOL = 1e-12
-# Fewest dual-path budgets that _solve_budgets hands to the lockstep search
-# (see its docstring for the measurement).
+# Fewest dual-path budgets of one channel whose searches _solve_budgets has
+# evaluated by the lanes power map (see its docstring for the measurement).
 _LOCKSTEP_MIN_BUDGETS = 14
 
 
@@ -241,12 +241,11 @@ def _exp(x):
     """math.exp(x) where that is a positive finite float, else NaN.
 
     The dual search takes every exp and log from this kernel and
-    :func:`_log`, in both forms and the lockstep form one lane at a time:
-    IEEE 754 rounds +, -, *, / and sqrt correctly, but not exp and log,
-    whose last digits differ between libm and numpy's own loops.  A NaN
-    multiplier ends a search on its last evaluation, and a NaN in the
-    excess of its outer step leaves it the capped step of
-    :func:`_newton_step`.
+    :func:`_log`, one search at a time, with either power map: IEEE 754
+    rounds +, -, *, / and sqrt correctly, but not exp and log, whose last
+    digits differ between libm and numpy's own loops.  A NaN multiplier
+    ends a search on its last evaluation, and a NaN in the excess of its
+    outer step leaves it the capped step of :func:`_newton_step`.
     """
     try:
         y = math.exp(x)
@@ -402,7 +401,7 @@ def _ends(gs, m, wf):
 
 
 def _dual_start(ends, m, gamma_tilde):
-    """log mu and log v, in units of P, that both dual searches start from for
+    """log mu and log v, in units of P, that the dual search starts from for
     the budget gamma_tilde > m^2, from the two-group surrogate of
     :func:`_ends`.
 
@@ -440,12 +439,12 @@ def _dual_start(ends, m, gamma_tilde):
 
 
 class _Search:
-    """One budget's dual search in units of P, the state that both search
-    forms keep per budget: log mu and log v (t and x) and their brackets,
-    and the latest evaluation and the one at the feasible end of the log mu
-    bracket, each (mu, v, powers).  It starts from :func:`_dual_start`;
-    :meth:`step` is its pass, and a form's driver only evaluates the power
-    map at :meth:`multipliers`."""
+    """One budget's dual search in units of P: log mu and log v (t and x) and
+    their brackets, and the latest evaluation and the one at the feasible
+    end of the log mu bracket, each (mu, v, powers).  It starts from
+    :func:`_dual_start`; :meth:`step` is its pass, and the driver,
+    :func:`_dual_searches`, only evaluates a power map at
+    :meth:`multipliers`."""
 
     __slots__ = ("gamma_tilde", "c_min", "t", "x", "t_lo", "t_hi", "x_lo", "x_hi",
                  "last", "at_t_hi", "converged")
@@ -541,42 +540,11 @@ class _Search:
         return False
 
     def result(self, evals):
-        """(candidates, evals, converged), as the search forms hand it back:
-        the candidates are the last evaluation and, if the search measured
-        one, the one at the feasible end of its log mu bracket, where
-        C <= gamma_tilde; there is none if nothing was evaluated."""
+        """(candidates, evals, converged), as :func:`_dual_searches` hands
+        it back: the candidates are the last evaluation and, if the search
+        measured one, the one at the feasible end of its log mu bracket,
+        where C <= gamma_tilde; there is none if nothing was evaluated."""
         return [c for c in (self.last, self.at_t_hi) if c is not None], evals, self.converged
-
-
-def _solve_dual(gs, m, gamma_tilde, ends):
-    """Dual pair with both constraints tight, by log-scale Newton in units of
-    P from the start :func:`_dual_start` gives with the channel's
-    :func:`_ends`: the scalar form of the search, which evaluates
-    :func:`_power_map` once per pass and takes the pass :meth:`_Search.step`.
-
-    The search ends unconverged where :func:`_exp` gives a NaN multiplier,
-    on its last evaluation, where the pass stops it unconverged, on that
-    evaluation, and where the power map divides by zero, on the last
-    evaluation it completed.
-
-    Returns (candidates, evaluations, converged).  The candidates are up to
-    two evaluations, each (mu, v, powers) with the len(gs) communication
-    powers just as :func:`_power_map` returned them (see
-    :meth:`_Search.result`).
-    """
-    search = _Search(ends, m, gamma_tilde)
-    evals = 0
-    try:
-        while evals < _MAX_DUAL_ITERS:
-            mu_v = search.multipliers()
-            if mu_v is None:
-                break  # unconverged, on the last evaluation
-            evals += 1
-            if search.step(*mu_v, *_power_map(gs, m, *mu_v)):
-                break
-    except ZeroDivisionError:
-        pass  # unconverged, with the last completed evaluation
-    return search.result(evals)
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P):
@@ -689,40 +657,61 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     return p, S, C, S_t, S_x, C_t, C_x
 
 
-def _lockstep_dual(gs, m, gamma_tildes, ends):
-    """:func:`_solve_dual` for many budgets of one channel at once.
+def _dual_searches(gs, m, gamma_tildes, ends, lanes):
+    """One dual search per budget of one channel, each a :class:`_Search`
+    from the start :func:`_dual_start` gives with the channel's
+    :func:`_ends`, with its own budget of _MAX_DUAL_ITERS evaluations.
 
-    Each budget is one lane, a :class:`_Search` of its own, with its own
-    budget of _MAX_DUAL_ITERS evaluations.  Each pass evaluates
-    :func:`_power_map_lanes` once, over the live lanes, and then takes each
-    lane's pass :meth:`_Search.step` on that lane's values, as
-    :func:`_solve_dual` takes it on :func:`_power_map`'s: the two power maps
-    have the same arithmetic, so each lane hands back what
-    :func:`_solve_dual` hands back for its budget, bit for bit.  A lane
-    stops where the scalar search stops: where its pass stops it or raises
-    ZeroDivisionError, where it has spent its evaluations, and where its
-    next multipliers are NaN.  All live lanes have made the same number of
-    evaluations, so one counter serves them all.
+    The searches run pass by pass over the live ones.  Each pass evaluates
+    the power map at each live search's :meth:`_Search.multipliers` and
+    then takes each search's pass :meth:`_Search.step` on its own values.
+    With ``lanes`` the pass evaluates :func:`_power_map_lanes` once over
+    all live searches; without it, :func:`_power_map` once per search.  The
+    two maps have the same arithmetic, so each search hands back the same
+    numbers, bit for bit, whichever map evaluates it.  Where they part is a
+    division by zero: Python raises ZeroDivisionError, while numpy only
+    sets its divide flag (or, for 0/0, its invalid flag) and carries an inf
+    or NaN on.  So the lanes map runs with both flags raising
+    FloatingPointError, a pass that raises it is evaluated by
+    :func:`_power_map` instead, lane by lane, and a search whose map divides
+    by zero ends there with either map; an invalid operation that is no
+    division gives a NaN in both maps, and costs that pass only time.
 
-    Returns a list of one (candidates, evaluations, converged) per lane, as
-    :func:`_solve_dual` returns them for its budget.
+    A search ends unconverged where its next multipliers are NaN, on its
+    last evaluation; where its pass stops it unconverged, on that
+    evaluation; and where its power map or its pass divides by zero, on
+    the last evaluation it completed.  All live searches have made the same
+    number of evaluations, so one counter serves them all.
+
+    Returns one (candidates, evaluations, converged) per budget.  The
+    candidates are up to two evaluations, each (mu, v, powers) with the
+    len(gs) communication powers just as the power map returned them (see
+    :meth:`_Search.result`).
     """
-    g, k = np.asarray(gs), m - len(gs)
+    g, k = np.asarray(gs) if lanes else None, m - len(gs)
     searches = [_Search(ends, m, b) for b in gamma_tildes]
     out = [search.result(0) for search in searches]  # a lane whose start's multipliers are NaN
     live = [(j, search, search.multipliers()) for j, search in enumerate(searches)]
     live = [lane for lane in live if lane[2] is not None]
     evals = 0
-    with np.errstate(all="ignore"):
+    # numpy arithmetic runs only in the lanes map; the scalar searches skip
+    # the cost of setting its error state
+    with np.errstate(all="ignore", divide="raise", invalid="raise") if lanes else nullcontext():
         while live:
             evals += 1
-            mu, v = (np.array(a) for a in zip(*(mu_v for _, _, mu_v in live)))
-            p, *sums = _power_map_lanes(g, k, mu, v)
-            evaluations = zip(p.T.tolist(), *(a.tolist() for a in sums))
-            lanes, live = live, []
-            for (j, search, mu_v), evaluation in zip(lanes, evaluations):
+            values = None
+            if lanes:
+                mu, v = (np.array(a) for a in zip(*(mu_v for _, _, mu_v in live)))
                 try:
-                    done = search.step(*mu_v, *evaluation)
+                    p, *sums = _power_map_lanes(g, k, mu, v)
+                    values = zip(p.T.tolist(), *(a.tolist() for a in sums))
+                except FloatingPointError:
+                    pass  # evaluated by _power_map, which raises where it divides by zero
+            searching, live = live, []
+            for j, search, mu_v in searching:
+                try:
+                    done = search.step(*mu_v, *(_power_map(gs, m, *mu_v) if values is None
+                                                else next(values)))
                 except ZeroDivisionError:
                     done = True
                 mu_v = None if done or evals == _MAX_DUAL_ITERS else search.multipliers()
@@ -746,8 +735,8 @@ def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
 def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     """Solve the CRB-constrained problem for each trace-inverse budget of one
     channel; returns one (allocation, status) pair per budget, with
-    allocation ``None`` when there is none to report, and whether the
-    lockstep form searched the budgets on the dual path.
+    allocation ``None`` when there is none to report, and whether the lanes
+    power map evaluated the searches of the budgets on the dual path.
 
     Everything above the minimum is decided and searched in units of P:
     the gains g P that stay positive there (any other subchannel is searched
@@ -763,11 +752,11 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       from the channel's one :func:`~.closed_form._waterfill_unit`, which
       :func:`_ends` shares;
     * otherwise both constraints are tight and the dual pair is searched
-      for: by one scalar :func:`_solve_dual` per budget when there are fewer
-      than _LOCKSTEP_MIN_BUDGETS such budgets, else by one
-      :func:`_lockstep_dual` over all of them.  A budget above the
-      searchable limit of :func:`_ends`, where the search would need a
-      subnormal mu', or whose value in units of P overflows, raises
+      for, by one :func:`_dual_searches` over all such budgets, whose
+      searches the scalar power map evaluates when there are fewer than
+      _LOCKSTEP_MIN_BUDGETS of them and the lanes map otherwise.  A budget
+      above the searchable limit of :func:`_ends`, where the search would
+      need a subnormal mu', or whose value in units of P overflows, raises
       ``ValueError`` naming the loosest CRB threshold and the largest
       searchable one, or, if that limit is at or below the minimum M^2,
       naming P and sigma_c2, at which no threshold above the minimum can be
@@ -776,12 +765,12 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
 
     One loop then judges every candidate, water-filling and dual alike,
     and evaluates nothing: the water-filling is one candidate, and each
-    search hands back the evaluations it ends on (see :func:`_solve_dual`).
+    search hands back the evaluations it ends on (see :func:`_dual_searches`).
     Each is mapped back by the one conversion p = P q, mu = P mu' and
     v = v' / P.  The same conversion gives each dedicated sensing
     subchannel sqrt(mu / v) of the converted multipliers, the very
     expression the certificate checks, or inf where v is not positive, as a
-    lane stopped by a non-finite evaluation can leave v' = 0.  Each
+    search stopped by a non-finite evaluation can leave v' = 0.  Each
     candidate is judged in the original units: one with finite powers
     gets :func:`_certify`, and it is ``optimal`` if and only if it converged
     and passed.  A converged search whose last evaluation fails with the
@@ -791,39 +780,37 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     evaluations, ends on a math error or a non-finite evaluation, or misses
     the certificate gives ``iteration_limit``.
 
-    A lockstep batch costs about as many passes as its slowest lane takes
-    evaluations, and each pass has a fixed numpy overhead in its power map,
-    while every lane's pass step costs what a scalar one does, so it only
-    beats n scalar searches for large n.  Measured per stress link (mean
-    over the 54 of the first 60 of ``tests/battery.stress_links`` that have
-    such budgets), with n budgets log-spaced from M^2/P (1 + 1e-6) to the
-    smaller of 1e3 M^2/P and just below the water-filling load, all on the
-    dual path, each the best of nine runs interleaved over n and both forms
-    (Python 3.11, numpy 2.4, 2 vCPUs):
+    With the lanes map a batch costs about as many passes as its slowest
+    search takes evaluations, and each pass has a fixed numpy overhead in
+    its power map, while every search's pass step costs what it does with
+    the scalar map, so the lanes map only pays for large n.  Measured by
+    ``PYTHONPATH=src python tests/battery.py crossover`` (see there: the
+    searches of one channel's n budgets, mean per link over the 54 of the
+    first 60 stress links that have such budgets, each time the best of
+    nine runs; Python 3.11, numpy 2.4, 2 vCPUs):
 
-    ====  ===========  =============  ===============
-     n    scalar (ms)  lockstep (ms)  lockstep passes
-    ====  ===========  =============  ===============
-     2        0.10          0.33            3.4
-     8        0.44          0.60            4.5
-     12       0.66          0.70            4.6
-     13       0.72          0.72            4.6
-     14       0.78          0.75            4.6
-     16       0.89          0.79            4.6
-     20       1.11          0.88            4.6
-     21       1.16          0.89            4.6
-     24       1.34          0.97            4.6
-     32       1.80          1.14            4.6
-     50       2.84          1.51            4.6
-    ====  ===========  =============  ===============
+    ====  ===========  ==========  ============
+     n    scalar (ms)  lanes (ms)  lanes passes
+    ====  ===========  ==========  ============
+     2        0.09        0.30          3.4
+     8        0.41        0.54          4.5
+     12       0.61        0.65          4.6
+     13       0.67        0.67          4.6
+     14       0.73        0.69          4.6
+     16       0.83        0.74          4.6
+     20       1.03        0.82          4.6
+     21       1.11        0.82          4.6
+     24       1.23        0.88          4.6
+     32       1.65        1.04          4.6
+     50       2.58        1.40          4.6
+    ====  ===========  ==========  ============
 
-    So the two forms break even at 13 budgets; two more runs at 12 to 16
-    budgets put the scalar form ahead at 12 (0.67 and 0.66 against 0.71 and
-    0.71 ms), even at 13 (0.72 and 0.72 against 0.72 and 0.73 ms) and the
-    lockstep form ahead from 14 on (at 14: 0.78 and 0.78 against 0.75 and
-    0.76 ms), so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two
-    forms hand back the same numbers, bit for bit, so the constant chooses
-    a speed and never a result.
+    So the two maps break even at 13 budgets; in three runs the scalar map
+    was ahead at 12 (0.61 to 0.63 against 0.65 to 0.67 ms), about even at
+    13, and the lanes map ahead from 14 on (0.72 to 0.73 against 0.69 to
+    0.71 ms), so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two maps give
+    the same numbers, bit for bit, so the constant chooses a speed and
+    never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -857,6 +844,7 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             else:
                 dual.append(j)
                 gts_P.append(gt_P)
+    lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
     if dual:
         ends = _ends(gs_P, m, wf)
         if max(gts_P) > ends.limit:
@@ -867,11 +855,7 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                               for x in (max(gamma_tildes[j] for j in dual), ends.limit / P))
             raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
                              f"thresholds above {crb_limit:.6g} cannot be searched")
-    lockstep = len(dual) >= _LOCKSTEP_MIN_BUDGETS
-    if lockstep:
-        found += zip(dual, _lockstep_dual(gs_P, m, gts_P, ends))
-    else:
-        found += [(j, _solve_dual(gs_P, m, gt, ends)) for j, gt in zip(dual, gts_P)]
+        found += zip(dual, _dual_searches(gs_P, m, gts_P, ends, lockstep))
     # a search that evaluated nothing has no candidate, and leaves its budget
     # at iteration_limit
     for j, (candidates, evals, converged) in found:
@@ -911,12 +895,13 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;
     water-filling with a zero CRB multiplier when that already meets the
-    budget; and otherwise the scalar dual search :func:`_solve_dual`,
-    Newton steps in log v on the power budget and in log mu on the CRB
-    budget from the boundary of the channel's two-group surrogate, each kept
-    in a sign-change bracket and capped.  ``optimal`` is only reported with a passing KKT certificate,
-    and a search that spends its _MAX_DUAL_ITERS power-map evaluations
-    gives ``iteration_limit``.
+    budget; and otherwise the dual search of :func:`_dual_searches` with
+    the scalar power map, Newton steps in log v on the power budget and in
+    log mu on the CRB budget from the boundary of the channel's two-group
+    surrogate, each kept in a sign-change bracket and capped.  ``optimal``
+    is only reported with a passing KKT certificate, and a search that
+    spends its _MAX_DUAL_ITERS power-map evaluations gives
+    ``iteration_limit``.
     """
     _check_channel(H, scenario)
     m = scenario.M

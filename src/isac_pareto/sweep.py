@@ -4,17 +4,20 @@ solves and benchmark curves matched to the same grid.
 The optimal rows of all thresholds are solved together by
 :func:`solver._solve_budgets`, the routine that also serves
 :func:`solve_p1`: it gives each threshold its path (the equal-split
-boundary, water-filling or the dual search), runs one lockstep dual search
-over every threshold whose solution has both constraints tight, and
-certifies each result.  The lockstep search is the scalar search of
-:func:`solve_p1` run for many thresholds at once, so each row is the
-:func:`solve_p1` of its threshold, bit for bit.  A lane of the lockstep
-search left at ``iteration_limit`` still gets a second opinion from
-:func:`solve_p1`, which repeats that search; a budget that the scalar
-search already ran gets none.  Every row's CRB and rate come in closed
-form from its eigenbasis powers, over one array of all rows.  The EP/SEM rows come from the CRB and rate arrays of the split
-sweep, with one batched selection of each threshold's best index per scheme
-(:func:`best_indices`); no point objects are built.  Whether the grid is
+boundary, water-filling or the dual search), runs the dual searches of
+every threshold whose solution has both constraints tight in one driver,
+and certifies each result.  Each search is the one :func:`solve_p1` runs
+for its threshold, whichever power map evaluates it, so each row is the
+:func:`solve_p1` of its threshold, bit for bit.  The lanes power map
+evaluates the searches of a sweep with _LOCKSTEP_MIN_BUDGETS dual
+thresholds or more, as a 50-point sweep has, and the scalar map those of
+a smaller one, as a 10-point sweep; a row left at ``iteration_limit``
+under the lanes map still gets a second opinion from :func:`solve_p1`,
+which repeats its search, and one under the scalar map gets none.  Every
+row's CRB and rate come in closed form from its eigenbasis powers, over
+one array of all rows.  The EP/SEM rows come from the CRB and rate arrays
+of the split sweep, with one batched selection of each threshold's best
+index per scheme (:func:`best_indices`); no point objects are built.  Whether the grid is
 capped is read from :func:`rate_max_point`, the one place that calls a
 water-filled subchannel dry; a capped sweep has no time-switching segment.
 """
@@ -46,9 +49,9 @@ AUTO_CAP_FACTOR = 100.0
 class SweepRow:
     """One row of a sweep.  On an ``optimal``-scheme row, ``iterations``
     counts power-map evaluations: those of the threshold's dual search,
-    plus, for a lockstep lane left at ``iteration_limit``, those of its
-    :func:`solve_p1` second opinion; ``crb`` and ``rate`` are the closed
-    forms of the row's eigenbasis powers.
+    plus, for a row left at ``iteration_limit`` by a search of the lanes
+    power map, those of its :func:`solve_p1` second opinion; ``crb`` and
+    ``rate`` are the closed forms of the row's eigenbasis powers.
 
     An ``optimal``-scheme row is the :func:`solve_p1` of its threshold, bit
     for bit: the same status, powers, ``mu``, ``v`` and ``kkt_residual``,

@@ -15,20 +15,33 @@ so that a change's effect on all of them can be compared before and after;
     PYTHONPATH=src python tests/battery.py cases
 
 prints one line per case instead (battery, label, status and evaluations),
-so that a ``diff`` of two runs lists every case whose status or count moved.
+so that a ``diff`` of two runs lists every case whose status or count moved;
+
+    PYTHONPATH=src python tests/battery.py crossover
+
+times the dual searches of stress links with either power map, and prints
+the table that sets the solver's _LOCKSTEP_MIN_BUDGETS (see
+:func:`crossover`).
 """
 
 import math
 import sys
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
+from isac_pareto.closed_form import (
+    _waterfill_unit,
+    crb_min_point,
+    p0_threshold,
+    rate_max_point,
+    waterfill,
+)
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
-from isac_pareto.solver import solve_p1
+from isac_pareto.solver import _dual_searches, _ends, solve_p1
 from isac_pareto.sweep import sweep
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,6 +168,21 @@ def scale_ladder():
         yield rician_channel(sc), sc
 
 
+def dual_budgets(H, sc, n):
+    """n trace-inverse budgets log-spaced from just above M^2/P to the
+    smaller of 1e3 M^2/P and just below the water-filling load; all are on
+    the dual path unless that load is within 1e-6 of M^2/P, and then none
+    is returned."""
+    c_min = sc.M * sc.M / sc.P
+    hi = 1e3 * c_min
+    if H.r == sc.M:
+        wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
+        if np.all(wf.p > 0.0):
+            hi = min(hi, float((1.0 / wf.p).sum()) * (1.0 - 1e-6))
+    lo = c_min * (1.0 + 1e-6)
+    return list(lo * (hi / lo) ** np.linspace(0.0, 1.0, n)) if hi > lo else []
+
+
 def _solves(links, factors):
     """One (label, status, evaluations) record per link and factor: those of
     ``solve_p1`` at that factor times the minimum CRB, with the name of the
@@ -197,9 +225,54 @@ def census():
                                               LADDER_FACTORS)
 
 
+# batch sizes of the crossover table, and the runs each time is the best of
+CROSSOVER_SIZES = (2, 8, 12, 13, 14, 16, 20, 21, 24, 32, 50)
+CROSSOVER_RUNS = 9
+
+
+def crossover():
+    """Yield (n, links, scalar ms, lanes ms, lanes passes) for each batch
+    size n of CROSSOVER_SIZES: the time of one dual-search call per stress
+    link with n :func:`dual_budgets`, all on the dual path, with the scalar
+    power map and with the lanes map, and the passes that the lanes map
+    takes, as many as its slowest search takes evaluations.  Times and
+    passes are means per link over the ``links`` of the first 60 stress
+    links that have such budgets; each time is the best of CROSSOVER_RUNS
+    runs over all links, interleaved over n and both maps.  Only the
+    searches are timed: the certificates that follow them cost the same
+    with either map."""
+    batches = {n: [] for n in CROSSOVER_SIZES}
+    for H, sc in stress_links(60):
+        gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+        ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
+        for n, batch in batches.items():
+            gts = [gt * sc.P for gt in dual_budgets(H, sc, n)]
+            if gts:
+                batch.append((gs, sc.M, gts, ends))
+    best = {}
+    for _ in range(CROSSOVER_RUNS):
+        for n, batch in batches.items():
+            for lanes in (False, True):
+                start = time.perf_counter()
+                for gs, m, gts, ends in batch:
+                    _dual_searches(gs, m, gts, ends, lanes)
+                elapsed = time.perf_counter() - start
+                best[n, lanes] = min(best.get((n, lanes), math.inf), elapsed)
+    for n, batch in batches.items():
+        passes = [max(evals for _, evals, _ in _dual_searches(*args, True)) for args in batch]
+        links = len(batch)
+        yield (n, links, 1e3 * best[n, False] / links, 1e3 * best[n, True] / links,
+               sum(passes) / links)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["census"], ["cases"]):
-        sys.exit("usage: python tests/battery.py census|cases")
+    if sys.argv[1:] not in (["census"], ["cases"], ["crossover"]):
+        sys.exit("usage: python tests/battery.py census|cases|crossover")
+    if sys.argv[1] == "crossover":
+        print(" n  links  scalar (ms)  lanes (ms)  lanes passes")
+        for n, links, scalar, lanes, passes in crossover():
+            print(f"{n:3d}  {links:5d}  {scalar:11.2f}  {lanes:10.2f}  {passes:12.1f}")
+        sys.exit()
     for name, records in census():
         if sys.argv[1] == "cases":
             for label, status, evals in records:

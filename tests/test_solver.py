@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from battery import STRESS_FACTORS, near_p0_links, stress_links
+from battery import STRESS_FACTORS, dual_budgets, near_p0_links, stress_links
 from isac_pareto.closed_form import (
     _waterfill_unit,
     asymptotic_allocation,
@@ -24,13 +24,12 @@ from isac_pareto.metrics import (
 )
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
+    _dual_searches,
     _dual_start,
     _ends,
-    _lockstep_dual,
     _power_map,
     _power_map_lanes,
     _solve_budgets,
-    _solve_dual,
     at_equal_split,
     cubic_stationary_root,
     feasibility_check,
@@ -42,6 +41,17 @@ from isac_pareto.sweep import sweep
 solver_module = importlib.import_module("isac_pareto.solver")
 
 INV_LN2 = 1.0 / math.log(2.0)
+
+
+def _scalar_search(gs, m, gamma_tilde, ends):
+    # one budget's dual search, evaluated by the scalar power map
+    (result,) = _dual_searches(gs, m, [gamma_tilde], ends, False)
+    return result
+
+
+def _lanes_searches(gs, m, gamma_tildes, ends):
+    # a batch of dual searches, evaluated by the lanes power map
+    return _dual_searches(gs, m, gamma_tildes, ends, True)
 
 
 def _bisect_root(g, mu, v):
@@ -134,7 +144,7 @@ def test_cubic_log_uniform_sweep_vs_bisection():
         root = cubic_stationary_root(g, mu, v)
         assert abs(root - pr) <= 1e-10 * pr, (g, mu, v)
         assert _scaled_residual(root, g, mu, v) <= 1e-12, (g, mu, v)
-        # the lockstep power map, one lane per point, finds the same root
+        # the lanes power map, one lane per point, finds the same root
         powers = _power_map_lanes(np.array([g]), 0, np.array([mu]), np.array([v]))[0]
         assert powers[0, 0] == root, (g, mu, v)
 
@@ -159,16 +169,16 @@ def test_power_map_log_derivatives_match_central_differences():
     # both maps return mu dS/dmu, v dS/dv, mu dC/dmu and v dC/dv, the
     # derivatives in (log mu, log v) that the searches step on; check them
     # against central differences at each link's dual pairs of a few budgets.
-    # The lockstep map, alone or beside another lane, returns the scalar
-    # map's values bit for bit
+    # The lanes map, alone or beside another lane, returns the scalar map's
+    # values bit for bit
     h = 1e-5
     points = 0
     for H, sc in stress_links(12):
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         k = sc.M - len(gs)
-        for gt in _dual_budgets(H, sc, 3):
+        for gt in dual_budgets(H, sc, 3):
             ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
-            (mu, v, _), *_ = _solve_dual(gs, sc.M, gt * sc.P, ends)[0]
+            (mu, v, _), *_ = _scalar_search(gs, sc.M, gt * sc.P, ends)[0]
             p, S, C, *logd = _power_map(gs, sc.M, mu, v)
             for n in (1, 2):
                 lanes = _power_map_lanes(np.array(gs), k, np.full(n, mu), np.full(n, v))
@@ -383,9 +393,9 @@ def test_solve_iteration_limit_reported(monkeypatch):
 def test_stress_battery_every_solve_optimal(monkeypatch):
     # 400 random links across ranks, Rician factors and 8 decades of power,
     # each at 8 thresholds from the equal-split boundary to a loose budget:
-    # one solve_p1 call per threshold (the scalar search), and all 8 of a
-    # link as one batch (the lockstep search, which _solve_budgets is made
-    # to take for so few budgets), which must certify every lane on its
+    # one solve_p1 call per threshold (the scalar power map), and all 8 of a
+    # link as one batch (the lanes map, which _solve_budgets is made to take
+    # for so few budgets), which must certify every lane on its
     # own, near-boundary ones included.  A dual-path result is the one with
     # evaluations; a batch costs as many passes as its slowest lane takes
     # evaluations.  From the equal split the searches took 10.5 evaluations
@@ -455,7 +465,7 @@ def test_large_sensing_powers_are_certified(P, sigma_c2, f):
 
 
 def test_sensing_powers_are_formed_once_at_the_conversion(monkeypatch):
-    # both search forms carry the r' communication powers only, and
+    # the searches carry the r' communication powers only, and
     # _solve_budgets gives each dedicated sensing subchannel sqrt(mu / v) of
     # the converted multipliers mu = P mu' and v = v' / P.  A rank-1 link at
     # P = 1 with gain 1, whose scalar search is made to end at mu' = v' = 1,
@@ -466,30 +476,30 @@ def test_sensing_powers_are_formed_once_at_the_conversion(monkeypatch):
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
     ends = _ends([1.0], 2, _waterfill_unit([1.0], 1.0))
-    assert {len(q) for _, _, q in _solve_dual([1.0], 2, gt, ends)[0]} == {1}
-    monkeypatch.setattr(solver_module, "_solve_dual", lambda gs, m, gt, ends: (
-        [(1.0, 1.0, _power_map(gs, m, 1.0, 1.0)[0])], 7, True))
+    assert {len(q) for _, _, q in _scalar_search([1.0], 2, gt, ends)[0]} == {1}
+    monkeypatch.setattr(solver_module, "_dual_searches", lambda gs, m, gts, ends, lanes: [
+        ([(1.0, 1.0, _power_map(gs, m, 1.0, 1.0)[0])], 7, True)])
     (alloc, status), = _solve_budgets(H, sc, [gt])[0]
     assert (alloc.mu, alloc.v, alloc.iterations, status) == (1.0, 1.0, 7, "iteration_limit")
     assert alloc.p[0] == pytest.approx(1.5267188046546143, abs=1e-9) and alloc.p[1] == 1.0
     monkeypatch.undo()
 
-    # a lockstep lane stopped by a non-finite evaluation can carry v' = 0:
-    # its sensing power is inf, not a ZeroDivisionError, and the lane stays
-    # uncertified while the others are certified
-    search = solver_module._lockstep_dual
+    # a lane of the lanes map stopped by a non-finite evaluation can carry
+    # v' = 0: its sensing power is inf, not a ZeroDivisionError, and the
+    # lane stays uncertified while the others are certified
+    search = solver_module._dual_searches
 
-    def spy(gs, m, gts, ends):
-        out = search(gs, m, gts, ends)
-        assert len(out) == len(gts)
+    def spy(gs, m, gts, ends, lanes):
+        out = search(gs, m, gts, ends, lanes)
+        assert lanes and len(out) == len(gts)
         assert all(len(q) == len(gs) for candidates, _, _ in out for _, _, q in candidates)
         mu, _, q = out[0][0][0]
         out[0][0][0] = (mu, 0.0, [math.nan] * len(q))
         return out
 
-    monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
+    monkeypatch.setattr(solver_module, "_dual_searches", spy)
     H, sc = next((H, sc) for H, sc in stress_links(20) if H.r < sc.M)
-    gts = _dual_budgets(H, sc, solver_module._LOCKSTEP_MIN_BUDGETS)
+    gts = dual_budgets(H, sc, solver_module._LOCKSTEP_MIN_BUDGETS)
     results, lockstep = _solve_budgets(H, sc, gts)
     assert lockstep and results[0][1] == "iteration_limit"
     assert np.isnan(results[0][0].p[:H.r]).all() and (results[0][0].p[H.r:] == math.inf).all()
@@ -580,18 +590,18 @@ def _bits(candidates):
 def _lanes_are_scalar_twins(gs, m, gts, ends):
     # every lane of one batch hands back the candidates, evaluations and
     # converged flag of the scalar search of its budget, bit for bit
-    batch = _lockstep_dual(gs, m, gts, ends)
+    batch = _lanes_searches(gs, m, gts, ends)
     for (candidates, evals, converged), gt in zip(batch, gts):
-        twin, evals_j, converged_j = _solve_dual(gs, m, gt, ends)
+        twin, evals_j, converged_j = _scalar_search(gs, m, gt, ends)
         assert (evals, converged) == (evals_j, converged_j), gt
         assert _bits(candidates) == _bits(twin), gt
     return len(batch)
 
 
 def test_scalar_and_lockstep_searches_are_twins():
-    # the two forms run the same iteration with the same arithmetic: the
-    # lockstep power map adds each lane's subchannels in their order, and
-    # both forms take every exp and log from the same libm kernels.  So
+    # the two power maps have the same arithmetic: the lanes map adds each
+    # lane's subchannels in their order, and every search takes its exps
+    # and logs from the same libm kernels, one search at a time.  So
     # each lane of a batch is the scalar search of its budget, bit for bit:
     # on the stress and near-p0 links at the stress factors, and on 14
     # stress links at every batch size from 12 to 30, around
@@ -614,7 +624,7 @@ def test_scalar_and_lockstep_searches_are_twins():
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
         for n in range(12, 31):
-            lanes += _lanes_are_scalar_twins(gs, sc.M, [gt * sc.P for gt in _dual_budgets(H, sc, n)],
+            lanes += _lanes_are_scalar_twins(gs, sc.M, [gt * sc.P for gt in dual_budgets(H, sc, n)],
                                              ends)
     assert lanes == 4788
 
@@ -650,7 +660,7 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned)
     poison = {2: (1, poisoned_lane, math.nan)}  # S of that lane on the 2nd pass
-    batch = _lockstep_dual(gs, sc.M, gts, ends)
+    batch = _lanes_searches(gs, sc.M, gts, ends)
     assert [evals for _, evals, _ in batch] == [2, 3, 4, 5, 2, 4, 3, 3]
     assert [converged for _, _, converged in batch] == [True, True, True, False, False,
                                                         True, True, True]
@@ -659,11 +669,11 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
     for j, gt in enumerate(gts):
         passes.clear()
         poison = {2: (1, 0, math.nan)} if j == poisoned_lane else {}
-        (alone, *rest), = _lockstep_dual(gs, sc.M, [gt], ends)
+        (alone, *rest), = _lanes_searches(gs, sc.M, [gt], ends)
         assert _bits(batch[j][0]) == _bits(alone), j
         assert batch[j][1:] == tuple(rest), j
         monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 2 if j == poisoned_lane else cap)
-        candidates, evals_j, converged_j = _solve_dual(gs, sc.M, gt, ends)
+        candidates, evals_j, converged_j = _scalar_search(gs, sc.M, gt, ends)
         monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", cap)
         assert (evals_j, converged_j) == batch[j][1:], j
         assert _bits(batch[j][0]) == _bits(candidates), j
@@ -685,11 +695,11 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
 
     for poison, ok in (({}, True), ({5: (5, 0, math.inf)}, False)):  # C_t
         passes.clear()
-        (lane, evals, converged), = _lockstep_dual(gs, sc.M, [gts[poisoned_lane]], ends)
+        (lane, evals, converged), = _lanes_searches(gs, sc.M, [gts[poisoned_lane]], ends)
         assert (evals, converged) == (5, ok)
         passes.clear()
         monkeypatch.setattr(solver_module, "_power_map", poisoned_scalar)
-        candidates, evals_j, converged_j = _solve_dual(gs, sc.M, gts[poisoned_lane], ends)
+        candidates, evals_j, converged_j = _scalar_search(gs, sc.M, gts[poisoned_lane], ends)
         monkeypatch.setattr(solver_module, "_power_map", scalar_map)
         assert (evals_j, converged_j) == (5, ok)
         assert _bits(lane) == _bits(candidates)
@@ -697,16 +707,16 @@ def test_lockstep_lanes_that_stop_apart_are_scalar_twins(monkeypatch):
 
 def test_libm_failures_end_both_forms_alike(monkeypatch):
     # an exp that overflows and a log of a non-positive value are NaN in the
-    # kernels both forms share, and end a search unconverged in both: a NaN
-    # multiplier on the search's last evaluation, and a NaN log of the power
-    # sum on that evaluation.  Each is injected through the kernel itself at
+    # kernels every search shares, and end it unconverged with either power
+    # map: a NaN multiplier on the search's last evaluation, and a NaN log
+    # of the power sum on that evaluation.  Each is injected through the kernel itself at
     # the 3rd evaluation of one budget's search, alone and as one lane of a
-    # batch of 21 budgets, which the lockstep form searches; both forms hand
-    # back the same candidates and evaluations, _solve_budgets reports
-    # iteration_limit for that budget through either form, and the other
+    # batch of 21 budgets, which the lanes map evaluates; both hand back the
+    # same candidates and evaluations, _solve_budgets reports
+    # iteration_limit for that budget through either map, and the other
     # lanes are untouched
     H, sc = list(stress_links(36))[35]
-    gts = _dual_budgets(H, sc, 21)
+    gts = dual_budgets(H, sc, 21)
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
     ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
     j = 12
@@ -720,7 +730,7 @@ def test_libm_failures_end_both_forms_alike(monkeypatch):
         return out
 
     monkeypatch.setattr(solver_module, "_power_map", spy)
-    _, evals, converged = _solve_dual(gs, sc.M, gts[j] * sc.P, ends)
+    _, evals, converged = _scalar_search(gs, sc.M, gts[j] * sc.P, ends)
     monkeypatch.undo()
     assert evals > 3 and converged
     (v3, S3), exp, log = evaluations[2], solver_module._exp, solver_module._log
@@ -729,10 +739,10 @@ def test_libm_failures_end_both_forms_alike(monkeypatch):
             ("_exp", lambda x: exp(1e3) if exp(x) == v3 else exp(x), 2),  # v of the 3rd
             ("_log", lambda x: log(-x) if x == S3 else log(x), 3)):  # its log S
         monkeypatch.setattr(solver_module, name, kernel)
-        candidates, evals, converged = _solve_dual(gs, sc.M, gts[j] * sc.P, ends)
+        candidates, evals, converged = _scalar_search(gs, sc.M, gts[j] * sc.P, ends)
         assert (evals, converged) == (last_evaluation, False), name
         assert candidates[0][1] == evaluations[last_evaluation - 1][0], name
-        lane = _lockstep_dual(gs, sc.M, [gt * sc.P for gt in gts], ends)[j]
+        lane = _lanes_searches(gs, sc.M, [gt * sc.P for gt in gts], ends)[j]
         assert _bits(lane[0]) == _bits(candidates) and lane[1:] == (evals, converged), name
         ((alone, status),), lockstep = _solve_budgets(H, sc, [gts[j]])
         batch, lockstep_batch = _solve_budgets(H, sc, gts)
@@ -748,11 +758,11 @@ def test_libm_failures_end_both_forms_alike(monkeypatch):
 
 
 def test_lockstep_batches_make_the_libm_calls_of_their_scalar_searches(monkeypatch):
-    # each lockstep lane takes its pass in the scalar form's own code, so a
-    # batch calls the exp and log kernels with exactly the arguments of its
-    # budgets' scalar searches; the lockstep form used to call both kernels
-    # for every live lane on every pass, whether the lane's pass used the
-    # result or not: 6276 calls on these batches against 5212
+    # each lane of the lanes map takes the one pass step, so a batch calls
+    # the exp and log kernels with exactly the arguments of its budgets'
+    # searches with the scalar map; the lockstep form used to call both
+    # kernels for every live lane on every pass, whether the lane's pass
+    # used the result or not: 6276 calls on these batches against 5212
     calls = []
     for name in ("_exp", "_log"):
         monkeypatch.setattr(solver_module, name,
@@ -762,13 +772,13 @@ def test_lockstep_batches_make_the_libm_calls_of_their_scalar_searches(monkeypat
     for H, sc in stress_links(14):
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
         ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
-        gts = [gt * sc.P for gt in _dual_budgets(H, sc, 21)]
+        gts = [gt * sc.P for gt in dual_budgets(H, sc, 21)]
         calls.clear()
-        _lockstep_dual(gs, sc.M, gts, ends)
+        _lanes_searches(gs, sc.M, gts, ends)
         batch = Counter(calls)
         calls.clear()
         for gt in gts:
-            _solve_dual(gs, sc.M, gt, ends)
+            _scalar_search(gs, sc.M, gt, ends)
         assert batch == Counter(calls), sc
         total += len(calls)
     assert total == 5212
@@ -800,9 +810,9 @@ def test_gains_whose_square_overflows_still_solve(f):
 
 def test_scalar_search_stops_on_a_non_finite_evaluation(monkeypatch):
     # a first evaluation with finite powers but a non-finite derivative stops
-    # the scalar search there unconverged, as it stops a lockstep lane; it
-    # used to spend its 2000 evaluations on NaN powers, on whose covariance
-    # _finish's eigvalsh then raised LinAlgError
+    # a search with the scalar map there unconverged, as it stops one with
+    # the lanes map; it used to spend its 2000 evaluations on NaN powers, on
+    # whose covariance _finish's eigvalsh then raised LinAlgError
     H, sc = list(stress_links(2))[1]
     gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
     ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
@@ -821,8 +831,8 @@ def test_scalar_search_stops_on_a_non_finite_evaluation(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_power_map", poisoned)
     monkeypatch.setattr(solver_module, "_power_map_lanes", poisoned_lanes)
-    [(mu, v, p)], evals, converged = _solve_dual(gs, sc.M, gt, ends)
-    ([(mu_l, v_l, p_l)], evals_l, converged_l), = _lockstep_dual(gs, sc.M, [gt], ends)
+    [(mu, v, p)], evals, converged = _scalar_search(gs, sc.M, gt, ends)
+    ([(mu_l, v_l, p_l)], evals_l, converged_l), = _lanes_searches(gs, sc.M, [gt], ends)
     assert (evals, converged) == (evals_l, converged_l) == (1, False)
     assert (mu, v, p) == (mu_l, v_l, p_l) and np.isfinite(p).all()
     rep = solve_p1(H, sc, 3.0 * lo.crb)
@@ -921,22 +931,70 @@ def test_a_gain_of_zero_in_units_of_P_is_dry():
 
 def test_only_gains_positive_in_units_of_P_are_searched(monkeypatch):
     # a rank-2 channel whose weaker gain underflows to 0 in units of P
-    # (1e-154 and 4e-172 times P = 5e-153): the dual search's start and both
-    # search forms see only the positive gain, and search the other
-    # subchannel as a dedicated sensing one
+    # (1e-154 and 4e-172 times P = 5e-153): the dual search's start and the
+    # searches with either power map see only the positive gain, and search
+    # the other subchannel as a dedicated sensing one
     H = ChannelMatrix.from_matrix(np.diag([1.0, 2e-9]))
     sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=5e-153, sigma_c2=1e154)
     assert H.r == 2
     seen = []
-    for name in ("_ends", "_solve_dual", "_lockstep_dual"):
+    for name in ("_ends", "_dual_searches"):
         monkeypatch.setattr(solver_module, name,
                             lambda gs, *args, f=getattr(solver_module, name), name=name:
-                            seen.append((name, gs)) or f(gs, *args))
+                            seen.append((name, gs, args[-1])) or f(gs, *args))
     _, lo = crb_min_point(H, sc)
     solve_p1(H, sc, 1.01 * lo.crb)
     sweep(H, sc, 30, crb_cap=1.2 * lo.crb, schemes=("optimal",))
-    assert {name for name, _ in seen} == {"_ends", "_solve_dual", "_lockstep_dual"}
-    assert all(gs == [5e-307] for _, gs in seen)
+    assert {name for name, _, _ in seen} == {"_ends", "_dual_searches"}
+    # solve_p1's search takes the scalar power map and the sweep's batch the
+    # lanes map; the sweep's second opinions, one per row, take the scalar map
+    forms = [lanes for name, _, lanes in seen if name == "_dual_searches"]
+    assert forms[:2] == [False, True] and set(forms[2:]) <= {False}
+    assert all(gs == [5e-307] for _, gs, _ in seen)
+
+
+def test_a_power_map_that_divides_by_zero_ends_its_search_alike_in_both_forms(monkeypatch):
+    # on the channel above, at 1.01 x CRB_min, the first stationary root
+    # divides by zero.  The scalar map raises ZeroDivisionError there, and the
+    # search ends with no evaluation; the lanes map carried numpy's inf on,
+    # so 14 or more such budgets got the allocation p = [1e154, 0], mu = 0,
+    # and fewer got none
+    H = ChannelMatrix.from_matrix(np.diag([1.0, 2e-9]))
+    sc = Scenario(M=2, Nc=2, Ns=12, L=200, P=5e-153, sigma_c2=1e154)
+    _, lo = crb_min_point(H, sc)
+    gt = trace_budget(1.01 * lo.crb, sc.sigma_s2, sc.Ns, sc.L)
+    for n in (1, 13, 14, 21):
+        results, lockstep = _solve_budgets(H, sc, [gt] * n)
+        assert lockstep == (n >= solver_module._LOCKSTEP_MIN_BUDGETS)
+        assert results == [(None, "iteration_limit")] * n, n
+
+    # a lanes pass on which numpy flags a division by zero is evaluated by
+    # the scalar map, once per live lane, and every lane stays its scalar
+    # twin, bit for bit
+    H, sc = list(stress_links(36))[35]
+    _, lo = crb_min_point(H, sc)
+    gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
+    ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
+    gts = [trace_budget(f * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P for f in STRESS_FACTORS]
+    power_map, power_map_lanes = _power_map, _power_map_lanes
+    passes, scalar = [], []
+
+    def flagged(g, k, mu, v):
+        passes.append(mu.size)
+        if len(passes) == 2:
+            np.divide(1.0, np.zeros(1))
+        return power_map_lanes(g, k, mu, v)
+
+    monkeypatch.setattr(solver_module, "_power_map_lanes", flagged)
+    monkeypatch.setattr(solver_module, "_power_map",
+                        lambda *args: scalar.append(passes[-1]) or power_map(*args))
+    batch = _lanes_searches(gs, sc.M, gts, ends)
+    assert len(passes) > 2 and scalar == [passes[1]] * passes[1]
+    monkeypatch.undo()
+    for (candidates, evals, converged), gt in zip(batch, gts):
+        twin, evals_j, converged_j = _scalar_search(gs, sc.M, gt, ends)
+        assert (evals, converged) == (evals_j, converged_j), gt
+        assert _bits(candidates) == _bits(twin), gt
 
 
 def test_dual_searches_survive_gains_near_underflow():
@@ -948,52 +1006,37 @@ def test_dual_searches_survive_gains_near_underflow():
     _, lo = crb_min_point(H, sc)
     gt = trace_budget(3.0 * lo.crb, sc.sigma_s2, sc.Ns, sc.L) * sc.P
     ends = _ends(gs, sc.M, _waterfill_unit(gs, sc.P))
-    _solve_dual(gs, sc.M, gt, ends)
-    _lockstep_dual(gs, sc.M, [gt, 2.0 * gt], ends)
+    _scalar_search(gs, sc.M, gt, ends)
+    _lanes_searches(gs, sc.M, [gt, 2.0 * gt], ends)
     assert solve_p1(H, sc, 3.0 * lo.crb).status in ("optimal", "iteration_limit")
     rows = [r for r in sweep(H, sc, 6).rows if r.scheme == "optimal"]
     assert len(rows) == 6
 
 
-def _dual_budgets(H, sc, n):
-    # n budgets log-spaced from just above M^2/P to the smaller of 1e3 M^2/P
-    # and just below the water-filling load; all are on the dual path unless
-    # that load is within 1e-6 of M^2/P, and then none is returned
-    c_min = sc.M * sc.M / sc.P
-    hi = 1e3 * c_min
-    if H.r == sc.M:
-        wf = waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M)
-        if np.all(wf.p > 0.0):
-            hi = min(hi, float((1.0 / wf.p).sum()) * (1.0 - 1e-6))
-    lo = c_min * (1.0 + 1e-6)
-    return list(lo * (hi / lo) ** np.linspace(0.0, 1.0, n)) if hi > lo else []
-
-
 def test_dispatch_rows_agree_on_both_sides_of_the_crossover(monkeypatch):
-    # below _LOCKSTEP_MIN_BUDGETS dual budgets each runs the scalar search,
-    # from it on all run in one lockstep batch; the two forms are twins, so
-    # every budget gets the same status and allocation, bit for bit
-    forms = []
-    for name in ("_solve_dual", "_lockstep_dual"):
-        search = getattr(solver_module, name)
+    # below _LOCKSTEP_MIN_BUDGETS dual budgets the searches take the scalar
+    # power map, from it on the lanes map; the two maps are twins, so every
+    # budget gets the same status and allocation, bit for bit
+    forms = []  # (budgets, lanes) of each call of the driver
+    search = solver_module._dual_searches
 
-        def spy(*args, _search=search, _name=name):
-            forms.append(_name)
-            return _search(*args)
+    def spy(gs, m, gts, ends, lanes):
+        forms.append((len(gts), lanes))
+        return search(gs, m, gts, ends, lanes)
 
-        monkeypatch.setattr(solver_module, name, spy)
+    monkeypatch.setattr(solver_module, "_dual_searches", spy)
     n = solver_module._LOCKSTEP_MIN_BUDGETS
     lanes = 0
     for H, sc in stress_links(14):
-        gts = _dual_budgets(H, sc, n)
+        gts = dual_budgets(H, sc, n)
         if not gts:
             continue
         forms.clear()
         batch, lockstep = _solve_budgets(H, sc, gts)
-        assert forms == ["_lockstep_dual"] and lockstep
+        assert forms == [(n, True)] and lockstep
         forms.clear()
         alone, lockstep_alone = _solve_budgets(H, sc, gts[:-1])
-        assert forms == ["_solve_dual"] * (n - 1) and not lockstep_alone
+        assert forms == [(n - 1, False)] and not lockstep_alone
         for (a, status), (b, status_b) in zip(batch, alone):
             assert status == status_b == "optimal", (sc, status, status_b)
             assert a.iterations == b.iterations > 0
@@ -1005,20 +1048,21 @@ def test_dispatch_rows_agree_on_both_sides_of_the_crossover(monkeypatch):
 
 def test_fifty_point_sweeps_stay_in_lockstep(monkeypatch, scenario1, scenario2):
     batches, passes = [], []
-    search = solver_module._lockstep_dual
+    search = solver_module._dual_searches
 
-    def spy(gs, m, gts, ends):
-        batches.append(len(gts))
-        out = search(gs, m, gts, ends)
+    def spy(gs, m, gts, ends, lanes):
+        batches.append((len(gts), lanes))
+        out = search(gs, m, gts, ends, lanes)
         passes.append(max(evals for _, evals, _ in out))
         return out
 
-    monkeypatch.setattr(solver_module, "_lockstep_dual", spy)
+    monkeypatch.setattr(solver_module, "_dual_searches", spy)
     for H, sc in (scenario1, scenario2):
         for P in (8.0, 800.0):
             batches.clear()
             sweep(H, dataclasses.replace(sc, P=P), 50)
-            assert len(batches) == 1 and batches[0] >= solver_module._LOCKSTEP_MIN_BUDGETS
+            (n, lanes), = batches
+            assert lanes and n >= solver_module._LOCKSTEP_MIN_BUDGETS
     # a batch costs as many passes as its slowest lane takes evaluations:
     # 11, 10, 11 and 13 from the blend of the boundary's two asymptotes,
     # 9, 7, 8 and 8 from the two-group surrogate, and 6, 5, 5 and 5 with the

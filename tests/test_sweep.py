@@ -263,7 +263,7 @@ def test_sweeps_evaluate_power_maps_only_inside_the_searches(monkeypatch):
     for name in ("_power_map", "_power_map_lanes"):
         def spy(*args, f=getattr(solver_module, name)):
             caller = sys._getframe(1).f_code.co_name
-            if caller not in ("_solve_dual", "_lockstep_dual"):
+            if caller != "_dual_searches":
                 outside.append(caller)
             return f(*args)
 
@@ -351,21 +351,23 @@ def test_unfinished_lanes_fall_back_to_scalar_rows(monkeypatch):
 
 def test_scalar_searched_rows_get_no_second_opinion(monkeypatch):
     # a 10-point sweep has fewer dual budgets than _LOCKSTEP_MIN_BUDGETS, so
-    # each runs the scalar search of solve_p1 once; an iteration_limit row
-    # is not searched again, and counts the evaluations of its one search
+    # its searches take the scalar power map of solve_p1; an iteration_limit
+    # row is not searched again, and counts the evaluations of its one search
     H, sc = next(stress_links(1))
     monkeypatch.setattr(solver_module, "_MAX_DUAL_ITERS", 3)
-    search = solver_module._solve_dual
-    calls = []
+    search, power_map = solver_module._dual_searches, solver_module._power_map
+    calls, evaluations = [], []
 
-    def spy(*args):
-        calls.append(args)
-        return search(*args)
+    def spy(gs, m, gts, ends, lanes):
+        calls.append((len(gts), lanes))
+        return search(gs, m, gts, ends, lanes)
 
-    monkeypatch.setattr(solver_module, "_solve_dual", spy)
+    monkeypatch.setattr(solver_module, "_dual_searches", spy)
+    monkeypatch.setattr(solver_module, "_power_map",
+                        lambda *args: evaluations.append(args) or power_map(*args))
     opt = [r for r in sweep(H, sc, 10).rows if r.scheme == "optimal"]
     limited = [r for r in opt if r.status == "iteration_limit"]
-    assert len(limited) == 9 and len(calls) == 9
+    assert len(limited) == 9 and calls == [(9, False)] and len(evaluations) == 9 * 3
     assert all(r.iterations == 3 for r in limited)
 
 
