@@ -44,12 +44,15 @@ underflows to 0 is searched as a dedicated sensing subchannel, and every
 candidate back once, just before its certificate; that conversion gives
 each dedicated sensing subchannel the power sqrt(mu/v) that the
 certificate checks.  One driver, :func:`_dual_searches`, runs every
-channel's searches together, pass by pass; each search is one pass step
-(:meth:`_Search.step`), with every exp and log from :func:`_exp` and
+channel's searches together, pass by pass; each search (:class:`_Search`)
+keeps its own next multipliers and evaluation count, and its pass is one
+step (:meth:`_Search.step`), with every exp and log from :func:`_exp` and
 :func:`_log`, on the values of one of two power maps with the same
 arithmetic: scalar Python, once per search (:func:`_power_map`), or numpy,
-once per pass over all live searches (:func:`_power_map_lanes`).  So either
-map gives the same numbers, bit for bit, and the number of budgets on the
+once per pass over all live searches (:func:`_power_map_lanes`), the only
+call made in numpy's error state, so that a pass whose numpy map divides
+by zero falls back to the scalar map, which raises there.  So either map
+gives the same numbers, bit for bit, and the number of budgets on the
 dual path chooses between them, at a measured crossover, for speed alone.
 """
 
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -440,14 +442,15 @@ def _dual_start(ends, m, gamma_tilde):
 
 class _Search:
     """One budget's dual search in units of P: log mu and log v (t and x) and
-    their brackets, and the latest evaluation and the one at the feasible
-    end of the log mu bracket, each (mu, v, powers).  It starts from
-    :func:`_dual_start`; :meth:`step` is its pass, and the driver,
-    :func:`_dual_searches`, only evaluates a power map at
-    :meth:`multipliers`."""
+    their brackets, the latest evaluation and the one at the feasible end of
+    the log mu bracket, each (mu, v, powers), the multipliers ``mu_v`` of
+    its next evaluation, ``None`` once it has stopped, and the evaluations
+    ``evals`` it has made.  It starts from :func:`_dual_start`; :meth:`step`
+    is its pass, and the driver, :func:`_dual_searches`, only evaluates a
+    power map at ``mu_v`` and sets the next ``mu_v``."""
 
     __slots__ = ("gamma_tilde", "c_min", "t", "x", "t_lo", "t_hi", "x_lo", "x_hi",
-                 "last", "at_t_hi", "converged")
+                 "last", "at_t_hi", "converged", "mu_v", "evals")
 
     def __init__(self, ends, m, gamma_tilde):
         self.gamma_tilde, self.c_min = gamma_tilde, m * m
@@ -456,6 +459,7 @@ class _Search:
         self.t_hi = self.x_hi = math.inf
         self.last = self.at_t_hi = None
         self.converged = False
+        self.mu_v, self.evals = self.multipliers(), 0
 
     def multipliers(self):
         """(mu, v) of the next evaluation, from :func:`_exp`, or ``None`` where
@@ -539,12 +543,12 @@ class _Search:
         self.x = x_next
         return False
 
-    def result(self, evals):
+    def result(self):
         """(candidates, evals, converged), as :func:`_dual_searches` hands
         it back: the candidates are the last evaluation and, if the search
         measured one, the one at the feasible end of its log mu bracket,
         where C <= gamma_tilde; there is none if nothing was evaluated."""
-        return [c for c in (self.last, self.at_t_hi) if c is not None], evals, self.converged
+        return [c for c in (self.last, self.at_t_hi) if c is not None], self.evals, self.converged
 
 
 def _certify(gs, m, p, mu, v, gamma_tilde, P):
@@ -662,26 +666,29 @@ def _dual_searches(gs, m, gamma_tildes, ends, lanes):
     from the start :func:`_dual_start` gives with the channel's
     :func:`_ends`, with its own budget of _MAX_DUAL_ITERS evaluations.
 
-    The searches run pass by pass over the live ones.  Each pass evaluates
-    the power map at each live search's :meth:`_Search.multipliers` and
-    then takes each search's pass :meth:`_Search.step` on its own values.
-    With ``lanes`` the pass evaluates :func:`_power_map_lanes` once over
-    all live searches; without it, :func:`_power_map` once per search.  The
-    two maps have the same arithmetic, so each search hands back the same
-    numbers, bit for bit, whichever map evaluates it.  Where they part is a
-    division by zero: Python raises ZeroDivisionError, while numpy only
-    sets its divide flag (or, for 0/0, its invalid flag) and carries an inf
-    or NaN on.  So the lanes map runs with both flags raising
-    FloatingPointError, a pass that raises it is evaluated by
-    :func:`_power_map` instead, lane by lane, and a search whose map divides
-    by zero ends there with either map; an invalid operation that is no
-    division gives a NaN in both maps, and costs that pass only time.
+    The searches run pass by pass over the live ones, those whose next
+    multipliers ``mu_v`` are set.  Each pass evaluates the power map at each
+    live search's ``mu_v`` and then takes each search's pass
+    :meth:`_Search.step` on its own values, counts the evaluation and sets
+    its next ``mu_v``.  With ``lanes`` the pass evaluates
+    :func:`_power_map_lanes` once over all live searches; without it,
+    :func:`_power_map` once per search.  The two maps have the same
+    arithmetic, so each search hands back the same numbers, bit for bit,
+    whichever map evaluates it.  Where they part is a division by zero:
+    Python raises ZeroDivisionError, while numpy only sets its divide flag
+    (or, for 0/0, its invalid flag) and carries an inf or NaN on.  So the
+    :func:`_power_map_lanes` call, the only numpy arithmetic of a pass, runs
+    with both flags raising FloatingPointError, a pass that raises it is
+    evaluated by :func:`_power_map` instead, lane by lane, and a search
+    whose map divides by zero ends there with either map; an invalid
+    operation that is no division gives a NaN in both maps, and costs that
+    pass only time.  The scalar map runs outside numpy's error state, and
+    so does not pay for setting it.
 
     A search ends unconverged where its next multipliers are NaN, on its
     last evaluation; where its pass stops it unconverged, on that
     evaluation; and where its power map or its pass divides by zero, on
-    the last evaluation it completed.  All live searches have made the same
-    number of evaluations, so one counter serves them all.
+    the last evaluation it completed.
 
     Returns one (candidates, evaluations, converged) per budget.  The
     candidates are up to two evaluations, each (mu, v, powers) with the
@@ -690,36 +697,28 @@ def _dual_searches(gs, m, gamma_tildes, ends, lanes):
     """
     g, k = np.asarray(gs) if lanes else None, m - len(gs)
     searches = [_Search(ends, m, b) for b in gamma_tildes]
-    out = [search.result(0) for search in searches]  # a lane whose start's multipliers are NaN
-    live = [(j, search, search.multipliers()) for j, search in enumerate(searches)]
-    live = [lane for lane in live if lane[2] is not None]
-    evals = 0
-    # numpy arithmetic runs only in the lanes map; the scalar searches skip
-    # the cost of setting its error state
-    with np.errstate(all="ignore", divide="raise", invalid="raise") if lanes else nullcontext():
-        while live:
-            evals += 1
-            values = None
-            if lanes:
-                mu, v = (np.array(a) for a in zip(*(mu_v for _, _, mu_v in live)))
-                try:
+    live = [search for search in searches if search.mu_v is not None]
+    while live:
+        values = None
+        if lanes:
+            mu, v = (np.array(a) for a in zip(*(search.mu_v for search in live)))
+            try:
+                with np.errstate(all="ignore", divide="raise", invalid="raise"):
                     p, *sums = _power_map_lanes(g, k, mu, v)
-                    values = zip(p.T.tolist(), *(a.tolist() for a in sums))
-                except FloatingPointError:
-                    pass  # evaluated by _power_map, which raises where it divides by zero
-            searching, live = live, []
-            for j, search, mu_v in searching:
-                try:
-                    done = search.step(*mu_v, *(_power_map(gs, m, *mu_v) if values is None
-                                                else next(values)))
-                except ZeroDivisionError:
-                    done = True
-                mu_v = None if done or evals == _MAX_DUAL_ITERS else search.multipliers()
-                if mu_v is None:
-                    out[j] = search.result(evals)
-                else:
-                    live.append((j, search, mu_v))
-    return out
+                values = zip(p.T.tolist(), *(a.tolist() for a in sums))
+            except FloatingPointError:
+                pass  # evaluated by _power_map, which raises where it divides by zero
+        for search in live:
+            mu_v = search.mu_v
+            search.evals += 1
+            try:
+                done = search.step(*mu_v, *(_power_map(gs, m, *mu_v) if values is None
+                                            else next(values)))
+            except ZeroDivisionError:
+                done = True
+            search.mu_v = None if done or search.evals == _MAX_DUAL_ITERS else search.multipliers()
+        live = [search for search in live if search.mu_v is not None]
+    return [search.result() for search in searches]
 
 
 def _check_channel(H: ChannelMatrix, scenario: Scenario) -> None:
@@ -792,25 +791,25 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  ==========  ============
      n    scalar (ms)  lanes (ms)  lanes passes
     ====  ===========  ==========  ============
-     2        0.09        0.30          3.4
-     8        0.41        0.54          4.5
-     12       0.61        0.65          4.6
-     13       0.67        0.67          4.6
-     14       0.73        0.69          4.6
-     16       0.83        0.74          4.6
-     20       1.03        0.82          4.6
-     21       1.11        0.82          4.6
-     24       1.23        0.88          4.6
-     32       1.65        1.04          4.6
-     50       2.58        1.40          4.6
+     2        0.09        0.32          3.4
+     8        0.42        0.59          4.5
+     12       0.64        0.68          4.6
+     13       0.69        0.70          4.6
+     14       0.76        0.73          4.6
+     16       0.83        0.76          4.6
+     20       1.05        0.82          4.6
+     21       1.09        0.86          4.6
+     24       1.31        0.99          4.6
+     32       1.79        1.12          4.6
+     50       2.72        1.43          4.6
     ====  ===========  ==========  ============
 
-    So the two maps break even at 13 budgets; in three runs the scalar map
-    was ahead at 12 (0.61 to 0.63 against 0.65 to 0.67 ms), about even at
-    13, and the lanes map ahead from 14 on (0.72 to 0.73 against 0.69 to
-    0.71 ms), so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two maps give
-    the same numbers, bit for bit, so the constant chooses a speed and
-    never a result.
+    So the two maps break even at 13 to 14 budgets; in six runs the scalar
+    map was ahead at 12 in five and even in one, the two were within
+    0.08 ms of each other at 13 and 14, either one ahead, and the lanes map
+    was ahead from 16 on in all six, so _LOCKSTEP_MIN_BUDGETS = 14 sits at
+    the crossover.  The two maps give the same numbers, bit for bit, so the
+    constant chooses a speed and never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]

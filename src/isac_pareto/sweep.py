@@ -121,11 +121,16 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     that its trace budget is finite.  Time-switching rows lie on the
     segment between the two endpoints, or are ``not_applicable`` when
     capped.  Benchmark rows report, for each grid threshold, the best sweep
-    point whose CRB fits under it.  A channel that is not Nc x M, has
-    rank 0 or has gains that overflow in units of P raises ``ValueError``,
-    and so does a grid threshold too loose for the dual search (see
+    point whose CRB fits under it.  ``schemes`` is a collection of names
+    from DEFAULT_SCHEMES; any other name raises ``ValueError``, before
+    anything else is checked.  A channel that is not Nc x M, has rank 0 or
+    has gains that overflow in units of P raises ``ValueError``, and so
+    does a grid threshold too loose for the dual search (see
     :func:`solver._solve_budgets`).
     """
+    bad = set(schemes) - set(DEFAULT_SCHEMES)
+    if bad:
+        raise ValueError(f"unknown schemes {sorted(bad)}")
     _check_channel(H, scenario)
     if n_points < 2:
         raise ValueError(f"need at least two grid points, got {n_points}")

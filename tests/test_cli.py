@@ -311,6 +311,19 @@ def test_threshold_too_loose_for_the_dual_search_rejected(config1, tmp_path, cap
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_unknown_schemes_rejected_by_sweep_and_cli(config1, tmp_path, capsys):
+    # sweep used to drop an unknown name silently, returning the optimal rows
+    # alone, and matched a bare string by substring
+    sc = Scenario(**SC1)
+    with pytest.raises(ValueError, match=re.escape("unknown schemes ['EP']")):
+        sweep(rician_channel(sc), sc, 5, schemes=("optimal", "EP"))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", str(config1), "--points", "5", "--schemes", "optimal,EP",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown schemes ['EP']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--points", "4"],
     ["point", "--gamma", "0.01"],
