@@ -16,7 +16,14 @@ narrowed may have missed v*, and that shrink starts again from the
 closed-form window.  Tiny instances are
 additionally brute-forced on a primal simplex grid, streamed in blocks of
 a fixed number of points so that its memory does not grow with the grid,
-whose best point is then zoomed on the tight constraint surface.
+whose best point is then zoomed on the tight constraint surface.  Both of
+the grid's budget masks are taken on index columns, through per-axis tables
+of the grid values and their inverses, and float points are formed only
+for the rows that pass; the columns are added in order, as a row sum of
+the points adds them, so the grid is the masked cube bit for bit.  The
+zoom's repair onto the budget surface then takes most of the primal grid's
+time, unless the rates of many grid points cost more (see
+:func:`oracle_primal_grid`).
 
 The cost is numpy's per-call overhead on small arrays, so each pass is made
 wide: a 16-point window narrows 7.5x per step where an 8-point one narrows
@@ -394,34 +401,61 @@ def _tuples(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack([a.ravel() for a in np.meshgrid(*[axis] * m, indexing="ij")], axis=1)
 
 
-def _simplex_indices(n: int, m: int, lead: np.ndarray) -> np.ndarray:
-    """The rows (i_1, ..., i_m) of indices into an n-point axis with
-    sum(i_j + 1) <= n and i_1 in ``lead`` (ascending, int32), in
-    lexicographic order, i.e. in the order of :func:`_tuples`.  Built one
-    axis at a time from the leading one, so that a block of leading indices
-    costs only its own rows; 32-bit indices suffice for the grids
-    :func:`oracle_primal_grid` allows."""
-    idx = lead[:, None]
+def _simplex_indices(n: int, m: int, lead: np.ndarray) -> list[np.ndarray]:
+    """The m index columns of the rows (i_1, ..., i_m) of indices into an
+    n-point axis with sum(i_j + 1) <= n and i_1 in ``lead`` (ascending,
+    intp), in lexicographic order, i.e. in the order of :func:`_tuples`.
+    Built one axis at a time from the leading one, so that a block of
+    leading indices costs only its own rows.  The columns are of numpy's
+    native index type, which a table lookup takes without a cast (a lookup
+    through int32 took 3x as long)."""
+    cols = [lead]
     left = n - (lead + 1)  # what each row's i + 1 may still sum to
     for d in range(1, m):
         # a row takes i + 1 = 1 .. left - (axes still to fill) on this axis
         counts = np.maximum(left - (m - 1 - d), 0)
-        rows = np.repeat(np.arange(left.size, dtype=np.int32), counts)
-        first = np.cumsum(counts, dtype=np.int32) - counts  # where each row's run starts
-        i = np.arange(rows.size, dtype=np.int32) - np.repeat(first, counts)
-        idx = np.column_stack([idx[rows], i])
+        rows = np.repeat(np.arange(left.size), counts)
+        first = np.cumsum(counts) - counts  # where each row's run starts
+        i = np.arange(rows.size)
+        i -= np.repeat(first, counts)
+        cols = [c[rows] for c in cols] + [i]
         if d < m - 1:
             left = left[rows] - (i + 1)
-    return idx
+    return cols
 
 
 # index tuples per block of _simplex_grid, at most, unless one leading index
 # alone holds more.  From 2^13 to 2^16 a primal grid call took the same time
 # within 8% (interleaved medians of 25: 44-46 ms at m = 2, steps = 1000 and
-# 38-41 ms at m = 3, steps = 120, against 52 and 45 ms in one block); at
-# 2^15 its tracemalloc peak is 1.7 and 2.1 MB (Python 3.11, numpy 2.4,
-# 2 vCPUs)
+# 38-41 ms at m = 3, steps = 120, against 52 and 45 ms in one block), when
+# the masks were taken on float points; at 2^15 its tracemalloc peak is 1.6
+# and 1.4 MB (Python 3.11, numpy 2.4, 2 vCPUs)
 _GRID_BLOCK_ROWS = 2 ** 15
+
+
+def _row_sums(table: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """table[i_1] + ... + table[i_m] per row of index columns, added column
+    by column from the first, the order in which ``.sum(axis=1)`` adds the
+    m <= 3 entries of a row of looked-up values, so that it rounds alike."""
+    out = table[cols[0]]
+    for col in cols[1:]:
+        out += table[col]
+    return out
+
+
+def _grid_block(axis: np.ndarray, inv: np.ndarray, cols: list[np.ndarray],
+                P: float, gamma_tilde: float):
+    """The grid points of the index columns ``cols`` that meet both budgets
+    of :func:`_simplex_grid`, and how many met the first.  Both masks are
+    taken on the columns, through the tables ``axis`` and ``inv`` = 1 / axis,
+    and points are formed only for the rows that pass both."""
+    fits = _row_sums(axis, cols) <= P * (1.0 + 1e-12)
+    passed = int(np.count_nonzero(fits))
+    fits &= _row_sums(inv, cols) <= gamma_tilde * (1.0 + 1e-12)
+    pts = np.empty((int(np.count_nonzero(fits)), len(cols)))
+    for j, col in enumerate(cols):
+        pts[:, j] = axis[col[fits]]
+    return pts, passed
 
 
 def _simplex_grid(P: float, m: int, steps: int, gamma_tilde: float):
@@ -438,9 +472,21 @@ def _simplex_grid(P: float, m: int, steps: int, gamma_tilde: float):
     Only the index tuples whose k sum to at most ``steps`` are built
     (:func:`_simplex_indices`): a larger sum is over P by at least
     P / steps, far beyond rounding, so the whole steps^m cube never is.
+
+    Both tests are taken on a block's index columns (:func:`_grid_block`):
+    the power sum from the table of grid values, the trace inverse from one
+    table of their inverses, each added column by column in order
+    (:func:`_row_sums`), which is how ``.sum(axis=1)`` adds a row of points,
+    so both masks are those of the masked cube bit for bit.  Float points
+    are gathered only for the rows that pass both.  The grid takes 6.6 ms
+    at m = 2, steps = 1000 and 5.7 ms at m = 3, steps = 120, where masking
+    the float points of every index tuple took 35 and 24 ms (best of 9,
+    ``PYTHONPATH=src python tests/battery.py primal``; Python 3.11,
+    numpy 2.4, 2 vCPUs).
     """
     axis = np.linspace(P / steps, P, steps)
-    lead = np.arange(max(steps - m + 1, 0), dtype=np.int32)
+    inv = 1.0 / axis
+    lead = np.arange(max(steps - m + 1, 0), dtype=np.intp)
     # leading index i heads C(steps - 1 - i, m - 1) index tuples
     size = np.ones(lead.size, dtype=np.int64)
     for j in range(m - 1):
@@ -450,10 +496,8 @@ def _simplex_grid(P: float, m: int, steps: int, gamma_tilde: float):
     while start < lead.size:
         cap = (ends[start - 1] if start else 0) + _GRID_BLOCK_ROWS
         stop = max(start + 1, int(np.searchsorted(ends, cap, side="right")))
-        pts = axis[_simplex_indices(steps, m, lead[start:stop])]
-        pts = pts[pts.sum(axis=1) <= P * (1.0 + 1e-12)]
-        mask = (1.0 / pts).sum(axis=1) <= gamma_tilde * (1.0 + 1e-12)
-        yield pts[mask], int(mask.size)
+        yield _grid_block(axis, inv, _simplex_indices(steps, m, lead[start:stop]),
+                          P, gamma_tilde)
         start = stop
 
 
@@ -472,6 +516,15 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
     toward uniform onto the tight budget surface; the incumbent stays a
     candidate.  The box half-width starts at 4P/steps and halves down to
     1e-10 P.
+
+    With the grid's masks taken on index columns, the zoom's
+    :func:`_repair_feasible` calls take most of the time at m = 3 (50 of
+    56 ms at steps = 120) and on the benchmark's M = 2 instance (13 of
+    17 ms at steps = 1000).  On the tier-1 m = 2 case, at P = 0.01, the
+    rates of the grid's 483,228 points take more: about 18 of 38 ms, beside
+    14 for the repair and 6.6 for the grid (best of 9; the tier-1 cases
+    are those of ``PYTHONPATH=src python tests/battery.py primal``;
+    Python 3.11, numpy 2.4, 2 vCPUs).
     """
     if m > 3:
         raise ValueError("primal grid search is limited to m <= 3")
@@ -485,17 +538,19 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
     gs = lam2 / sigma_c2
 
     def rates(pts):
-        return np.log1p(pts[:, :r] * gs[None, :]).sum(axis=1) * INV_LN2
+        x = pts[:, :r] * gs[None, :]
+        return np.log1p(x, out=x).sum(axis=1) * INV_LN2
 
     best, top, evaluated = None, None, 0
     for pts, passed in _simplex_grid(P, m, steps, gamma_tilde):
         evaluated += passed
-        if pts.size:
-            vals = rates(pts)
+        vals = rates(pts)
+        if vals.size:
             k = int(np.argmax(vals))
             # a later block takes over only with a strictly greater rate
             if best is None or vals[k] > top:
                 best, top = pts[k].copy(), vals[k]
+        del pts, vals  # free this block before the next one is built
     uniform = np.full((1, m), P / m)
     if best is None or rates(uniform)[0] > top:
         best = uniform[0]

@@ -122,12 +122,14 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
     segment between the two endpoints, or are ``not_applicable`` when
     capped.  Benchmark rows report, for each grid threshold, the best sweep
     point whose CRB fits under it.  ``schemes`` is a collection of names
-    from DEFAULT_SCHEMES; any other name raises ``ValueError``, before
-    anything else is checked.  A channel that is not Nc x M, has rank 0 or
-    has gains that overflow in units of P raises ``ValueError``, and so
-    does a grid threshold too loose for the dual search (see
-    :func:`solver._solve_budgets`).
+    from DEFAULT_SCHEMES; a bare string or any other name raises
+    ``ValueError``, before anything else is checked.  A channel that is not
+    Nc x M, has rank 0 or has gains that overflow in units of P raises
+    ``ValueError``, and so does a grid threshold too loose for the dual
+    search (see :func:`solver._solve_budgets`).
     """
+    if isinstance(schemes, str):
+        raise ValueError(f"schemes takes a collection of names, not the string {schemes!r}")
     bad = set(schemes) - set(DEFAULT_SCHEMES)
     if bad:
         raise ValueError(f"unknown schemes {sorted(bad)}")

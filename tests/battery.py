@@ -21,10 +21,16 @@ so that a ``diff`` of two runs lists every case whose status or count moved;
 
 times the dual searches of stress links with either power map, and prints
 the table that sets the solver's _LOCKSTEP_MIN_BUDGETS (see
-:func:`crossover`).
+:func:`crossover`);
+
+    PYTHONPATH=src python tests/battery.py primal
+
+prints the size and the times of the oracle's primal grid on the cases that
+the tier-1 tests run it at (see :func:`primal`).
 """
 
 import math
+import statistics
 import sys
 import time
 from collections import Counter
@@ -33,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from isac_pareto import oracle
 from isac_pareto.closed_form import (
     _waterfill_unit,
     crb_min_point,
@@ -231,16 +238,18 @@ CROSSOVER_RUNS = 9
 
 
 def crossover():
-    """Yield (n, links, scalar ms, lanes ms, lanes passes) for each batch
-    size n of CROSSOVER_SIZES: the time of one dual-search call per stress
-    link with n :func:`dual_budgets`, all on the dual path, with the scalar
-    power map and with the lanes map, and the passes that the lanes map
-    takes, as many as its slowest search takes evaluations.  Times and
-    passes are means per link over the ``links`` of the first 60 stress
-    links that have such budgets; each time is the best of CROSSOVER_RUNS
-    runs over all links, interleaved over n and both maps.  Only the
-    searches are timed: the certificates that follow them cost the same
-    with either map."""
+    """Yield (n, links, scalar ms, scalar median ms, lanes ms, lanes median
+    ms, lanes passes) for each batch size n of CROSSOVER_SIZES: the time of
+    one dual-search call per stress link with n :func:`dual_budgets`, all
+    on the dual path, with the scalar power map and with the lanes map, and
+    the passes that the lanes map takes, as many as its slowest search
+    takes evaluations.  Times and passes are means per link over the
+    ``links`` of the first 60 stress links that have such budgets; each
+    time is the best, and beside it the median, of CROSSOVER_RUNS runs over
+    all links, interleaved over n and both maps, so that a slow phase of
+    the host shows as a median far above its best.  Only the searches are
+    timed: the certificates that follow them cost the same with either
+    map."""
     batches = {n: [] for n in CROSSOVER_SIZES}
     for H, sc in stress_links(60):
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
@@ -249,29 +258,103 @@ def crossover():
             gts = [gt * sc.P for gt in dual_budgets(H, sc, n)]
             if gts:
                 batch.append((gs, sc.M, gts, ends))
-    best = {}
+    times = {(n, lanes): [] for n in batches for lanes in (False, True)}
     for _ in range(CROSSOVER_RUNS):
         for n, batch in batches.items():
             for lanes in (False, True):
                 start = time.perf_counter()
                 for gs, m, gts, ends in batch:
                     _dual_searches(gs, m, gts, ends, lanes)
-                elapsed = time.perf_counter() - start
-                best[n, lanes] = min(best.get((n, lanes), math.inf), elapsed)
+                times[n, lanes].append(time.perf_counter() - start)
     for n, batch in batches.items():
         passes = [max(evals for _, evals, _ in _dual_searches(*args, True)) for args in batch]
         links = len(batch)
-        yield (n, links, 1e3 * best[n, False] / links, 1e3 * best[n, True] / links,
-               sum(passes) / links)
+        ms = [1e3 * f(times[n, lanes]) / links for lanes in (False, True)
+              for f in (min, statistics.median)]
+        yield (n, links, *ms, sum(passes) / links)
+
+
+def _primal_args(fixture, M, Nc, P, f):
+    """The oracle_primal_grid arguments of a pinned channel at f x CRB_min,
+    at the step counts of the tier-1 tests."""
+    H = load_fixture(FIXTURES / fixture)
+    sc = Scenario(M=M, Nc=Nc, Ns=12, L=200, P=P)
+    rep = solve_p1(H, sc, f * crb_min_point(H, sc)[1].crb)
+    return H.lambdas2, M, sc.sigma_c2, P, rep.gamma_tilde, 1000 if M == 2 else 120
+
+
+# the grid sizes of tests/test_oracle.py's
+# test_primal_grid_bit_identical_to_cube_enumeration: m = 3 at 120 steps
+# (o_primal_los_3x3), m = 2 at 1000 (b_2x2) and m3-blocks, whose grid spans
+# 4 blocks; (name, oracle_primal_grid arguments or _primal_args arguments)
+PRIMAL_CASES = (
+    ("m3", ("o_primal_los_3x3.csv", 3, 3, 6.560643071707601, 1.2915805959309317)),
+    ("m2", ("b_2x2.csv", 2, 2, 0.01, 30.0)),
+    ("m3-blocks", (np.array([3.0, 2.0, 1.0]), 3, 1.0, 3.0, 3.5, 90)),
+)
+PRIMAL_RUNS = 9
+
+
+def primal():
+    """Yield (name, m, steps, index tuples, blocks, power-passing points,
+    passing points, grid ms, repair ms, primal ms) for each of PRIMAL_CASES:
+    the size of the oracle's primal simplex grid (the C(steps, m) index
+    tuples it builds, the blocks it yields them in, the points within the
+    power budget and those within both budgets), and the best of
+    PRIMAL_RUNS times of the grid alone (``_simplex_grid``), of the zoom's
+    ``_repair_feasible`` calls within one ``oracle_primal_grid`` call, and
+    of that whole call, interleaved over the cases."""
+    cases = [(name, args if len(args) == 6 else _primal_args(*args))
+             for name, args in PRIMAL_CASES]
+    repair = oracle._repair_feasible
+    spent = []
+
+    def timed_repair(*args):
+        start = time.perf_counter()
+        q = repair(*args)
+        spent.append(time.perf_counter() - start)
+        return q
+
+    parts = ("grid", "repair", "primal")
+    times = {(name, part): [] for name, _ in cases for part in parts}
+    for _ in range(PRIMAL_RUNS):
+        for name, (lam2, m, sigma_c2, P, gamma_tilde, steps) in cases:
+            start = time.perf_counter()
+            for _block in oracle._simplex_grid(P, m, steps, gamma_tilde):
+                pass
+            times[name, "grid"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            oracle.oracle_primal_grid(lam2, m, sigma_c2, P, gamma_tilde, steps)
+            times[name, "primal"].append(time.perf_counter() - start)
+            spent.clear()
+            oracle._repair_feasible = timed_repair
+            try:
+                oracle.oracle_primal_grid(lam2, m, sigma_c2, P, gamma_tilde, steps)
+            finally:
+                oracle._repair_feasible = repair
+            times[name, "repair"].append(sum(spent))
+    for name, (_, m, _, P, gamma_tilde, steps) in cases:
+        blocks = list(oracle._simplex_grid(P, m, steps, gamma_tilde))
+        yield (name, m, steps, math.comb(steps, m), len(blocks),
+               sum(n for _, n in blocks), sum(len(pts) for pts, _ in blocks),
+               *(1e3 * min(times[name, part]) for part in parts))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["census"], ["cases"], ["crossover"]):
-        sys.exit("usage: python tests/battery.py census|cases|crossover")
+    if sys.argv[1:] not in (["census"], ["cases"], ["crossover"], ["primal"]):
+        sys.exit("usage: python tests/battery.py census|cases|crossover|primal")
     if sys.argv[1] == "crossover":
-        print(" n  links  scalar (ms)  lanes (ms)  lanes passes")
-        for n, links, scalar, lanes, passes in crossover():
-            print(f"{n:3d}  {links:5d}  {scalar:11.2f}  {lanes:10.2f}  {passes:12.1f}")
+        print(" n  links  scalar (ms)  scalar med  lanes (ms)  lanes med  lanes passes")
+        for n, links, scalar, scalar_med, lanes, lanes_med, passes in crossover():
+            print(f"{n:3d}  {links:5d}  {scalar:11.2f}  {scalar_med:10.2f}  {lanes:10.2f}"
+                  f"  {lanes_med:9.2f}  {passes:12.1f}")
+        sys.exit()
+    if sys.argv[1] == "primal":
+        print("case       m  steps    tuples  blocks  in power  in both  grid (ms)"
+              "  repair (ms)  primal (ms)")
+        for name, m, steps, tuples, blocks, powered, points, grid, repair, whole in primal():
+            print(f"{name:9s}  {m}  {steps:5d}  {tuples:8d}  {blocks:6d}  {powered:8d}"
+                  f"  {points:7d}  {grid:9.2f}  {repair:11.2f}  {whole:11.2f}")
         sys.exit()
     for name, records in census():
         if sys.argv[1] == "cases":

@@ -324,6 +324,15 @@ def test_unknown_schemes_rejected_by_sweep_and_cli(config1, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bare_string_schemes_rejected_by_sweep():
+    # a bare string used to be split into one-character names, and the error
+    # named those characters instead of the string
+    sc = Scenario(**SC1)
+    msg = "schemes takes a collection of names, not the string 'optimal'"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        sweep(rician_channel(sc), sc, 5, schemes="optimal")
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--points", "4"],
     ["point", "--gamma", "0.01"],
