@@ -190,18 +190,20 @@ def _repair_feasible(p: np.ndarray, m: int, P: float, gamma_tilde: float) -> np.
     """
     q = np.clip(p, 1e-300, None)
     q = q * (P / q.sum(axis=1, keepdims=True))
-    over = (1.0 / q).sum(axis=1, keepdims=True) > gamma_tilde
+    over = (1.0 / q).sum(axis=1) > gamma_tilde
     if not np.any(over):
         return q
-    to_uniform = P / m - q
-    lo = np.zeros_like(over, dtype=float)
+    # only the rows over the budget are bisected, and then written back
+    r = q[over]
+    to_uniform = P / m - r
+    lo = np.zeros((r.shape[0], 1))
     hi = np.ones_like(lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fits = (1.0 / (q + mid * to_uniform)).sum(axis=1, keepdims=True) <= gamma_tilde
+        fits = (1.0 / (r + mid * to_uniform)).sum(axis=1, keepdims=True) <= gamma_tilde
         lo, hi = np.where(fits, lo, mid), np.where(fits, mid, hi)
-    theta = np.where(over, np.minimum(1.0, hi * (1.0 + 1e-12) + 1e-15), 0.0)
-    return q + theta * to_uniform
+    q[over] = r + np.minimum(1.0, hi * (1.0 + 1e-12) + 1e-15) * to_uniform
+    return q
 
 
 # points per window of a log-grid shrink, and its stopping rule: a window

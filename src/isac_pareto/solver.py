@@ -47,13 +47,20 @@ certificate checks.  One driver, :func:`_dual_searches`, runs every
 channel's searches together, pass by pass; each search (:class:`_Search`)
 keeps its own next multipliers and evaluation count, and its pass is one
 step (:meth:`_Search.step`), with every exp and log from :func:`_exp` and
-:func:`_log`, on the values of one of two power maps with the same
-arithmetic: scalar Python, once per search (:func:`_power_map`), or numpy,
-once per pass over all live searches (:func:`_power_map_lanes`), the only
-call made in numpy's error state, so that a pass whose numpy map divides
-by zero falls back to the scalar map, which raises there.  So either map
-gives the same numbers, bit for bit, and the number of budgets on the
-dual path chooses between them, at a measured crossover, for speed alone.
+:func:`_log`, on the values of one of two power maps: scalar Python, once
+per search (:func:`_power_map`), or numpy, once per pass over all live
+searches (:func:`_power_map_lanes`), the only call made in numpy's error
+state, so that a pass whose numpy map divides by zero falls back to the
+scalar map, which raises there.  The two maps share their arithmetic: the
+Newton iterate of the stationary root (:func:`_root_iterate`), the root's
+1/p^2 and log-derivatives (:func:`_root_derivatives`) and the sums' terms
+of the sensing subchannels (:func:`_add_sensing`) are each written once,
+with + - * / alone, which round alike on floats and on numpy arrays.  Each
+map keeps only its root's start (``max`` or ``np.where``), its stop test
+and the order in which it adds the subchannels, the same in both.  So
+either map gives the same numbers, bit for bit, and the number of budgets
+on the dual path chooses between them, at a measured crossover, for speed
+alone.
 """
 
 from __future__ import annotations
@@ -165,6 +172,46 @@ def stationarity_residual(p: float, lambda2_over_sigma2: float, mu: float, v: fl
     return res
 
 
+def _root_iterate(a, g, mu, v, p):
+    """The Newton iterate p + f(p) / -f'(p) of the stationarity equation
+    f(p) = a/(1 + g p) + mu/p^2 - v, with a = g / ln 2, which the caller
+    forms once per root.
+
+    This and :func:`_root_derivatives` and :func:`_add_sensing` are the
+    arithmetic that both power maps share.  Each takes Python floats or
+    numpy arrays of one shape and uses + - * / alone, which IEEE 754 rounds
+    correctly, so an array's element gets the float's value bit for bit.
+    New arithmetic of the maps goes into these helpers.
+    """
+    gp1 = g * p + 1.0
+    comm = a / gp1
+    sens = mu / (p * p)
+    return (comm + sens - v) / (comm * (g / gp1) + sens * 2.0 / p) + p
+
+
+def _root_derivatives(g, mu, v, p):
+    """1/p^2 and the log-derivatives mu dp/dmu and v dp/dv of the stationary
+    root p, by implicit differentiation of f(p) = 0: with d = -f'(p),
+    mu dp/dmu = (mu/p^2)/d and v dp/dv = -v/d."""
+    h = g / (1.0 + g * p)
+    inv2 = 1.0 / (p * p)
+    d = INV_LN2 * h * h + 2.0 * mu * inv2 / p
+    return inv2, mu * inv2 / d, -v / d
+
+
+def _add_sensing(sums, k, ps):
+    """The sums (S, C, S_t, S_x, C_t, C_x) of :func:`_power_map` with k
+    sensing subchannels of power ps = sqrt(mu/v) added: each adds ps to S
+    and 1/ps to C, and since mu dps/dmu = ps/2 = -v dps/dv, half of those to
+    the log-derivatives, with the signs of ps and 1/ps.  With k = 0 the sums
+    are returned as they are, and ps, which may then be 0, is not read."""
+    if not k:
+        return sums
+    S, C, S_t, S_x, C_t, C_x = sums
+    return (S + k * ps, C + k / ps, S_t + 0.5 * k * ps, S_x - 0.5 * k * ps,
+            C_t - 0.5 * k / ps, C_x + 0.5 * k / ps)
+
+
 def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> float:
     """Unique positive power solving the per-subchannel stationarity equation
     f(p) = g/((1 + g p) ln 2) + mu/p^2 - v = 0, with g the noise-normalized
@@ -175,9 +222,10 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
     For mu > 0, f is convex and strictly decreasing on p > 0, and at
     p0 = max(sqrt(mu/v), water-filling power) one of its terms alone equals
     v, so f(p0) >= 0.  Newton from p0 thus rises monotonically to the root;
-    it stops when the next iterate no longer rises.  This is the iteration
-    of :func:`_power_map_lanes`, with the same arithmetic, so both return
-    the same root.
+    it stops when the next iterate no longer rises.  The iterate is
+    :func:`_root_iterate`, which :func:`_power_map_lanes` takes too; this
+    root keeps only its start and its stop test, each the lanes map's on one
+    lane, so both return the same root.  It is the scalar map's root.
     """
     g = lambda2_over_sigma2
     if g <= 0.0:
@@ -186,13 +234,10 @@ def cubic_stationary_root(lambda2_over_sigma2: float, mu: float, v: float) -> fl
         raise ValueError(f"power multiplier must be positive, got {v}")
     if mu <= 0.0:
         raise ValueError(f"CRB multiplier must be positive, got {mu}")
-    p = max(math.sqrt(mu / v), INV_LN2 / v - 1.0 / g)
+    a, p, wf = INV_LN2 * g, math.sqrt(mu / v), INV_LN2 / v - 1.0 / g
+    p = wf if wf > p else p  # max(p, wf), as _power_map_lanes takes it
     for _ in range(200):
-        gp1 = g * p + 1.0
-        comm = INV_LN2 * g / gp1
-        sens = mu / (p * p)
-        f = comm + sens - v
-        q = f / (comm * (g / gp1) + sens * 2.0 / p) + p  # the Newton iterate
+        q = _root_iterate(a, g, mu, v, p)
         if not q > p:
             break
         p = q
@@ -206,37 +251,25 @@ def _power_map(gs, m, mu, v):
     S_t = mu dS/dmu, S_x = v dS/dv, and likewise C_t and C_x.
 
     Each communication subchannel takes its stationary root
-    (:func:`cubic_stationary_root`).  Each of the m - r sensing subchannels
-    takes sqrt(mu/v), which enters S, C and their derivatives but is not
-    returned: :func:`_solve_budgets` forms it once, in the original units.
-    The derivatives follow from the stationarity equations by implicit
-    differentiation: with d = -f'(p), mu dp/dmu = (mu/p^2)/d and
-    v dp/dv = -v/d.
+    (:func:`cubic_stationary_root`), and its derivatives follow by implicit
+    differentiation (:func:`_root_derivatives`); the sums add the
+    subchannels in their order, from 0.0.  Each of the m - r sensing
+    subchannels takes sqrt(mu/v), which enters S, C and their derivatives
+    (:func:`_add_sensing`) but is not returned: :func:`_solve_budgets`
+    forms it once, in the original units.  The arithmetic is that of
+    :func:`_power_map_lanes`, shared through those helpers.
     """
     p = [cubic_stationary_root(g, mu, v) for g in gs]
     S = C = S_t = S_x = C_t = C_x = 0.0
     for g, x in zip(gs, p):
-        h = g / (1.0 + g * x)
-        inv2 = 1.0 / (x * x)
-        d = INV_LN2 * h * h + 2.0 * mu * inv2 / x
-        dp_dt = mu * inv2 / d
-        dp_dx = -v / d
+        inv2, dp_dt, dp_dx = _root_derivatives(g, mu, v, x)
         S += x
         C += 1.0 / x
         S_t += dp_dt
         S_x += dp_dx
         C_t -= inv2 * dp_dt
         C_x -= inv2 * dp_dx
-    k = m - len(gs)
-    if k:
-        ps = math.sqrt(mu / v)
-        S += k * ps
-        C += k / ps
-        S_t += 0.5 * k * ps
-        S_x -= 0.5 * k * ps
-        C_t -= 0.5 * k / ps
-        C_x += 0.5 * k / ps
-    return p, S, C, S_t, S_x, C_t, C_x
+    return p, *_add_sensing((S, C, S_t, S_x, C_t, C_x), m - len(gs), math.sqrt(mu / v))
 
 
 def _exp(x):
@@ -277,7 +310,12 @@ def _newton_step(x, val, step, lo, hi, tol):
     ulps = 4.0 * _EPS * max(1.0, abs(x))
     if not step * val > 0.0:
         step = math.copysign(_MAX_LOG_STEP, val)
-    step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step))
+    # clamped by comparisons, which cost a third of max() and min(); step is
+    # no NaN here
+    if step > _MAX_LOG_STEP:
+        step = _MAX_LOG_STEP
+    elif step < -_MAX_LOG_STEP:
+        step = -_MAX_LOG_STEP
     done = abs(val) <= tol or hi - lo <= ulps or abs(step) <= ulps
     nx = x + step
     if not lo < nx < hi:
@@ -602,18 +640,20 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
 
 def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     """:func:`_power_map` for each lane of the (n,) arrays mu, v > 0, with
-    g the r communication gains and k = m - r sensing subchannels, with the
-    arithmetic of :func:`_power_map` operation for operation, so that each
-    lane gets that map's values bit for bit.
+    g the r communication gains and k = m - r sensing subchannels; each lane
+    gets that map's values bit for bit, as both take their arithmetic from
+    :func:`_root_iterate`, :func:`_root_derivatives` and
+    :func:`_add_sensing`.
 
-    Each stationary root is the monotone Newton iteration of
-    :func:`cubic_stationary_root`, run for all subchannels and lanes at once
-    until no iterate rises any more; a root that has stopped rising stays
-    put.  The sums add the subchannels in their order, as :func:`_power_map`
-    does: a running sum down the first axis, where numpy's ``sum`` would
-    add one lane's terms pairwise.  Returns the (r, n) communication powers
-    and the (n,) arrays S, C and the log-derivatives S_t, S_x, C_t and C_x,
-    whose sums include the k sensing subchannels' sqrt(mu/v).
+    What this map keeps of its own: each stationary root starts where
+    :func:`cubic_stationary_root` starts, through ``np.where``, and the
+    iteration runs for all subchannels and lanes at once until no iterate
+    rises any more, a root that has stopped rising staying put.  The sums
+    add the subchannels in their order, as :func:`_power_map` does: a
+    running sum down the first axis, where numpy's ``sum`` would add one
+    lane's terms pairwise.  Returns the (r, n) communication powers and the
+    (n,) arrays S, C and the log-derivatives S_t, S_x, C_t and C_x, whose
+    sums include the k sensing subchannels' sqrt(mu/v).
     """
     # (r, n) operands throughout: same-shape arithmetic is faster than
     # broadcasting at these sizes
@@ -624,41 +664,18 @@ def _power_map_lanes(g: np.ndarray, k: int, mu: np.ndarray, v: np.ndarray):
     V = v[None, :].repeat(r, axis=0)
     p = np.sqrt(MU / V)
     wf = INV_LN2 / V - 1.0 / G
-    p = np.where(wf > p, wf, p)  # max(), as Python takes it
+    p = np.where(wf > p, wf, p)
     for _ in range(200):
-        gp1 = G * p
-        gp1 += 1.0
-        comm = A / gp1
-        sens = MU / (p * p)
-        f = comm + sens
-        f -= V
-        comm *= G / gp1
-        sens *= 2.0
-        sens /= p
-        comm += sens  # -f'(p)
-        f /= comm
-        f += p  # the Newton iterate
-        rises = f > p
+        q = _root_iterate(A, G, MU, V, p)
+        rises = q > p
         if not rises.any():
             break
-        p = np.where(rises, f, p)
-    h = G / (1.0 + G * p)
-    inv2 = 1.0 / (p * p)
-    d = INV_LN2 * h * h + 2.0 * MU * inv2 / p
-    dp_dt = MU * inv2 / d
-    dp_dx = -V / d
+        p = np.where(rises, q, p)
+    inv2, dp_dt, dp_dx = _root_derivatives(G, MU, V, p)
     S, C, S_t, S_x = (np.add.accumulate(a)[-1] for a in (p, 1.0 / p, dp_dt, dp_dx))
     # subtracted from 0.0, as _power_map subtracts them, down to a zero's sign
     C_t, C_x = (0.0 - np.add.accumulate(inv2 * a)[-1] for a in (dp_dt, dp_dx))
-    if k:
-        ps = np.sqrt(mu / v)
-        S = S + k * ps
-        C = C + k / ps
-        S_t = S_t + 0.5 * k * ps
-        S_x = S_x - 0.5 * k * ps
-        C_t = C_t - 0.5 * k / ps
-        C_x = C_x + 0.5 * k / ps
-    return p, S, C, S_t, S_x, C_t, C_x
+    return p, *_add_sensing((S, C, S_t, S_x, C_t, C_x), k, np.sqrt(mu / v))
 
 
 def _dual_searches(gs, m, gamma_tildes, ends, lanes):
@@ -756,7 +773,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       _LOCKSTEP_MIN_BUDGETS of them and the lanes map otherwise.  A budget
       above the searchable limit of :func:`_ends`, where the search would
       need a subnormal mu', or whose value in units of P overflows, raises
-      ``ValueError`` naming the loosest CRB threshold and the largest
+      ``ValueError`` naming the loosest CRB threshold (or saying that its
+      trace budget overflows, where that budget is infinite) and the largest
       searchable one, or, if that limit is at or below the minimum M^2,
       naming P and sigma_c2, at which no threshold above the minimum can be
       searched; the water-filling raises one naming P if no gain stays
@@ -791,25 +809,25 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     ====  ===========  ==========  ============
      n    scalar (ms)  lanes (ms)  lanes passes
     ====  ===========  ==========  ============
-     2        0.09        0.32          3.4
-     8        0.42        0.59          4.5
-     12       0.64        0.68          4.6
-     13       0.69        0.70          4.6
-     14       0.76        0.73          4.6
-     16       0.83        0.76          4.6
-     20       1.05        0.82          4.6
-     21       1.09        0.86          4.6
-     24       1.31        0.99          4.6
-     32       1.79        1.12          4.6
-     50       2.72        1.43          4.6
+     2        0.09        0.33          3.4
+     8        0.43        0.62          4.5
+     12       0.68        0.72          4.6
+     13       0.73        0.73          4.6
+     14       0.75        0.73          4.6
+     16       0.86        0.76          4.6
+     20       1.12        0.86          4.6
+     21       1.19        0.89          4.6
+     24       1.37        0.98          4.6
+     32       1.87        1.11          4.6
+     50       2.88        1.46          4.6
     ====  ===========  ==========  ============
 
     So the two maps break even at 13 to 14 budgets; in six runs the scalar
-    map was ahead at 12 in five and even in one, the two were within
-    0.08 ms of each other at 13 and 14, either one ahead, and the lanes map
-    was ahead from 16 on in all six, so _LOCKSTEP_MIN_BUDGETS = 14 sits at
-    the crossover.  The two maps give the same numbers, bit for bit, so the
-    constant chooses a speed and never a result.
+    map was ahead at 12 in all six and ahead or even at 13, the lanes map
+    was ahead at 14 in five and even in one, and ahead from 16 on in all
+    six, so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two maps
+    give the same numbers, bit for bit, so the constant chooses a speed and
+    never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]
@@ -852,7 +870,10 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
                                  f"P = {P:g} and sigma_c2 = {scenario.sigma_c2:g}")
             crb, crb_limit = (crb_from_trace_budget(x, scenario.sigma_s2, scenario.Ns, scenario.L)
                               for x in (max(gamma_tildes[j] for j in dual), ends.limit / P))
-            raise ValueError(f"CRB threshold {crb:.6g} is too loose to search at P = {P:g}: "
+            # a finite threshold whose trace budget overflows maps back to inf
+            loosest = (f"CRB threshold {crb:.6g}" if crb < math.inf
+                       else "a CRB threshold whose trace budget overflows")
+            raise ValueError(f"{loosest} is too loose to search at P = {P:g}: "
                              f"thresholds above {crb_limit:.6g} cannot be searched")
         found += zip(dual, _dual_searches(gs_P, m, gts_P, ends, lockstep))
     # a search that evaluated nothing has no candidate, and leaves its budget

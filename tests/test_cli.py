@@ -295,6 +295,19 @@ def test_malformed_number_rejected(config1, tmp_path, capsys, command, named):
     assert err.startswith("error:") and named in err, err
 
 
+def test_threshold_whose_trace_budget_overflows_rejected(config2, tmp_path, capsys):
+    # at 10 dB the full-rank scenario2 leaves a subchannel dry, so the
+    # infinite trace budget of 1e308 takes the dual path; the error named
+    # the threshold inf
+    out = tmp_path / "o.csv"
+    assert main(["rate-vs-snr", str(config2), "--gamma", "1e308", "--snr-list", "10,20",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: a CRB threshold whose trace budget overflows is too loose to search "
+                   "at P = 10: thresholds above 1.69947e+152 cannot be searched\n"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--crb-cap", "1e305"],
     ["point", "--gamma", "1e305"],

@@ -256,6 +256,18 @@ def test_solve_non_finite_budgets(preset, request):
                                           waterfill(H.lambdas2, sc.sigma_c2, sc.P, m=sc.M).p)
 
 
+def test_threshold_whose_trace_budget_overflows_is_named_so(scenario2):
+    # at P = 10 the full-rank scenario2 water-fills with a subchannel dry, so
+    # an infinite trace budget takes the dual path and is too loose to
+    # search; the error named the threshold the budget maps back to, inf,
+    # not the caller's 1e+308
+    H, sc = scenario2
+    with pytest.raises(ValueError, match=re.escape(
+            "a CRB threshold whose trace budget overflows is too loose to search at "
+            "P = 10: thresholds above 1.69947e+152 cannot be searched")):
+        solve_p1(H, dataclasses.replace(sc, P=10.0), 1e308)
+
+
 @pytest.mark.parametrize("case", ["scenario1", "diag_below_p0"])
 def test_loosest_searchable_threshold(case, scenario1):
     # the dual search's CRB multiplier in units of P, mu', falls to 0 as the
