@@ -47,7 +47,6 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, default=BENCH["run_seconds"])
     ap.add_argument("--seed", type=int, default=36001,
                     help="seed of the first pair; pair i runs seed + i")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", required=True, type=Path)
     return ap.parse_args(argv)
 
@@ -123,29 +122,28 @@ def machine():
 
 def main(argv=None):
     args = parse_args(argv)
-    workloads = args.workloads.split(",")
     seeds = [args.seed + i for i in range(args.pairs)]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         revs = {side: checkout(rev, trees[side])
                 for side, rev in (("base", args.base), ("change", args.change))}
-        runs = {w: {"base": [], "change": []} for w in workloads}
+        runs = {w: {"base": [], "change": []} for w in WORKLOADS}
         start = time.time()
         for i, seed in enumerate(seeds):
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                     runs[w][side].append(run(trees[side], w, seed, args.seconds, 0))
             print(f"pair {i + 1}/{args.pairs} done after {time.time() - start:.0f} s",
                   file=sys.stderr)
         traced = {w: {side: run(trees[side], w, seeds[0], args.seconds, 1)
-                      for side in ("base", "change")} for w in workloads}
+                      for side in ("base", "change")} for w in WORKLOADS}
     report = {"machine": machine(), "trees": revs, "seeds": seeds, "seconds": args.seconds,
               "order": "pair i runs each workload base then change for even i, "
                        "change then base for odd i",
               "workloads": {w: {"summary": summary(runs[w]), "runs": runs[w],
-                                "traced": traced[w]} for w in workloads}}
+                                "traced": traced[w]} for w in WORKLOADS}}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    for w in workloads:
+    for w in WORKLOADS:
         for name, entry in report["workloads"][w]["summary"].items():
             n = entry["normalized"]
             print(f"{w:9s} {name:17s} base {n['base']['median']:10.4g}  "
