@@ -307,11 +307,12 @@ def _newton_step(x, val, step, lo, hi, tol):
     (|val| <= tol, or the bracket or the step has shrunk to a few ulps of
     x) and the next x.
     """
-    ulps = 4.0 * _EPS * max(1.0, abs(x))
+    # max(1.0, |x|) and the clamp of the step, by comparisons, which pick
+    # what max() and min() pick, NaN included; step is no NaN here
+    ax = abs(x)
+    ulps = 4.0 * _EPS * (ax if ax > 1.0 else 1.0)
     if not step * val > 0.0:
         step = math.copysign(_MAX_LOG_STEP, val)
-    # clamped by comparisons, which cost a third of max() and min(); step is
-    # no NaN here
     if step > _MAX_LOG_STEP:
         step = _MAX_LOG_STEP
     elif step < -_MAX_LOG_STEP:
@@ -481,34 +482,42 @@ def _dual_start(ends, m, gamma_tilde):
 class _Search:
     """One budget's dual search in units of P: log mu and log v (t and x) and
     their brackets, the latest evaluation and the one at the feasible end of
-    the log mu bracket, each (mu, v, powers), the multipliers ``mu_v`` of
-    its next evaluation, ``None`` once it has stopped, and the evaluations
-    ``evals`` it has made.  It starts from :func:`_dual_start`; :meth:`step`
+    the log mu bracket, each (mu, v, powers), mu = exp(t) (``None`` until it
+    is taken for the current t), the multipliers ``mu_v`` of its next
+    evaluation, ``None`` once it has stopped, and the evaluations ``evals``
+    it has made.  It starts from :func:`_dual_start`; :meth:`step`
     is its pass, and the driver, :func:`_dual_searches`, only evaluates a
-    power map at ``mu_v`` and sets the next ``mu_v``."""
+    power map at ``mu_v``, counts the evaluation and sets the ``mu_v`` that
+    the pass returns."""
 
     __slots__ = ("gamma_tilde", "c_min", "t", "x", "t_lo", "t_hi", "x_lo", "x_hi",
-                 "last", "at_t_hi", "converged", "mu_v", "evals")
+                 "last", "at_t_hi", "converged", "mu", "mu_v", "evals")
 
     def __init__(self, ends, m, gamma_tilde):
         self.gamma_tilde, self.c_min = gamma_tilde, m * m
         self.t, self.x = _dual_start(ends, m, gamma_tilde)
         self.t_lo = self.x_lo = -math.inf
         self.t_hi = self.x_hi = math.inf
-        self.last = self.at_t_hi = None
+        self.last = self.at_t_hi = self.mu = None
         self.converged = False
         self.mu_v, self.evals = self.multipliers(), 0
 
     def multipliers(self):
         """(mu, v) of the next evaluation, from :func:`_exp`, or ``None`` where
         either is NaN: the search then ends unconverged, on its last
-        evaluation."""
-        mu, v = _exp(self.t), _exp(self.x)
+        evaluation.  exp(t) is taken once per value of t."""
+        mu = self.mu
+        if mu is None:
+            mu = self.mu = _exp(self.t)
+        v = _exp(self.x)
         return None if math.isnan(mu + v) else (mu, v)
 
-    def step(self, mu, v, p, S, C, S_t, S_x, C_t, C_x):
-        """One pass on the evaluation of the power map at (mu, v); returns
-        whether the search has stopped, converged or not.
+    def step(self, mu_v, values):
+        """One pass on ``values``, the evaluation (p, S, C, S_t, S_x, C_t,
+        C_x) of a power map at ``mu_v`` = (mu, v), the ``evals``-th; returns
+        the multipliers of the next evaluation (:meth:`multipliers`), or
+        ``None`` once the search has stopped, converged or not, or has spent
+        its _MAX_DUAL_ITERS evaluations.
 
         The pass computes the inner Newton step dx_in in log v on the power
         budget residual F = log S, and the outer residual on the curve v*(mu)
@@ -535,11 +544,13 @@ class _Search:
         finite, and a ZeroDivisionError of the pass stops it so in the
         caller; either way on this evaluation.
         """
+        mu, v = mu_v
+        p, S, C, S_t, S_x, C_t, C_x = values
         self.last = (mu, v, p)
         # inner search: log S in log v
         F = _log(S)
         if not math.isfinite(F + C + S_t + S_x + C_t + C_x):
-            return True
+            return None
         x = self.x
         dx_in = -F * S / S_x
         if F > 0.0:
@@ -556,7 +567,9 @@ class _Search:
         # equal-split boundary
         c_v = C_x / C
         G = _log(C / self.gamma_tilde) + c_v * dx_in
-        if inner_done or abs(F) * min(1.0, abs(F)) <= _INNER_FRACTION * abs(G):
+        abs_f = abs(F)
+        # min(1.0, |F|) by a comparison, which picks what min() picks
+        if inner_done or abs_f * (abs_f if abs_f < 1.0 else 1.0) <= _INNER_FRACTION * abs(G):
             t = self.t
             dx_dt = -S_t / S_x  # d log v* / d log mu
             excess = C * _exp(c_v * dx_in) - self.c_min
@@ -572,14 +585,13 @@ class _Search:
             outer_done, t_next = _newton_step(t, G, step, self.t_lo, self.t_hi, _DUAL_TOL)
             if outer_done and inner_done:
                 self.converged = True
-                return True
+                return None
             if not outer_done:
-                self.x = x + dx_in + dx_dt * (t_next - t)
+                x_next = x + dx_in + dx_dt * (t_next - t)
                 self.x_lo, self.x_hi = -math.inf, math.inf
-                self.t = t_next
-                return False
+                self.t, self.mu = t_next, None
         self.x = x_next
-        return False
+        return self.multipliers() if self.evals < _MAX_DUAL_ITERS else None
 
     def result(self):
         """(candidates, evals, converged), as :func:`_dual_searches` hands
@@ -593,32 +605,45 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
     """KKT certificate for a candidate (p, mu, v) at tolerance _KKT_TOL.
 
     Returns (ok, residual, relative_duality_gap).  The residual is the worst
-    over stationarity, the sensing-power law, primal feasibility overshoot
-    and complementary slackness; the duality gap is that of the Lagrangian
-    at (p, mu, v), built from the same rate, power sum and trace inverse,
-    against the rate.
+    over stationarity (:func:`stationarity_residual` on each communication
+    subchannel), the sensing-power law, primal feasibility overshoot and
+    complementary slackness; the duality gap is that of the Lagrangian at
+    (p, mu, v), built from the same rate, power sum and trace inverse,
+    against the rate.  One pass over p forms each subchannel's terms; the
+    power sum, trace inverse and rate are then the builtin ``sum`` of those
+    terms in subchannel order.
     """
     r = len(gs)
     stat = 0.0
-    for g, x in zip(gs, p[:r]):
+    inv, logs = [], []  # each positive power's 1/p; each communication log1p(g p)
+    for g, x in zip(gs, p):
+        gx = g * x
         if x > 0.0:
-            stat = max(stat, abs(stationarity_residual(x, g, mu, v)))
+            res = INV_LN2 * g / (1.0 + gx) - v
+            if mu != 0.0:
+                res += mu / (x * x)
+            res = abs(res)
+            if res > stat:
+                stat = res
+            inv.append(1.0 / x)
         else:
             # a dry channel is only consistent with mu = 0 and a water level
             # below its floor
             stat = max(stat, mu, max(0.0, INV_LN2 * g - v))
+        logs.append(math.log1p(gx))
     sens = 0.0
     if m > r:
         ps = math.sqrt(mu / v) if (mu >= 0.0 and v > 0.0) else math.inf
-        sens = max(abs(x - ps) for x in p[r:])
+        sens = max([abs(x - ps) for x in p[r:]])
+        inv += [1.0 / x for x in p[r:] if x > 0.0]
     ssum = float(sum(p))
-    cinv = sum(1.0 / x for x in p) if all(x > 0.0 for x in p) else math.inf
+    cinv = sum(inv) if len(inv) == m else math.inf
     over_p = max(0.0, ssum - P)
     # written so that an infinite budget, met with mu = 0, leaves no inf - inf
     over_c = 0.0 if cinv <= gamma_tilde else cinv - gamma_tilde
     comp_c = 0.0 if mu == 0.0 else mu * abs(cinv - gamma_tilde)
     comp_p = v * abs(ssum - P)
-    rate_val = INV_LN2 * sum(math.log1p(g * x) for g, x in zip(gs, p))
+    rate_val = INV_LN2 * sum(logs)
     # the Lagrangian at (p, mu, v), without its CRB term at mu = 0, where the
     # budget may be infinite
     crb_term = mu * (cinv - gamma_tilde) if mu > 0.0 else 0.0
@@ -685,9 +710,9 @@ def _dual_searches(gs, m, gamma_tildes, ends, lanes):
 
     The searches run pass by pass over the live ones, those whose next
     multipliers ``mu_v`` are set.  Each pass evaluates the power map at each
-    live search's ``mu_v`` and then takes each search's pass
-    :meth:`_Search.step` on its own values, counts the evaluation and sets
-    its next ``mu_v``.  With ``lanes`` the pass evaluates
+    live search's ``mu_v``, and then counts each search's evaluation and sets
+    its next ``mu_v`` to what its pass :meth:`_Search.step` on its own values
+    returns.  With ``lanes`` the pass evaluates
     :func:`_power_map_lanes` once over all live searches; without it,
     :func:`_power_map` once per search.  The two maps have the same
     arithmetic, so each search hands back the same numbers, bit for bit,
@@ -718,22 +743,21 @@ def _dual_searches(gs, m, gamma_tildes, ends, lanes):
     while live:
         values = None
         if lanes:
-            mu, v = (np.array(a) for a in zip(*(search.mu_v for search in live)))
+            mu, v = zip(*[search.mu_v for search in live])
             try:
                 with np.errstate(all="ignore", divide="raise", invalid="raise"):
-                    p, *sums = _power_map_lanes(g, k, mu, v)
-                values = zip(p.T.tolist(), *(a.tolist() for a in sums))
+                    p, *sums = _power_map_lanes(g, k, np.array(mu), np.array(v))
+                values = zip(p.T.tolist(), *[a.tolist() for a in sums])
             except FloatingPointError:
                 pass  # evaluated by _power_map, which raises where it divides by zero
         for search in live:
             mu_v = search.mu_v
             search.evals += 1
             try:
-                done = search.step(*mu_v, *(_power_map(gs, m, *mu_v) if values is None
-                                            else next(values)))
+                search.mu_v = search.step(mu_v, _power_map(gs, m, *mu_v) if values is None
+                                          else next(values))
             except ZeroDivisionError:
-                done = True
-            search.mu_v = None if done or search.evals == _MAX_DUAL_ITERS else search.multipliers()
+                search.mu_v = None
         live = [search for search in live if search.mu_v is not None]
     return [search.result() for search in searches]
 
@@ -878,13 +902,15 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
         found += zip(dual, _dual_searches(gs_P, m, gts_P, ends, lockstep))
     # a search that evaluated nothing has no candidate, and leaves its budget
     # at iteration_limit
+    k = m - len(gs_P)  # the dedicated sensing subchannels
     for j, (candidates, evals, converged) in found:
         gamma_tilde = gamma_tildes[j]
         for mu, v, q in candidates:
             # the one conversion out of units of P, into budget j's candidate,
             # where each dedicated sensing subchannel takes sqrt(mu / v)
             p, mu_j, v_j = [P * x for x in q], P * mu, v / P
-            p += [math.sqrt(mu_j / v_j) if v_j > 0.0 else math.inf] * (m - len(q))
+            if k:
+                p += [math.sqrt(mu_j / v_j) if v_j > 0.0 else math.inf] * k
             ok, res, gap = False, math.nan, math.nan
             if all(map(math.isfinite, p)):
                 ok, res, gap = _certify(gs, m, p, mu_j, v_j, gamma_tilde, P)

@@ -26,12 +26,24 @@ the table that sets the solver's _LOCKSTEP_MIN_BUDGETS (see
     PYTHONPATH=src python tests/battery.py primal
 
 prints the size and the times of the oracle's primal grid on the cases that
-the tier-1 tests run it at (see :func:`primal`).
+the tier-1 tests run it at (see :func:`primal`);
+
+    PYTHONPATH=src python tests/battery.py digest
+
+prints one SHA-256 per census battery over every solve's status,
+evaluations and the exact bits of its results, and one over the CSV bytes of
+the benchmark's ``frontier`` sweeps (see :func:`digest`), so that a change
+meant to keep every output bit can be checked by a ``diff`` of two runs.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import math
 import statistics
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from isac_pareto import oracle
+from isac_pareto import cli, oracle
 from isac_pareto.closed_form import (
     _waterfill_unit,
     crb_min_point,
@@ -47,7 +59,13 @@ from isac_pareto.closed_form import (
     rate_max_point,
     waterfill,
 )
-from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
+from isac_pareto.scenario import (
+    ChannelMatrix,
+    Scenario,
+    load_fixture,
+    preset_scenario,
+    rician_channel,
+)
 from isac_pareto.solver import _dual_searches, _ends, solve_p1
 from isac_pareto.sweep import sweep
 
@@ -191,32 +209,42 @@ def dual_budgets(H, sc, n):
 
 
 def _solves(links, factors):
-    """One (label, status, evaluations) record per link and factor: those of
-    ``solve_p1`` at that factor times the minimum CRB, with the name of the
-    exception in place of the status where one is raised."""
+    """One (label, status, evaluations, values) record per link and factor:
+    those of ``solve_p1`` at that factor times the minimum CRB, with the name
+    of the exception in place of the status where one is raised.  The values
+    are the powers, mu, v, kkt_residual and duality_gap of the allocation,
+    none where there is no allocation."""
     out = []
     for i, (H, sc) in enumerate(links):
         try:
             crb_min = crb_min_point(H, sc)[1].crb
         except Exception as exc:  # a census counts what raises, too
-            out += [((i, f), type(exc).__name__, 0) for f in factors]
+            out += [((i, f), type(exc).__name__, 0, ()) for f in factors]
             continue
         for f in factors:
             try:
                 rep = solve_p1(H, sc, f * crb_min)
             except Exception as exc:
-                out.append(((i, f), type(exc).__name__, 0))
+                out.append(((i, f), type(exc).__name__, 0, ()))
+                continue
+            a = rep.allocation
+            if a is None:
+                out.append(((i, f), rep.status, 0, ()))
             else:
-                out.append(((i, f), rep.status, rep.allocation.iterations if rep.allocation else 0))
+                out.append(((i, f), rep.status, a.iterations,
+                            (*a.p.tolist(), a.mu, a.v, a.kkt_residual, a.duality_gap)))
     return out
 
 
 def census():
     """Yield (battery name, records) for each census battery, one
-    (label, status, evaluations) record per solve or sweep row."""
+    (label, status, evaluations, values) record per solve or sweep row (see
+    :func:`_solves`); a sweep row's values are its crb, rate, mu, v and
+    kkt_residual, as the row carries no powers or duality gap, and its crb
+    and rate are the closed forms of its powers."""
     yield "stress (400 x 8)", _solves(stress_links(400), STRESS_FACTORS)
     yield "near-p0 sweeps (120 x 10 and 50 points)", [
-        ((i, points, j), r.status, r.iterations)
+        ((i, points, j), r.status, r.iterations, (r.crb, r.rate, r.mu, r.v, r.kkt_residual))
         for i, (H, sc) in enumerate(near_p0_links()) for points in (10, 50)
         for j, r in enumerate(sweep(H, sc, points, schemes=("optimal",)).rows)]
     yield "scale ladder (13 x 3)", _solves(scale_ladder(), LADDER_FACTORS)
@@ -340,9 +368,60 @@ def primal():
                *(1e3 * min(times[name, part]) for part in parts))
 
 
+# the benchmark's frontier workload: both presets at three powers, each with
+# FRONTIER_SEEDS channel seeds from default_rng(0), swept at FRONTIER_POINTS
+FRONTIER_PRESETS = ("scenario1", "scenario2")
+FRONTIER_POWERS = (8.0, 80.0, 800.0)
+FRONTIER_SEEDS = 12
+FRONTIER_POINTS = 50
+
+
+def frontier_csvs():
+    """Yield the CSV bytes of an in-process CLI ``sweep --points 50`` of each
+    channel of the benchmark's ``frontier`` workload, in its set-up order:
+    the channel seeds are drawn as ``isacbench/workloads.py`` draws them,
+    one ``integers(2**31)`` of ``default_rng(0)`` per channel."""
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "sweep.csv"
+        for preset in FRONTIER_PRESETS:
+            for P in FRONTIER_POWERS:
+                for _ in range(FRONTIER_SEEDS):
+                    sc = preset_scenario(preset, seed=int(rng.integers(2 ** 31)))
+                    config.write_text(json.dumps(
+                        {"M": sc.M, "Nc": sc.Nc, "Ns": sc.Ns, "L": sc.L, "P": P,
+                         "sigma_c2": sc.sigma_c2, "sigma_s2": sc.sigma_s2, "Kc": sc.Kc,
+                         "theta": sc.theta, "seed": sc.seed}))
+                    argv = ["sweep", str(config), "--points", str(FRONTIER_POINTS),
+                            "--out", str(out)]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        if cli.main(argv) != 0:
+                            raise RuntimeError(f"sweep of {preset} at P = {P:g} failed")
+                    yield out.read_bytes()
+
+
+def digest():
+    """Yield (name, SHA-256 hex digest) for each census battery and for the
+    ``frontier`` CSVs.  A battery's digest runs over each of its records in
+    order: label, status and evaluations as text, then the exact IEEE 754
+    bits of its values (see :func:`census`).  The frontier digest runs over
+    the bytes of every CSV of :func:`frontier_csvs`."""
+    for name, records in census():
+        h = hashlib.sha256()
+        for label, status, evals, values in records:
+            h.update(f"{label}|{status}|{evals}|".encode())
+            h.update(np.array(values, dtype=np.float64).tobytes())
+        yield name, h.hexdigest()
+    h = hashlib.sha256()
+    for csv in frontier_csvs():
+        h.update(csv)
+    yield (f"frontier CSVs ({len(FRONTIER_PRESETS) * len(FRONTIER_POWERS) * FRONTIER_SEEDS}"
+           f" x {FRONTIER_POINTS} points)", h.hexdigest())
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["census"], ["cases"], ["crossover"], ["primal"]):
-        sys.exit("usage: python tests/battery.py census|cases|crossover|primal")
+    if sys.argv[1:] not in (["census"], ["cases"], ["crossover"], ["primal"], ["digest"]):
+        sys.exit("usage: python tests/battery.py census|cases|crossover|primal|digest")
     if sys.argv[1] == "crossover":
         print(" n  links  scalar (ms)  scalar med  lanes (ms)  lanes med  lanes passes")
         for n, links, scalar, scalar_med, lanes, lanes_med, passes in crossover():
@@ -356,11 +435,15 @@ if __name__ == "__main__":
             print(f"{name:9s}  {m}  {steps:5d}  {tuples:8d}  {blocks:6d}  {powered:8d}"
                   f"  {points:7d}  {grid:9.2f}  {repair:11.2f}  {whole:11.2f}")
         sys.exit()
+    if sys.argv[1] == "digest":
+        for name, sha in digest():
+            print(f"{name}: {sha}")
+        sys.exit()
     for name, records in census():
         if sys.argv[1] == "cases":
-            for label, status, evals in records:
+            for label, status, evals, _ in records:
                 print(f"{name} | {label} | {status} | {evals}")
             continue
-        counts = Counter(status for _, status, _ in records)
-        evals = sum(n for _, _, n in records)
+        counts = Counter(status for _, status, _, _ in records)
+        evals = sum(n for _, _, n, _ in records)
         print(f"{name}: {len(records)} cases, {dict(sorted(counts.items()))}, {evals} evaluations")
