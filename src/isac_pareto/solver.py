@@ -116,7 +116,8 @@ _MAX_DUAL_ITERS = 2000
 # either side of M^2/P that counts as the equal-split budget.
 _FEASIBILITY_RTOL = 1e-12
 # Fewest dual-path budgets of one channel whose searches _solve_budgets has
-# evaluated by the lanes power map (see its docstring for the measurement).
+# evaluated by the lanes power map; `python tests/battery.py crossover`
+# measures the break-even of the two maps.
 _LOCKSTEP_MIN_BUDGETS = 14
 
 
@@ -619,6 +620,7 @@ def _certify(gs, m, p, mu, v, gamma_tilde, P):
     for g, x in zip(gs, p):
         gx = g * x
         if x > 0.0:
+            # |stationarity_residual(x, g, mu, v)|, written out
             res = INV_LN2 * g / (1.0 + gx) - v
             if mu != 0.0:
                 res += mu / (x * x)
@@ -821,37 +823,12 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
     evaluations, ends on a math error or a non-finite evaluation, or misses
     the certificate gives ``iteration_limit``.
 
-    With the lanes map a batch costs about as many passes as its slowest
-    search takes evaluations, and each pass has a fixed numpy overhead in
-    its power map, while every search's pass step costs what it does with
-    the scalar map, so the lanes map only pays for large n.  Measured by
-    ``PYTHONPATH=src python tests/battery.py crossover`` (see there: the
-    searches of one channel's n budgets, mean per link over the 54 of the
-    first 60 stress links that have such budgets, each time the best of
-    nine runs; Python 3.11, numpy 2.4, 2 vCPUs):
-
-    ====  ===========  ==========  ============
-     n    scalar (ms)  lanes (ms)  lanes passes
-    ====  ===========  ==========  ============
-     2        0.09        0.33          3.4
-     8        0.43        0.62          4.5
-     12       0.68        0.72          4.6
-     13       0.73        0.73          4.6
-     14       0.75        0.73          4.6
-     16       0.86        0.76          4.6
-     20       1.12        0.86          4.6
-     21       1.19        0.89          4.6
-     24       1.37        0.98          4.6
-     32       1.87        1.11          4.6
-     50       2.88        1.46          4.6
-    ====  ===========  ==========  ============
-
-    So the two maps break even at 13 to 14 budgets; in six runs the scalar
-    map was ahead at 12 in all six and ahead or even at 13, the lanes map
-    was ahead at 14 in five and even in one, and ahead from 16 on in all
-    six, so _LOCKSTEP_MIN_BUDGETS = 14 sits at the crossover.  The two maps
-    give the same numbers, bit for bit, so the constant chooses a speed and
-    never a result.
+    The lanes map costs a fixed numpy overhead per pass, and a batch takes
+    about as many passes as its slowest search takes evaluations, so it
+    pays only for many budgets; ``python tests/battery.py crossover``
+    measures where it starts to, which sets _LOCKSTEP_MIN_BUDGETS.  The two
+    maps give the same numbers, bit for bit, so the constant chooses a speed
+    and never a result.
     """
     m, P = scenario.M, scenario.P
     gs = [float(x) / scenario.sigma_c2 for x in H.lambdas2]

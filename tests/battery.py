@@ -277,7 +277,31 @@ def crossover():
     all links, interleaved over n and both maps, so that a slow phase of
     the host shows as a median far above its best.  Only the searches are
     timed: the certificates that follow them cost the same with either
-    map."""
+    map.
+
+    Best of nine, on Python 3.11.7, numpy 2.4.6, an Intel Xeon with 2
+    vCPUs, 54 links:
+
+    ====  ===========  ==========  ============
+     n    scalar (ms)  lanes (ms)  lanes passes
+    ====  ===========  ==========  ============
+     2        0.08        0.28          3.4
+     8        0.36        0.50          4.5
+     12       0.55        0.57          4.6
+     13       0.59        0.59          4.6
+     14       0.63        0.59          4.6
+     16       0.72        0.63          4.6
+     20       0.91        0.69          4.6
+     21       0.95        0.71          4.6
+     24       1.09        0.75          4.6
+     32       1.50        0.89          4.6
+     50       2.26        1.15          4.6
+    ====  ===========  ==========  ============
+
+    In three runs the scalar map was ahead at 12, the two were even at 13,
+    and the lanes map was ahead from 14 on, where the solver's
+    _LOCKSTEP_MIN_BUDGETS sits.  On a shared host the break-even moves by
+    about one budget between runs."""
     batches = {n: [] for n in CROSSOVER_SIZES}
     for H, sc in stress_links(60):
         gs = [float(x) / sc.sigma_c2 * sc.P for x in H.lambdas2]
