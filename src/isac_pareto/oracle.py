@@ -128,10 +128,11 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
     operations in the same order as in that form, so the powers are the
     same bit for bit.
     """
-    shape = (MU.size, gs.size)
-    inv_g = np.broadcast_to(1.0 / gs, shape).copy()
-    MUc = np.broadcast_to(MU[:, None], shape).copy()
-    Vc = np.broadcast_to(V[:, None], shape).copy()
+    n, r = MU.size, gs.size
+    shape = (n, r)
+    inv_g = (1.0 / gs)[None, :].repeat(n, axis=0)
+    MUc = MU.repeat(r).reshape(shape)
+    Vc = V.repeat(r).reshape(shape)
     lo, hi = _root_bracket(gs, MU, V)
     w = hi - lo
     mid, f, curv = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -149,7 +150,7 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
             np.divide(MUc, curv, out=curv)
             f += curv
             np.greater(f, Vc, out=pos)
-            np.copyto(lo, mid, where=pos)
+            np.putmask(lo, pos, mid)
     return lo + 0.5 * w
 
 
@@ -162,19 +163,23 @@ def _grid_values(gs, m, MU, V, gamma_tilde, P):
     """
     r = gs.size
     comm = _bisect_comm_powers(gs, MU, V)
-    rate_part = np.log1p(gs[None, :] * comm).sum(axis=1) * INV_LN2
-    ssum = comm.sum(axis=1)
-    if m > r:
-        ps = np.sqrt(MU / V)
-        ssum = ssum + (m - r) * ps
+    ssum = np.add.reduce(comm, axis=1)
+    # a zero power, at mu = 0 only, has an infinite inverse, which only the
+    # rows of mu > 0 use
+    with np.errstate(divide="ignore"):
+        cinv = np.add.reduce(np.divide(1.0, comm), axis=1)
+        if m > r:
+            ps = np.sqrt(MU / V)
+            ssum += (m - r) * ps
+            cinv += (m - r) / ps
+    np.multiply(comm, gs, out=comm)
+    rate_part = np.add.reduce(np.log1p(comm, out=comm), axis=1) * INV_LN2
     vals = rate_part - V * (ssum - P)
     pos = MU > 0.0
-    if np.any(pos):
-        with np.errstate(divide="ignore"):
-            cinv = (1.0 / comm[pos]).sum(axis=1)
-        if m > r:
-            cinv = cinv + (m - r) / np.sqrt(MU[pos] / V[pos])
-        vals[pos] -= MU[pos] * (cinv - gamma_tilde)
+    if pos.all():
+        vals -= MU * (cinv - gamma_tilde)
+    else:
+        vals[pos] -= MU[pos] * (cinv[pos] - gamma_tilde)
     return vals
 
 
@@ -198,10 +203,20 @@ def _repair_feasible(p: np.ndarray, m: int, P: float, gamma_tilde: float) -> np.
     to_uniform = P / m - r
     lo = np.zeros((r.shape[0], 1))
     hi = np.ones_like(lo)
+    mid, load = np.empty_like(lo), np.empty_like(lo)
+    fits = np.empty(lo.shape, dtype=bool)
+    trial = np.empty_like(r)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fits = (1.0 / (r + mid * to_uniform)).sum(axis=1, keepdims=True) <= gamma_tilde
-        lo, hi = np.where(fits, lo, mid), np.where(fits, mid, hi)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        # the trace inverse of r + mid * to_uniform
+        np.multiply(mid, to_uniform, out=trial)
+        trial += r
+        np.divide(1.0, trial, out=trial)
+        np.add.reduce(trial, axis=1, keepdims=True, out=load)
+        np.less_equal(load, gamma_tilde, out=fits)
+        np.putmask(hi, fits, mid)
+        np.putmask(lo, np.logical_not(fits, out=fits), mid)
     q[over] = r + np.minimum(1.0, hi * (1.0 + 1e-12) + 1e-15) * to_uniform
     return q
 
@@ -215,6 +230,9 @@ def _repair_feasible(p: np.ndarray, m: int, P: float, gamma_tilde: float) -> np.
 _SHRINK_POINTS = 16
 _SHRINK_TOL = 1e-6
 _SHRINK_STEPS = 60
+# the edge of each argmin of a window: -1 / +1 on its low / high edge, else 0
+_EDGE = np.zeros(_SHRINK_POINTS, dtype=int)
+_EDGE[0], _EDGE[-1] = -1, 1
 
 
 def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
@@ -249,13 +267,15 @@ def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
     t_lo, t_hi = np.log(lo), np.log(hi)
     side = np.zeros(n, dtype=int)  # -1 / +1 after a re-centre on the low / high edge
     for _ in range(_SHRINK_STEPS):
-        t = t_lo[:, None] + (t_hi - t_lo)[:, None] * unit
+        span = t_hi - t_lo
+        t = t_lo[:, None] + span[:, None] * unit
         x = np.exp(t)
         vals = values(x, rows)
         k = np.argmin(vals, axis=1)
-        edge = np.where(k == 0, -1, np.where(k == _SHRINK_POINTS - 1, 1, 0))
-        step = (t_hi - t_lo) / (_SHRINK_POINTS - 1)
-        done = (step <= _SHRINK_TOL) | (vals.min(axis=1) == vals.max(axis=1))
+        edge = _EDGE[k]
+        step = span / (_SHRINK_POINTS - 1)
+        done = (step <= _SHRINK_TOL) | (np.minimum.reduce(vals, axis=1)
+                                        == np.maximum.reduce(vals, axis=1))
         if np.any(done):
             stop = rows[done]
             x_out[stop], val_out[stop] = x[done, k[done]], vals[done, k[done]]
@@ -263,11 +283,11 @@ def _log_shrink(values, lo: np.ndarray, hi: np.ndarray):
             if stop.size == rows.size:
                 return x_out, val_out, edge_out
             keep = ~done
-            rows, t, k, edge, step, t_lo, t_hi, side = (
-                a[keep] for a in (rows, t, k, edge, step, t_lo, t_hi, side))
+            rows, t, k, edge, step, span, t_lo, t_hi, side = (
+                a[keep] for a in (rows, t, k, edge, step, span, t_lo, t_hi, side))
         narrow = (edge == 0) | (edge * side < 0)
         side = np.where(narrow, 0, edge)
-        reach = np.where(narrow, step, 0.5 * (t_hi - t_lo))
+        reach = np.where(narrow, step, 0.5 * span)
         tk = t[np.arange(rows.size), k]
         t_lo, t_hi = tk - reach, tk + reach
     raise RuntimeError(f"{rows.size} of {n} log-grid shrinks did not "
