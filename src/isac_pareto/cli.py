@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .benchmarks import best_indices, power_split_ep, power_split_sem
 from .closed_form import crb_min_point
-from .metrics import crb_from_powers, rate_from_powers
+from .metrics import crb_from_powers, rate_from_powers, trace_budget
 from .scenario import (
     PRESET_NAMES,
     FixtureFormatError,
@@ -305,15 +305,26 @@ def cmd_point(args) -> int:
 
 def _snr_line(H, scen, gamma, snr_db) -> str:
     """The ``rate-vs-snr`` CSV line of one SNR: the optimal rate and the best
-    EP and SEM rates whose CRB fits under ``gamma``."""
-    rep = solve_p1(H, scen, gamma)
-    if rep.status == "infeasible":
+    EP and SEM rates whose CRB fits under ``gamma``.  A finite threshold too
+    loose for the dual search at this power gets status ``too_loose`` and no
+    optimal rate; an overflowing trace budget, which no power can search,
+    raises."""
+    rep = None
+    try:
+        rep = solve_p1(H, scen, gamma)
+    except ValueError as exc:
+        budget = trace_budget(gamma, scen.sigma_s2, scen.Ns, scen.L)
+        if "is too loose to search" not in str(exc) or not math.isfinite(budget):
+            raise
+    if rep is not None and rep.status == "infeasible":
         return _SNR_LINE % (snr_db, scen.P, math.nan, math.nan, math.nan, "infeasible")
     split_rates = []
     for maker in (power_split_ep, power_split_sem):
         bench = maker(H, scen)
         k, = best_indices(bench.crb, bench.rate, [gamma]).tolist()
         split_rates.append(bench.rate[k] if k >= 0 else math.nan)
+    if rep is None:
+        return _SNR_LINE % (snr_db, scen.P, math.nan, *split_rates, "too_loose")
     rate = math.nan
     if rep.allocation is not None:
         _, rate = _closed_form_point(H, scen, rep.allocation.p)

@@ -31,9 +31,11 @@ the tier-1 tests run it at (see :func:`primal`);
     PYTHONPATH=src python tests/battery.py digest
 
 prints one SHA-256 per census battery over every solve's status,
-evaluations and the exact bits of its results, and one over the CSV bytes of
-the benchmark's ``frontier`` sweeps (see :func:`digest`), so that a change
-meant to keep every output bit can be checked by a ``diff`` of two runs.
+evaluations and the exact bits of its results, one over the CSV bytes of
+the benchmark's ``frontier`` sweeps, and one over the exact bits of the
+oracle's results on its pinned cases and the benchmark's ``oracle``
+instances (see :func:`digest`), so that a change meant to keep every output
+bit can be checked by a ``diff`` of two runs.
 """
 
 import contextlib
@@ -424,12 +426,61 @@ def frontier_csvs():
                     yield out.read_bytes()
 
 
+# the benchmark's oracle workload: one instance per M, at a threshold drawn
+# log-uniformly from ORACLE_FACTORS x CRB_min, the primal grid at M = 2 only
+ORACLE_SIZES = tuple(range(2, 9))
+ORACLE_FACTORS = (2.0, 30.0)
+ORACLE_PRIMAL_STEPS = 1000
+
+
+def oracle_instances():
+    """Yield (label, oracle_dual_grid arguments, primal grid steps or None)
+    for each instance of the benchmark's ``oracle`` workload, in its set-up
+    order, drawn as ``isacbench/workloads.py`` draws them from
+    ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    for M in ORACLE_SIZES:
+        Nc = int(rng.integers(2, M if M > 2 else 9))
+        P = float(10.0 ** rng.uniform(0, 3))
+        sc = Scenario(M=M, Nc=Nc, Ns=12, L=200, P=P, Kc=math.inf if M == 2 else 0.0,
+                      seed=int(rng.integers(2 ** 31)))
+        H = rician_channel(sc)
+        crb_min = crb_min_point(H, sc)[1].crb
+        f_lo, f_hi = ORACLE_FACTORS
+        gamma = f_lo * (f_hi / f_lo) ** float(rng.uniform()) * crb_min
+        gamma_tilde = sc.L * gamma / (sc.sigma_s2 * sc.Ns)
+        yield (f"M={M}", (H.lambdas2, M, sc.sigma_c2, P, gamma_tilde),
+               ORACLE_PRIMAL_STEPS if M == 2 else None)
+
+
+def oracle_results():
+    """Yield (label, allocation) for each oracle call of the digest:
+    ``oracle_dual_grid`` on the 12 pinned fixtures of tests/test_oracle.py's
+    dual-grid work bound, ``oracle_primal_grid`` on the cases of
+    :func:`primal`, and both on the instances of :func:`oracle_instances`,
+    as the benchmark runs them."""
+    from test_oracle import DUAL_REPRODUCERS, LOOSE_CASES, PRIMAL_REPRODUCERS
+
+    for case in DUAL_REPRODUCERS + PRIMAL_REPRODUCERS + LOOSE_CASES:
+        yield f"dual {case[0]}", oracle.oracle_dual_grid(*_primal_args(*case)[:5])
+    for name, args in PRIMAL_CASES:
+        args = args if len(args) == 6 else _primal_args(*args)
+        yield f"primal {name}", oracle.oracle_primal_grid(*args)
+    for label, args, steps in oracle_instances():
+        yield f"benchmark dual {label}", oracle.oracle_dual_grid(*args)
+        if steps is not None:
+            yield f"benchmark primal {label}", oracle.oracle_primal_grid(*args, steps)
+
+
 def digest():
-    """Yield (name, SHA-256 hex digest) for each census battery and for the
-    ``frontier`` CSVs.  A battery's digest runs over each of its records in
-    order: label, status and evaluations as text, then the exact IEEE 754
-    bits of its values (see :func:`census`).  The frontier digest runs over
-    the bytes of every CSV of :func:`frontier_csvs`."""
+    """Yield (name, SHA-256 hex digest) for each census battery, for the
+    ``frontier`` CSVs and for the oracle.  A battery's digest runs over each
+    of its records in order: label, status and evaluations as text, then the
+    exact IEEE 754 bits of its values (see :func:`census`).  The frontier
+    digest runs over the bytes of every CSV of :func:`frontier_csvs`.  The
+    oracle digest runs over each allocation of :func:`oracle_results`: label
+    and iterations as text, then the exact bits of its powers, ``mu``, ``v``,
+    ``kkt_residual`` and ``duality_gap``."""
     for name, records in census():
         h = hashlib.sha256()
         for label, status, evals, values in records:
@@ -441,6 +492,14 @@ def digest():
         h.update(csv)
     yield (f"frontier CSVs ({len(FRONTIER_PRESETS) * len(FRONTIER_POWERS) * FRONTIER_SEEDS}"
            f" x {FRONTIER_POINTS} points)", h.hexdigest())
+    h = hashlib.sha256()
+    calls = 0
+    for label, a in oracle_results():
+        h.update(f"{label}|{a.iterations}|".encode())
+        h.update(np.array((*a.p.tolist(), a.mu, a.v, a.kkt_residual, a.duality_gap),
+                          dtype=np.float64).tobytes())
+        calls += 1
+    yield f"oracle ({calls} calls)", h.hexdigest()
 
 
 if __name__ == "__main__":

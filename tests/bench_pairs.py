@@ -7,16 +7,20 @@ temporary directory, so that no build output, bytecode or result file of
 the working tree leaks into either run.  For every pair and every workload
 of BENCHMARK.json the two sides run ``isacbench/run.py --trace 0`` one
 after the other, the base first on even pairs and the change first on odd
-ones, each pair with its own seed.  Then each side runs every workload once
-with ``--trace 1``, for the per-layer metrics.
+ones, each pair with its own seed, and then ``--trace 1`` for the per-layer
+metrics, in the same order.
 
 The output file records the machine, Python, numpy and the environment
 that bears on timing; the seeds; every run's printed metrics, which are
 normalized by the benchmark's host-speed probe, and the raw figures of its
-result file; and, per workload and metric, the median with q1 and q3 of
-each side, normalized and raw, and the number of pairs the change won.
-A run that exits non-zero, or whose output is not ``correct``, stops the
-script with exit status 1 and writes nothing.
+result file; per workload and end-to-end metric, the median with q1 and q3
+of each side, normalized and raw, and the number of pairs the change won;
+and per workload and layer metric, the median with q1 and q3 of each side's
+traced runs, and for a count, whether it repeated exactly in every traced
+run of its side.  A run that exits non-zero, or whose output is not
+``correct``, stops the script with exit status 1 and writes nothing; a
+count that does not repeat is named on stderr, and the script exits 1 after
+writing the file.
 """
 
 import argparse
@@ -37,6 +41,8 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 # the end-to-end metrics, with the direction in which each one is better
 BETTER = {m["name"]: m["better"] for m in BENCH["end_to_end"]}
+# the layer metrics of a traced run, with their units
+LAYER_UNITS = {m["name"]: m["unit"] for m in BENCH["per_layer"]}
 
 
 def parse_args(argv):
@@ -90,8 +96,8 @@ def quartiles(values):
 
 
 def summary(runs):
-    """Per metric: each side's quartiles, normalized and raw, and how many
-    pairs the change won."""
+    """Per end-to-end metric: each side's quartiles, normalized and raw, and
+    how many pairs the change won."""
     out = {}
     for name, better in BETTER.items():
         entry = {}
@@ -103,6 +109,21 @@ def summary(runs):
                 "base": quartiles(base), "change": quartiles(change),
                 "change_median_over_base": statistics.median(change) / statistics.median(base),
                 "change_wins": wins}
+        out[name] = entry
+    return out
+
+
+def layer_summary(traced):
+    """Per layer metric: each side's quartiles over its traced runs and, for
+    a count, whether every traced run of that side gave the same value."""
+    out = {}
+    for name, unit in LAYER_UNITS.items():
+        entry = {}
+        for side in ("base", "change"):
+            values = [r["metrics"][name] for r in traced[side]]
+            entry[side] = quartiles(values)
+            if unit == "count":
+                entry[side]["repeats"] = len(set(values)) == 1
         out[name] = entry
     return out
 
@@ -128,26 +149,35 @@ def main(argv=None):
         revs = {side: checkout(rev, trees[side])
                 for side, rev in (("base", args.base), ("change", args.change))}
         runs = {w: {"base": [], "change": []} for w in WORKLOADS}
+        traced = {w: {"base": [], "change": []} for w in WORKLOADS}
         start = time.time()
         for i, seed in enumerate(seeds):
             for w in WORKLOADS:
-                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
                     runs[w][side].append(run(trees[side], w, seed, args.seconds, 0))
+                for side in order:
+                    traced[w][side].append(run(trees[side], w, seed, args.seconds, 1))
             print(f"pair {i + 1}/{args.pairs} done after {time.time() - start:.0f} s",
                   file=sys.stderr)
-        traced = {w: {side: run(trees[side], w, seeds[0], args.seconds, 1)
-                      for side in ("base", "change")} for w in WORKLOADS}
     report = {"machine": machine(), "trees": revs, "seeds": seeds, "seconds": args.seconds,
-              "order": "pair i runs each workload base then change for even i, "
-                       "change then base for odd i",
+              "order": "pair i runs each workload untraced, base then change for even i "
+                       "and change then base for odd i, then traced in the same order",
               "workloads": {w: {"summary": summary(runs[w]), "runs": runs[w],
-                                "traced": traced[w]} for w in WORKLOADS}}
+                                "layers": layer_summary(traced[w]), "traced": traced[w]}
+                            for w in WORKLOADS}}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for w in WORKLOADS:
         for name, entry in report["workloads"][w]["summary"].items():
             n = entry["normalized"]
             print(f"{w:9s} {name:17s} base {n['base']['median']:10.4g}  "
                   f"change {n['change']['median']:10.4g}  wins {n['change_wins']}/{args.pairs}")
+    varied = [f"{w} {name} ({side})" for w in WORKLOADS
+              for name, entry in report["workloads"][w]["layers"].items()
+              for side in ("base", "change") if entry[side].get("repeats") is False]
+    if varied:
+        print("counts that differ between traced runs: " + ", ".join(varied), file=sys.stderr)
+        return 1
     return 0
 
 

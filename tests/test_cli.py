@@ -209,6 +209,26 @@ def test_rate_vs_snr_infeasible_rows_annotated(config1, tmp_path):
     assert rows[1]["status"] == "ok"
 
 
+def test_rate_vs_snr_too_loose_row(config1, tmp_path):
+    # 1e150 can be searched at 0 and 30 dB, but at 60 dB (P = 1e6) only
+    # thresholds up to 2.36663e+147 can; that SNR gets a too_loose row with
+    # no optimal rate and its EP/SEM rates, where the whole table used to be
+    # an error (exit 1), and the other rows are those of a table without it
+    out, ref = tmp_path / "snr.csv", tmp_path / "ref.csv"
+    assert main(["rate-vs-snr", str(config1), "--gamma", "1e150",
+                 "--snr-list", "0,30,60", "--out", str(out)]) == 0
+    assert main(["rate-vs-snr", str(config1), "--gamma", "1e150",
+                 "--snr-list", "0,30", "--out", str(ref)]) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert lines[:3] == ref.read_bytes().splitlines(keepends=True)
+    sc = dataclasses.replace(Scenario(**SC1), P=1e6)
+    H = rician_channel(sc)
+    ep = best_at_crb(power_split_ep(H, sc).points, 1e150)
+    sem = best_at_crb(power_split_sem(H, sc).points, 1e150)
+    assert lines[3].decode() == ",".join(
+        [_fmt(60.0), _fmt(1e6), "nan", _fmt(ep.rate), _fmt(sem.rate), "too_loose"]) + "\r\n"
+
+
 def test_rate_vs_snr_list_may_start_with_a_minus(config1, tmp_path):
     # "--snr-list -10,0,30" reads like "--snr-list=-10,0,30", not like an
     # unknown option; a --snr-list with no value is still a usage error
@@ -551,7 +571,7 @@ def test_repeated_in_process_calls_give_identical_output(config1, tmp_path, caps
 
 # every status a CSV row can carry; none, nor any scheme, needs CSV quoting
 CSV_STATUSES = ("ok", "optimal", "infeasible", "iteration_limit", "no_feasible_point",
-                "not_applicable")
+                "not_applicable", "too_loose")
 
 
 def _reference_csv(header, rows) -> bytes:
