@@ -20,10 +20,7 @@ whose best point is then zoomed on the tight constraint surface.  Both of
 the grid's budget masks are taken on index columns, through per-axis tables
 of the grid values and their inverses, and float points are formed only
 for the rows that pass; the columns are added in order, as a row sum of
-the points adds them, so the grid is the masked cube bit for bit.  The
-zoom's repair onto the budget surface then takes most of the primal grid's
-time, unless the rates of many grid points cost more (see
-:func:`oracle_primal_grid`).
+the points adds them, so the grid is the masked cube bit for bit.
 
 The cost is numpy's per-call overhead on small arrays, so each pass is made
 wide: a 16-point window narrows 7.5x per step where an 8-point one narrows
@@ -122,11 +119,9 @@ def _bisect_comm_powers(gs: np.ndarray, MU: np.ndarray, V: np.ndarray, iters: in
 
     The halvings run on C-contiguous (n_points, r) operands, the gains and
     multipliers spread out once, and write into buffers allocated once.
-    Broadcasting (n, 1) against (1, r) operands with a new array per
-    operation took 19-26% longer per call at r = 2..7 and 256 points
-    (Python 3.11, numpy 2.4, 2 vCPUs).  Each element sees the same
-    operations in the same order as in that form, so the powers are the
-    same bit for bit.
+    Each element sees the same operations in the same order as where (n, 1)
+    operands are broadcast against (1, r) ones, so the powers are those of
+    that form bit for bit.
     """
     n, r = MU.size, gs.size
     shape = (n, r)
@@ -429,8 +424,7 @@ def _simplex_indices(n: int, m: int, lead: np.ndarray) -> list[np.ndarray]:
     intp), in lexicographic order, i.e. in the order of :func:`_tuples`.
     Built one axis at a time from the leading one, so that a block of
     leading indices costs only its own rows.  The columns are of numpy's
-    native index type, which a table lookup takes without a cast (a lookup
-    through int32 took 3x as long)."""
+    native index type, which a table lookup takes without a cast."""
     cols = [lead]
     left = n - (lead + 1)  # what each row's i + 1 may still sum to
     for d in range(1, m):
@@ -500,11 +494,7 @@ def _simplex_grid(P: float, m: int, steps: int, gamma_tilde: float):
     table of their inverses, each added column by column in order
     (:func:`_row_sums`), which is how ``.sum(axis=1)`` adds a row of points,
     so both masks are those of the masked cube bit for bit.  Float points
-    are gathered only for the rows that pass both.  The grid takes 6.6 ms
-    at m = 2, steps = 1000 and 5.7 ms at m = 3, steps = 120, where masking
-    the float points of every index tuple took 35 and 24 ms (best of 9,
-    ``PYTHONPATH=src python tests/battery.py primal``; Python 3.11,
-    numpy 2.4, 2 vCPUs).
+    are gathered only for the rows that pass both.
     """
     axis = np.linspace(P / steps, P, steps)
     inv = 1.0 / axis
@@ -538,15 +528,6 @@ def oracle_primal_grid(lambdas2, m: int, sigma_c2: float, P: float,
     toward uniform onto the tight budget surface; the incumbent stays a
     candidate.  The box half-width starts at 4P/steps and halves down to
     1e-10 P.
-
-    With the grid's masks taken on index columns, the zoom's
-    :func:`_repair_feasible` calls take most of the time at m = 3 (50 of
-    56 ms at steps = 120) and on the benchmark's M = 2 instance (13 of
-    17 ms at steps = 1000).  On the tier-1 m = 2 case, at P = 0.01, the
-    rates of the grid's 483,228 points take more: about 18 of 38 ms, beside
-    14 for the repair and 6.6 for the grid (best of 9; the tier-1 cases
-    are those of ``PYTHONPATH=src python tests/battery.py primal``;
-    Python 3.11, numpy 2.4, 2 vCPUs).
     """
     if m > 3:
         raise ValueError("primal grid search is limited to m <= 3")
