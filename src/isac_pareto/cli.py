@@ -309,13 +309,13 @@ def _snr_line(H, scen, gamma, snr_db) -> str:
     loose for the dual search at this power gets status ``too_loose`` and no
     optimal rate; an overflowing trace budget, which no power can search,
     raises."""
-    rep = None
     try:
         rep = solve_p1(H, scen, gamma)
     except ValueError as exc:
         budget = trace_budget(gamma, scen.sigma_s2, scen.Ns, scen.L)
         if "is too loose to search" not in str(exc) or not math.isfinite(budget):
             raise
+        rep = None
     if rep is not None and rep.status == "infeasible":
         return _SNR_LINE % (snr_db, scen.P, math.nan, math.nan, math.nan, "infeasible")
     split_rates = []
