@@ -220,8 +220,7 @@ def _repair_feasible(p: np.ndarray, m: int, P: float, gamma_tilde: float) -> np.
 # narrows until its grid step is at most _SHRINK_TOL in log scale, or for at
 # most _SHRINK_STEPS evaluations.  Much below 1e-8 the argmin picks would be
 # rounding noise.  Of 8, 12, 16 and 24 points, 16 ran the dual grid
-# fastest: the median of 9 runs over 29 instances took 3.9, 2.9, 2.4 and
-# 3.0 s (Python 3.11, numpy 2.4, 2 vCPUs).
+# fastest (the timings are in README.md).
 _SHRINK_POINTS = 16
 _SHRINK_TOL = 1e-6
 _SHRINK_STEPS = 60
@@ -441,11 +440,9 @@ def _simplex_indices(n: int, m: int, lead: np.ndarray) -> list[np.ndarray]:
 
 
 # index tuples per block of _simplex_grid, at most, unless one leading index
-# alone holds more.  From 2^13 to 2^16 a primal grid call took the same time
-# within 8% (interleaved medians of 25: 44-46 ms at m = 2, steps = 1000 and
-# 38-41 ms at m = 3, steps = 120, against 52 and 45 ms in one block), when
-# the masks were taken on float points; at 2^15 its tracemalloc peak is 1.6
-# and 1.4 MB (Python 3.11, numpy 2.4, 2 vCPUs)
+# alone holds more.  Blocks of 2^13 to 2^16 tuples take the same time, and
+# less than one block holding the whole grid, so the size bounds the memory
+# of a call at no cost in time (the timings are in README.md).
 _GRID_BLOCK_ROWS = 2 ** 15
 
 
