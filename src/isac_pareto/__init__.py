@@ -46,6 +46,7 @@ from .scenario import (
 )
 from .solver import (
     SolveReport,
+    ThresholdTooLooseError,
     cubic_stationary_root,
     feasibility_check,
     solve_p1,

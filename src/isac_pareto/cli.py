@@ -37,7 +37,7 @@ from .scenario import (
     rician_channel,
     save_fixture,
 )
-from .solver import solve_p1
+from .solver import ThresholdTooLooseError, solve_p1
 from .sweep import DEFAULT_SCHEMES, SweepRow, sweep
 
 __all__ = ["main", "entrypoint"]
@@ -172,7 +172,8 @@ plt.show()
 _PLOT_SNR = '''#!/usr/bin/env python3
 # Generated plot helper.  Reads {csv_name} (in this script's directory).
 # Columns: snr_db,power,rate_optimal,rate_ep,rate_sem,status
-# Plots each rate column (y) against snr_db (x); infeasible rows are skipped.
+# Plots each rate column (y) against snr_db (x); only rows of status ok are
+# plotted, so infeasible, too_loose and iteration_limit rows are skipped.
 import csv
 import math
 from pathlib import Path
@@ -202,10 +203,19 @@ plt.show()
 
 def _write_table(out_path: Path, header, lines, template: str) -> Path:
     """Write the CSV and, beside it, the plot script made from ``template``;
-    returns the script's path."""
+    returns the script's path.  A script that already holds exactly those
+    bytes is left as it is, since the script of one ``--out`` never changes
+    between runs and reading it costs far less than truncating and
+    rewriting it."""
     _write_csv(out_path, header, lines)
     script = out_path.with_name(out_path.stem + "_plot.py")
-    script.write_text(template.format(csv_name=out_path.name))
+    data = template.format(csv_name=out_path.name).encode()
+    try:
+        current = script.read_bytes()
+    except OSError:
+        current = None
+    if current != data:
+        script.write_bytes(data)
     return script
 
 
@@ -311,9 +321,8 @@ def _snr_line(H, scen, gamma, snr_db) -> str:
     raises."""
     try:
         rep = solve_p1(H, scen, gamma)
-    except ValueError as exc:
-        budget = trace_budget(gamma, scen.sigma_s2, scen.Ns, scen.L)
-        if "is too loose to search" not in str(exc) or not math.isfinite(budget):
+    except ThresholdTooLooseError:
+        if not math.isfinite(trace_budget(gamma, scen.sigma_s2, scen.Ns, scen.L)):
             raise
         rep = None
     if rep is not None and rep.status == "infeasible":

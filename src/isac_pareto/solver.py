@@ -87,6 +87,7 @@ from .scenario import ChannelMatrix, Scenario
 
 __all__ = [
     "SolveReport",
+    "ThresholdTooLooseError",
     "feasibility_check",
     "at_equal_split",
     "cubic_stationary_root",
@@ -119,6 +120,11 @@ _FEASIBILITY_RTOL = 1e-12
 # evaluated by the lanes power map; `python tests/battery.py crossover`
 # measures the break-even of the two maps.
 _LOCKSTEP_MIN_BUDGETS = 14
+
+
+class ThresholdTooLooseError(ValueError):
+    """A CRB threshold on the dual search's path above the largest one the
+    search can reach at this power (see :func:`_solve_budgets`)."""
 
 
 @dataclass
@@ -799,11 +805,12 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
       _LOCKSTEP_MIN_BUDGETS of them and the lanes map otherwise.  A budget
       above the searchable limit of :func:`_ends`, where the search would
       need a subnormal mu', or whose value in units of P overflows, raises
-      ``ValueError`` naming the loosest CRB threshold (or saying that its
-      trace budget overflows, where that budget is infinite) and the largest
-      searchable one, or, if that limit is at or below the minimum M^2,
-      naming P and sigma_c2, at which no threshold above the minimum can be
-      searched; the water-filling raises one naming P if no gain stays
+      :class:`ThresholdTooLooseError` naming the loosest CRB threshold (or
+      saying that its trace budget overflows, where that budget is
+      infinite) and the largest searchable one, or, if that limit is at or
+      below the minimum M^2, a plain ``ValueError`` naming P and sigma_c2,
+      at which no threshold above the minimum can be searched; the
+      water-filling raises a ``ValueError`` naming P if no gain stays
       positive in units of P.  No search runs for any budget then.
 
     One loop then judges every candidate, water-filling and dual alike,
@@ -874,8 +881,8 @@ def _solve_budgets(H: ChannelMatrix, scenario: Scenario, gamma_tildes):
             # a finite threshold whose trace budget overflows maps back to inf
             loosest = (f"CRB threshold {crb:.6g}" if crb < math.inf
                        else "a CRB threshold whose trace budget overflows")
-            raise ValueError(f"{loosest} is too loose to search at P = {P:g}: "
-                             f"thresholds above {crb_limit:.6g} cannot be searched")
+            raise ThresholdTooLooseError(f"{loosest} is too loose to search at P = {P:g}: "
+                                         f"thresholds above {crb_limit:.6g} cannot be searched")
         found += zip(dual, _dual_searches(gs_P, m, gts_P, ends, lockstep))
     # a search that evaluated nothing has no candidate, and leaves its budget
     # at iteration_limit
@@ -912,8 +919,9 @@ def solve_p1(H: ChannelMatrix, scenario: Scenario, gamma: float) -> SolveReport:
     not Nc x M, a rank-0 channel, one whose gains overflow in units of P
     (lambda^2 P / sigma_c2), a NaN threshold, a threshold whose trace
     budget is infinite on a rank-deficient channel, and one on the dual
-    path too loose to search or on a channel whose gains all underflow in
-    units of P (see :func:`_solve_budgets`) raise ``ValueError``.
+    path too loose to search (:class:`ThresholdTooLooseError`) or on a
+    channel whose gains all underflow in units of P (see
+    :func:`_solve_budgets`) raise ``ValueError``.
 
     The budget takes the path :func:`_solve_budgets` gives it: status
     ``infeasible`` below the minimum M^2/P; the equal split at it;

@@ -152,9 +152,13 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
         hi = pt_max.crb if crb_cap is None else min(pt_max.crb, crb_cap)
     hi = max(hi, lo)
     if hi > lo:
-        gammas = np.geomspace(lo, hi, n_points)
+        grid = np.geomspace(lo, hi, n_points)
     else:
-        gammas = np.full(n_points, lo)
+        grid = np.full(n_points, lo)
+    # the thresholds as Python floats, which the budgets and rows compute
+    # with and the CSV formats faster than numpy scalars; the batched
+    # selections take the array
+    gammas = grid.tolist()
 
     rows: list[SweepRow] = []
     if "optimal" in schemes:
@@ -165,7 +169,7 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
             continue
         bench = maker(H, scenario)
         crbs, rates = bench.crb.tolist(), bench.rate.tolist()
-        for g, k in zip(gammas, best_indices(bench.crb, bench.rate, gammas).tolist()):
+        for g, k in zip(gammas, best_indices(bench.crb, bench.rate, grid).tolist()):
             if k < 0:
                 rows.append(SweepRow(scheme, g, math.nan, math.nan,
                                      status="no_feasible_point"))
@@ -178,7 +182,7 @@ def sweep(H: ChannelMatrix, scenario: Scenario, n_points: int,
                 rows.append(SweepRow("time_switch", g, math.nan, math.nan,
                                      status="not_applicable"))
         else:
-            crbs, rates = time_switching(pt_max, pt_min, gammas)
+            crbs, rates = time_switching(pt_max, pt_min, grid)
             for g, c, rt in zip(gammas, crbs.tolist(), rates.tolist()):
                 rows.append(SweepRow("time_switch", g, c, rt))
 

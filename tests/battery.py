@@ -32,7 +32,8 @@ the tier-1 tests run it at (see :func:`primal`);
 
 prints one SHA-256 per census battery over every solve's status,
 evaluations and the exact bits of its results, one over the CSV bytes of
-the benchmark's ``frontier`` sweeps, and one over the exact bits of the
+the benchmark's ``frontier`` sweeps, one over the CSV bytes of
+``rate-vs-snr`` and ``point --out`` runs, and one over the exact bits of the
 oracle's results on its pinned cases and the benchmark's ``oracle``
 instances (see :func:`digest`), so that a change meant to keep every output
 bit can be checked by a ``diff`` of two runs.
@@ -402,6 +403,22 @@ FRONTIER_SEEDS = 12
 FRONTIER_POINTS = 50
 
 
+def _write_config(path: Path, sc: Scenario, P: float) -> None:
+    """Write the CLI config of ``sc`` at power ``P``."""
+    path.write_text(json.dumps(
+        {"M": sc.M, "Nc": sc.Nc, "Ns": sc.Ns, "L": sc.L, "P": P,
+         "sigma_c2": sc.sigma_c2, "sigma_s2": sc.sigma_s2, "Kc": sc.Kc,
+         "theta": sc.theta, "seed": sc.seed}))
+
+
+def _run_cli(argv) -> None:
+    """Run one in-process CLI command with its printed lines discarded; one
+    that exits non-zero raises."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed")
+
+
 def frontier_csvs():
     """Yield the CSV bytes of an in-process CLI ``sweep --points 50`` of each
     channel of the benchmark's ``frontier`` workload, in its set-up order:
@@ -414,16 +431,38 @@ def frontier_csvs():
             for P in FRONTIER_POWERS:
                 for _ in range(FRONTIER_SEEDS):
                     sc = preset_scenario(preset, seed=int(rng.integers(2 ** 31)))
-                    config.write_text(json.dumps(
-                        {"M": sc.M, "Nc": sc.Nc, "Ns": sc.Ns, "L": sc.L, "P": P,
-                         "sigma_c2": sc.sigma_c2, "sigma_s2": sc.sigma_s2, "Kc": sc.Kc,
-                         "theta": sc.theta, "seed": sc.seed}))
-                    argv = ["sweep", str(config), "--points", str(FRONTIER_POINTS),
-                            "--out", str(out)]
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        if cli.main(argv) != 0:
-                            raise RuntimeError(f"sweep of {preset} at P = {P:g} failed")
+                    _write_config(config, sc, P)
+                    _run_cli(["sweep", str(config), "--points", str(FRONTIER_POINTS),
+                              "--out", str(out)])
                     yield out.read_bytes()
+
+
+# the CLI tables of the cli digest, on each of FRONTIER_PRESETS at its own
+# power and seed: rate-vs-snr at each (--gamma, --snr-list), the first with
+# infeasible and ok rows, the second with a too_loose row on scenario1 at
+# 60 dB, and point --out at each factor x CRB_min
+CLI_SNR_RUNS = (("0.1", "-10,0,10,20,30,40"), ("1e150", "0,30,60"))
+CLI_POINT_FACTORS = (1.01, 3.0, 1e3)
+
+
+def cli_csvs():
+    """Yield the CSV bytes of the in-process CLI ``rate-vs-snr`` tables of
+    CLI_SNR_RUNS and ``point --out`` rows at CLI_POINT_FACTORS x CRB_min,
+    per preset; their plot scripts are left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "table.csv"
+        for preset in FRONTIER_PRESETS:
+            sc = preset_scenario(preset)
+            _write_config(config, sc, sc.P)
+            for gamma, snrs in CLI_SNR_RUNS:
+                _run_cli(["rate-vs-snr", str(config), "--gamma", gamma,
+                          f"--snr-list={snrs}", "--out", str(out)])
+                yield out.read_bytes()
+            crb_min = crb_min_point(rician_channel(sc), sc)[1].crb
+            for f in CLI_POINT_FACTORS:
+                _run_cli(["point", str(config), "--gamma", repr(f * crb_min),
+                          "--out", str(out)])
+                yield out.read_bytes()
 
 
 # the benchmark's oracle workload: one instance per M, at a threshold drawn
@@ -474,10 +513,12 @@ def oracle_results():
 
 def digest():
     """Yield (name, SHA-256 hex digest) for each census battery, for the
-    ``frontier`` CSVs and for the oracle.  A battery's digest runs over each
-    of its records in order: label, status and evaluations as text, then the
-    exact IEEE 754 bits of its values (see :func:`census`).  The frontier
-    digest runs over the bytes of every CSV of :func:`frontier_csvs`.  The
+    ``frontier`` CSVs, for the other CLI tables and for the oracle.  A
+    battery's digest runs over each of its records in order: label, status
+    and evaluations as text, then the exact IEEE 754 bits of its values (see
+    :func:`census`).  The frontier digest runs over the bytes of every CSV
+    of :func:`frontier_csvs`, and the cli digest over those of
+    :func:`cli_csvs`.  The
     oracle digest runs over each allocation of :func:`oracle_results`: label
     and iterations as text, then the exact bits of its powers, ``mu``, ``v``,
     ``kkt_residual`` and ``duality_gap``."""
@@ -492,6 +533,12 @@ def digest():
         h.update(csv)
     yield (f"frontier CSVs ({len(FRONTIER_PRESETS) * len(FRONTIER_POWERS) * FRONTIER_SEEDS}"
            f" x {FRONTIER_POINTS} points)", h.hexdigest())
+    h = hashlib.sha256()
+    tables = 0
+    for csv in cli_csvs():
+        h.update(csv)
+        tables += 1
+    yield f"cli CSVs ({tables} rate-vs-snr and point tables)", h.hexdigest()
     h = hashlib.sha256()
     calls = 0
     for label, a in oracle_results():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -81,6 +82,31 @@ def test_sweep_csv_schema_and_first_crb(config1, tmp_path, capsys):
     assert ts and all(r["status"] == "not_applicable" for r in ts)
     # plot script emitted next to the CSV
     assert (tmp_path / "sweep_plot.py").exists()
+
+
+# SHA-256 of the plot helper that a sweep into sweep.csv writes
+SWEEP_PLOT_SHA256 = "78fd81a1bc48cd046f8d0fbde7db2433f0cae4ebdfb7f8232d1229caa2b2004c"
+
+
+def test_sweep_rewrites_the_plot_helper_only_when_its_bytes_differ(config1, tmp_path, capsys):
+    # a second sweep into the same --out leaves a current plot helper as it
+    # is, down to its modification time; one whose bytes were edited is
+    # written again, and the printed line is the same either way
+    out, script = tmp_path / "sweep.csv", tmp_path / "sweep_plot.py"
+    argv = ["sweep", str(config1), "--points", "5", "--out", str(out)]
+    assert main(argv) == 0
+    written = script.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == SWEEP_PLOT_SHA256
+    past = 10 ** 18  # 2001-09-09, in ns
+    os.utime(script, ns=(past, past))
+    assert main(argv) == 0
+    assert script.stat().st_mtime_ns == past
+    script.write_bytes(written.replace(b"plt.show()", b"plt.savefig('frontier.png')"))
+    os.utime(script, ns=(past, past))
+    assert main(argv) == 0
+    assert script.read_bytes() == written
+    assert script.stat().st_mtime_ns != past
+    assert capsys.readouterr().out == f"wrote {out} and {script}\n" * 3
 
 
 def test_sweep_full_rank_reaches_finite_endpoint(config2, tmp_path):
@@ -227,6 +253,12 @@ def test_rate_vs_snr_too_loose_row(config1, tmp_path):
     sem = best_at_crb(power_split_sem(H, sc).points, 1e150)
     assert lines[3].decode() == ",".join(
         [_fmt(60.0), _fmt(1e6), "nan", _fmt(ep.rate), _fmt(sem.rate), "too_loose"]) + "\r\n"
+    # the plot script plots only rows of status ok, and its header says
+    # which rows it skips
+    script = (tmp_path / "snr_plot.py").read_text()
+    assert 'if row["status"] != "ok":' in script
+    header = " ".join(line for line in script.splitlines() if line.startswith("# "))
+    assert {"infeasible", "too_loose", "iteration_limit"} <= set(re.findall(r"\w+", header))
 
 
 def test_rate_vs_snr_list_may_start_with_a_minus(config1, tmp_path):

@@ -24,6 +24,7 @@ from isac_pareto.metrics import (
 )
 from isac_pareto.scenario import ChannelMatrix, Scenario, load_fixture, rician_channel
 from isac_pareto.solver import (
+    ThresholdTooLooseError,
     _dual_searches,
     _dual_start,
     _ends,
@@ -295,6 +296,18 @@ def test_loosest_searchable_threshold(case, scenario1):
                 f"CRB threshold {gamma:.6g} is too loose to search at P = {sc.P:g}: "
                 f"thresholds above {limit:.6g} cannot be searched")):
             solve_p1(H, sc, gamma)
+
+
+def test_too_loose_threshold_raises_its_own_error(scenario1):
+    # at P = 1e6 scenario1 can search thresholds up to 2.36663e+147 only;
+    # 1e150 raises ThresholdTooLooseError, a ValueError, which callers catch
+    # by type rather than by the text of the message
+    H, sc = scenario1
+    with pytest.raises(ThresholdTooLooseError, match=re.escape(
+            "CRB threshold 1e+150 is too loose to search at P = 1e+06: "
+            "thresholds above 2.36663e+147 cannot be searched")):
+        solve_p1(H, dataclasses.replace(sc, P=1e6), 1e150)
+    assert issubclass(ThresholdTooLooseError, ValueError)
 
 
 @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])

@@ -12,7 +12,7 @@ from isac_pareto.closed_form import crb_min_point, p0_threshold, rate_max_point
 from isac_pareto.metrics import crb_from_powers, rate_from_powers, trace_budget
 from isac_pareto.scenario import ChannelMatrix, Scenario, preset_scenario, rician_channel
 from isac_pareto.solver import solve_p1
-from isac_pareto.sweep import sweep
+from isac_pareto.sweep import DEFAULT_SCHEMES, sweep
 
 solver_module = importlib.import_module("isac_pareto.solver")
 sweep_module = importlib.import_module("isac_pareto.sweep")
@@ -126,6 +126,20 @@ def test_sweep_degenerate_box_region():
     rates = [r.rate for r in opt]
     assert max(rates) - min(rates) <= 1e-6
     assert res.crb_cap == res.crb_min
+
+
+def test_sweep_thresholds_are_python_floats(scenario1, scenario2):
+    # every row of every scheme carries its threshold as a Python float, not
+    # a numpy scalar: on the capped scenario1 (time switching not
+    # applicable), on the finite scenario2 and on a box region, whose grid
+    # repeats the minimum CRB
+    cases = [(*scenario1, 8), (*scenario2, 8),
+             (ChannelMatrix.from_matrix(np.eye(4) * 2.0),
+              Scenario(M=4, Nc=4, Ns=12, L=200, P=1000.0), 3)]
+    for H, sc, n in cases:
+        rows = sweep(H, sc, n).rows
+        assert {r.scheme for r in rows} == set(DEFAULT_SCHEMES)
+        assert all(type(r.gamma_target) is float for r in rows), sc
 
 
 def test_sweep_annotates_failures_without_aborting(scenario1, monkeypatch):
