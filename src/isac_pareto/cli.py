@@ -175,7 +175,6 @@ _PLOT_SNR = '''#!/usr/bin/env python3
 # Plots each rate column (y) against snr_db (x); only rows of status ok are
 # plotted, so infeasible, too_loose and iteration_limit rows are skipped.
 import csv
-import math
 from pathlib import Path
 
 import matplotlib.pyplot as plt
